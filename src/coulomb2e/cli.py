@@ -124,11 +124,22 @@ def cmd_ion(args):
     return EXIT_OK
 
 
+# the equal-mass pairs each mode models, as (m1, m2, m3, m4) indices;
+# particles 1, 2 are the positives and 3, 4 the negatives
+_MODE_MASSES = {"ps2": ("m1=m2=m3=m4", ((0, 1), (0, 2), (0, 3))),
+                "cc-break": ("m1=m2 and m3=m4", ((0, 1), (2, 3))),
+                "identity-break": ("m1=m3 and m2=m4", ((0, 2), (1, 3)))}
+
+
 def cmd_molecule(args):
     if args.masses:
         parts = [float(v) for v in args.masses.split(",")]
         if len(parts) != 4 or min(parts) <= 0:
             print("molecule: --masses needs four positive values", file=sys.stderr)
+            return EXIT_USAGE
+        need, pairs = _MODE_MASSES[args.mode]
+        if any(parts[i] != parts[j] for i, j in pairs):
+            print(f"molecule: --mode {args.mode} needs {need}", file=sys.stderr)
             return EXIT_USAGE
         ratio = max(parts) / min(parts)
     else:

@@ -51,13 +51,26 @@ def f4(a, b, c, d, u=0.0):
     return 16.0 * 2.0 * g / (u1 + u2) / ((a + b) * (c + d))
 
 
+# Moment indices (i, j, k, l, m) that overlap4, coulomb4, _p3sq and _p4sq
+# read.  The F4 jet keeps exactly the orders these need: per axis their
+# maxima, in total their largest sum.  moment4 refuses anything beyond.
+_MOMENTS = (
+    (1, 1, 1, 1, 1), (1, 1, 1, 1, 0),
+    (0, 1, 1, 1, 1), (1, 0, 1, 1, 1), (1, 1, 0, 1, 1), (1, 1, 1, 0, 1),
+    (0, 0, 1, 1, 3), (2, 0, 1, 1, 1), (0, 2, 1, 1, 1),
+    (1, 1, 0, 0, 3), (1, 1, 2, 0, 1), (1, 1, 0, 2, 1),
+)
+_ORDERS = tuple(max(col) for col in zip(*_MOMENTS))
+_DEGREE = max(sum(idx) for idx in _MOMENTS)
+
+
 def _f4_jet(a, b, c, d, orders):
     sh = tuple(o + 1 for o in orders)
-    A = Jet.variable(a, 0, sh)
-    B = Jet.variable(b, 1, sh)
-    C = Jet.variable(c, 2, sh)
-    D = Jet.variable(d, 3, sh)
-    U = Jet.variable(0.0, 4, sh)
+    A = Jet.variable(a, 0, sh, _DEGREE)
+    B = Jet.variable(b, 1, sh, _DEGREE)
+    C = Jet.variable(c, 2, sh, _DEGREE)
+    D = Jet.variable(d, 3, sh, _DEGREE)
+    U = Jet.variable(0.0, 4, sh, _DEGREE)
     S = 0.5 * (A + B + C + D) + U
     p = A - B
     q = C - D
@@ -69,18 +82,13 @@ def _f4_jet(a, b, c, d, orders):
     r = (u1 - u2) * usr
     if abs(r.val) < _R_SWITCH:
         r2 = r * r
-        g = Jet.const(0.0, sh)
+        g = Jet.const(0.0, sh, _DEGREE)
         for k in range(_SERIES_K, 0, -1):
             g = (g + 1.0 / (2 * k + 1)) * r2
         g = g + 1.0
     else:
-        one = Jet.const(1.0, sh)
-        g = 0.5 * ((one + r) * (one - r).recip()).log() * r.recip()
+        g = 0.5 * ((1.0 + r) * (1.0 - r).recip()).log() * r.recip()
     return 32.0 * g * usr * ((A + B) * (C + D)).recip()
-
-
-# one jet per argument set covers every pattern used below
-_ORDERS = (2, 2, 2, 2, 3)
 
 
 @lru_cache(maxsize=4096)
@@ -89,9 +97,11 @@ def _f4_table(a, b, c, d):
 
 
 def g4(idx, a, b, c, d):
-    """Signed mixed partial (-1)^|idx| d^idx F4 at u=0; idx=(i,j,k,l,m)."""
-    if any(o1 > o2 for o1, o2 in zip(idx, _ORDERS)):
-        raise ValueError("derivative order beyond supported maximum")
+    """Signed mixed partial (-1)^|idx| d^idx F4 at u=0; idx=(i,j,k,l,m).
+
+    Raises ValueError for an order beyond the jet's truncation (_ORDERS per
+    axis, _DEGREE in total).
+    """
     F = _f4_table(float(a), float(b), float(c), float(d))
     return (-1.0) ** sum(idx) * F.deriv(idx)
 

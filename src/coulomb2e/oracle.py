@@ -97,7 +97,7 @@ def quad_minmax(m, n_pow, ca, cb, n=96):
         half = 0.5 * r
         rin = half * (zl + 1.0)
         inner = np.sum(wz * half * rin ** m * np.exp(-ca * rin))
-        tot += w * np.exp((1.0 - 1.0) * r) * r ** n_pow * inner
+        tot += w * r ** n_pow * inner
     return tot
 
 

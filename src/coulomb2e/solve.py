@@ -18,7 +18,8 @@ import scipy.linalg as sla
 from scipy.optimize import minimize, minimize_scalar
 
 from .model import (MatBlock, SystemSpec, VariationalResult, NATURAL,
-                    UNNATURAL, STABILITY_TOL, threshold_for, hminus_spec)
+                    UNNATURAL, STABILITY_TOL, threshold_for, hminus_spec,
+                    ps2_spec)
 from . import matel3, matel4
 
 _BIG = 1e6
@@ -353,17 +354,11 @@ def optimize_ion(spec: SystemSpec, n_terms: int, config: MinimizerConfig,
         block = matel3.unnatural_matblock(terms, spec)
 
     e_chk, lam = scaled_lowest(block, k=k)
-    w, c = None, None
-    try:
-        w, cvec = gen_eig(_scaled_block(block, lam))
-        c = cvec[:, min(k, len(w) - 1)]
-    except np.linalg.LinAlgError:
-        c = np.zeros(len(terms))
-    vr = _virial_ratio(block, c, lam) if c is not None and np.any(c) else float("nan")
+    c, vr = _state_at_scale(block, lam, k)
     margin = (e_thr - e) / abs(e_thr)
     return VariationalResult(
         energy=e, params=[list(t) for t in terms],
-        coeffs=list(c) if c is not None else [],
+        coeffs=list(c),
         virial_ratio=vr, threshold=thr, margin=margin,
         stable=bool(e < e_thr - STABILITY_TOL), sector=spec.sector,
         meta={"k": k, "n_terms": n_terms, "scale": lam, **info})
@@ -373,6 +368,19 @@ def _scaled_block(block, lam):
     return MatBlock(np.asarray(block.n_mat),
                     lam * lam * np.asarray(block.t_mat),
                     lam * np.asarray(block.v_mat))
+
+
+def _state_at_scale(block, lam, k=0):
+    """Coefficients of the k-th state at scale lam and their virial ratio.
+
+    Zeros and nan when the overlap is too ill-conditioned to factor.
+    """
+    try:
+        w, cvec = gen_eig(_scaled_block(block, lam))
+    except np.linalg.LinAlgError:
+        return np.zeros(len(block.n_mat)), float("nan")
+    c = cvec[:, min(k, len(w) - 1)]
+    return c, (_virial_ratio(block, c, lam) if np.any(c) else float("nan"))
 
 
 def _virial_ratio(block, c, lam):
@@ -647,6 +655,25 @@ def _four_spec(mode, ratio):
                       charges=(1.0, 1.0, -1.0, -1.0))
 
 
+def _four_groups(mode, p):
+    """Basis groups of one breaking mode at shape parameters p.
+
+    cc-break: the orbit of (a, b, c, d) under both identical-pair exchanges;
+    identity-break: the two terms (a,b,b,a) and (b,a,a,b) as separate
+    vectors.  None when p leaves the integrable domain.
+    """
+    if mode == "cc-break":
+        s = (p[0] + p[1], p[0] + p[2], p[1] + p[3], p[2] + p[3],
+             p[0] + p[3], p[1] + p[2])
+        if min(s) <= 1e-3:
+            return None
+        return [matel4.symmetrized_group(tuple(p))]
+    a, b = p
+    if a + b <= 1e-3 or a <= 0 or b <= 0:
+        return None
+    return [[(1.0, (a, b, b, a))], [(1.0, (b, a, a, b))]]
+
+
 def scan_mass4(ratios, mode, config: MinimizerConfig):
     """Four-body stability along a mass-breaking direction.
 
@@ -659,27 +686,15 @@ def scan_mass4(ratios, mode, config: MinimizerConfig):
     for ratio in ratios:
         spec = _four_spec(mode, ratio)
         thr = threshold_for(spec)
-        if mode == "cc-break":
-            def obj(p):
-                s = (p[0] + p[1], p[0] + p[2], p[1] + p[3], p[2] + p[3],
-                     p[0] + p[3], p[1] + p[2])
-                if min(s) <= 1e-3:
-                    return _BIG
-                try:
-                    g = matel4.symmetrized_group(tuple(p))
-                    return _four_lowest([g], spec)
-                except Exception:
-                    return _BIG
-        else:
-            def obj(p):
-                a, b = p
-                if a + b <= 1e-3 or a <= 0 or b <= 0:
-                    return _BIG
-                try:
-                    groups = [[(1.0, (a, b, b, a))], [(1.0, (b, a, a, b))]]
-                    return _four_lowest(groups, spec)
-                except Exception:
-                    return _BIG
+
+        def obj(p):
+            groups = _four_groups(mode, p)
+            if groups is None:
+                return _BIG
+            try:
+                return _four_lowest(groups, spec)
+            except Exception:
+                return _BIG
 
         x, e, info = minimize_nm(obj, warm, config)
         warm = list(x)
@@ -695,19 +710,22 @@ def molecule_result(mode, ratio, config: MinimizerConfig) -> VariationalResult:
     """One four-body solve packaged as a VariationalResult."""
     if mode == "ps2":
         e, beta = optimize_ps2()
-        spec = SystemSpec(inv_masses=(1.0, 1.0, 1.0, 1.0), z_central=None,
-                          charges=(1.0, 1.0, -1.0, -1.0))
-        thr = threshold_for(spec)
+        thr = threshold_for(ps2_spec())
         n, t, v = matel4.ho_ntv(beta)
         _, lam = virial_reduce(n, t, -v)
+        # the analytic scale optimum satisfies the virial theorem exactly
         return VariationalResult(
             energy=e, params=[beta], coeffs=[1.0], virial_ratio=1.0,
             threshold=thr, margin=(thr.e_ground - e) / abs(thr.e_ground),
             stable=bool(e < thr.e_ground - STABILITY_TOL),
             meta={"mode": mode, "scale": lam})
     rec = scan_mass4([ratio], mode, config)[0]
-    thr = threshold_for(_four_spec(mode, ratio))
+    spec = _four_spec(mode, ratio)
+    block = matel4.assemble4(_four_groups(mode, rec["params"]), spec)
+    _, lam = scaled_lowest(block, floor=1e-11, bounds=(0.02, 50.0))
+    c, vr = _state_at_scale(block, lam)
     return VariationalResult(
-        energy=rec["energy"], params=rec["params"], coeffs=[],
-        virial_ratio=1.0, threshold=thr, margin=rec["margin"],
+        energy=rec["energy"], params=rec["params"], coeffs=list(c),
+        virial_ratio=vr,
+        threshold=threshold_for(spec), margin=rec["margin"],
         stable=rec["stable"], meta={"mode": mode, "ratio": ratio})

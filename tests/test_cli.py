@@ -123,3 +123,28 @@ def test_parse_ratios():
     assert cli._parse_ratios("1,2.5,inf") == [1.0, 2.5, float("inf")]
     with pytest.raises(ValueError):
         cli._parse_ratios("abc")
+
+
+def test_molecule_masses_must_fit_mode(monkeypatch, capsys):
+    # each mode models one equal-mass pattern; any other is refused rather
+    # than reduced to max/min (1,2,1,2 and 2,2,1,1 used to solve alike)
+    seen = []
+    real = solve.molecule_result
+
+    def spy(mode, ratio, config):
+        seen.append((mode, ratio))
+        return real("ps2", 1.0, config)
+
+    monkeypatch.setattr(solve, "molecule_result", spy)
+    for masses, mode in (("1,2,1,2", "cc-break"), ("2,2,1,1", "identity-break"),
+                         ("1,1,2,1", "cc-break"), ("2,2,1,1", "ps2"),
+                         ("1,1,1,1.5", "ps2")):
+        assert run(["molecule", "--masses", masses,
+                    "--mode", mode]) == cli.EXIT_USAGE
+    assert seen == []
+    assert "m1=m3 and m2=m4" in capsys.readouterr().err
+    assert run(["molecule", "--masses", "2,2,1,1", "--mode", "cc-break"]) == 0
+    assert run(["molecule", "--masses", "1,3,1,3",
+                "--mode", "identity-break"]) == 0
+    assert run(["molecule", "--masses", "2,2,2,2"]) == 0
+    assert seen == [("cc-break", 2.0), ("identity-break", 3.0), ("ps2", 1.0)]

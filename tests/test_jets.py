@@ -98,3 +98,50 @@ def test_scalar_mixed_arithmetic():
     assert (-x).val == -2.0
     assert (3.0 * x).deriv((1,)) == 3.0
     assert (x + 1.0).val == 3.0
+
+
+def test_deriv_refuses_truncated_orders():
+    x = Jet.variable(1.0, 0, (3, 3), degree=2)
+    assert x.deriv((2, 0)) == 0.0
+    for idx in ((3, 0), (2, 1), (1, 2), (0, 0, 0), (-1, 0)):
+        with pytest.raises(ValueError):
+            x.deriv(idx)
+
+
+def test_product_matches_schoolbook_convolution():
+    # random coefficients on a total-degree-capped grid: the product keeps
+    # every cell with |i| <= degree and equals the direct double sum there
+    rng = np.random.default_rng(5)
+    sh, deg = (3, 3, 4), 5
+    a = Jet.const(0.0, sh, deg)
+    b = Jet.const(0.0, sh, deg)
+    a.c[:] = rng.standard_normal(a.c.size)
+    b.c[:] = rng.standard_normal(b.c.size)
+    got = a * b
+    cells = list(a.lay.index)
+    assert len(cells) == sum(1 for i in np.ndindex(sh) if sum(i) <= deg)
+    for out in cells:
+        want = sum(a.c[a.lay.index[i]] * b.c[b.lay.index[j]]
+                   for i in cells for j in cells
+                   if tuple(p + q for p, q in zip(i, j)) == out)
+        assert got.c[got.lay.index[out]] == pytest.approx(want, rel=1e-14,
+                                                          abs=1e-14)
+
+
+def test_degree_cap_keeps_low_orders_exact():
+    # 1/(x + 2y) and log(x + y) with and without the total-degree cap agree
+    # on every kept cell, and a capped jet drops the rest
+    x0, y0 = 1.3, 0.4
+    for deg in (2, 3, 4):
+        full = [Jet.variable(x0, 0, (4, 4)), Jet.variable(y0, 1, (4, 4))]
+        cap = [Jet.variable(x0, 0, (4, 4), deg), Jet.variable(y0, 1, (4, 4), deg)]
+        for f in (lambda X, Y: (X + 2.0 * Y).recip(),
+                  lambda X, Y: (X + Y).log()):
+            F, G = f(*full), f(*cap)
+            for i, j in np.ndindex(4, 4):
+                if i + j <= deg:
+                    assert G.deriv((i, j)) == pytest.approx(
+                        F.deriv((i, j)), rel=1e-13)
+                else:
+                    with pytest.raises(ValueError):
+                        G.deriv((i, j))

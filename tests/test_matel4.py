@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from scipy.optimize import brentq
+
 from coulomb2e import matel4, oracle
-from coulomb2e.model import ps2_spec
+from coulomb2e.model import SystemSpec, ps2_spec
 
 
 T1 = (0.9, 0.2, 0.3, 0.8)
@@ -57,8 +59,75 @@ def test_g4_vs_finite_differences_low_order():
 
 
 def test_g4_order_cap():
-    with pytest.raises(ValueError):
-        matel4.g4((3, 0, 0, 0, 0), 1.0, 1.0, 1.0, 1.0)
+    # per-axis cap (2, 2, 2, 2, 3) and total-degree cap 5: a truncated
+    # cell must raise, not read as zero
+    assert matel4._ORDERS == (2, 2, 2, 2, 3) and matel4._DEGREE == 5
+    for idx in ((3, 0, 0, 0, 0), (0, 0, 0, 0, 4), (2, 2, 2, 0, 0),
+                (1, 1, 1, 1, 2), (2, 0, 1, 1, 2), (0, 0, 0, 0, -1)):
+        with pytest.raises(ValueError):
+            matel4.g4(idx, 1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            matel4.moment4(*idx, 1.1, 0.9, 0.8, 1.2)
+    assert np.isfinite(matel4.g4((2, 0, 0, 0, 3), 1.0, 1.0, 1.0, 1.0))
+
+
+def test_assembler_reads_exactly_the_tabulated_moments(monkeypatch):
+    # the jet truncation is derived from _MOMENTS, so that list must be
+    # what overlap4, coulomb4 and kinetic4 actually read
+    seen = set()
+    orig = matel4.moment4
+
+    def spy(*args):
+        seen.add(tuple(args[:5]))
+        return orig(*args)
+
+    monkeypatch.setattr(matel4, "moment4", spy)
+    spec = SystemSpec(inv_masses=(1.0, 0.5, 2.0, 0.7), z_central=None,
+                      charges=(1.0, 1.0, -1.0, -1.0))
+    matel4.assemble4([matel4.symmetrized_group(T1)], spec)
+    assert seen == set(matel4._MOMENTS)
+
+
+def _f4_mp(mp, a, b, c, d, u):
+    # atanh form: log(u1/u2)/(p q) = 2 atanh(r)/r/(u1+u2), r = p q/(u1+u2),
+    # finite at a = b and c = d
+    s = (a + b + c + d) / 2 + u
+    p, q = a - b, c - d
+    w = 2 * s * s - (p * p + q * q) / 2          # u1 + u2
+    r = p * q / w
+    g = mp.atanh(r) / r if r else mp.mpf(1)
+    return 32 * g / w / ((a + b) * (c + d))
+
+
+def _r_at(a, b, c, d):
+    s = 0.5 * (a + b + c + d)
+    p, q = a - b, c - d
+    return p * q / (2 * s * s - 0.5 * (p * p + q * q))
+
+
+# both sides of the r = 0.3 series switch, along c at (2.0, 0.3, c, 0.25)
+_C_SWITCH = [brentq(lambda c: _r_at(2.0, 0.3, c, 0.25) - r, 0.3, 5.0)
+             for r in (matel4._R_SWITCH - 1e-4, matel4._R_SWITCH + 1e-4)]
+
+
+@pytest.mark.parametrize("pt", [
+    (2.0, 0.3, 1.7, 0.25),             # asymmetric, direct branch
+    (3.0, 0.1, 2.5, 0.15),             # strong anisotropy, r = 0.71
+    (1.3, 1.3 + 1e-7, 0.8, 0.5),       # a ~ b
+    (1.1, 0.7, 0.9, 0.9 + 1e-7),       # c ~ d
+    (1.3, 1.3, 0.8, 0.8),              # exact degeneracy, r = 0
+    (2.0, 0.3, _C_SWITCH[0], 0.25),    # series side of the switch
+    (2.0, 0.3, _C_SWITCH[1], 0.25),    # direct side of the switch
+])
+def test_f4_moments_vs_mpmath(pt):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        x0 = tuple(mp.mpf(v) for v in pt) + (mp.mpf(0),)
+        for idx in matel4._MOMENTS:
+            want = (-1) ** sum(idx) * mp.diff(
+                lambda *x: _f4_mp(mp, *x), x0, idx)
+            got = matel4.moment4(*idx, *pt)
+            assert abs(got - want) <= 1e-13 * abs(want), (idx, got, want)
 
 
 def test_overlap_and_kinetic_symmetric_in_bra_ket():

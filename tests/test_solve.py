@@ -178,3 +178,17 @@ def test_molecule_result_ps2():
     assert res.energy == pytest.approx(-0.504233, abs=1e-5)
     assert res.stable
     assert res.margin == pytest.approx(0.008465, abs=1e-5)
+
+
+@pytest.mark.parametrize("mode", ["cc-break", "identity-break"])
+def test_molecule_result_measures_virial_ratio(mode, monkeypatch):
+    # the virial ratio comes from the optimum's eigenvector: 1 at the
+    # optimal scale up to the scale search's tolerance, and whatever
+    # _virial_ratio reports is what the result carries
+    cfg = MinimizerConfig(restarts=1, max_iter=30)
+    res = solve.molecule_result(mode, 1.7, cfg)
+    assert res.virial_ratio == pytest.approx(1.0, abs=1e-6)
+    assert len(res.coeffs) == (1 if mode == "cc-break" else 2)
+    assert np.all(np.isfinite(res.coeffs))
+    monkeypatch.setattr(solve, "_virial_ratio", lambda block, c, lam: 0.25)
+    assert solve.molecule_result(mode, 1.7, cfg).virial_ratio == 0.25

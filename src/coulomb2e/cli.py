@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import __version__, matel3, oracle, solve
-from .model import (SystemSpec, NATURAL, UNNATURAL, hminus_spec)
+from .model import NATURAL, UNNATURAL, TwoBodyThreshold, hminus_spec
 from .solve import MinimizerConfig, NonConvergenceError
 
 EXIT_OK = 0
@@ -142,13 +142,24 @@ def cmd_molecule(args):
             print(f"molecule: --mode {args.mode} needs {need}", file=sys.stderr)
             return EXIT_USAGE
         ratio = max(parts) / min(parts)
+        # the solve runs at unit average inverse mass; energies and ranges
+        # scale linearly with the mass unit s that restores the given masses
+        s = 2.0 / (1.0 / max(parts) + 1.0 / min(parts))
     else:
-        ratio = args.ratio
+        ratio, s = args.ratio, 1.0
     label = f"molecule mode={args.mode} ratio={ratio:g}"
     t0 = time.perf_counter()
     res = solve.molecule_result(args.mode, ratio, _config(args, restarts=1,
                                                           max_iter=300))
     wall = time.perf_counter() - t0
+    thr = res.threshold
+    res.energy *= s
+    res.threshold = TwoBodyThreshold(s * thr.mu, s * thr.e_ground, s * thr.e_2p,
+                                     thr.label)
+    if args.mode == "ps2":   # params = [beta] is a shape; the range is the scale
+        res.meta["scale"] *= s
+    else:
+        res.params = [s * p for p in res.params]
     payload = _result_payload(res, label, args.seed)
     if args.format == "json":
         _emit_json(payload, args.out)
@@ -280,10 +291,7 @@ def _single_term_e(z, eps, tie_ab, with_c, config):
         t = (a, b, c)
         if t[0] + t[1] <= 1e-3 or t[1] + t[2] <= 1e-3 or t[2] + t[0] <= 1e-3:
             return solve._BIG
-        try:
-            return solve.scaled_lowest(matel3.natural_matblock([t], spec))[0]
-        except Exception:
-            return solve._BIG
+        return solve.scaled_lowest(matel3.natural_matblock([t], spec))[0]
 
     if tie_ab:
         x0 = [0.85 * z, 0.1 * z] if with_c else [0.9 * z]

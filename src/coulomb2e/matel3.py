@@ -25,7 +25,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .model import MatBlock, UNNATURAL
+from .model import MatBlock, UNNATURAL, assemble
 
 _MAX_ORDER = 8
 
@@ -178,6 +178,14 @@ def _elements_ntv(u, v, z, invm):
     return n, tt, vv
 
 
+def _exchange_groups(terms, epsilon):
+    """One group per term: t + epsilon * (a<->b), or t alone for epsilon None."""
+    tl = [t.as_tuple() if hasattr(t, "as_tuple") else tuple(t) for t in terms]
+    if epsilon is None:
+        return [[(1.0, t)] for t in tl]
+    return [[(1.0, t), (float(epsilon), (t[1], t[0], t[2]))] for t in tl]
+
+
 def natural_matblock(terms, spec, symmetrize=True):
     """N, T, V matrices over exchange-symmetrized scalar exponential terms.
 
@@ -185,33 +193,9 @@ def natural_matblock(terms, spec, symmetrize=True):
     `symmetrize` is set; with distinguishable negative particles pass
     symmetrize=False and supply both orderings as separate terms.
     """
-    tl = [t.as_tuple() if hasattr(t, "as_tuple") else tuple(t) for t in terms]
-    z = spec.z_central
-    invm = spec.inv_masses
-    groups = []
-    for t in tl:
-        if symmetrize:
-            groups.append([(1.0, t), (float(spec.epsilon), (t[1], t[0], t[2]))])
-        else:
-            groups.append([(1.0, t)])
-    m = len(groups)
-    N = np.zeros((m, m))
-    T = np.zeros((m, m))
-    V = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            sn = st = sv = 0.0
-            for w1, u in groups[i]:
-                for w2, v in groups[j]:
-                    en, et, ev = _elements_ntv(u, v, z, invm)
-                    w = w1 * w2
-                    sn += w * en
-                    st += w * et
-                    sv += w * ev
-            N[i, j] = N[j, i] = sn
-            T[i, j] = T[j, i] = st
-            V[i, j] = V[j, i] = sv
-    return MatBlock(N, T, V)
+    z, invm = spec.z_central, spec.inv_masses
+    groups = _exchange_groups(terms, spec.epsilon if symmetrize else None)
+    return MatBlock(*assemble(groups, lambda u, v: _elements_ntv(u, v, z, invm)))
 
 
 def hughes_eckart_matrix(terms, spec, symmetrize=True):
@@ -220,20 +204,8 @@ def hughes_eckart_matrix(terms, spec, symmetrize=True):
     Used to *verify* (not assume) that the cross term has zero expectation on
     angle-independent wave functions.
     """
-    tl = [t.as_tuple() if hasattr(t, "as_tuple") else tuple(t) for t in terms]
-    groups = []
-    for t in tl:
-        if symmetrize:
-            groups.append([(1.0, t), (float(spec.epsilon), (t[1], t[0], t[2]))])
-        else:
-            groups.append([(1.0, t)])
-    m = len(groups)
-    H = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            H[i, j] = sum(w1 * w2 * he_cross(u, v)
-                          for w1, u in groups[i] for w2, v in groups[j])
-    return 0.5 * (H + H.T)
+    groups = _exchange_groups(terms, spec.epsilon if symmetrize else None)
+    return assemble(groups, lambda u, v: (he_cross(u, v),))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -482,25 +454,6 @@ def unnatural_matblock(terms, spec):
     """
     if spec.sector != UNNATURAL:
         raise ValueError("unnatural_matblock needs an unnatural-sector spec")
-    tl = [t.as_tuple() if hasattr(t, "as_tuple") else tuple(t) for t in terms]
-    z = spec.z_central
-    invm = spec.inv_masses
-    groups = [[(1.0, t), (1.0, (t[1], t[0], t[2]))] for t in tl]
-    m = len(groups)
-    N = np.zeros((m, m))
-    T = np.zeros((m, m))
-    V = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            sn = st = sv = 0.0
-            for w1, u in groups[i]:
-                for w2, v in groups[j]:
-                    en, et, ev = _un_pair(u, v, z, invm)
-                    w = w1 * w2
-                    sn += w * en
-                    st += w * et
-                    sv += w * ev
-            N[i, j] = N[j, i] = sn
-            T[i, j] = T[j, i] = st
-            V[i, j] = V[j, i] = sv
-    return MatBlock(N, T, V)
+    z, invm = spec.z_central, spec.inv_masses
+    return MatBlock(*assemble(_exchange_groups(terms, +1),
+                              lambda u, v: _un_pair(u, v, z, invm)))

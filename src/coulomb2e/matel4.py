@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .jets import Jet
-from .model import MatBlock
+from .model import MatBlock, assemble
 
 _R_SWITCH = 0.3
 _SERIES_K = 18
@@ -201,25 +201,14 @@ def assemble4(groups, spec):
     kinetic sum equals the internal kinetic energy.
     """
     invm = spec.inv_masses
-    m = len(groups)
-    N = np.zeros((m, m))
-    T = np.zeros((m, m))
-    V = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            sn = st = sv = 0.0
-            for wi, ti in groups[i]:
-                for wj, tj in groups[j]:
-                    w = wi * wj
-                    sn += w * overlap4(ti, tj)
-                    st += w * sum(0.5 * invm[p - 1] * kinetic4(p, ti, tj)
-                                  for p in range(1, 5) if invm[p - 1] != 0.0)
-                    sv += w * sum(s * coulomb4(pr, ti, tj)
-                                  for pr, s in _PAIR_SIGNS)
-            N[i, j] = N[j, i] = sn
-            T[i, j] = T[j, i] = st
-            V[i, j] = V[j, i] = sv
-    return MatBlock(N, T, V)
+
+    def pair(ti, tj):
+        return (overlap4(ti, tj),
+                sum(0.5 * invm[p - 1] * kinetic4(p, ti, tj)
+                    for p in range(1, 5) if invm[p - 1] != 0.0),
+                sum(s * coulomb4(pr, ti, tj) for pr, s in _PAIR_SIGNS))
+
+    return MatBlock(*assemble(groups, pair))
 
 
 def symmetrized_group(t, positives_identical=True, negatives_identical=True):

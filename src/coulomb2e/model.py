@@ -9,6 +9,8 @@ formula finite and branch-free.
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 HARTREE_EV = 27.211
 
 NATURAL = "natural"      # scalar 0+ sector
@@ -103,6 +105,30 @@ class MatBlock:
     n_mat: "object"
     t_mat: "object"
     v_mat: "object"
+
+
+def assemble(groups, pair):
+    """Symmetric matrices over symmetrized basis vectors.
+
+    Each entry of `groups` is one basis vector, a list of (weight, term)
+    pairs.  `pair(u, v)` returns a tuple of elements for one ordered term
+    pair; entry (i, j) of the k-th matrix is the sum of w_u w_v pair(u, v)[k]
+    over u in group i and v in group j.  Only the upper triangle is
+    evaluated and mirrored, so the operators must be Hermitian.
+    """
+    m = len(groups)
+    mats = None
+    for i in range(m):
+        for j in range(i, m):
+            acc = 0.0
+            for w1, u in groups[i]:
+                for w2, v in groups[j]:
+                    acc = acc + w1 * w2 * np.asarray(pair(u, v), dtype=float)
+            if mats is None:
+                mats = [np.zeros((m, m)) for _ in acc]
+            for mat, x in zip(mats, acc):
+                mat[i, j] = mat[j, i] = x
+    return mats
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,16 @@
 eigensolves, schedule-based multi-term bases, and the stability scans.
 
 Everything here optimizes Rayleigh quotients built from the closed-form
-matrix elements.  The overall scale of a basis is never searched by the
-simplex: for a scale-closed family the optimal scale is analytic (single
-term) or a cheap one-dimensional bounded search over the lowest eigenvalue
-of (lam^2 T + lam V, N) (multi-term), so the simplex only sees shape
-parameters.
+matrix elements.  For a scale-closed family the optimal scale is analytic
+(single term) or a one-dimensional bounded search over the lowest eigenvalue
+of (lam^2 T + lam V, N) (multi-term).  The simplex still walks the raw
+ranges, so the overall scale is a flat direction of every search; the three
+closed-form two-parameter searches (two-range, min-max, shell model) would
+need only the range ratio (ROADMAP item 4).
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -35,15 +35,12 @@ class MinimizerConfig:
     x_tol: float = 1e-8
     max_iter: int = 10_000
     restarts: int = 5
-    constraint_mode: str = "reject"
     seed: int = 0
     jitter: float = 0.05
 
     def __post_init__(self):
         if self.f_tol <= 0 or self.x_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.constraint_mode not in ("reject", "penalty"):
-            raise ValueError("constraint_mode must be 'reject' or 'penalty'")
 
 
 @dataclass(frozen=True)
@@ -160,13 +157,24 @@ def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
 def minimize_nm(objective, x0, config: MinimizerConfig, scale=None):
     """Best-of-restarts Nelder-Mead; deterministic given config.seed.
 
-    The objective is expected to return a large sentinel on constraint
-    violations (reject mode).  Returns (params, value, info).
+    Returns (params, value, info).  An objective refuses a point either by
+    returning _BIG after its own domain check or by raising ValueError
+    (matel3.CancellationError, the closed forms' domain errors) or
+    numpy.linalg.LinAlgError; both read as _BIG to the simplex.  Any other
+    exception (TypeError, IndexError, ZeroDivisionError, ...) is a bug and
+    propagates.  NonConvergenceError: no restart got below _BIG / 2.
     """
     x0 = np.asarray(x0, dtype=float)
     if scale is None:
         scale = np.maximum(np.abs(x0), 0.1)
     rng = np.random.default_rng(config.seed)
+
+    def guarded(x):
+        try:
+            return objective(x)
+        except (ValueError, np.linalg.LinAlgError):
+            return _BIG
+
     starts = [x0]
     for _ in range(max(0, config.restarts - 1)):
         starts.append(x0 + config.jitter * scale
@@ -174,7 +182,7 @@ def minimize_nm(objective, x0, config: MinimizerConfig, scale=None):
     best = None
     nfev = 0
     for s in starts:
-        r = minimize(objective, s, method="Nelder-Mead",
+        r = minimize(guarded, s, method="Nelder-Mead",
                      options=dict(maxiter=config.max_iter,
                                   maxfev=config.max_iter,
                                   fatol=config.f_tol, xatol=config.x_tol))
@@ -243,7 +251,8 @@ def _nat_seed(z, eps, n, k, config):
     if key in _NAT_EXTEND:
         base_key, extra = _NAT_EXTEND[key]
         base = _optimize_nat_terms(list(_nat_seed(*base_key, config)),
-                                   z, eps, base_key[3], config)[1]
+                                   hminus_spec(z=z, epsilon=eps), base_key[3],
+                                   config)[1]
         return [tuple(t) for t in base] + [extra]
     # generic fallback: hydrogenic scale with a diffuse partner
     base = [(1.05 * z, 0.45 * z, 0.05 * z)]
@@ -253,19 +262,14 @@ def _nat_seed(z, eps, n, k, config):
     return base
 
 
-def _optimize_nat_terms(seed_terms, z, eps, k, config):
+def _optimize_nat_terms(seed_terms, spec, k, config):
     n = len(seed_terms)
-    spec = hminus_spec(z=z, epsilon=eps)
 
     def obj(x):
         terms = [tuple(x[3 * i:3 * i + 3]) for i in range(n)]
         if not _valid3(terms):
             return _BIG
-        try:
-            e, _ = _nat_lowest(terms, spec, k=k)
-        except Exception:
-            return _BIG
-        return e
+        return _nat_lowest(terms, spec, k=k)[0]
 
     x, e, info = minimize_nm(obj, np.asarray(seed_terms, float).ravel(), config)
     terms = [tuple(x[3 * i:3 * i + 3]) for i in range(n)]
@@ -318,35 +322,15 @@ def optimize_ion(spec: SystemSpec, n_terms: int, config: MinimizerConfig,
     e_thr = thr.e_relevant(spec.sector)
 
     if spec.sector == NATURAL:
-        if tuple(spec.inv_masses) != (0.0, 1.0, 1.0):
-            # finite or asymmetric masses: optimize shapes directly
-            seeds = _nat_seed(z, spec.epsilon, n_terms, k, config)
-            sp = spec
-
-            def obj(x):
-                terms = [tuple(x[3 * i:3 * i + 3]) for i in range(n_terms)]
-                if not _valid3(terms):
-                    return _BIG
-                try:
-                    return _nat_lowest(terms, sp, k=k)[0]
-                except Exception:
-                    return _BIG
-
-            x, e, info = minimize_nm(obj, np.asarray(seeds, float).ravel(), config)
-            terms = [tuple(x[3 * i:3 * i + 3]) for i in range(n_terms)]
-        else:
-            seeds = _nat_seed(z, spec.epsilon, n_terms, k, config)
-            e, terms, info = _optimize_nat_terms(seeds, z, spec.epsilon, k, config)
+        seeds = _nat_seed(z, spec.epsilon, n_terms, k, config)
+        e, terms, info = _optimize_nat_terms(seeds, spec, k, config)
         block = matel3.natural_matblock(terms, spec)
     else:
         def obj(x):
             terms = [tuple(x[3 * i:3 * i + 3]) for i in range(n_terms)]
             if not _valid3(terms, 1e-6):
                 return _BIG
-            try:
-                return _un_lowest(terms, spec, k=k)[0]
-            except Exception:
-                return _BIG
+            return _un_lowest(terms, spec, k=k)[0]
 
         seeds = _un_seed(spec, n_terms)
         x, e, info = minimize_nm(obj, np.asarray(seeds, float).ravel(), config)
@@ -421,10 +405,7 @@ def optimize_chandrasekhar(z, config: MinimizerConfig, epsilon=+1, x0=None,
             amin, amax, bmin, bmax = bounds
             if not (amin <= a <= amax and bmin <= b <= bmax):
                 return _BIG
-        try:
-            return chandrasekhar_energy(a, b, z, epsilon)
-        except ValueError:
-            return _BIG
+        return chandrasekhar_energy(a, b, z, epsilon)
 
     x, e, info = minimize_nm(obj, x0, config)
     return e, tuple(x), info
@@ -436,10 +417,7 @@ def optimize_minmax(z, config: MinimizerConfig, x0=(1.1, 0.5)):
         a, b = p
         if a <= 0.01 or b <= 0.01:
             return _BIG
-        try:
-            return virial_reduce(*matel3.minmax_ntv(a, b, z))[0]
-        except ValueError:
-            return _BIG
+        return virial_reduce(*matel3.minmax_ntv(a, b, z))[0]
 
     x, e, info = minimize_nm(obj, x0, config)
     return e, tuple(x), info
@@ -457,10 +435,7 @@ def optimize_shellmodel(z, config: MinimizerConfig, x0=None, restrict_equal=Fals
             a, b = p
         if a <= 0.01 or b <= 0.01:
             return _BIG
-        try:
-            return virial_reduce(*matel3.shellmodel_ntv(a, b, z))[0]
-        except ValueError:
-            return _BIG
+        return virial_reduce(*matel3.shellmodel_ntv(a, b, z))[0]
 
     x, e, info = minimize_nm(obj, [x0[0]] if restrict_equal else x0, config)
     params = (float(x[0]), float(x[0])) if restrict_equal else tuple(x)
@@ -567,15 +542,11 @@ def scan_mass3(mass_ratios, config: MinimizerConfig, z=1.0):
             a, b = p
             if a <= 0.01 or b <= 0.005:
                 return _BIG
-            try:
-                return _nat_lowest([(a, b, 0.0)], spec)[0]
-            except Exception:
-                return _BIG
+            return _nat_lowest([(a, b, 0.0)], spec)[0]
 
         x, e, info = minimize_nm(obj, [1.04 * z * mu, 0.28 * z * mu], config)
         terms = [(x[0], x[1], 0.0)]
         block = matel3.natural_matblock(terms, spec)
-        _, lam = scaled_lowest(block)
         he = matel3.hughes_eckart_matrix(terms, spec)[0, 0] / block.n_mat[0, 0]
         thr = threshold_for(spec)
         out.append({"ratio": ratio, "energy": e, "mu": mu,
@@ -603,12 +574,9 @@ def scan_asym3(ratios, config: MinimizerConfig, z=1.0):
             a, b = p
             if a <= 0.01 or b <= 0.005:
                 return _BIG
-            try:
-                blk = matel3.natural_matblock(
-                    [(a, b, 0.0), (b, a, 0.0)], spec, symmetrize=False)
-                return scaled_lowest(blk)[0]
-            except Exception:
-                return _BIG
+            blk = matel3.natural_matblock(
+                [(a, b, 0.0), (b, a, 0.0)], spec, symmetrize=False)
+            return scaled_lowest(blk)[0]
 
         x, e, info = minimize_nm(obj, warm, config)
         warm = list(x)
@@ -691,10 +659,7 @@ def scan_mass4(ratios, mode, config: MinimizerConfig):
             groups = _four_groups(mode, p)
             if groups is None:
                 return _BIG
-            try:
-                return _four_lowest(groups, spec)
-            except Exception:
-                return _BIG
+            return _four_lowest(groups, spec)
 
         x, e, info = minimize_nm(obj, warm, config)
         warm = list(x)

@@ -90,6 +90,27 @@ def test_molecule_bad_masses(capsys):
     assert run(["molecule", "--masses", "1,2,3"]) == cli.EXIT_USAGE
 
 
+def test_molecule_masses_set_the_mass_unit(monkeypatch, capsys):
+    # energies and thresholds scale with s = 2 / (1/m_heavy + 1/m_light);
+    # the margin does not.  Unrounded output makes the factors exact.
+    monkeypatch.setattr(cli, "_sig6", lambda x: x)
+
+    def result(*argv):
+        assert run(["molecule", *argv]) == cli.EXIT_OK
+        return json.loads(capsys.readouterr().out.split("# wall_time")[0])["result"]
+
+    unit, double = result("--masses", "1,1,1,1"), result("--masses", "2,2,2,2")
+    assert double["energy"] == 2 * unit["energy"]
+    assert double["threshold"]["e_ground"] == 2 * unit["threshold"]["e_ground"]
+    assert double["margin"] == unit["margin"]
+    light = result("--mode", "cc-break", "--ratio", "2")
+    heavy = result("--mode", "cc-break", "--masses", "4,4,2,2")
+    assert heavy["energy"] == pytest.approx(8 / 3 * light["energy"], rel=1e-15)
+    assert heavy["threshold"]["mu"] == pytest.approx(8 / 3 * light["threshold"]["mu"],
+                                                     rel=1e-15)
+    assert heavy["margin"] == light["margin"]
+
+
 def test_nonconvergence_exit_code(monkeypatch):
     def boom(*a, **k):
         raise solve.NonConvergenceError("forced")

@@ -151,6 +151,36 @@ def test_un_matblock_symmetric_and_positive():
     assert np.all(np.linalg.eigvalsh(N) > 0)
 
 
+def _swap(t):
+    return (t[1], t[0], t[2])
+
+
+@pytest.mark.parametrize("eps", [+1, -1])
+def test_natural_block_exchange_weighting(eps):
+    # the symmetrized vector t + eps (a<->b) against the unsymmetrized block
+    # over both orderings; a finite center mass brings in the recoil term
+    spec = hminus_spec(z=2.0, mass_ratio=7.3, epsilon=eps)
+    t = (1.3, 0.4, 0.1)
+    sym = matel3.natural_matblock([t], spec)
+    raw = matel3.natural_matblock([t, _swap(t)], spec, symmetrize=False)
+    for S, R in ((sym.n_mat, raw.n_mat), (sym.t_mat, raw.t_mat),
+                 (sym.v_mat, raw.v_mat)):
+        want = R[0, 0] + eps * (R[0, 1] + R[1, 0]) + R[1, 1]
+        assert S[0, 0] == pytest.approx(want, rel=1e-14)
+
+
+def test_unnatural_block_exchange_weighting():
+    spec = hminus_spec(z=1.0, mass_ratio=7.3, sector=UNNATURAL)
+    terms = [(0.5, 0.22, -0.03), (0.19, 0.43, 0.08)]
+    blk = matel3.unnatural_matblock(terms, spec)
+    for i, ti in enumerate(terms):
+        for j, tj in enumerate(terms):
+            want = sum(np.array(matel3._un_pair(u, v, 1.0, spec.inv_masses))
+                       for u in (ti, _swap(ti)) for v in (tj, _swap(tj)))
+            got = [blk.n_mat[i, j], blk.t_mat[i, j], blk.v_mat[i, j]]
+            assert got == pytest.approx(want, rel=1e-14)
+
+
 def test_cancellation_guard_trips_at_extreme_anisotropy():
     # ranges differing by ~1e4 make the cross-product weight cancel nearly
     # all digits; these evaluations must be refused, not returned

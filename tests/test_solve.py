@@ -103,6 +103,30 @@ def test_minimize_nm_raises_when_all_rejected():
         minimize_nm(lambda x: solve._BIG, [1.0], LIGHT)
 
 
+@pytest.mark.parametrize("exc, refused", [
+    (ValueError, True), (matel3.CancellationError, True),
+    (np.linalg.LinAlgError, True),
+    (TypeError, False), (IndexError, False), (ZeroDivisionError, False),
+])
+def test_minimize_nm_refusal_contract(exc, refused):
+    # refusals read as _BIG, so a search refused everywhere does not
+    # converge; every other exception is a bug and must surface unchanged
+    def obj(x):
+        raise exc("raised by the objective")
+
+    with pytest.raises(NonConvergenceError if refused else exc):
+        minimize_nm(obj, [1.0], LIGHT)
+
+
+def test_optimize_ion_propagates_bugs(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug inside the objective")
+
+    monkeypatch.setattr(matel3, "natural_matblock", broken)
+    with pytest.raises(TypeError):
+        solve.optimize_ion(hminus_spec(z=2.0), 1, LIGHT)
+
+
 def test_optimize_chandrasekhar_hminus():
     e, (a, b), _ = solve.optimize_chandrasekhar(1.0, CFG)
     assert e == pytest.approx(-0.51330, abs=5e-5)

@@ -11,23 +11,30 @@ The constant angular factor 8*pi^2 is omitted everywhere: it cancels in every
 Rayleigh quotient.  (With this normalization F3 itself carries a factor 2
 relative to the bare triangle integral; the oracle uses the same convention.)
 
-The derivative tables are filled in closed form: 1/(s0 + da + db) has Taylor
-coefficients (-1)^(i+j) C(i+j,i) / s0^(i+j+1), so the full F3 jet is a product
-of three such factors — no cancellation, machine precision at any order.
+With s1 = alpha+beta, s2 = beta+gamma, s3 = gamma+alpha the moments
+G(i,j,k) = (-1)^(i+j+k) d^(i+j+k) F3 are, in closed form,
+
+    4 i! j! k! sum C(i1+j1,i1) C(j2+k2,j2) C(k3+i3,k3)
+               / (s1^(i1+j1+1) s2^(j2+k2+1) s3^(k3+i3+1))
+
+over i1+i3 = i, j1+j2 = j, k2+k3 = k: every term is positive, so there is no
+cancellation at any order.  `_g3_cells` evaluates a fixed cell set for whole
+arrays of argument triples (one inverse-power table per s, one matrix
+product); each block assembler calls it once for all its term pairs.
 
 Term convention: a 3-tuple (a, b, c) means exp(-a*x - b*y - c*z), i.e. `a` on
 electron 2's distance, `b` on electron 1's, `c` on r12.  Electron exchange is
-the swap (a,b,c) -> (b,a,c).
+the swap (a,b,c) -> (b,a,c).  Element functions also take (P, 3) arrays of
+terms and then return P-vectors.
 """
 
-from functools import lru_cache
+from functools import cache
+from itertools import product
 from math import comb, factorial
 
 import numpy as np
 
 from .model import MatBlock, UNNATURAL, assemble
-
-_MAX_ORDER = 8
 
 
 def f3(alpha, beta, gamma):
@@ -38,84 +45,76 @@ def f3(alpha, beta, gamma):
     return 4.0 / (s1 * s2 * s3)
 
 
-def _conv(a, b):
-    """Truncated polynomial product of two coefficient grids (same shape).
-
-    Direct slice accumulation: the grids here are positive with a large
-    dynamic range, and an FFT product would smear the absolute error of the
-    largest entry onto the small ones (costing ~8 digits at order 8).
-    """
-    sh = a.shape
-    out = np.zeros(sh)
-    nz = np.argwhere(a != 0.0)
-    for i, j, k in nz:
-        out[i:, j:, k:] += a[i, j, k] * b[:sh[0] - i, :sh[1] - j, :sh[2] - k]
-    return out
-
-
-def _recip_pair(s0, ax1, ax2, shape):
-    """|Taylor grid| of 1/(s0 + d_ax1 + d_ax2): the true coefficients carry
-    the coherent sign (-1)^(i+j), which is pulled out of the convolution so
-    the FFT only ever adds positive numbers (no cancellation at high order)."""
-    c = np.zeros(shape)
-    for i in range(shape[ax1]):
-        for j in range(shape[ax2]):
-            idx = [0, 0, 0]
-            idx[ax1] = i
-            idx[ax2] = j
-            c[tuple(idx)] = comb(i + j, i) / s0 ** (i + j + 1)
-    return c
+@cache
+def _plan(cells):
+    """(powers, exps, coef): G[..., c] = sum_m coef[m, c] prod_n s_n^-powers[n, m],
+    with the inverse-power table of s_n built from the exponents `exps`."""
+    if any(o < 0 for cell in cells for o in cell):
+        raise ValueError("moment orders must be non-negative")
+    acc = {}
+    for c, (i, j, k) in enumerate(cells):
+        f = 4 * factorial(i) * factorial(j) * factorial(k)
+        for i1, j1, k2 in product(range(i + 1), range(j + 1), range(k + 1)):
+            i3, j2, k3 = i - i1, j - j1, k - k2
+            mono = (i1 + j1 + 1, j2 + k2 + 1, k3 + i3 + 1)
+            acc[mono, c] = acc.get((mono, c), 0) + f * (
+                comb(i1 + j1, i1) * comb(j2 + k2, j2) * comb(k3 + i3, k3))
+    monos = {mono: m for m, mono in enumerate(sorted({mono for mono, _ in acc}))}
+    coef = np.zeros((len(monos), len(cells)))
+    for (mono, c), w in acc.items():
+        coef[monos[mono], c] = w
+    powers = np.array(list(monos), dtype=np.intp).reshape(-1, 3).T
+    return powers, -np.arange(powers.max(initial=0) + 1.0), coef
 
 
-_FACT = [factorial(n) for n in range(2 * _MAX_ORDER + 2)]
+def _g3_cells(alpha, beta, gamma, cells):
+    """G at each cell of the tuple `cells`: shape (*argument shape, len(cells))."""
+    s = np.array([alpha + beta, beta + gamma, gamma + alpha], dtype=float)
+    if np.any(s <= 0):
+        raise ValueError("f3 domain: every pair sum must be positive")
+    powers, exps, coef = _plan(cells)
+    inv = s[..., None] ** exps
+    return (inv[0][..., powers[0]] * inv[1][..., powers[1]]
+            * inv[2][..., powers[2]]) @ coef
 
 
 def g3_table(alpha, beta, gamma, omax):
-    """All G(i,j,k) = (-1)^(i+j+k) d^(i+j+k) F3 for i,j,k <= omax at once."""
-    s1, s2, s3 = alpha + beta, beta + gamma, gamma + alpha
-    if s1 <= 0 or s2 <= 0 or s3 <= 0:
-        raise ValueError("f3 domain: every pair sum must be positive")
+    """All G(i,j,k) for i,j,k <= omax at one argument triple."""
+    if min(omax) < 0:
+        raise ValueError("moment orders must be non-negative")
     sh = tuple(o + 1 for o in omax)
-    # Taylor coefficient (i,j,k) of F3 is (-1)^(i+j+k) times this positive
-    # grid; the same sign appears in the derivative definition of G, so the
-    # moments come out directly (and are manifestly positive).
-    F = 4.0 * _conv(_recip_pair(s3, 2, 0, sh),
-                    _conv(_recip_pair(s1, 0, 1, sh), _recip_pair(s2, 1, 2, sh)))
-    fi = np.array(_FACT[:max(sh)])
-    return F * fi[:sh[0], None, None] * fi[None, :sh[1], None] * fi[None, None, :sh[2]]
+    return _g3_cells(float(alpha), float(beta), float(gamma),
+                     tuple(np.ndindex(sh))).reshape(sh)
 
 
 def g3(idx, alpha, beta, gamma):
-    """One moment G(i,j,k; alpha,beta,gamma)."""
-    i, j, k = idx
-    if i + j + k > 3 * _MAX_ORDER:
-        raise ValueError("derivative order beyond supported maximum")
-    return float(g3_table(alpha, beta, gamma, (i, j, k))[i, j, k])
+    """One moment G(i,j,k; alpha,beta,gamma); any non-negative order."""
+    return float(_g3_cells(float(alpha), float(beta), float(gamma), (tuple(idx),))[0])
 
 
-# Element assembly reads many G entries at the same combined exponents, so the
-# tables are cached on the (rounded) argument triple.  Two cache tiers: small
-# tables for the scalar sector, order-8 tables for the polynomial-dressed
-# vector sector.
-
-@lru_cache(maxsize=8192)
-def _gtab_small(al, be, ga):
-    return g3_table(al, be, ga, (3, 3, 3))
+def _split(t):
+    """Exponent columns (a, b, c) of one term (3,) or of stacked terms (P, 3)."""
+    return np.asarray(t, dtype=float).T
 
 
-@lru_cache(maxsize=4096)
-def _gtab_big(al, be, ga):
-    return g3_table(al, be, ga, (_MAX_ORDER, _MAX_ORDER, _MAX_ORDER))
+def _cells_at(u, v, cells):
+    """{cell: G} at the combined exponents of the terms (or term arrays) u, v."""
+    a, b, c = _split(u) + _split(v)
+    return dict(zip(cells, _g3_cells(a, b, c, cells).T))
 
 
-def _args(t, tp):
-    return (t[0] + tp[0], t[1] + tp[1], t[2] + tp[2])
+def _orders(lo, hi):
+    return tuple(c for c in product(range(hi + 1), repeat=3) if lo <= sum(c) <= hi)
+
+
+# the cells the scalar-sector elements read: Coulomb (order 2), overlap and
+# the kinetic and recoil brackets (order 3)
+_NTV_CELLS = _orders(2, 3)
 
 
 def overlap3(t, tp):
     """<t|t'> = G(1,1,1) at the combined exponents."""
-    G = _gtab_small(*_args(t, tp))
-    return float(G[1, 1, 1])
+    return _cells_at(t, tp, ((1, 1, 1),))[1, 1, 1]
 
 
 _PAIR_IDX = {"12": (1, 1, 0), "23": (0, 1, 1), "13": (1, 0, 1)}
@@ -123,59 +122,58 @@ _PAIR_IDX = {"12": (1, 1, 0), "23": (0, 1, 1), "13": (1, 0, 1)}
 
 def coulomb3(pair, t, tp):
     """<t| 1/r_pair |t'>; pair in {'13','23','12'} with 3 the center."""
-    G = _gtab_small(*_args(t, tp))
-    return float(G[_PAIR_IDX[pair]])
+    idx = _PAIR_IDX[pair]
+    return _cells_at(t, tp, (idx,))[idx]
 
 
-def kinetic3(particle, t, tp):
+def kinetic3(particle, t, tp, G=None):
     """<t| p_particle^2 |t'> (gradient form, exact closed combination of G).
 
     particle 1 sits at distance y=r1, particle 2 at x=r2, particle 3 is the
     center.  Diagonal coefficients use products of the two exponent sets; the
     off-diagonal bracket carries the angular average of the unit-vector dot
-    products, e.g. y^.z^ = (y^2+z^2-x^2)/(2yz).
+    products, e.g. y^.z^ = (y^2+z^2-x^2)/(2yz).  `G` holds the _NTV_CELLS
+    moments at t + tp when the caller has them already.
     """
-    a, b, c = t
-    ap, bp, cp = tp
-    G = _gtab_small(a + ap, b + bp, c + cp)
+    a, b, c = _split(t)
+    ap, bp, cp = _split(tp)
+    G = _cells_at(t, tp, _NTV_CELLS) if G is None else G
     if particle == 1:
-        return float((b * bp + c * cp) * G[1, 1, 1]
-                     - 0.5 * (b * cp + bp * c) * (G[3, 0, 0] - G[1, 2, 0] - G[1, 0, 2]))
+        return ((b * bp + c * cp) * G[1, 1, 1]
+                - 0.5 * (b * cp + bp * c) * (G[3, 0, 0] - G[1, 2, 0] - G[1, 0, 2]))
     if particle == 2:
-        return float((a * ap + c * cp) * G[1, 1, 1]
-                     - 0.5 * (a * cp + ap * c) * (G[0, 3, 0] - G[2, 1, 0] - G[0, 1, 2]))
+        return ((a * ap + c * cp) * G[1, 1, 1]
+                - 0.5 * (a * cp + ap * c) * (G[0, 3, 0] - G[2, 1, 0] - G[0, 1, 2]))
     if particle == 3:
-        return float((a * ap + b * bp) * G[1, 1, 1]
-                     + 0.5 * (a * bp + ap * b) * (G[2, 0, 1] + G[0, 2, 1] - G[0, 0, 3]))
+        return ((a * ap + b * bp) * G[1, 1, 1]
+                + 0.5 * (a * bp + ap * b) * (G[2, 0, 1] + G[0, 2, 1] - G[0, 0, 3]))
     raise ValueError("particle must be 1, 2 or 3")
 
 
-def he_cross(t, tp):
+def he_cross(t, tp, G=None):
     """<t| px . py |t'> — the recoil cross term of a finite-mass center.
 
     Zero (to round-off) whenever neither term depends on r12; asserted rather
-    than assumed by the finite-mass scan.
+    than assumed by the finite-mass scan.  `G` as for kinetic3.
     """
-    a, b, c = t
-    ap, bp, cp = tp
-    G = _gtab_small(a + ap, b + bp, c + cp)
+    _, b, c = _split(t)
+    ap, _, cp = _split(tp)
+    G = _cells_at(t, tp, _NTV_CELLS) if G is None else G
     xy = 0.5 * (G[2, 0, 1] + G[0, 2, 1] - G[0, 0, 3])
     xz = 0.5 * (G[0, 3, 0] - G[2, 1, 0] - G[0, 1, 2])
     yz = -0.5 * (G[3, 0, 0] - G[1, 2, 0] - G[1, 0, 2])
-    return float(ap * b * xy + ap * c * xz - b * cp * yz - c * cp * G[1, 1, 1])
+    return ap * b * xy + ap * c * xz - b * cp * yz - c * cp * G[1, 1, 1]
 
 
 def _elements_ntv(u, v, z, invm):
-    """(overlap, kinetic, potential) for one ordered term pair."""
+    """(overlap, kinetic, potential) for the ordered term pairs u, v."""
     im0, im1, im2 = invm
-    n = overlap3(u, v)
-    tt = (0.5 * (im1 + im0) * kinetic3(1, u, v)
-          + 0.5 * (im2 + im0) * kinetic3(2, u, v))
+    G = _cells_at(u, v, _NTV_CELLS)
+    tt = (0.5 * (im1 + im0) * kinetic3(1, u, v, G)
+          + 0.5 * (im2 + im0) * kinetic3(2, u, v, G))
     if im0 != 0.0:
-        tt += im0 * he_cross(u, v)
-    vv = (-z * coulomb3("13", u, v) - z * coulomb3("23", u, v)
-          + coulomb3("12", u, v))
-    return n, tt, vv
+        tt = tt + im0 * he_cross(u, v, G)
+    return G[1, 1, 1], tt, -z * G[1, 0, 1] - z * G[0, 1, 1] + G[1, 1, 0]
 
 
 def _exchange_groups(terms, epsilon):
@@ -285,13 +283,12 @@ def _rep_d(rep, var):
 
 
 def _rep_element(ra, rb, dx=0, dy=0, dz=0):
-    tot = 0.0
-    for c, i, j, p, q in _rep_mul(ra, rb):
-        if c == 0.0:
-            continue
-        G = g3_table(p, q, 0.0, (i + 1, j + 1, 1))
-        tot += c * G[i + 1 - dx, j + 1 - dy, 1 - dz]
-    return tot
+    rows = [(c, (i + 1 - dx, j + 1 - dy, 1 - dz), p, q)
+            for c, i, j, p, q in _rep_mul(ra, rb) if c != 0.0]
+    c, cell, p, q = zip(*rows)
+    cells = tuple(sorted(set(cell)))
+    G = _g3_cells(np.array(p), np.array(q), np.zeros(len(rows)), cells)
+    return float(np.dot(c, G[np.arange(len(rows)), [cells.index(x) for x in cell]]))
 
 
 def shellmodel_ntv(a, b, z):
@@ -401,20 +398,23 @@ class CancellationError(ValueError):
 # still guarantees ~1e-10 relative accuracy and is three orders of magnitude
 # above anything a genuine optimum needs
 _CANCEL_CAP = 1e6
+_UN_CELLS = _orders(5, 7)   # every cell the contractions below read
 
 
 def _un_pair(u, v, z, invm):
-    """(n, t, v) for an ordered pair of plain (a,b,c) vector terms."""
-    a, b, c = u
-    ap, bp, cp = v
-    G = _gtab_big(a + ap, b + bp, c + cp)
+    """(n, t, v) for ordered pairs of plain (a,b,c) vector terms; raises
+    CancellationError if the overlap of any one pair cancels beyond the cap."""
+    a, b, c = _split(u)
+    ap, bp, cp = _split(v)
+    G = _cells_at(u, v, _UN_CELLS)
     n = _contract(_W2, G)
-    n_abs = sum(abs(c0) * G[k[0] + 1, k[1] + 1, k[2] + 1]
-                for k, c0 in _W2.items())
-    if not n_abs < _CANCEL_CAP * abs(n):
+    n_abs = _contract({k: abs(c0) for k, c0 in _W2.items()}, G)
+    bad = ~(n_abs < _CANCEL_CAP * np.abs(n))
+    if np.any(bad):
+        s = np.reshape([a + ap, b + bp, c + cp], (3, -1))[:, np.argmax(bad)]
         raise CancellationError(
             f"untrustworthy vector elements at combined exponents "
-            f"({a + ap:.4g}, {b + bp:.4g}, {c + cp:.4g})")
+            f"({s[0]:.4g}, {s[1]:.4g}, {s[2]:.4g})")
     pot = (-z * _contract(_W2, G, dx=1) - z * _contract(_W2, G, dy=1)
            + _contract(_W2, G, dz=1))
     # p1^2 (particle at y): radial part 2x^2 replaces the |W|^2 weight

@@ -202,11 +202,12 @@ def assemble4(groups, spec):
     """
     invm = spec.inv_masses
 
-    def pair(ti, tj):
-        return (overlap4(ti, tj),
-                sum(0.5 * invm[p - 1] * kinetic4(p, ti, tj)
-                    for p in range(1, 5) if invm[p - 1] != 0.0),
-                sum(s * coulomb4(pr, ti, tj) for pr, s in _PAIR_SIGNS))
+    def pair(U, V):
+        return np.array([(overlap4(ti, tj),
+                          sum(0.5 * invm[p - 1] * kinetic4(p, ti, tj)
+                              for p in range(1, 5) if invm[p - 1] != 0.0),
+                          sum(s * coulomb4(pr, ti, tj) for pr, s in _PAIR_SIGNS))
+                         for ti, tj in zip(U.tolist(), V.tolist())], dtype=float).T
 
     return MatBlock(*assemble(groups, pair))
 

@@ -111,24 +111,20 @@ def assemble(groups, pair):
     """Symmetric matrices over symmetrized basis vectors.
 
     Each entry of `groups` is one basis vector, a list of (weight, term)
-    pairs.  `pair(u, v)` returns a tuple of elements for one ordered term
-    pair; entry (i, j) of the k-th matrix is the sum of w_u w_v pair(u, v)[k]
-    over u in group i and v in group j.  Only the upper triangle is
-    evaluated and mirrored, so the operators must be Hermitian.
+    pairs.  The ordered term pairs of the upper triangle are stacked into
+    arrays U, V (one row per pair), and `pair(U, V)` returns one vector of
+    elements per matrix.  Entry (i, j) of the k-th matrix is the sum of
+    w_u w_v pair(U, V)[k] over u in group i and v in group j, in group order.
+    The upper triangle is mirrored, so the operators must be Hermitian.
     """
     m = len(groups)
-    mats = None
-    for i in range(m):
-        for j in range(i, m):
-            acc = 0.0
-            for w1, u in groups[i]:
-                for w2, v in groups[j]:
-                    acc = acc + w1 * w2 * np.asarray(pair(u, v), dtype=float)
-            if mats is None:
-                mats = [np.zeros((m, m)) for _ in acc]
-            for mat, x in zip(mats, acc):
-                mat[i, j] = mat[j, i] = x
-    return mats
+    cell, ws, us, vs = zip(*[(i * m + j, w1 * w2, u, v)
+                             for i in range(m) for j in range(i, m)
+                             for w1, u in groups[i] for w2, v in groups[j]])
+    r, c = np.divmod(np.arange(m * m), m)
+    mirror = (np.minimum(r, c) * m + np.maximum(r, c)).reshape(m, m)
+    return [np.bincount(cell, np.array(ws) * x, m * m)[mirror]
+            for x in pair(np.array(us, dtype=float), np.array(vs, dtype=float))]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Three-body matrix elements against quadrature oracles and closed forms."""
 
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,58 @@ def test_g3_table_consistent_with_single_entries():
     G = matel3.g3_table(*ARGS, (3, 3, 3))
     for idx in [(0, 0, 0), (1, 2, 3), (3, 3, 3)]:
         assert G[idx] == pytest.approx(matel3.g3(idx, *ARGS), rel=1e-13)
+
+
+def test_g3_order_contract():
+    # no order cap in the closed form; negative orders are bad input.
+    # At alpha = beta = gamma = 1: G(n,0,0) = 2 n! (n+1) / 2^(n+2)
+    n = 18
+    want = 2.0 * factorial(n) * (n + 1) / 2.0 ** (n + 2)
+    assert matel3.g3((n, 0, 0), 1.0, 1.0, 1.0) == pytest.approx(want, rel=1e-13)
+    for bad in ((-1, 0, 0), (0, 2, -3)):
+        with pytest.raises(ValueError):
+            matel3.g3(bad, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            matel3.g3_table(1.0, 1.0, 1.0, bad)
+
+
+def _cells_read(monkeypatch):
+    # every cell set the block assemblers and the shell model ask for
+    seen = set()
+    orig = matel3._g3_cells
+
+    def spy(alpha, beta, gamma, cells):
+        seen.update(cells)
+        return orig(alpha, beta, gamma, cells)
+
+    monkeypatch.setattr(matel3, "_g3_cells", spy)
+    terms = [(0.9, 0.4, 0.08), (0.7, 0.5, 0.03)]
+    matel3.natural_matblock(terms, hminus_spec(z=2.0, mass_ratio=7.3))
+    matel3.hughes_eckart_matrix(terms, hminus_spec(z=2.0))
+    matel3.unnatural_matblock([(0.5, 0.22, -0.03), (0.19, 0.43, 0.08)],
+                              hminus_spec(z=1.0, mass_ratio=7.3, sector=UNNATURAL))
+    matel3.shellmodel_ntv(1.97, 1.3, 2.0)
+    monkeypatch.undo()
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("point", [
+    (2.0, 1e-3, 1e-3),          # strong anisotropy: s1/s2 = s3/s2 ~ 1e3
+    (1.3, 1.3 + 1e-9, 0.4),     # alpha ~ beta
+    (1.7, 0.6, 0.0),            # gamma = 0, as in the shell model
+    (1.5, 0.8, -0.3),           # a negative single exponent
+])
+def test_g3_kernel_vs_mpmath(point, monkeypatch):
+    mp = pytest.importorskip("mpmath")
+    cells = _cells_read(monkeypatch)
+    assert set(matel3._NTV_CELLS) | set(matel3._UN_CELLS) <= set(cells)
+    got = matel3._g3_cells(*point, tuple(cells))
+    with mp.workdps(30):
+        f3 = lambda a, b, g: 4 / ((a + b) * (b + g) * (g + a))
+        x = [mp.mpf(v) for v in point]
+        for cell, g in zip(cells, got):
+            ref = (-1) ** sum(cell) * mp.diff(f3, x, cell)
+            assert abs(g - ref) <= 1e-13 * abs(ref), cell
 
 
 def test_overlap_and_coulomb_vs_quadrature():
@@ -187,6 +241,29 @@ def test_cancellation_guard_trips_at_extreme_anisotropy():
     with pytest.raises(matel3.CancellationError):
         matel3._un_pair((2.4, 1.3e-4, 0.0), (2.4, 1.3e-4, 0.0),
                         1.0, (0.0, 1.0, 1.0))
+
+
+def test_unnatural_block_refuses_if_any_pair_cancels():
+    # With s = (a+b, b+c, c+a), t1 has s = (2.4, 1.2e-3, 0.024) and t2 has
+    # s = (0.024, 1.2e-3, 2.4).  Either term alone, with its exchange
+    # partner, stays below the cap; only the cross pair t1 + t2 (and its
+    # exchange image) sits at the extreme anisotropy of the test above.
+    t1, t2 = (1.2114, 1.1886, -1.1874), (1.2114, -1.1874, 1.1886)
+    spec = hminus_spec(z=1.0, sector=UNNATURAL)
+    for t in (t1, t2):
+        assert np.all(np.isfinite(matel3.unnatural_matblock([t], spec).n_mat))
+    with pytest.raises(matel3.CancellationError):
+        matel3.unnatural_matblock([t1, t2], spec)
+    # a guard on the block's summed contraction would have let it pass
+    terms = [t1, _swap(t1), t2, _swap(t2)]
+    u = np.repeat(terms, 4, axis=0)
+    v = np.tile(terms, (4, 1))
+    G = matel3._cells_at(u, v, matel3._UN_CELLS)
+    n = matel3._contract(matel3._W2, G)
+    n_abs = sum(abs(c) * G[i + 1, j + 1, k + 1]
+                for (i, j, k), c in matel3._W2.items())
+    assert n_abs.sum() < matel3._CANCEL_CAP * abs(n.sum())
+    assert np.sum(n_abs >= matel3._CANCEL_CAP * np.abs(n)) == 4
 
 
 def test_cancellation_guard_passes_genuine_optimum():

@@ -5,7 +5,7 @@ import pytest
 
 from scipy.optimize import brentq
 
-from coulomb2e import matel4, oracle
+from coulomb2e import matel4, oracle, solve
 from coulomb2e.model import SystemSpec, ps2_spec
 
 
@@ -86,6 +86,31 @@ def test_assembler_reads_exactly_the_tabulated_moments(monkeypatch):
                       charges=(1.0, 1.0, -1.0, -1.0))
     matel4.assemble4([matel4.symmetrized_group(T1)], spec)
     assert seen == set(matel4._MOMENTS)
+
+
+@pytest.mark.parametrize("mode", ["cc-break", "identity-break"])
+def test_assemble4_matches_pairwise_sum(mode):
+    # the array-valued assembler must reproduce, bit for bit, the weighted
+    # per-pair sum in group order of the scalar element functions
+    spec = solve._four_spec(mode, 1.7)
+    if mode == "cc-break":
+        groups = [matel4.symmetrized_group(T1), matel4.symmetrized_group(T2)]
+    else:
+        groups = solve._four_groups(mode, (0.62, 0.31))
+    blk = matel4.assemble4(groups, spec)
+    invm = spec.inv_masses
+    for i, gi in enumerate(groups):
+        for j, gj in enumerate(groups):
+            acc = 0.0
+            for w1, u in (gi if i <= j else gj):
+                for w2, v in (gj if i <= j else gi):
+                    acc = acc + w1 * w2 * np.array((
+                        matel4.overlap4(u, v),
+                        sum(0.5 * invm[p - 1] * matel4.kinetic4(p, u, v)
+                            for p in range(1, 5)),
+                        sum(s * matel4.coulomb4(pr, u, v)
+                            for pr, s in matel4._PAIR_SIGNS)))
+            assert [blk.n_mat[i, j], blk.t_mat[i, j], blk.v_mat[i, j]] == list(acc)
 
 
 def _f4_mp(mp, a, b, c, d, u):

@@ -206,7 +206,7 @@ def cmd_scan(args):
     elif args.submode == "charge":
         lo, hi = {"perturbative": (1.1, 1.4), "effective": (0.9, 1.2),
                   "chandrasekhar": (0.85, 1.2)}[args.basis]
-        zc = solve.scan_charge(args.basis, cfg, z_lo=lo, z_hi=hi)
+        zc = solve.scan_charge(args.basis, z_lo=lo, z_hi=hi)
         _emit_table(["basis", "z_critical"], [[args.basis, float(zc)]], meta, args)
     elif args.submode == "mass3":
         recs = solve.scan_mass3(_parse_ratios(args.ratios), cfg)

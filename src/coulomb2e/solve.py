@@ -7,7 +7,8 @@ matrix elements.  For a scale-closed family the optimal scale is analytic
 of (lam^2 T + lam V, N) (multi-term).  The simplex still walks the raw
 ranges, so the overall scale is a flat direction of every search; the three
 closed-form two-parameter searches (two-range, min-max, shell model) would
-need only the range ratio (ROADMAP item 4).
+need only the range ratio (ROADMAP item 2), as the critical-charge scan
+already does.
 """
 
 import math
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import minimize, minimize_scalar
+from scipy.linalg import lapack
+from scipy.optimize import brentq, minimize
 
 from .model import (MatBlock, SystemSpec, VariationalResult, NATURAL,
                     UNNATURAL, STABILITY_TOL, threshold_for, hminus_spec,
@@ -130,12 +132,99 @@ def gen_eig(block: MatBlock):
     return w, c
 
 
+# scipy's default cap on the evaluations of a bounded scalar search
+_FMIN_MAXFUN = 500
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _fminbound(f, a, b, xatol):
+    """Local minimum of f on [a, b] by Brent's bounded search.
+
+    A step-for-step port of scipy.optimize.minimize_scalar(method="bounded")
+    on Python floats, so it visits the same points and returns the same
+    (x, f(x), evaluations); it only sheds scipy's per-step numpy scalar and
+    result-object overhead.  Golden-section steps mixed with parabolic
+    interpolation (Brent, Algorithms for Minimization without Derivatives,
+    1973), at most _FMIN_MAXFUN evaluations.
+    """
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:       # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _FMIN_MAXFUN:
+            break
+    return xf, fx, num
+
+
 def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
     """k-th eigenvalue minimized over the overall scale of the basis.
 
     The overlap is projected onto its well-conditioned subspace first
     (canonical orthogonalization with a relative floor), which keeps the
     search robust when the simplex wanders into near-collinear bases.
+
+    The scale search is a local bounded Brent search.  E(lam), the k-th
+    eigenvalue of lam^2 T + lam V, is a minimum of parabolas and need not be
+    convex, so on some blocks it stops in a local minimum above the global
+    one.  The curated starts and the printed energies were tuned with this
+    search, and a global reduction steers the simplex of the N = 2 H- solve
+    into an ill-conditioned basin that ends above the Table II value
+    (ROADMAP item 1).  Each step is one LAPACK dsyevd on the lower triangle,
+    the routine and triangle np.linalg.eigvalsh uses, so the eigenvalues are
+    the same to the bit.
     """
     N = np.asarray(block.n_mat, dtype=float)
     w, U = np.linalg.eigh(N)
@@ -143,15 +232,20 @@ def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
     if keep.sum() <= k:
         return _BIG, 1.0
     X = U[:, keep] / np.sqrt(w[keep])
-    Tt = X.T @ np.asarray(block.t_mat) @ X
-    Vt = X.T @ np.asarray(block.v_mat) @ X
+    # Fortran order lets dsyevd work in place on each step's fresh matrix
+    Tt = np.asfortranarray(X.T @ np.asarray(block.t_mat) @ X)
+    Vt = np.asfortranarray(X.T @ np.asarray(block.v_mat) @ X)
+    dsyevd = lapack.dsyevd
 
     def e_of(lam):
-        return np.linalg.eigvalsh(lam * lam * Tt + lam * Vt)[k]
+        ev, _, info = dsyevd(lam * lam * Tt + lam * Vt, compute_v=0, lower=1,
+                             overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return float(ev[k])
 
-    r = minimize_scalar(e_of, bounds=bounds, method="bounded",
-                        options=dict(xatol=1e-12))
-    return float(r.fun), float(r.x)
+    lam, e, _ = _fminbound(e_of, bounds[0], bounds[1], 1e-12)
+    return e, lam
 
 
 def minimize_nm(objective, x0, config: MinimizerConfig, scale=None):
@@ -385,14 +479,12 @@ def chandrasekhar_energy(a, b, z, epsilon=+1):
     return virial_reduce(n, t, v)[0]
 
 
-def optimize_chandrasekhar(z, config: MinimizerConfig, epsilon=+1, x0=None,
-                           bounds=None):
+def optimize_chandrasekhar(z, config: MinimizerConfig, epsilon=+1, x0=None):
     """Minimize the two-exponential energy over (a, b).
 
-    `bounds` (amin, amax, bmin, bmax) switches on rejection-box constraints;
-    needed close to the critical charge, where the unconstrained landscape
-    develops a runaway valley a -> inf, b -> 0 that approaches the detachment
-    threshold without crossing it.
+    Close to the critical charge this landscape develops a runaway valley
+    a -> inf, b -> 0 that approaches the threshold from above, so
+    scan_charge searches the shape ratio b/a instead.
     """
     if x0 is None:
         x0 = [1.04 * z, 0.28 * z]
@@ -401,10 +493,6 @@ def optimize_chandrasekhar(z, config: MinimizerConfig, epsilon=+1, x0=None,
         a, b = p
         if a <= 0.01 or b <= 0.005:
             return _BIG
-        if bounds is not None:
-            amin, amax, bmin, bmax = bounds
-            if not (amin <= a <= amax and bmin <= b <= bmax):
-                return _BIG
         return chandrasekhar_energy(a, b, z, epsilon)
 
     x, e, info = minimize_nm(obj, x0, config)
@@ -466,9 +554,8 @@ def scan_frozen(z, b_grid=None):
     i0 = int(np.argmin([e for _, e in rows]))
     lo = b_grid[max(0, i0 - 1)]
     hi = b_grid[min(len(b_grid) - 1, i0 + 1)]
-    r = minimize_scalar(e_of, bounds=(lo, hi), method="bounded",
-                        options=dict(xatol=1e-10))
-    return rows, (float(r.x), float(r.fun))
+    b0, e0, _ = _fminbound(e_of, float(lo), float(hi), 1e-10)
+    return rows, (float(b0), float(e0))
 
 
 def scan_contour(z, a_range=(0.2, 2.0), b_range=(0.05, 1.2), grid=(61, 61),
@@ -485,44 +572,30 @@ def scan_contour(z, a_range=(0.2, 2.0), b_range=(0.05, 1.2), grid=(61, 61),
     return a_vals, b_vals, E
 
 
-def scan_charge(basis, config: MinimizerConfig, z_lo=0.85, z_hi=1.3,
-                tol=5e-4):
-    """Critical central charge of a basis family by bisection on the margin.
+def scan_charge(basis, z_lo=0.85, z_hi=1.3):
+    """Critical central charge of a basis family: the root of its margin.
 
-    The two-exponential family needs the bounded search box (see
-    optimize_chandrasekhar); the product families have closed-form margins.
+    The margin is the family's optimal energy above the threshold -Z^2/2.
+    The product families have closed forms.  The two-exponential energy is
+    scale-invariant, so a = 1 loses nothing and its optimum is one bounded
+    search over the shape t = b/a in [1e-3, 1].
     """
     if basis == "perturbative":
-        f = lambda zz: matel3.perturbative_e(zz) - (-0.5 * zz * zz)
+        energy = matel3.perturbative_e
     elif basis == "effective":
-        f = lambda zz: matel3.energy_effective_charge(zz)[0] - (-0.5 * zz * zz)
+        energy = lambda zz: matel3.energy_effective_charge(zz)[0]
     elif basis == "chandrasekhar":
-        warm = {"x": [1.04, 0.28]}
-
-        def f(zz):
-            box = (0.2 * zz, 3.0 * zz, 0.02 * zz, 1.0 * zz)
-            # the previous z may have ended on its own box edge; clamp the
-            # warm start strictly inside the current box or the simplex
-            # starts infeasible and never recovers
-            x0 = [min(max(warm["x"][0], 1.1 * box[0]), 0.9 * box[1]),
-                  min(max(warm["x"][1], 1.1 * box[2]), 0.9 * box[3])]
-            e, x, _ = optimize_chandrasekhar(zz, config, x0=x0, bounds=box)
-            warm["x"] = list(x)
-            return e - (-0.5 * zz * zz)
+        energy = lambda zz: _fminbound(
+            lambda t: chandrasekhar_energy(1.0, t, zz), 1e-3, 1.0, 1e-10)[1]
     else:
         raise ValueError(f"unknown basis {basis!r}")
 
-    lo, hi = z_lo, z_hi
-    flo, fhi = f(lo), f(hi)
-    if not (flo > 0 > fhi):
+    def margin(zz):
+        return energy(zz) + 0.5 * zz * zz
+
+    if not (margin(z_lo) > 0 > margin(z_hi)):
         raise NonConvergenceError("charge bracket does not straddle the margin")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(margin, z_lo, z_hi)
 
 
 def scan_mass3(mass_ratios, config: MinimizerConfig, z=1.0):
@@ -600,9 +673,8 @@ def ps2_energy(beta):
 
 def optimize_ps2():
     """Minimum of the one-parameter symmetric four-body family."""
-    r = minimize_scalar(ps2_energy, bounds=(1e-4, 0.95), method="bounded",
-                        options=dict(xatol=1e-10))
-    return float(r.fun), float(r.x)
+    beta, e, _ = _fminbound(ps2_energy, 1e-4, 0.95, 1e-10)
+    return float(e), float(beta)
 
 
 def _four_lowest(groups, spec, floor=1e-11):
@@ -647,7 +719,8 @@ def scan_mass4(ratios, mode, config: MinimizerConfig):
 
     Ratios are taken at fixed average inverse mass so the charge-conjugation
     branch keeps a constant threshold.  Warm starts carry the optimized
-    ranges from one ratio to the next.
+    ranges from one ratio to the next.  Each record carries the simplex's
+    `nfev` and `converged`.
     """
     out = []
     warm = [0.85, 0.15, 0.15, 0.85] if mode == "cc-break" else [0.85, 0.15]
@@ -667,7 +740,7 @@ def scan_mass4(ratios, mode, config: MinimizerConfig):
                     "threshold": thr.e_ground,
                     "margin": (thr.e_ground - e) / abs(thr.e_ground),
                     "stable": bool(e < thr.e_ground - STABILITY_TOL),
-                    "params": [float(v) for v in x]})
+                    "params": [float(v) for v in x], **info})
     return out
 
 
@@ -693,4 +766,6 @@ def molecule_result(mode, ratio, config: MinimizerConfig) -> VariationalResult:
         energy=rec["energy"], params=rec["params"], coeffs=list(c),
         virial_ratio=vr,
         threshold=threshold_for(spec), margin=rec["margin"],
-        stable=rec["stable"], meta={"mode": mode, "ratio": ratio})
+        stable=rec["stable"], meta={"mode": mode, "ratio": ratio,
+                                    "nfev": rec["nfev"],
+                                    "converged": rec["converged"]})

@@ -127,15 +127,14 @@ ZC_TWO_RANGE = 0.953756393817
 
 
 def test_criterion_07_critical_charges():
-    zc_p = solve.scan_charge("perturbative", CFG, z_lo=1.1, z_hi=1.4)
-    zc_e = solve.scan_charge("effective", CFG, z_lo=0.9, z_hi=1.2)
-    zc_c = solve.scan_charge("chandrasekhar", CFG, z_lo=0.85, z_hi=1.2)
+    zc_p = solve.scan_charge("perturbative", z_lo=1.1, z_hi=1.4)
+    zc_e = solve.scan_charge("effective", z_lo=0.9, z_hi=1.2)
+    zc_c = solve.scan_charge("chandrasekhar", z_lo=0.85, z_hi=1.2)
     e_zexp = oracle.zexp_partial(2.0, 4)[0]
     ok_p = abs(zc_p - 1.25) <= 1e-3
     ok_e = abs(zc_e - 1.067) <= 2e-3
-    # The basis's own Zc = 0.953756.  The bisection stops on a bracket of
-    # width 5e-4, so its midpoint is within 2.5e-4 of the optimizer's root;
-    # the other half of the tolerance is for the simplex.  A figure of
+    # The basis's own Zc = 0.953756; the bracket test below checks the root
+    # to 1e-9, this headline check keeps its +-5e-4.  A figure of
     # 0.949 +- 0.002 is not reachable with this basis: across [0.947, 0.951]
     # the interior minimum stays 6.8e-4 to 1.6e-3 above threshold and the
     # b/a -> 0 valley approaches it from above.  If the paper prints 0.949 for
@@ -146,6 +145,16 @@ def test_criterion_07_critical_charges():
              f"Zc perturbative {zc_p:.4f}, effective {zc_e:.4f}, "
              f"two-range {zc_c:.4f} (basis Zc {ZC_TWO_RANGE:.6f} +- 0.0005), "
              f"1/Z order-4 {e_zexp:.5f}")
+
+
+def test_criterion_07_two_range_root_is_bracket_free():
+    # the root does not depend on the bracket; a bracket without a sign
+    # change is refused
+    for lo, hi in ((0.85, 1.2), (0.85, 1.3)):
+        zc = solve.scan_charge("chandrasekhar", z_lo=lo, z_hi=hi)
+        assert abs(zc - ZC_TWO_RANGE) <= 1e-9
+    with pytest.raises(solve.NonConvergenceError):
+        solve.scan_charge("chandrasekhar", z_lo=1.0, z_hi=1.3)
 
 
 def test_criterion_07_two_range_zc_mpmath():

@@ -1,10 +1,14 @@
 """Command-line surface: exit codes, output formats, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from coulomb2e import cli, solve
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(argv):
@@ -169,3 +173,28 @@ def test_molecule_masses_must_fit_mode(monkeypatch, capsys):
                 "--mode", "identity-break"]) == 0
     assert run(["molecule", "--masses", "2,2,2,2"]) == 0
     assert seen == [("cc-break", 2.0), ("identity-break", 3.0), ("ps2", 1.0)]
+
+
+def test_molecule_meta_reports_the_search(capsys):
+    # a four-body result says how many evaluations its simplex spent and
+    # whether it converged
+    assert run(["molecule", "--mode", "cc-break", "--ratio", "2"]) == cli.EXIT_OK
+    meta = json.loads(capsys.readouterr().out.split("# wall_time")[0])["result"]["meta"]
+    assert meta["mode"] == "cc-break"
+    assert isinstance(meta["nfev"], int) and meta["nfev"] > 0
+    assert isinstance(meta["converged"], bool)
+
+
+# closed-form commands only: simplex-driven outputs depend on the numpy and
+# scipy builds below the printed digits
+@pytest.mark.parametrize("argv, name", [
+    (["molecule", "--mode", "ps2"], "molecule_ps2.json"),
+    (["scan", "frozen", "--z", "1", "--format", "csv"], "scan_frozen_z1.csv"),
+    (["scan", "charge", "--basis", "perturbative", "--format", "csv"],
+     "scan_charge_perturbative.csv"),
+])
+def test_golden_outputs(argv, name, capsys):
+    assert run(argv) == cli.EXIT_OK
+    out = "".join(line for line in capsys.readouterr().out.splitlines(True)
+                  if not line.startswith("# wall_time_s="))
+    assert out == (GOLDEN / name).read_text()

@@ -1,10 +1,13 @@
 """Variational engine: eigensolves, scale handling, optimizers, scans."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.optimize import minimize_scalar
 
-from coulomb2e import matel3, solve
+from coulomb2e import matel3, matel4, solve
 from coulomb2e.model import MatBlock, hminus_spec, UNNATURAL
 from coulomb2e.solve import (MinimizerConfig, NonConvergenceError, Schedule,
                              chandrasekhar_energy, gen_eig, minimize_nm,
@@ -71,6 +74,100 @@ def test_scaled_lowest_agrees_with_virial_single_term():
     e_vir, lam_vir = virial_reduce(n, t, v)
     assert e_scan == pytest.approx(e_vir, abs=1e-10)
     assert lam == pytest.approx(lam_vir, abs=1e-6)
+
+
+# An H- N=2 basis from the trajectory of optimize_ion(hminus_spec(z=1), 2)
+# (seed 0, one restart, 500 evaluations) on which the bounded scale search
+# stops in a local minimum of E(lam), 9.8 % of |E| above the global one.
+HM_LOCAL_TERMS = [(1.9230578158086975, 0.7142320284686321, -0.0882672249200323),
+                  (0.38624054500817984, 0.45477813845548054, 0.021960816566300202)]
+
+
+def _pencil(block, floor=1e-12):
+    N = np.asarray(block.n_mat)
+    w, U = np.linalg.eigh(N)
+    keep = w > floor * max(w[-1], 1e-300)
+    X = U[:, keep] / np.sqrt(w[keep])
+    return X.T @ block.t_mat @ X, X.T @ block.v_mat @ X
+
+
+def _hm_local_energy():
+    Tt, Vt = _pencil(matel3.natural_matblock(HM_LOCAL_TERMS, hminus_spec(z=1.0)))
+    return lambda lam: np.linalg.eigvalsh(lam * lam * Tt + lam * Vt)[0]
+
+
+@pytest.mark.parametrize("f, a, b, xatol", [
+    (lambda x: (x - 1.3) ** 2 * (1.0 + 0.2 * x), 0.0, 4.0, 1e-10),  # interior
+    (lambda x: x ** 4 - 3.0 * x ** 2 + 0.5 * x, -2.5, 2.5, 1e-12),   # two minima
+    (lambda x: math.exp(x), 1.0, 2.0, 1e-10),                        # lower bound
+    (lambda x: -math.log(x), 0.5, 7.0, 1e-12),                       # upper bound
+    (lambda x: 1.0, -1.0, 1.0, 1e-10),                               # constant
+    (_hm_local_energy(), 0.05, 50.0, 1e-12),                         # H- E(lam)
+], ids=["interior", "two-minima", "lower-bound", "upper-bound", "constant",
+        "hminus-local"])
+def test_fminbound_is_scipy_bounded_brent(f, a, b, xatol):
+    # the port must walk scipy's iterates exactly: same x, f(x) and count
+    ref = minimize_scalar(f, bounds=(a, b), method="bounded",
+                          options=dict(xatol=xatol))
+    x, fx, nfev = solve._fminbound(f, a, b, xatol)
+    assert (x, fx, nfev) == (ref.x, ref.fun, ref.nfev)
+
+
+def test_scaled_lowest_search_is_local():
+    # on this block the bounded search keeps its local minimum, which a
+    # dense grid beats by 9.8 % (ROADMAP item 1)
+    e, lam = scaled_lowest(
+        matel3.natural_matblock(HM_LOCAL_TERMS, hminus_spec(z=1.0)))
+    e_of = _hm_local_energy()
+    grid = min(e_of(x) for x in np.geomspace(0.05, 50.0, 3000))
+    assert e > grid + 0.05 * abs(grid)
+    assert e == pytest.approx(-0.4677059591, abs=1e-9)
+
+
+def _scaled_lowest_ref(block, floor=1e-12, bounds=(0.05, 50.0)):
+    Tt, Vt = _pencil(block, floor)
+    r = minimize_scalar(lambda lam: np.linalg.eigvalsh(lam * lam * Tt + lam * Vt)[0],
+                        bounds=bounds, method="bounded", options=dict(xatol=1e-12))
+    return float(r.fun), float(r.x)
+
+
+def _sample_blocks():
+    rng = np.random.default_rng(2024)
+    out = []
+    for n in (1, 2, 3, 8):
+        for eps in (+1, -1):
+            for z in (1.0, 2.0):
+                terms = [tuple(rng.uniform((0.3, 0.1, -0.05), (2.5, 1.5, 0.3)))
+                         for _ in range(n)]
+                out.append((matel3.natural_matblock(
+                    terms, hminus_spec(z=z, epsilon=eps)), {}))
+    un = hminus_spec(z=1.0, sector=UNNATURAL)
+    for terms in ([(0.50, 0.22, -0.03)], solve._UN_SEEDS[(1.0, (0.0, 1.0, 1.0), 3)]):
+        out.append((matel3.unnatural_matblock(terms, un), {}))
+    four = dict(floor=1e-11, bounds=(0.02, 50.0))
+    for mode, p in (("cc-break", (0.85, 0.15, 0.15, 0.85)),
+                    ("identity-break", (0.85, 0.15))):
+        out.append((matel4.assemble4(solve._four_groups(mode, p),
+                                     solve._four_spec(mode, 1.7)), four))
+    return out
+
+
+def test_scaled_lowest_matches_scipy_eigvalsh_reference():
+    for block, kw in _sample_blocks():
+        e, lam = scaled_lowest(block, **kw)
+        e_ref, lam_ref = _scaled_lowest_ref(block, **kw)
+        assert abs(e - e_ref) <= 1e-14 * abs(e_ref)
+        assert lam == pytest.approx(lam_ref, rel=1e-12)
+
+
+def test_scaled_lowest_raises_when_lapack_fails(monkeypatch):
+    # a dsyevd failure must read as numpy's LinAlgError, which minimize_nm
+    # counts as a refusal
+    monkeypatch.setattr(solve.lapack, "dsyevd",
+                        lambda a, **kw: (np.full(len(a), np.nan), None, 1))
+    blk = matel3.natural_matblock([(1.07, 0.45, 0.05)], hminus_spec(z=1.0))
+    with pytest.raises(np.linalg.LinAlgError):
+        scaled_lowest(blk)
 
 
 def test_schedule_terms_and_validation():
@@ -195,6 +292,13 @@ def test_four_spec_modes():
     assert s2.inv_masses == pytest.approx((0.5, 1.5, 0.5, 1.5))
     with pytest.raises(ValueError):
         solve._four_spec("bogus", 1.0)
+
+
+def test_scan_mass4_records_report_the_search():
+    rec, = solve.scan_mass4([1.0], "identity-break",
+                            MinimizerConfig(restarts=1, max_iter=30))
+    assert isinstance(rec["nfev"], int) and rec["nfev"] > 0
+    assert isinstance(rec["converged"], bool)
 
 
 def test_molecule_result_ps2():

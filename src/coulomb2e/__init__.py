@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .model import (SystemSpec, ExpTerm3, ExpTerm4, MatBlock,
                     TwoBodyThreshold, VariationalResult, STABILITY_TOL,
                     NATURAL, UNNATURAL, threshold_for, hminus_spec, ps2_spec)
-from .solve import (MinimizerConfig, Schedule, NonConvergenceError,
+from .solve import (MinimizerConfig, NonConvergenceError,
                     optimize_ion, optimize_chandrasekhar, optimize_ps2,
                     molecule_result)
 
@@ -18,7 +18,7 @@ __all__ = [
     "SystemSpec", "ExpTerm3", "ExpTerm4", "MatBlock", "TwoBodyThreshold",
     "VariationalResult", "STABILITY_TOL", "NATURAL", "UNNATURAL",
     "threshold_for", "hminus_spec", "ps2_spec",
-    "MinimizerConfig", "Schedule", "NonConvergenceError",
+    "MinimizerConfig", "NonConvergenceError",
     "optimize_ion", "optimize_chandrasekhar", "optimize_ps2",
     "molecule_result",
 ]

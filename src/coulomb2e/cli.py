@@ -273,32 +273,10 @@ def _t1_corr(z, s, config):
     e, (a, b), info = solve.optimize_chandrasekhar(z, config, epsilon=eps)
     # the shape search leaves the overall scale free; report the physical
     # (scale-absorbed) ranges, which is what the reference quotes
-    n, t, v = matel3.chandrasekhar_ntv(a, b, z, eps)
-    lam = -v / (2.0 * t)
+    lam = solve.virial_reduce(*matel3.chandrasekhar_ntv(a, b, z, eps))[1]
     # exchange symmetrization makes (a, b) and (b, a) the same state
     a, b = max(a, b), min(a, b)
     return e, (lam * a, lam * b), info
-
-
-def _single_term_e(z, eps, tie_ab, with_c, config):
-    """Optimized one-term correlated energy with optional a=b tie."""
-    spec = hminus_spec(z=z, epsilon=eps)
-
-    def obj(p):
-        a = p[0]
-        b = p[0] if tie_ab else p[1]
-        c = p[-1] if with_c else 0.0
-        t = (a, b, c)
-        if t[0] + t[1] <= 1e-3 or t[1] + t[2] <= 1e-3 or t[2] + t[0] <= 1e-3:
-            return solve._BIG
-        return solve.scaled_lowest(matel3.natural_matblock([t], spec))[0]
-
-    if tie_ab:
-        x0 = [0.85 * z, 0.1 * z] if with_c else [0.9 * z]
-    else:
-        x0 = [1.04 * z, 0.28 * z] + ([0.05 * z] if with_c else [])
-    _, e, _ = solve.minimize_nm(obj, x0, config)
-    return e
 
 
 def cmd_tables(args):
@@ -362,11 +340,11 @@ def _table2_value(label, col, z, cfg):
     if label == "a=b c=0":
         return matel3.energy_effective_charge(z)[0]
     if label == "a=b c>0":
-        return _single_term_e(z, eps, tie_ab=True, with_c=True, config=cfg)
+        return solve.optimize_single_term(z, cfg, eps, tie_ab=True)[0]
     if label == "a!=b c=0":
         return solve.optimize_chandrasekhar(z, cfg, epsilon=eps)[0]
     if label == "a!=b c>0":
-        return _single_term_e(z, eps, tie_ab=False, with_c=True, config=cfg)
+        return solve.optimize_single_term(z, cfg, eps, tie_ab=False)[0]
     n = int(label.split("=")[1])
     spec = hminus_spec(z=z, epsilon=eps)
     return solve.optimize_ion(spec, n_terms=n, config=cfg, k=k).energy

@@ -196,14 +196,14 @@ def natural_matblock(terms, spec, symmetrize=True):
     return MatBlock(*assemble(groups, lambda u, v: _elements_ntv(u, v, z, invm)))
 
 
-def hughes_eckart_matrix(terms, spec, symmetrize=True):
+def hughes_eckart_matrix(terms, spec):
     """Matrix of the px.py recoil operator over the same basis as natural_matblock.
 
     Used to *verify* (not assume) that the cross term has zero expectation on
     angle-independent wave functions.
     """
-    groups = _exchange_groups(terms, spec.epsilon if symmetrize else None)
-    return assemble(groups, lambda u, v: (he_cross(u, v),))[0]
+    return assemble(_exchange_groups(terms, spec.epsilon),
+                    lambda u, v: (he_cross(u, v),))[0]
 
 
 # ---------------------------------------------------------------------------

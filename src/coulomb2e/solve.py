@@ -1,21 +1,23 @@
 """Variational engine: scale reduction, simplex searches, generalized
-eigensolves, schedule-based multi-term bases, and the stability scans.
+eigensolves, and the stability scans.
 
 Everything here optimizes Rayleigh quotients built from the closed-form
-matrix elements.  For a scale-closed family the optimal scale is analytic
-(single term) or a one-dimensional bounded search over the lowest eigenvalue
-of (lam^2 T + lam V, N) (multi-term).  The simplex still walks the raw
-ranges, so the overall scale is a flat direction of every search; the three
-closed-form two-parameter searches (two-range, min-max, shell model) would
-need only the range ratio (ROADMAP item 2), as the critical-charge scan
-already does.
+matrix elements.  Every eigensolve reduces the overlap the same way
+(`_reduce`, canonical orthogonalization with a relative floor), so a printed
+energy, its coefficients and its virial ratio come from one pencil.  For a
+scale-closed family the optimal scale is analytic (single term) or a
+one-dimensional bounded search over the lowest eigenvalue of the reduced
+lam^2 T + lam V (multi-term).  Every three-body simplex runs through
+`_search3`.  The simplex walks the raw ranges, so the overall scale is a
+flat direction of every search; the three closed-form two-parameter searches
+(two-range, min-max, shell model) would need only the range ratio (ROADMAP
+item 2), as the critical-charge scan already does.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import lapack
 from scipy.optimize import brentq, minimize
 
@@ -45,36 +47,6 @@ class MinimizerConfig:
             raise ValueError("tolerances must be positive")
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Multi-term range parameters from an arithmetic progression.
-
-    Term i (1-based) is (alpha0, i*beta0, c_i) with c_i = 0 for the default
-    tie pattern or c_i = i*beta0 when the second and third ranges are tied.
-    """
-
-    alpha0: float
-    beta0: float
-    n_terms: int
-    tie_pattern: str = "c-zero"
-
-    def __post_init__(self):
-        if not 1 <= self.n_terms <= 8:
-            raise ValueError("n_terms must be in [1, 8]")
-        if self.tie_pattern not in ("c-zero", "bc-tied"):
-            raise ValueError("unknown tie pattern")
-        for t in self.terms():
-            if t[0] + t[1] <= 0 or t[1] + t[2] <= 0 or t[2] + t[0] <= 0:
-                raise ValueError("schedule generates a non-normalizable term")
-
-    def terms(self):
-        out = []
-        for i in range(1, self.n_terms + 1):
-            b = i * self.beta0
-            out.append((self.alpha0, b, b if self.tie_pattern == "bc-tied" else 0.0))
-        return out
-
-
 # ---------------------------------------------------------------------------
 # core solvers
 
@@ -93,43 +65,29 @@ def virial_reduce(n, t, v):
     return -v * v / (4.0 * n * t), lam
 
 
-def gen_eig(block: MatBlock):
+def _reduce(block: MatBlock, floor):
+    """Canonical orthogonalization of the overlap: X, X^T T X and X^T V X.
+
+    X spans the overlap eigendirections above floor times the largest
+    overlap eigenvalue, scaled so that X^T N X = 1.
+    """
+    w, U = np.linalg.eigh(np.asarray(block.n_mat, dtype=float))
+    keep = w > floor * max(w[-1], 1e-300)
+    X = U[:, keep] / np.sqrt(w[keep])
+    return X, X.T @ np.asarray(block.t_mat) @ X, X.T @ np.asarray(block.v_mat) @ X
+
+
+def gen_eig(block: MatBlock, floor=1e-12):
     """All eigenpairs of (T+V) c = E N c, eigenvalues ascending.
 
-    The overlap is reduced through its triangular factor.  If its condition
-    number exceeds 1e12 the most collinear basis term is dropped once (its
-    coefficient row comes back as zero); a second failure is fatal.
+    The overlap is reduced by `_reduce`: directions below the relative floor
+    are projected out, not dropped by term, so a near-collinear basis yields
+    fewer eigenpairs, and each coefficient column c = X y lies in the kept
+    subspace with c^T N c = 1.
     """
-    N = np.asarray(block.n_mat, dtype=float)
-    H = np.asarray(block.t_mat, dtype=float) + np.asarray(block.v_mat, dtype=float)
-
-    def attempt(Nm, Hm):
-        L = sla.cholesky(Nm, lower=True)
-        A = sla.solve_triangular(L, Hm, lower=True)
-        A = sla.solve_triangular(L, A.T, lower=True).T
-        w, y = np.linalg.eigh(0.5 * (A + A.T))
-        c = sla.solve_triangular(L.T, y, lower=False)
-        return w, c
-
-    def cond(Nm):
-        w = np.linalg.eigvalsh(Nm)
-        if w[0] <= 0:
-            return np.inf
-        return w[-1] / w[0]
-
-    if cond(N) <= 1e12:
-        return attempt(N, H)
-    # drop the term dominating the near-null direction of the overlap
-    wN, UN = np.linalg.eigh(N)
-    drop = int(np.argmax(np.abs(UN[:, 0])))
-    keep = [i for i in range(N.shape[0]) if i != drop]
-    Nk, Hk = N[np.ix_(keep, keep)], H[np.ix_(keep, keep)]
-    if cond(Nk) > 1e12:
-        raise np.linalg.LinAlgError("overlap matrix ill-conditioned beyond repair")
-    w, ck = attempt(Nk, Hk)
-    c = np.zeros((N.shape[0], len(w)))
-    c[keep, :] = ck
-    return w, c
+    X, Tt, Vt = _reduce(block, floor)
+    w, y = np.linalg.eigh(Tt + Vt)
+    return w, X @ y
 
 
 # scipy's default cap on the evaluations of a bounded scalar search
@@ -212,9 +170,8 @@ def _fminbound(f, a, b, xatol):
 def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
     """k-th eigenvalue minimized over the overall scale of the basis.
 
-    The overlap is projected onto its well-conditioned subspace first
-    (canonical orthogonalization with a relative floor), which keeps the
-    search robust when the simplex wanders into near-collinear bases.
+    The overlap is reduced by `_reduce` first, which keeps the search robust
+    when the simplex wanders into near-collinear bases.
 
     The scale search is a local bounded Brent search.  E(lam), the k-th
     eigenvalue of lam^2 T + lam V, is a minimum of parabolas and need not be
@@ -226,15 +183,11 @@ def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
     the routine and triangle np.linalg.eigvalsh uses, so the eigenvalues are
     the same to the bit.
     """
-    N = np.asarray(block.n_mat, dtype=float)
-    w, U = np.linalg.eigh(N)
-    keep = w > floor * max(w[-1], 1e-300)
-    if keep.sum() <= k:
+    X, Tt, Vt = _reduce(block, floor)
+    if X.shape[1] <= k:
         return _BIG, 1.0
-    X = U[:, keep] / np.sqrt(w[keep])
     # Fortran order lets dsyevd work in place on each step's fresh matrix
-    Tt = np.asfortranarray(X.T @ np.asarray(block.t_mat) @ X)
-    Vt = np.asfortranarray(X.T @ np.asarray(block.v_mat) @ X)
+    Tt, Vt = np.asfortranarray(Tt), np.asfortranarray(Vt)
     dsyevd = lapack.dsyevd
 
     def e_of(lam):
@@ -248,7 +201,7 @@ def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
     return e, lam
 
 
-def minimize_nm(objective, x0, config: MinimizerConfig, scale=None):
+def minimize_nm(objective, x0, config: MinimizerConfig):
     """Best-of-restarts Nelder-Mead; deterministic given config.seed.
 
     Returns (params, value, info).  An objective refuses a point either by
@@ -259,8 +212,7 @@ def minimize_nm(objective, x0, config: MinimizerConfig, scale=None):
     propagates.  NonConvergenceError: no restart got below _BIG / 2.
     """
     x0 = np.asarray(x0, dtype=float)
-    if scale is None:
-        scale = np.maximum(np.abs(x0), 0.1)
+    scale = np.maximum(np.abs(x0), 0.1)
     rng = np.random.default_rng(config.seed)
 
     def guarded(x):
@@ -292,13 +244,9 @@ def minimize_nm(objective, x0, config: MinimizerConfig, scale=None):
 # three-body optimization
 
 
-def _valid3(terms, min_sum=1e-3):
+def _valid3(terms, min_sum):
     return all(t[0] + t[1] > min_sum and t[1] + t[2] > min_sum
                and t[2] + t[0] > min_sum for t in terms)
-
-
-def _nat_lowest(terms, spec, k=0):
-    return scaled_lowest(matel3.natural_matblock(terms, spec), k=k)
 
 
 # Vector-sector evaluations are self-guarded: matel3 refuses element sets
@@ -316,6 +264,31 @@ def _un_lowest(terms, spec, k=0):
         raise matel3.CancellationError(
             "vector-sector overlap too ill-conditioned to trust")
     return scaled_lowest(blk, k=k)
+
+
+def _rows3(x):
+    return [tuple(x[i:i + 3]) for i in range(0, len(x), 3)]
+
+
+def _search3(spec, x0, config, k=0, unpack=_rows3, symmetrize=True):
+    """Simplex search of the k-th state of a three-body basis from x0.
+
+    `unpack` maps a simplex point to basis terms, or to None outside its
+    domain; terms with a pair sum at or below the sector's floor (1e-3
+    natural, 1e-6 vector) are refused too.  Returns minimize_nm's triple.
+    """
+    min_sum = 1e-3 if spec.sector == NATURAL else 1e-6
+
+    def obj(x):
+        terms = unpack(x)
+        if terms is None or not _valid3(terms, min_sum):
+            return _BIG
+        if spec.sector == NATURAL:
+            return scaled_lowest(matel3.natural_matblock(terms, spec, symmetrize),
+                                 k=k)[0]
+        return _un_lowest(terms, spec, k=k)[0]
+
+    return minimize_nm(obj, x0, config)
 
 
 # Curated starting points for the multi-term searches (found once by wider
@@ -341,33 +314,19 @@ _NAT_EXTEND = {
 def _nat_seed(z, eps, n, k, config):
     key = (float(z), eps, n, k)
     if key in _NAT_SEEDS:
-        return [tuple(t) for t in _NAT_SEEDS[key]]
+        return _NAT_SEEDS[key]
     if key in _NAT_EXTEND:
         base_key, extra = _NAT_EXTEND[key]
-        base = _optimize_nat_terms(list(_nat_seed(*base_key, config)),
-                                   hminus_spec(z=z, epsilon=eps), base_key[3],
-                                   config)[1]
-        return [tuple(t) for t in base] + [extra]
+        x, _, _ = _search3(hminus_spec(z=z, epsilon=eps),
+                           np.ravel(_nat_seed(*base_key, config)), config,
+                           k=base_key[3])
+        return _rows3(x) + [extra]
     # generic fallback: hydrogenic scale with a diffuse partner
     base = [(1.05 * z, 0.45 * z, 0.05 * z)]
     for i in range(1, n):
         f = 0.7 ** i
         base.append((1.05 * z * f, 0.45 * z * f, 0.02 * z * f))
     return base
-
-
-def _optimize_nat_terms(seed_terms, spec, k, config):
-    n = len(seed_terms)
-
-    def obj(x):
-        terms = [tuple(x[3 * i:3 * i + 3]) for i in range(n)]
-        if not _valid3(terms):
-            return _BIG
-        return _nat_lowest(terms, spec, k=k)[0]
-
-    x, e, info = minimize_nm(obj, np.asarray(seed_terms, float).ravel(), config)
-    terms = [tuple(x[3 * i:3 * i + 3]) for i in range(n)]
-    return e, terms, info
 
 
 # Curated multi-term vector-sector starts (infinite central mass, Z=1);
@@ -387,13 +346,11 @@ _UN_SEEDS = {
 def _un_seed(spec, n):
     key = (float(spec.z_central), tuple(spec.inv_masses), n)
     if key in _UN_SEEDS:
-        return [tuple(t) for t in _UN_SEEDS[key]]
+        return _UN_SEEDS[key]
     # generic: 2p-like ranges spread by a short progression; the simplex
     # then releases every range individually
-    z = spec.z_central
-    s = 2.0 * threshold_for(spec).mu * z
-    sched = Schedule(0.5 * s, 0.2 * s, n)
-    return [(a, b, -0.03 * s) for a, b, _ in sched.terms()]
+    s = 2.0 * threshold_for(spec).mu * spec.z_central
+    return [(0.5 * s, i * (0.2 * s), -0.03 * s) for i in range(1, n + 1)]
 
 
 def optimize_ion(spec: SystemSpec, n_terms: int, config: MinimizerConfig,
@@ -411,27 +368,16 @@ def optimize_ion(spec: SystemSpec, n_terms: int, config: MinimizerConfig,
         raise ValueError("optimize_ion needs a three-body spec")
     if not 1 <= n_terms <= 8:
         raise ValueError("n_terms must be in [1, 8]")
-    z = spec.z_central
     thr = threshold_for(spec)
     e_thr = thr.e_relevant(spec.sector)
-
-    if spec.sector == NATURAL:
-        seeds = _nat_seed(z, spec.epsilon, n_terms, k, config)
-        e, terms, info = _optimize_nat_terms(seeds, spec, k, config)
-        block = matel3.natural_matblock(terms, spec)
-    else:
-        def obj(x):
-            terms = [tuple(x[3 * i:3 * i + 3]) for i in range(n_terms)]
-            if not _valid3(terms, 1e-6):
-                return _BIG
-            return _un_lowest(terms, spec, k=k)[0]
-
-        seeds = _un_seed(spec, n_terms)
-        x, e, info = minimize_nm(obj, np.asarray(seeds, float).ravel(), config)
-        terms = [tuple(x[3 * i:3 * i + 3]) for i in range(n_terms)]
-        block = matel3.unnatural_matblock(terms, spec)
-
-    e_chk, lam = scaled_lowest(block, k=k)
+    natural = spec.sector == NATURAL
+    seeds = (_nat_seed(spec.z_central, spec.epsilon, n_terms, k, config)
+             if natural else _un_seed(spec, n_terms))
+    x, e, info = _search3(spec, np.ravel(seeds), config, k)
+    terms = _rows3(x)
+    block = (matel3.natural_matblock if natural
+             else matel3.unnatural_matblock)(terms, spec)
+    _, lam = scaled_lowest(block, k=k)
     c, vr = _state_at_scale(block, lam, k)
     margin = (e_thr - e) / abs(e_thr)
     return VariationalResult(
@@ -448,17 +394,17 @@ def _scaled_block(block, lam):
                     lam * np.asarray(block.v_mat))
 
 
-def _state_at_scale(block, lam, k=0):
+def _state_at_scale(block, lam, k=0, floor=1e-12):
     """Coefficients of the k-th state at scale lam and their virial ratio.
 
-    Zeros and nan when the overlap is too ill-conditioned to factor.
+    The eigenvector of the pencil that scaled_lowest reduces with the same
+    floor; zeros and nan when fewer than k + 1 overlap directions survive.
     """
-    try:
-        w, cvec = gen_eig(_scaled_block(block, lam))
-    except np.linalg.LinAlgError:
+    w, cvec = gen_eig(_scaled_block(block, lam), floor)
+    if len(w) <= k:
         return np.zeros(len(block.n_mat)), float("nan")
-    c = cvec[:, min(k, len(w) - 1)]
-    return c, (_virial_ratio(block, c, lam) if np.any(c) else float("nan"))
+    c = cvec[:, k]
+    return c, _virial_ratio(block, c, lam)
 
 
 def _virial_ratio(block, c, lam):
@@ -479,27 +425,24 @@ def chandrasekhar_energy(a, b, z, epsilon=+1):
     return virial_reduce(n, t, v)[0]
 
 
-def optimize_chandrasekhar(z, config: MinimizerConfig, epsilon=+1, x0=None):
+def optimize_chandrasekhar(z, config: MinimizerConfig, epsilon=+1):
     """Minimize the two-exponential energy over (a, b).
 
     Close to the critical charge this landscape develops a runaway valley
     a -> inf, b -> 0 that approaches the threshold from above, so
     scan_charge searches the shape ratio b/a instead.
     """
-    if x0 is None:
-        x0 = [1.04 * z, 0.28 * z]
-
     def obj(p):
         a, b = p
         if a <= 0.01 or b <= 0.005:
             return _BIG
         return chandrasekhar_energy(a, b, z, epsilon)
 
-    x, e, info = minimize_nm(obj, x0, config)
+    x, e, info = minimize_nm(obj, [1.04 * z, 0.28 * z], config)
     return e, tuple(x), info
 
 
-def optimize_minmax(z, config: MinimizerConfig, x0=(1.1, 0.5)):
+def optimize_minmax(z, config: MinimizerConfig):
     """Minimize the piecewise min/max exponential over its two ranges."""
     def obj(p):
         a, b = p
@@ -507,34 +450,37 @@ def optimize_minmax(z, config: MinimizerConfig, x0=(1.1, 0.5)):
             return _BIG
         return virial_reduce(*matel3.minmax_ntv(a, b, z))[0]
 
-    x, e, info = minimize_nm(obj, x0, config)
+    x, e, info = minimize_nm(obj, (1.1, 0.5), config)
     return e, tuple(x), info
 
 
-def optimize_shellmodel(z, config: MinimizerConfig, x0=None, restrict_equal=False):
+def optimize_shellmodel(z, config: MinimizerConfig):
     """Minimize the antisymmetrized (1s)(2s) energy over the orbital ranges."""
-    if x0 is None:
-        x0 = [z, z] if restrict_equal else [z, 0.6 * z]
-
     def obj(p):
-        if restrict_equal:
-            a = b = p[0]
-        else:
-            a, b = p
+        a, b = p
         if a <= 0.01 or b <= 0.01:
             return _BIG
         return virial_reduce(*matel3.shellmodel_ntv(a, b, z))[0]
 
-    x, e, info = minimize_nm(obj, [x0[0]] if restrict_equal else x0, config)
-    params = (float(x[0]), float(x[0])) if restrict_equal else tuple(x)
-    return e, params, info
+    x, e, info = minimize_nm(obj, [z, 0.6 * z], config)
+    return e, tuple(x), info
+
+
+def optimize_single_term(z, config: MinimizerConfig, epsilon, tie_ab):
+    """Minimize the one-term correlated energy over (a, b, c); tie_ab ties
+    a = b.  Returns (energy, (a, b, c), info)."""
+    unpack = (lambda p: [(p[0], p[0], p[1])]) if tie_ab else _rows3
+    x0 = [0.85 * z, 0.1 * z] if tie_ab else [1.04 * z, 0.28 * z, 0.05 * z]
+    x, e, info = _search3(hminus_spec(z=z, epsilon=epsilon), x0, config,
+                          unpack=unpack)
+    return e, unpack(x)[0], info
 
 
 # ---------------------------------------------------------------------------
 # scans
 
 
-def scan_frozen(z, b_grid=None):
+def scan_frozen(z):
     """Energy along b with the first range frozen at the central charge.
 
     This is the plain Rayleigh quotient (no scale optimization): rescaling
@@ -543,8 +489,7 @@ def scan_frozen(z, b_grid=None):
     """
     if z <= 0:
         raise ValueError("z must be positive")
-    if b_grid is None:
-        b_grid = np.linspace(0.02, 1.2, 119)
+    b_grid = np.linspace(0.02, 1.2, 119)
 
     def e_of(b):
         n, t, v = matel3.chandrasekhar_ntv(z, b, z, +1)
@@ -558,8 +503,7 @@ def scan_frozen(z, b_grid=None):
     return rows, (float(b0), float(e0))
 
 
-def scan_contour(z, a_range=(0.2, 2.0), b_range=(0.05, 1.2), grid=(61, 61),
-                 epsilon=+1):
+def scan_contour(z, a_range=(0.2, 2.0), b_range=(0.05, 1.2), grid=(61, 61)):
     """Matrix of scale-optimized energies over an (a, b) grid."""
     if min(a_range) <= 0 or min(b_range) <= 0:
         raise ValueError("ranges must be positive")
@@ -568,7 +512,7 @@ def scan_contour(z, a_range=(0.2, 2.0), b_range=(0.05, 1.2), grid=(61, 61),
     E = np.empty((len(a_vals), len(b_vals)))
     for i, a in enumerate(a_vals):
         for j, b in enumerate(b_vals):
-            E[i, j] = chandrasekhar_energy(a, b, z, epsilon)
+            E[i, j] = chandrasekhar_energy(a, b, z)
     return a_vals, b_vals, E
 
 
@@ -598,6 +542,18 @@ def scan_charge(basis, z_lo=0.85, z_hi=1.3):
     return brentq(margin, z_lo, z_hi)
 
 
+def _two_range(p, both_orders):
+    """The mass scans' terms at p = (a, b): (a, b, 0), and (b, a, 0) as a
+    separate vector if both_orders.  None when a <= 0.01 or b <= 0.005; the
+    asymmetric-mass optima run toward b -> 0, and the pair-sum floor alone
+    would let them go further.
+    """
+    a, b = p
+    if a <= 0.01 or b <= 0.005:
+        return None
+    return [(a, b, 0.0), (b, a, 0.0)] if both_orders else [(a, b, 0.0)]
+
+
 def scan_mass3(mass_ratios, config: MinimizerConfig, z=1.0):
     """Finite central mass along the two-exponential optimum.
 
@@ -610,15 +566,9 @@ def scan_mass3(mass_ratios, config: MinimizerConfig, z=1.0):
         im0 = 0.0 if math.isinf(ratio) else 1.0 / ratio
         spec = SystemSpec(inv_masses=(im0, 1.0, 1.0), z_central=z)
         mu = 1.0 / (1.0 + im0)
-
-        def obj(p):
-            a, b = p
-            if a <= 0.01 or b <= 0.005:
-                return _BIG
-            return _nat_lowest([(a, b, 0.0)], spec)[0]
-
-        x, e, info = minimize_nm(obj, [1.04 * z * mu, 0.28 * z * mu], config)
-        terms = [(x[0], x[1], 0.0)]
+        x, e, _ = _search3(spec, [1.04 * z * mu, 0.28 * z * mu], config,
+                           unpack=lambda p: _two_range(p, False))
+        terms = _two_range(x, False)
         block = matel3.natural_matblock(terms, spec)
         he = matel3.hughes_eckart_matrix(terms, spec)[0, 0] / block.n_mat[0, 0]
         thr = threshold_for(spec)
@@ -642,16 +592,8 @@ def scan_asym3(ratios, config: MinimizerConfig, z=1.0):
     for r in ratios:
         im1, im2 = 2.0 * r / (1.0 + r), 2.0 / (1.0 + r)
         spec = SystemSpec(inv_masses=(0.0, im1, im2), z_central=z)
-
-        def obj(p):
-            a, b = p
-            if a <= 0.01 or b <= 0.005:
-                return _BIG
-            blk = matel3.natural_matblock(
-                [(a, b, 0.0), (b, a, 0.0)], spec, symmetrize=False)
-            return scaled_lowest(blk)[0]
-
-        x, e, info = minimize_nm(obj, warm, config)
+        x, e, _ = _search3(spec, warm, config, symmetrize=False,
+                           unpack=lambda p: _two_range(p, True))
         warm = list(x)
         thr = threshold_for(spec)
         out.append({"ratio": r, "energy": e, "threshold": thr.e_ground,
@@ -677,9 +619,8 @@ def optimize_ps2():
     return float(e), float(beta)
 
 
-def _four_lowest(groups, spec, floor=1e-11):
-    blk = matel4.assemble4(groups, spec)
-    return scaled_lowest(blk, floor=floor, bounds=(0.02, 50.0))[0]
+# the four-body reduction: a looser overlap floor and a wider scale box
+_FOUR = dict(floor=1e-11, bounds=(0.02, 50.0))
 
 
 def _four_spec(mode, ratio):
@@ -732,7 +673,7 @@ def scan_mass4(ratios, mode, config: MinimizerConfig):
             groups = _four_groups(mode, p)
             if groups is None:
                 return _BIG
-            return _four_lowest(groups, spec)
+            return scaled_lowest(matel4.assemble4(groups, spec), **_FOUR)[0]
 
         x, e, info = minimize_nm(obj, warm, config)
         warm = list(x)
@@ -760,8 +701,8 @@ def molecule_result(mode, ratio, config: MinimizerConfig) -> VariationalResult:
     rec = scan_mass4([ratio], mode, config)[0]
     spec = _four_spec(mode, ratio)
     block = matel4.assemble4(_four_groups(mode, rec["params"]), spec)
-    _, lam = scaled_lowest(block, floor=1e-11, bounds=(0.02, 50.0))
-    c, vr = _state_at_scale(block, lam)
+    _, lam = scaled_lowest(block, **_FOUR)
+    c, vr = _state_at_scale(block, lam, floor=_FOUR["floor"])
     return VariationalResult(
         energy=rec["energy"], params=rec["params"], coeffs=list(c),
         virial_ratio=vr,

@@ -9,7 +9,7 @@ from scipy.optimize import minimize_scalar
 
 from coulomb2e import matel3, matel4, solve
 from coulomb2e.model import MatBlock, hminus_spec, UNNATURAL
-from coulomb2e.solve import (MinimizerConfig, NonConvergenceError, Schedule,
+from coulomb2e.solve import (MinimizerConfig, NonConvergenceError,
                              chandrasekhar_energy, gen_eig, minimize_nm,
                              scaled_lowest, virial_reduce)
 
@@ -170,18 +170,92 @@ def test_scaled_lowest_raises_when_lapack_fails(monkeypatch):
         scaled_lowest(blk)
 
 
-def test_schedule_terms_and_validation():
-    s = Schedule(1.0, 0.2, 3)
-    assert np.allclose(s.terms(),
-                       [(1.0, 0.2, 0.0), (1.0, 0.4, 0.0), (1.0, 0.6, 0.0)])
-    st = Schedule(1.0, 0.2, 2, tie_pattern="bc-tied")
-    assert np.allclose(st.terms()[1], (1.0, 0.4, 0.4))
-    with pytest.raises(ValueError):
-        Schedule(1.0, 0.2, 9)
-    with pytest.raises(ValueError):
-        Schedule(1.0, 0.2, 2, tie_pattern="nope")
-    with pytest.raises(ValueError):
-        Schedule(-0.5, 0.1, 1)  # non-normalizable term
+def _quotient(block, c, lam):
+    c = np.asarray(c)
+    h = lam * lam * np.asarray(block.t_mat) + lam * np.asarray(block.v_mat)
+    return (c @ h @ c) / (c @ np.asarray(block.n_mat) @ c)
+
+
+def test_state_coefficients_belong_to_the_scaled_energy():
+    # two nearly collinear terms (overlap condition 4.1e12): the printed
+    # coefficients must be the eigenvector of the same reduced pencil whose
+    # eigenvalue scaled_lowest reports, and their virial ratio 1
+    terms = [(1.07, 0.45, 0.05), (1.07 + 3e-6, 0.45, 0.05 + 3e-6), (0.6, 0.3, 0.02)]
+    block = matel3.natural_matblock(terms, hminus_spec(z=1.0))
+    w = np.linalg.eigvalsh(block.n_mat)
+    assert w[-1] / w[0] == pytest.approx(4.1e12, rel=0.01)
+    e, lam = scaled_lowest(block)
+    c, vr = solve._state_at_scale(block, lam)
+    assert abs(_quotient(block, c, lam) - e) <= 1e-12 * abs(e)
+    assert vr == pytest.approx(1.0, abs=1e-7)
+
+
+def test_four_body_state_uses_the_four_body_floor():
+    # a three-group cc-break block whose overlap condition (1.4e11) sits
+    # between the 1e-12 and 1e-11 floors: only the four-body floor gives
+    # coefficients of the reported energy
+    spec = solve._four_spec("cc-break", 1.7)
+    groups = [matel4.symmetrized_group(p) for p in
+              ((0.85, 0.15, 0.15, 0.85), (0.85 + 1e-5, 0.15, 0.15, 0.85 + 1e-5),
+               (0.6, 0.25, 0.2, 0.7))]
+    block = matel4.assemble4(groups, spec)
+    e, lam = scaled_lowest(block, **solve._FOUR)
+    c, vr = solve._state_at_scale(block, lam, floor=solve._FOUR["floor"])
+    assert abs(_quotient(block, c, lam) - e) <= 1e-12 * abs(e)
+    assert vr == pytest.approx(1.0, abs=1e-7)
+    c12, _ = solve._state_at_scale(block, lam)
+    assert abs(_quotient(block, c12, lam) - e) > 1e-9 * abs(e)
+
+
+def test_state_at_scale_zeros_when_too_few_directions_survive():
+    # a duplicated term leaves one overlap direction: a ground state, but
+    # no first excited state
+    block = matel3.natural_matblock([(1.07, 0.45, 0.05)] * 2, hminus_spec(z=1.0))
+    c, vr = solve._state_at_scale(block, 1.0, k=1)
+    assert np.array_equal(c, np.zeros(2)) and math.isnan(vr)
+    c0, vr0 = solve._state_at_scale(block, 1.0, k=0)
+    assert np.all(np.isfinite(c0)) and np.isfinite(vr0)
+
+
+def _captured_objectives(monkeypatch):
+    seen = []
+
+    def fake(objective, x0, config):
+        seen.append(objective)
+        return np.asarray(x0, dtype=float), -1.0, {"nfev": 0, "converged": True}
+
+    monkeypatch.setattr(solve, "minimize_nm", fake)
+    return seen
+
+
+@pytest.mark.parametrize("scan", [solve.scan_mass3, solve.scan_asym3])
+def test_mass_scans_keep_their_box(scan, monkeypatch):
+    # the box a <= 0.01 or b <= 0.005 refuses points the pair-sum floor
+    # would let through
+    seen = _captured_objectives(monkeypatch)
+    scan([1.5], LIGHT)
+    obj, = seen
+    for p in ([0.01, 0.3], [0.3, 0.005], [-0.2, 0.3]):
+        assert obj(np.array(p)) == solve._BIG
+    for p in ([0.011, 0.3], [0.3, 0.006]):
+        assert obj(np.array(p)) < 0
+
+
+def test_natural_ion_search_refuses_small_pair_sums(monkeypatch):
+    seen = _captured_objectives(monkeypatch)
+    solve.optimize_ion(hminus_spec(z=1.0), 1, LIGHT)
+    obj, = seen
+    assert obj(np.array([0.5, 0.0009, 0.0])) == solve._BIG
+    assert obj(np.array([0.5, 0.002, 0.0])) < 0
+
+
+def test_vector_ion_search_refuses_tiny_pair_sums(monkeypatch):
+    seen = _captured_objectives(monkeypatch)
+    solve.optimize_ion(hminus_spec(z=1.0, sector=UNNATURAL), 1, LIGHT)
+    obj, = seen
+    monkeypatch.setattr(solve, "_un_lowest", lambda terms, spec, k=0: (-0.2, 1.0))
+    assert obj(np.array([0.5, 0.22, -0.2199995])) == solve._BIG
+    assert obj(np.array([0.5, 0.22, -0.2195])) == -0.2
 
 
 def test_minimize_nm_deterministic():

@@ -12,14 +12,18 @@ lam^2 T + lam V (multi-term).  Every three-body simplex runs through
 flat direction of every search; the three closed-form two-parameter searches
 (two-range, min-max, shell model) would need only the range ratio (ROADMAP
 item 2), as the critical-charge scan already does.
+
+Only numpy runs here: `_fminbound`, `_nelder_mead` and `_brentq` port
+scipy's bounded Brent, Nelder-Mead and brentq step for step, to the bit.
 """
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
-from scipy.optimize import brentq, minimize
+# private to numpy, hence the numpy < 3 cap; check it on each numpy major
+from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 
 from .model import (MatBlock, SystemSpec, VariationalResult, NATURAL,
                     UNNATURAL, STABILITY_TOL, threshold_for, hminus_spec,
@@ -179,65 +183,132 @@ def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
     one.  The curated starts and the printed energies were tuned with this
     search, and a global reduction steers the simplex of the N = 2 H- solve
     into an ill-conditioned basin that ends above the Table II value
-    (ROADMAP item 1).  Each step is one LAPACK dsyevd on the lower triangle,
-    the routine and triangle np.linalg.eigvalsh uses, so the eigenvalues are
-    the same to the bit.
+    (ROADMAP item 1).  Each step calls the gufunc behind np.linalg.eigvalsh
+    (LAPACK dsyevd, lower triangle) without its wrapper: eigvalsh's values to
+    the bit.  A failed dsyevd leaves NaN, which raises LinAlgError.
     """
     X, Tt, Vt = _reduce(block, floor)
     if X.shape[1] <= k:
         return _BIG, 1.0
-    # Fortran order lets dsyevd work in place on each step's fresh matrix
-    Tt, Vt = np.asfortranarray(Tt), np.asfortranarray(Vt)
-    dsyevd = lapack.dsyevd
 
     def e_of(lam):
-        ev, _, info = dsyevd(lam * lam * Tt + lam * Vt, compute_v=0, lower=1,
-                             overwrite_a=1)
-        if info != 0:
+        e = float(_eigvalsh_lo(lam * lam * Tt + lam * Vt, signature="d->d")[k])
+        if math.isnan(e):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return float(ev[k])
+        return e
 
-    lam, e, _ = _fminbound(e_of, bounds[0], bounds[1], 1e-12)
+    with np.errstate(invalid="ignore"):    # the NaN check reports instead
+        lam, e, _ = _fminbound(e_of, bounds[0], bounds[1], 1e-12)
     return e, lam
+
+
+class _Spent(Exception):
+    """The simplex's evaluation budget ran out."""
+
+
+def _nelder_mead(f, x0, maxfev, xatol, fatol):
+    """Nelder-Mead simplex from x0: (x, f(x), evaluations, converged).
+
+    A step-for-step port of scipy.optimize.minimize(method="Nelder-Mead")
+    with scipy's defaults and maxiter = maxfev (an iteration costs an
+    evaluation, so that cap never binds first and is left out): the same
+    numpy calls in the same order, down to a budget that stops an iteration
+    between evaluations.
+    """
+    n, nfev = len(x0), 0
+
+    def fc(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Spent
+        nfev += 1
+        return f(x)
+
+    def ordered(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    sim = np.tile(x0, (n + 1, 1))
+    sim[1:][np.diag_indices(n)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    fsim = np.full(n + 1, np.inf)
+    with suppress(_Spent):
+        for k in range(n + 1):
+            fsim[k] = fc(sim[k])
+    # scipy orders the first simplex twice; an unstable argsort may swap ties
+    sim, fsim = ordered(*ordered(sim, fsim))
+    while nfev < maxfev and not (np.max(np.abs(sim[1:] - sim[0])) <= xatol and
+                                 np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        with suppress(_Spent):
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = fc(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = fc(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:      # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = fc(xc)
+                    keep = fxc <= fxr
+                else:                   # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = fc(xc)
+                    keep = fxc < fsim[-1]
+                if keep:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:                   # shrink toward the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = fc(sim[j])
+        sim, fsim = ordered(sim, fsim)
+    return sim[0], np.min(fsim), nfev, nfev < maxfev
+
+
+# refusal counter per ValueError subclass, most specific first
+_REFUSALS = ((matel3.CancellationError, "refused_cancellation"),
+             (np.linalg.LinAlgError, "refused_linalg"),
+             (ValueError, "refused_value"))
 
 
 def minimize_nm(objective, x0, config: MinimizerConfig):
     """Best-of-restarts Nelder-Mead; deterministic given config.seed.
 
-    Returns (params, value, info).  An objective refuses a point either by
-    returning _BIG after its own domain check or by raising ValueError
-    (matel3.CancellationError, the closed forms' domain errors) or
-    numpy.linalg.LinAlgError; both read as _BIG to the simplex.  Any other
-    exception (TypeError, IndexError, ZeroDivisionError, ...) is a bug and
-    propagates.  NonConvergenceError: no restart got below _BIG / 2.
+    Returns (params, value, info).  An objective refuses a point by
+    returning _BIG or by raising ValueError (matel3.CancellationError,
+    numpy.linalg.LinAlgError, the closed forms' domain errors); both read as
+    _BIG to the simplex, and any other exception is a bug and propagates.
+    info: `nfev`, whether the best restart `converged`, and the refusals of
+    all restarts: `refused_domain` (any _BIG return, the overlap floor's
+    included), `refused_cancellation`, `refused_linalg`, `refused_value`.
+    NonConvergenceError: no restart got below _BIG / 2.
     """
     x0 = np.asarray(x0, dtype=float)
     scale = np.maximum(np.abs(x0), 0.1)
     rng = np.random.default_rng(config.seed)
+    info = dict.fromkeys(["refused_domain"] + [k for _, k in _REFUSALS], 0)
 
     def guarded(x):
         try:
-            return objective(x)
-        except (ValueError, np.linalg.LinAlgError):
+            e = objective(x)
+        except ValueError as exc:
+            info[next(k for cls, k in _REFUSALS if isinstance(exc, cls))] += 1
             return _BIG
+        if e == _BIG:
+            info["refused_domain"] += 1
+        return e
 
-    starts = [x0]
-    for _ in range(max(0, config.restarts - 1)):
-        starts.append(x0 + config.jitter * scale
-                      * rng.standard_normal(x0.shape))
-    best = None
-    nfev = 0
-    for s in starts:
-        r = minimize(guarded, s, method="Nelder-Mead",
-                     options=dict(maxiter=config.max_iter,
-                                  maxfev=config.max_iter,
-                                  fatol=config.f_tol, xatol=config.x_tol))
-        nfev += r.nfev
-        if best is None or r.fun < best.fun:
-            best = r
-    if best is None or not np.isfinite(best.fun) or best.fun >= _BIG / 2:
+    starts = [x0] + [x0 + config.jitter * scale * rng.standard_normal(x0.shape)
+                     for _ in range(config.restarts - 1)]
+    runs = [_nelder_mead(guarded, s, config.max_iter, config.x_tol, config.f_tol)
+            for s in starts]
+    best = min(runs, key=lambda r: r[1])     # the first of equal values
+    if not np.isfinite(best[1]) or best[1] >= _BIG / 2:
         raise NonConvergenceError("no simplex restart reached a feasible optimum")
-    return best.x, float(best.fun), {"nfev": nfev, "converged": bool(best.success)}
+    return best[0], float(best[1]), {"nfev": sum(r[2] for r in runs),
+                                     "converged": bool(best[3]), **info}
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +452,10 @@ def optimize_ion(spec: SystemSpec, n_terms: int, config: MinimizerConfig,
     c, vr = _state_at_scale(block, lam, k)
     margin = (e_thr - e) / abs(e_thr)
     return VariationalResult(
-        energy=e, params=[list(t) for t in terms],
-        coeffs=list(c),
+        energy=e, params=[list(t) for t in terms], coeffs=list(c),
         virial_ratio=vr, threshold=thr, margin=margin,
         stable=bool(e < e_thr - STABILITY_TOL), sector=spec.sector,
         meta={"k": k, "n_terms": n_terms, "scale": lam, **info})
-
-
-def _scaled_block(block, lam):
-    return MatBlock(np.asarray(block.n_mat),
-                    lam * lam * np.asarray(block.t_mat),
-                    lam * np.asarray(block.v_mat))
 
 
 def _state_at_scale(block, lam, k=0, floor=1e-12):
@@ -400,19 +464,19 @@ def _state_at_scale(block, lam, k=0, floor=1e-12):
     The eigenvector of the pencil that scaled_lowest reduces with the same
     floor; zeros and nan when fewer than k + 1 overlap directions survive.
     """
-    w, cvec = gen_eig(_scaled_block(block, lam), floor)
+    w, cvec = gen_eig(MatBlock(block.n_mat, lam * lam * np.asarray(block.t_mat),
+                               lam * np.asarray(block.v_mat)), floor)
     if len(w) <= k:
         return np.zeros(len(block.n_mat)), float("nan")
-    c = cvec[:, k]
+    c = cvec[:, k]     # LAPACK picks the sign: the largest entry is made > 0
+    c = -c if c[np.argmax(np.abs(c))] < 0 else c
     return c, _virial_ratio(block, c, lam)
 
 
 def _virial_ratio(block, c, lam):
     t = float(c @ (np.asarray(block.t_mat) @ c))
     v = float(c @ (np.asarray(block.v_mat) @ c))
-    if t == 0:
-        return float("nan")
-    return -v / (2.0 * lam * t)
+    return -v / (2.0 * lam * t) if t != 0 else float("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +489,17 @@ def chandrasekhar_energy(a, b, z, epsilon=+1):
     return virial_reduce(n, t, v)[0]
 
 
+def _shape_search(energy, x0, config, b_min=0.01):
+    """Simplex over the two ranges (a, b) of a scale-reduced closed form,
+    refusing a <= 0.01 and b <= b_min.  Returns (energy, (a, b), info)."""
+    def obj(p):
+        a, b = p
+        return _BIG if a <= 0.01 or b <= b_min else energy(a, b)
+
+    x, e, info = minimize_nm(obj, x0, config)
+    return e, tuple(x), info
+
+
 def optimize_chandrasekhar(z, config: MinimizerConfig, epsilon=+1):
     """Minimize the two-exponential energy over (a, b).
 
@@ -432,38 +507,21 @@ def optimize_chandrasekhar(z, config: MinimizerConfig, epsilon=+1):
     a -> inf, b -> 0 that approaches the threshold from above, so
     scan_charge searches the shape ratio b/a instead.
     """
-    def obj(p):
-        a, b = p
-        if a <= 0.01 or b <= 0.005:
-            return _BIG
-        return chandrasekhar_energy(a, b, z, epsilon)
-
-    x, e, info = minimize_nm(obj, [1.04 * z, 0.28 * z], config)
-    return e, tuple(x), info
+    return _shape_search(lambda a, b: chandrasekhar_energy(a, b, z, epsilon),
+                         [1.04 * z, 0.28 * z], config, b_min=0.005)
 
 
 def optimize_minmax(z, config: MinimizerConfig):
     """Minimize the piecewise min/max exponential over its two ranges."""
-    def obj(p):
-        a, b = p
-        if a <= 0.01 or b <= 0.01:
-            return _BIG
-        return virial_reduce(*matel3.minmax_ntv(a, b, z))[0]
-
-    x, e, info = minimize_nm(obj, (1.1, 0.5), config)
-    return e, tuple(x), info
+    return _shape_search(lambda a, b: virial_reduce(*matel3.minmax_ntv(a, b, z))[0],
+                         (1.1, 0.5), config)
 
 
 def optimize_shellmodel(z, config: MinimizerConfig):
     """Minimize the antisymmetrized (1s)(2s) energy over the orbital ranges."""
-    def obj(p):
-        a, b = p
-        if a <= 0.01 or b <= 0.01:
-            return _BIG
-        return virial_reduce(*matel3.shellmodel_ntv(a, b, z))[0]
-
-    x, e, info = minimize_nm(obj, [z, 0.6 * z], config)
-    return e, tuple(x), info
+    return _shape_search(
+        lambda a, b: virial_reduce(*matel3.shellmodel_ntv(a, b, z))[0],
+        [z, 0.6 * z], config)
 
 
 def optimize_single_term(z, config: MinimizerConfig, epsilon, tie_ab):
@@ -516,6 +574,56 @@ def scan_contour(z, a_range=(0.2, 2.0), b_range=(0.05, 1.2), grid=(61, 61)):
     return a_vals, b_vals, E
 
 
+def _brentq(f, xa, xb):
+    """Root of f between xa and xb by Brent's method.
+
+    A step-for-step port of scipy.optimize.brentq (its C routine) on Python
+    floats with scipy's defaults, xtol 2e-12, rtol 4 eps and 100 steps: the
+    same iterates and the same root.  ValueError if f(xa) and f(xb) share a
+    sign or f returns NaN; NonConvergenceError after 100 steps.
+    """
+    def ev(x):
+        if math.isnan(fx := f(x)):
+            raise ValueError(f"f({x}) is NaN")
+        return fx
+
+    xpre, xcur, fpre, fcur = xa, xb, ev(xa), ev(xb)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (2e-12 + 4 * 2.220446049250313e-16 * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:            # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                       # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis          # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = ev(xcur)
+    raise NonConvergenceError("brentq did not converge in 100 steps")
+
+
 def scan_charge(basis, z_lo=0.85, z_hi=1.3):
     """Critical central charge of a basis family: the root of its margin.
 
@@ -539,7 +647,7 @@ def scan_charge(basis, z_lo=0.85, z_hi=1.3):
 
     if not (margin(z_lo) > 0 > margin(z_hi)):
         raise NonConvergenceError("charge bracket does not straddle the margin")
-    return brentq(margin, z_lo, z_hi)
+    return _brentq(margin, z_lo, z_hi)
 
 
 def _two_range(p, both_orders):
@@ -705,8 +813,8 @@ def molecule_result(mode, ratio, config: MinimizerConfig) -> VariationalResult:
     c, vr = _state_at_scale(block, lam, floor=_FOUR["floor"])
     return VariationalResult(
         energy=rec["energy"], params=rec["params"], coeffs=list(c),
-        virial_ratio=vr,
-        threshold=threshold_for(spec), margin=rec["margin"],
-        stable=rec["stable"], meta={"mode": mode, "ratio": ratio,
-                                    "nfev": rec["nfev"],
-                                    "converged": rec["converged"]})
+        virial_ratio=vr, threshold=threshold_for(spec), margin=rec["margin"],
+        stable=rec["stable"],
+        meta={"mode": mode, "ratio": ratio,
+              **{key: v for key, v in rec.items()
+                 if key in ("nfev", "converged") or key.startswith("refused_")}})

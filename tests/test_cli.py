@@ -1,6 +1,9 @@
 """Command-line surface: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,6 +48,9 @@ def test_ion_json_schema(tmp_path, capsys):
     assert payload["metadata"]["version"]
     assert res["stable"] is True
     assert res["energy"] == pytest.approx(-2.1615, abs=1e-3)
+    for key in ("refused_domain", "refused_cancellation", "refused_value",
+                "refused_linalg"):
+        assert isinstance(res["meta"][key], int)
 
 
 def test_json_round_trips_byte_identical(tmp_path):
@@ -183,10 +189,11 @@ def test_molecule_meta_reports_the_search(capsys):
     assert meta["mode"] == "cc-break"
     assert isinstance(meta["nfev"], int) and meta["nfev"] > 0
     assert isinstance(meta["converged"], bool)
+    assert isinstance(meta["refused_cancellation"], int)
 
 
 # closed-form commands only: simplex-driven outputs depend on the numpy and
-# scipy builds below the printed digits
+# LAPACK builds below the printed digits
 @pytest.mark.parametrize("argv, name", [
     (["molecule", "--mode", "ps2"], "molecule_ps2.json"),
     (["scan", "frozen", "--z", "1", "--format", "csv"], "scan_frozen_z1.csv"),
@@ -198,3 +205,26 @@ def test_golden_outputs(argv, name, capsys):
     out = "".join(line for line in capsys.readouterr().out.splitlines(True)
                   if not line.startswith("# wall_time_s="))
     assert out == (GOLDEN / name).read_text()
+
+
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None     # any scipy import now raises ImportError
+import coulomb2e, coulomb2e.cli
+assert coulomb2e.cli.main(["tables", "--table", "1", "--rows", "Z=2"]) == 0
+assert coulomb2e.cli.main(["scan", "charge", "--basis", "chandrasekhar"]) == 0
+loaded = [m for m, mod in sys.modules.items()
+          if m.split(".")[0] == "scipy" and mod is not None]
+assert not loaded, loaded
+"""
+
+
+def test_runs_without_scipy():
+    # scipy is a test dependency only: the package and its CLI must import
+    # and solve with scipy unimportable
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

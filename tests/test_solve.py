@@ -1,11 +1,12 @@
 """Variational engine: eigensolves, scale handling, optimizers, scans."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize, minimize_scalar
 
 from coulomb2e import matel3, matel4, solve
 from coulomb2e.model import MatBlock, hminus_spec, UNNATURAL
@@ -153,21 +154,35 @@ def _sample_blocks():
 
 
 def test_scaled_lowest_matches_scipy_eigvalsh_reference():
+    # scipy's bounded Brent over np.linalg.eigvalsh: the same (E, lam) to
+    # the bit
     for block, kw in _sample_blocks():
-        e, lam = scaled_lowest(block, **kw)
-        e_ref, lam_ref = _scaled_lowest_ref(block, **kw)
-        assert abs(e - e_ref) <= 1e-14 * abs(e_ref)
-        assert lam == pytest.approx(lam_ref, rel=1e-12)
+        assert scaled_lowest(block, **kw) == _scaled_lowest_ref(block, **kw)
+
+
+def test_scale_step_is_eigvalsh():
+    # each scale step calls the gufunc behind np.linalg.eigvalsh directly;
+    # its eigenvalues must be eigvalsh's to the bit
+    for block, kw in _sample_blocks():
+        Tt, Vt = _pencil(block, kw.get("floor", 1e-12))
+        for lam in (0.05, 0.37, 1.0, 2.9, 50.0):
+            m = lam * lam * Tt + lam * Vt
+            assert np.array_equal(solve._eigvalsh_lo(m, signature="d->d"),
+                                  np.linalg.eigvalsh(m))
 
 
 def test_scaled_lowest_raises_when_lapack_fails(monkeypatch):
-    # a dsyevd failure must read as numpy's LinAlgError, which minimize_nm
-    # counts as a refusal
-    monkeypatch.setattr(solve.lapack, "dsyevd",
-                        lambda a, **kw: (np.full(len(a), np.nan), None, 1))
+    # a failed dsyevd leaves NaN eigenvalues and raises numpy's invalid-value
+    # flag; the step must turn that into LinAlgError, which minimize_nm
+    # counts as a refusal, and no RuntimeWarning may escape.  np.sqrt(-1)
+    # raises the same flag through the same ufunc machinery.
+    monkeypatch.setattr(solve, "_eigvalsh_lo",
+                        lambda a, signature: np.sqrt(np.full(len(a), -1.0)))
     blk = matel3.natural_matblock([(1.07, 0.45, 0.05)], hminus_spec(z=1.0))
-    with pytest.raises(np.linalg.LinAlgError):
-        scaled_lowest(blk)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            scaled_lowest(blk)
 
 
 def _quotient(block, c, lam):
@@ -188,6 +203,25 @@ def test_state_coefficients_belong_to_the_scaled_energy():
     c, vr = solve._state_at_scale(block, lam)
     assert abs(_quotient(block, c, lam) - e) <= 1e-12 * abs(e)
     assert vr == pytest.approx(1.0, abs=1e-7)
+
+
+def test_state_sign_is_fixed(monkeypatch):
+    # the largest-magnitude coefficient is positive, whichever sign the
+    # eigensolver hands back (ion --z 1 --terms 2 flipped between builds)
+    block = matel3.natural_matblock(solve._NAT_SEEDS[(1.0, +1, 2, 0)],
+                                    hminus_spec(z=1.0))
+    _, lam = scaled_lowest(block)
+    c, vr = solve._state_at_scale(block, lam)
+    assert c[np.argmax(np.abs(c))] > 0
+    eig = solve.gen_eig
+
+    def flipped(b, floor):
+        w, cvec = eig(b, floor)
+        return w, -cvec
+
+    monkeypatch.setattr(solve, "gen_eig", flipped)
+    c_neg, vr_neg = solve._state_at_scale(block, lam)
+    assert np.array_equal(c_neg, c) and vr_neg == vr
 
 
 def test_four_body_state_uses_the_four_body_floor():
@@ -256,6 +290,143 @@ def test_vector_ion_search_refuses_tiny_pair_sums(monkeypatch):
     monkeypatch.setattr(solve, "_un_lowest", lambda terms, spec, k=0: (-0.2, 1.0))
     assert obj(np.array([0.5, 0.22, -0.2199995])) == solve._BIG
     assert obj(np.array([0.5, 0.22, -0.2195])) == -0.2
+
+
+def _recorded(f):
+    # f and the list of the points it is called at, in order
+    points = []
+
+    def g(x):
+        points.append(np.array(x, dtype=float))
+        return f(x)
+
+    return g, points
+
+
+def _steps(x):
+    # quantized: plateaus give argsort ties, and the simplex shrinks
+    return float(np.floor(10.0 * np.sum(x * x))) / 10.0
+
+
+def _plateau(x):
+    # a refused half-space, as the objectives' domain checks return it
+    return solve._BIG if x[0] + x[1] > 1.6 else (x[0] - 0.4) ** 2 + 3.0 * x[1] ** 2
+
+
+@pytest.mark.parametrize("f, x0, maxfev", [
+    (lambda x: (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2, [-1.2, 1.0], 400),
+    (_plateau, [1.0, 0.7], 300),
+    (_steps, [1.0, 0.5, -0.4], 300),
+    (_steps, [1.0, 0.0, -0.4], 300),     # a zero coordinate
+    (_steps, [1.0, 0.5, -0.4], 2),       # budget below N + 1
+    (_steps, [1.0, 0.5, -0.4], 21),      # stops before a shrink's 1st vertex
+    (_steps, [1.0, 0.5, -0.4], 22),      # stops before its 2nd vertex
+    (_steps, np.linspace(-1.0, 1.0, 24), 1500),     # 24 ranges, as N = 8
+    (None, None, 300),                   # optimize_ion's H- N = 2 search
+], ids=["rosenbrock", "plateau", "steps", "zero-coordinate", "budget-2",
+        "mid-shrink-1", "mid-shrink-2", "steps-24", "hminus-n2"])
+def test_nelder_mead_is_scipy_nelder_mead(f, x0, maxfev, monkeypatch):
+    # the port must walk scipy's simplex exactly: same x, f(x), evaluations
+    # and success flag
+    if f is None:
+        seen = []
+        monkeypatch.setattr(solve, "minimize_nm", lambda obj, x0, config: (
+            seen.append((obj, x0)) or (x0, -1.0, {"nfev": 0, "converged": True})))
+        solve.optimize_ion(hminus_spec(z=1.0), 2, LIGHT)
+        (f, x0), = seen
+    x0 = np.asarray(x0, dtype=float)
+    f_ref, ref_points = _recorded(f)
+    ref = minimize(f_ref, x0, method="Nelder-Mead",
+                   options=dict(maxiter=maxfev, maxfev=maxfev,
+                                xatol=1e-8, fatol=1e-10))
+    f_port, points = _recorded(f)
+    x, fx, nfev, ok = solve._nelder_mead(f_port, x0, maxfev, 1e-8, 1e-10)
+    assert np.array_equal(x, ref.x)
+    assert (fx, nfev, ok) == (ref.fun, ref.nfev, ref.success)
+    assert np.array_equal(points, ref_points)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: math.exp(x) - 10.0, -5.0, 5.0),
+    (lambda x: (x - 0.3) ** 5, -1.0, 2.0),              # flat root
+    (lambda x: math.atan(50.0 * (x - 1.7)), -10.0, 10.0),
+    (lambda x: x - 0.25, 0.25, 1.0),                    # root on the bracket
+    (lambda x: math.copysign(math.sqrt(abs(x - 0.7)), x - 0.7), 0.0, 10.0),
+    (math.log, 0.01, 100.0),
+])
+def test_brentq_is_scipy_brentq(f, a, b):
+    # the same root after the same evaluations
+    f_ref, ref_points = _recorded(f)
+    f_port, points = _recorded(f)
+    assert solve._brentq(f_port, a, b) == brentq(f_ref, a, b)
+    assert points == ref_points
+
+
+def test_brentq_gives_up_after_scipy_iterations():
+    # a triple root creeps in below the tolerance: both stop after 100 steps
+    f = lambda x: (x - 0.2) ** 3
+    f_ref, ref_points = _recorded(f)
+    f_port, points = _recorded(f)
+    with pytest.raises(RuntimeError):
+        brentq(f_ref, -1.0, 10.0)
+    with pytest.raises(NonConvergenceError):
+        solve._brentq(f_port, -1.0, 10.0)
+    assert points == ref_points and len(points) == 102
+
+
+@pytest.mark.parametrize("basis, bracket", [
+    ("chandrasekhar", (0.85, 1.2)), ("chandrasekhar", (0.85, 1.3)),
+    ("chandrasekhar", (0.9, 2.0)), ("perturbative", (1.1, 1.4)),
+    ("effective", (0.9, 1.2)),
+])
+def test_scan_charge_root_is_scipy_brentq(basis, bracket, monkeypatch):
+    # the brackets of ROADMAP item 2 and the CLI's: the same root to the bit
+    zc = solve.scan_charge(basis, *bracket)
+    monkeypatch.setattr(solve, "_brentq", brentq)
+    assert zc == solve.scan_charge(basis, *bracket)
+
+
+@pytest.mark.parametrize("mass_ratio, n_terms", [(math.inf, 3), (1.0, 2)],
+                         ids=["hminus-n3", "psminus-n2"])
+def test_refusal_counts_add_up_to_nfev(mass_ratio, n_terms, monkeypatch):
+    # 1+ sector: every evaluation is either finite or counted as one refusal;
+    # the Ps- search meets the cancellation cap
+    finite = []
+    un_lowest = solve._un_lowest
+
+    def counted(terms, spec, k=0):
+        e, lam = un_lowest(terms, spec, k)
+        if e != solve._BIG:
+            finite.append(e)
+        return e, lam
+
+    monkeypatch.setattr(solve, "_un_lowest", counted)
+    spec = hminus_spec(z=1.0, mass_ratio=mass_ratio, sector=UNNATURAL)
+    res = solve.optimize_ion(spec, n_terms, MinimizerConfig(restarts=2, max_iter=40))
+    keys = ("refused_domain", "refused_cancellation", "refused_value",
+            "refused_linalg")
+    counts = [res.meta[k] for k in keys]
+    assert all(type(n) is int for n in counts)
+    assert sum(counts) + len(finite) == res.meta["nfev"]
+    assert (res.meta["refused_cancellation"] > 0) == (mass_ratio == 1.0)
+
+
+def test_refusals_are_counted_by_class():
+    errors = iter([matel3.CancellationError("c"), np.linalg.LinAlgError("l"),
+                   ValueError("v"), None, None])
+
+    def obj(x):
+        exc = next(errors, None)
+        if exc is not None:
+            raise exc
+        return solve._BIG if x[0] > 1.02 else float(x[0] ** 2)
+
+    _, _, info = minimize_nm(obj, [1.0], MinimizerConfig(restarts=1, max_iter=8))
+    assert (info["refused_cancellation"], info["refused_linalg"],
+            info["refused_value"]) == (1, 1, 1)
+    assert info["refused_domain"] >= 1
 
 
 def test_minimize_nm_deterministic():

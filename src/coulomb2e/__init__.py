@@ -7,15 +7,15 @@ scans for three- and four-body Coulomb systems.
 
 __version__ = "0.1.0"
 
-from .model import (SystemSpec, ExpTerm3, ExpTerm4, MatBlock,
-                    TwoBodyThreshold, VariationalResult, STABILITY_TOL,
-                    NATURAL, UNNATURAL, threshold_for, hminus_spec, ps2_spec)
+from .model import (SystemSpec, MatBlock, TwoBodyThreshold, VariationalResult,
+                    STABILITY_TOL, NATURAL, UNNATURAL, threshold_for,
+                    hminus_spec, ps2_spec)
 from .solve import (MinimizerConfig, NonConvergenceError,
                     optimize_ion, optimize_chandrasekhar, optimize_ps2,
                     molecule_result)
 
 __all__ = [
-    "SystemSpec", "ExpTerm3", "ExpTerm4", "MatBlock", "TwoBodyThreshold",
+    "SystemSpec", "MatBlock", "TwoBodyThreshold",
     "VariationalResult", "STABILITY_TOL", "NATURAL", "UNNATURAL",
     "threshold_for", "hminus_spec", "ps2_spec",
     "MinimizerConfig", "NonConvergenceError",

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import __version__, matel3, oracle, solve
+from . import __version__, oracle, solve, tables
 from .model import NATURAL, UNNATURAL, TwoBodyThreshold, hminus_spec
 from .solve import MinimizerConfig, NonConvergenceError
 
@@ -28,20 +28,14 @@ EXIT_TOL = 4
 
 def _sig6(x):
     """Round to 6 significant digits (one beyond the reference tables)."""
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            return None
-        return float(f"{x:.6g}")
+    if isinstance(x, (float, np.floating)):
+        return float(f"{float(x):.6g}") if math.isfinite(x) else None
     if isinstance(x, dict):
         return {k: _sig6(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_sig6(v) for v in x]
-    if isinstance(x, (np.floating,)):
-        return _sig6(float(x))
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.bool_,)):
-        return bool(x)
+    if isinstance(x, (np.integer, np.bool_)):
+        return x.item()
     return x
 
 
@@ -49,15 +43,21 @@ def _metadata(spec_label, seed):
     return {"spec": spec_label, "seed": seed, "version": __version__}
 
 
-def _emit_json(payload, out):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write(text, out):
     sys.stdout.write(text)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
 
 
-def _emit_csv(header, rows, meta, out):
+def _emit(payload, header, rows, args):
+    """payload as JSON, or header and rows as CSV under its metadata."""
+    if args.format == "csv":
+        return _write(_csv_text(header, rows, payload["metadata"]), args.out)
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+
+
+def _csv_text(header, rows, meta):
     buf = io.StringIO()
     for k, v in sorted(meta.items()):
         buf.write(f"# {k}={v}\n")
@@ -65,11 +65,7 @@ def _emit_csv(header, rows, meta, out):
     w.writerow(header)
     for r in rows:
         w.writerow([f"{v:.6g}" if isinstance(v, float) else v for v in r])
-    text = buf.getvalue()
-    sys.stdout.write(text)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+    return buf.getvalue()
 
 
 def _result_payload(res, spec_label, seed):
@@ -94,6 +90,14 @@ def _result_payload(res, spec_label, seed):
     }
 
 
+def _emit_result(res, label, args, columns, wall):
+    """One solve: JSON, or one CSV row of the given result columns."""
+    payload = _result_payload(res, label, args.seed)
+    _emit(payload, columns, [[payload["result"][c] for c in columns]], args)
+    print(f"# wall_time_s={wall:.2f}")
+    return EXIT_OK
+
+
 def _config(args, restarts=3, max_iter=4000):
     return MinimizerConfig(seed=args.seed, restarts=restarts, max_iter=max_iter)
 
@@ -103,25 +107,16 @@ def _config(args, restarts=3, max_iter=4000):
 
 
 def cmd_ion(args):
-    ratio = float("inf") if args.mass_ratio in ("inf", "") else float(args.mass_ratio)
     eps = +1 if args.spin == "singlet" else -1
-    sector = args.sector
-    spec = hminus_spec(z=args.z, mass_ratio=ratio, epsilon=eps, sector=sector)
+    spec = hminus_spec(z=args.z, mass_ratio=float(args.mass_ratio or "inf"),
+                       epsilon=eps, sector=args.sector)
     label = (f"ion z={args.z:g} spin={args.spin} terms={args.terms} "
-             f"mass_ratio={args.mass_ratio} sector={sector}")
+             f"mass_ratio={args.mass_ratio} sector={args.sector}")
     t0 = time.perf_counter()
     res = solve.optimize_ion(spec, n_terms=args.terms, config=_config(args))
-    wall = time.perf_counter() - t0
-    payload = _result_payload(res, label, args.seed)
-    if args.format == "json":
-        _emit_json(payload, args.out)
-    else:
-        r = payload["result"]
-        _emit_csv(["energy", "virial_ratio", "margin", "stable"],
-                  [[r["energy"], r["virial_ratio"], r["margin"], r["stable"]]],
-                  payload["metadata"], args.out)
-    print(f"# wall_time_s={wall:.2f}")
-    return EXIT_OK
+    return _emit_result(res, label, args,
+                        ["energy", "virial_ratio", "margin", "stable"],
+                        time.perf_counter() - t0)
 
 
 # the equal-mass pairs each mode models, as (m1, m2, m3, m4) indices;
@@ -160,194 +155,64 @@ def cmd_molecule(args):
         res.meta["scale"] *= s
     else:
         res.params = [s * p for p in res.params]
-    payload = _result_payload(res, label, args.seed)
-    if args.format == "json":
-        _emit_json(payload, args.out)
-    else:
-        r = payload["result"]
-        _emit_csv(["energy", "margin", "stable"],
-                  [[r["energy"], r["margin"], r["stable"]]],
-                  payload["metadata"], args.out)
-    print(f"# wall_time_s={wall:.2f}")
-    return EXIT_OK
+    return _emit_result(res, label, args, ["energy", "margin", "stable"], wall)
 
 
 def _parse_ratios(text):
-    out = []
-    for v in text.split(","):
-        v = v.strip()
-        out.append(float("inf") if v == "inf" else float(v))
-    if not out:
-        raise ValueError("empty ratio list")
-    return out
-
-
-def _emit_table(header, rows, meta, args):
-    if args.format == "json":
-        payload = {"metadata": meta,
-                   "rows": [_sig6(dict(zip(header, r))) for r in rows]}
-        _emit_json(payload, args.out)
-    else:
-        _emit_csv(header, rows, meta, args.out)
+    return [float(v) for v in text.split(",")]
 
 
 def cmd_scan(args):
     meta = _metadata(f"scan {args.submode}", args.seed)
-    cfg = _config(args, restarts=2, max_iter=600)
     if args.submode == "frozen":
-        rows, (b0, e0) = solve.scan_frozen(args.z)
+        curve, (b0, e0) = solve.scan_frozen(args.z)
         meta["minimum"] = f"b={b0:.6g} energy={e0:.6g}"
-        _emit_table(["b", "energy"], [[b, e] for b, e in rows], meta, args)
+        header, rows = ["b", "energy"], [[b, e] for b, e in curve]
     elif args.submode == "contour":
         a_vals, b_vals, E = solve.scan_contour(args.z, grid=(args.grid, args.grid))
+        header = ["a", "b", "energy"]
         rows = [[float(a), float(b), float(E[i, j])]
                 for i, a in enumerate(a_vals) for j, b in enumerate(b_vals)]
-        _emit_table(["a", "b", "energy"], rows, meta, args)
     elif args.submode == "charge":
-        lo, hi = {"perturbative": (1.1, 1.4), "effective": (0.9, 1.2),
-                  "chandrasekhar": (0.85, 1.2)}[args.basis]
-        zc = solve.scan_charge(args.basis, z_lo=lo, z_hi=hi)
-        _emit_table(["basis", "z_critical"], [[args.basis, float(zc)]], meta, args)
-    elif args.submode == "mass3":
-        recs = solve.scan_mass3(_parse_ratios(args.ratios), cfg)
-        _emit_table(["ratio", "energy", "threshold", "margin", "he_expectation"],
-                    [[r["ratio"], r["energy"], r["threshold"], r["margin"],
-                      r["he_expectation"]] for r in recs], meta, args)
-    elif args.submode == "asym3":
-        recs = solve.scan_asym3(_parse_ratios(args.ratios), cfg)
-        _emit_table(["ratio", "energy", "threshold", "margin", "stable"],
-                    [[r["ratio"], r["energy"], r["threshold"], r["margin"],
-                      r["stable"]] for r in recs], meta, args)
-    elif args.submode == "mass4":
-        cfg = _config(args, restarts=1, max_iter=250)
-        recs = solve.scan_mass4(_parse_ratios(args.ratios), args.mode, cfg)
-        _emit_table(["ratio", "mode", "energy", "threshold", "margin", "stable"],
-                    [[r["ratio"], r["mode"], r["energy"], r["threshold"],
-                      r["margin"], r["stable"]] for r in recs], meta, args)
-    else:  # pragma: no cover - argparse restricts choices
-        return EXIT_USAGE
+        header = ["basis", "z_critical"]
+        rows = [[args.basis, float(solve.scan_charge(args.basis))]]
+    else:
+        ratios = _parse_ratios(args.ratios)
+        cfg = _config(args, restarts=2, max_iter=600)
+        if args.submode == "mass3":
+            header = ["ratio", "energy", "threshold", "margin", "he_expectation"]
+            recs = solve.scan_mass3(ratios, cfg)
+        elif args.submode == "asym3":
+            header = ["ratio", "energy", "threshold", "margin", "stable"]
+            recs = solve.scan_asym3(ratios, cfg)
+        else:
+            header = ["ratio", "mode", "energy", "threshold", "margin", "stable"]
+            recs = solve.scan_mass4(ratios, args.mode,
+                                    _config(args, restarts=1, max_iter=250))
+        rows = [[r[c] for c in header] for r in recs]
+    _emit({"metadata": meta, "rows": [_sig6(dict(zip(header, r))) for r in rows]},
+          header, rows, args)
     return EXIT_OK
 
 
-# reference rows.  Table 1: per (z, spin) the factorized and the correlated
-# two-range energies with the printed optimal ranges.
-_TABLE1 = [
-    # z, S, e_fac, e_corr, a, b
-    (1.0, 0, -0.4727, -0.5133, 1.04, 0.28),
-    (2.0, 0, -2.8477, -2.8757, 2.18, 1.19),
-    (2.0, 1, -2.1666, -2.1607, 1.97, 0.32),
-    (3.0, 0, -7.2227, -7.2488, 3.29, 2.08),
-    (3.0, 1, -5.1026, -5.0718, 2.93, 0.60),
-    (4.0, 0, -13.598, -13.623, 4.39, 2.98),
-    (4.0, 1, -9.2892, -9.2240, 3.89, 0.88),
-    (8.0, 0, -59.098, -59.122, 8.68, 6.69),
-    (8.0, 1, -38.537, -38.233, 7.73, 2.00),
-]
-
-# Table 2 columns: H-, He(para), He*(para), He(ortho); None = not listed
-_TABLE2 = [
-    ("a=b=Z c=0", -0.375, -2.75, None, None),
-    ("a=b c=0", -0.47266, -2.84766, None, None),
-    ("a=b c>0", -0.50790, -2.88962, None, None),
-    ("a!=b c=0", -0.51330, -2.87566, None, -2.16064),
-    ("a!=b c>0", -0.52387, -2.89953, None, -2.16153),
-    ("N=2", -0.52496, -2.90185, -2.14461, -2.17512),
-    ("N=3", -0.52767, -2.90328, -2.14538, -2.17521),
-    ("N=4", -0.52771, -2.90347, -2.14551, -2.17522),
-    ("exact", -0.52775, -2.90372, -2.14597, -2.17523),
-]
-
-_TOL_TABLE = 5e-4
-_TOL_MULTI = 1e-3
-
-
-def _t1_fac(z, s, config):
-    if s == 0:
-        return matel3.energy_effective_charge(z)[0]
-    e, _, _ = solve.optimize_shellmodel(z, config)
-    return e
-
-
-def _t1_corr(z, s, config):
-    eps = +1 if s == 0 else -1
-    e, (a, b), info = solve.optimize_chandrasekhar(z, config, epsilon=eps)
-    # the shape search leaves the overall scale free; report the physical
-    # (scale-absorbed) ranges, which is what the reference quotes
-    lam = solve.virial_reduce(*matel3.chandrasekhar_ntv(a, b, z, eps))[1]
-    # exchange symmetrization makes (a, b) and (b, a) the same state
-    a, b = max(a, b), min(a, b)
-    return e, (lam * a, lam * b), info
-
-
 def cmd_tables(args):
-    cfg = _config(args, restarts=2, max_iter=1200)
-    rows_out = []
-    failed = False
     t0 = time.perf_counter()
-
+    cfg = _config(args, restarts=2, max_iter=1200)
     if args.table == 1:
         header = ["z", "spin", "column", "reference", "computed", "deviation", "ok"]
-        for z, s, efac, ecorr, a_ref, b_ref in _TABLE1:
-            if args.rows and args.rows not in f"Z={z:g} S={s}":
-                continue
-            ef = _t1_fac(z, s, cfg)
-            ec, (a, b), _ = _t1_corr(z, s, cfg)
-            for col, ref, got in (("E_fac", efac, ef), ("E_corr", ecorr, ec)):
-                dev = abs(got - ref)
-                ok = dev <= _TOL_TABLE
-                failed |= not ok
-                rows_out.append([f"{z:g}", s, col, ref, float(got), float(dev), ok])
-            for col, ref, got in (("a", a_ref, a), ("b", b_ref, b)):
-                dev = abs(got - ref)
-                ok = dev <= 0.02
-                failed |= not ok
-                rows_out.append([f"{z:g}", s, col, ref, float(got), float(dev), ok])
+        rows = tables.table1(cfg, args.rows)
     else:
         header = ["row", "column", "reference", "computed", "deviation", "ok"]
-        exact = _TABLE2[-1]
-        for label, *vals in _TABLE2:
-            if args.rows and args.rows not in label:
-                continue
-            cols = ["H-", "He", "He*", "He_ortho"]
-            for ci, (col, ref) in enumerate(zip(cols, vals)):
-                if ref is None:
-                    continue
-                z = 1.0 if col == "H-" else 2.0
-                if label == "exact" or label == "N=4":
-                    rows_out.append([label, col, ref, "", "", "not-computed"])
-                    continue
-                got = _table2_value(label, col, z, cfg)
-                if label.startswith("N="):
-                    ok = (got <= ref + _TOL_MULTI) and (got >= exact[ci + 1] - 1e-9)
-                else:
-                    ok = abs(got - ref) <= _TOL_TABLE
-                failed |= not ok
-                rows_out.append([label, col, ref, float(got),
-                                 float(abs(got - ref)), ok])
-
+        rows = tables.table2(cfg, args.rows)
+    if not rows:
+        print(f"tables: no row of table {args.table} matches {args.rows!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
     meta = _metadata(f"tables table={args.table} rows={args.rows or '*'}",
                      args.seed)
-    _emit_csv(header, rows_out, meta, args.out)
+    _write(_csv_text(header, rows, meta), args.out)   # tables are CSV only
     print(f"# wall_time_s={time.perf_counter() - t0:.2f}")
-    return EXIT_TOL if failed else EXIT_OK
-
-
-def _table2_value(label, col, z, cfg):
-    eps = -1 if col == "He_ortho" else +1
-    k = 1 if col == "He*" else 0
-    if label == "a=b=Z c=0":
-        return matel3.perturbative_e(z)
-    if label == "a=b c=0":
-        return matel3.energy_effective_charge(z)[0]
-    if label == "a=b c>0":
-        return solve.optimize_single_term(z, cfg, eps, tie_ab=True)[0]
-    if label == "a!=b c=0":
-        return solve.optimize_chandrasekhar(z, cfg, epsilon=eps)[0]
-    if label == "a!=b c>0":
-        return solve.optimize_single_term(z, cfg, eps, tie_ab=False)[0]
-    n = int(label.split("=")[1])
-    spec = hminus_spec(z=z, epsilon=eps)
-    return solve.optimize_ion(spec, n_terms=n, config=cfg, k=k).energy
+    return EXIT_TOL if any(r[-1] is False for r in rows) else EXIT_OK
 
 
 def cmd_validate(args):
@@ -444,12 +309,9 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_NOCONV if isinstance(exc, NonConvergenceError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -178,7 +178,7 @@ def _elements_ntv(u, v, z, invm):
 
 def _exchange_groups(terms, epsilon):
     """One group per term: t + epsilon * (a<->b), or t alone for epsilon None."""
-    tl = [t.as_tuple() if hasattr(t, "as_tuple") else tuple(t) for t in terms]
+    tl = [tuple(t) for t in terms]
     if epsilon is None:
         return [[(1.0, t)] for t in tl]
     return [[(1.0, t), (float(epsilon), (t[1], t[0], t[2]))] for t in tl]

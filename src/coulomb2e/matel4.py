@@ -112,7 +112,7 @@ def moment4(i, j, k, l, m, a, b, c, d):
 
 
 # ---------------------------------------------------------------------------
-# term plumbing.  ExpTerm4 tuples are (a, b, c, d) on (r13, r14, r23, r24);
+# term plumbing.  Four-body terms are (a, b, c, d) on (r13, r14, r23, r24);
 # the generating function wants (r13, r23, r14, r24), hence the b<->c swap.
 
 
@@ -212,19 +212,15 @@ def assemble4(groups, spec):
     return MatBlock(*assemble(groups, pair))
 
 
-def symmetrized_group(t, positives_identical=True, negatives_identical=True):
-    """Orbit of one term under the allowed identical-particle exchanges.
+def symmetrized_group(t):
+    """Orbit of one term under both identical-pair exchanges.
 
     Positive exchange 1<->2 maps (a,b,c,d) -> (c,d,a,b); negative exchange
-    3<->4 maps (a,b,c,d) -> (b,a,d,c).  Only exchanges within equal-mass
-    groups are applied.
+    3<->4 maps (a,b,c,d) -> (b,a,d,c).
     """
-    tt = t.as_tuple() if hasattr(t, "as_tuple") else tuple(t)
-    orbit = {tt}
-    if positives_identical:
-        orbit |= {(x[2], x[3], x[0], x[1]) for x in list(orbit)}
-    if negatives_identical:
-        orbit |= {(x[1], x[0], x[3], x[2]) for x in list(orbit)}
+    orbit = {tuple(t)}
+    orbit |= {(x[2], x[3], x[0], x[1]) for x in orbit}
+    orbit |= {(x[1], x[0], x[3], x[2]) for x in orbit}
     return [(1.0, x) for x in sorted(orbit)]
 
 

@@ -6,6 +6,7 @@ infinitely massive particle is encoded by inverse mass 0, which keeps every
 formula finite and branch-free.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -34,8 +35,8 @@ class SystemSpec:
     charges: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
-        if any(im < 0 for im in self.inv_masses):
-            raise ValueError("inverse masses must be >= 0")
+        if not all(0 <= im < math.inf for im in self.inv_masses):
+            raise ValueError("inverse masses must be finite and >= 0")
         if self.epsilon not in (+1, -1):
             raise ValueError("epsilon must be +1 or -1")
         if self.sector not in (NATURAL, UNNATURAL):
@@ -45,57 +46,21 @@ class SystemSpec:
                 raise ValueError("four-body spec needs 4 charges")
             if len(self.inv_masses) != 4:
                 raise ValueError("four-body spec needs 4 inverse masses")
-            if abs(sum(self.charges)) > 1e-12:
-                raise ValueError("four-body spec must be neutral")
             if sorted(self.charges) != [-1, -1, 1, 1]:
                 raise ValueError("need exactly two +1 and two -1 charges")
+            im, q = self.inv_masses, self.charges
+            if any(im[i] + im[j] == 0 for i in range(4) for j in range(4)
+                   if q[i] > 0 > q[j]):
+                raise ValueError("an atom of two infinite masses is unbounded")
         else:
             if len(self.inv_masses) != 3:
                 raise ValueError("three-body spec needs [1/M, 1/m1, 1/m2]")
+            if not 0 < self.z_central < math.inf:
+                raise ValueError("central charge z must be finite and > 0")
 
     @property
     def is_four_body(self) -> bool:
         return self.z_central is None
-
-
-@dataclass(frozen=True)
-class ExpTerm3:
-    """One exponential basis term exp(-a*r2 - b*r1 - c*r12) for three bodies.
-
-    Negative single entries are allowed (and useful); only the pairwise sums
-    have to stay positive for the integrals to converge.
-    """
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if self.a + self.b <= 0 or self.b + self.c <= 0 or self.c + self.a <= 0:
-            raise ValueError(f"non-positive pair sum in {self!r}")
-
-    def as_tuple(self):
-        return (self.a, self.b, self.c)
-
-
-@dataclass(frozen=True)
-class ExpTerm4:
-    """Exponential term exp(-a*r13 - b*r14 - c*r23 - d*r24) for four bodies."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        # all six pair sums that appear in denominators / log arguments
-        s = (self.a + self.c, self.b + self.d, self.a + self.b,
-             self.c + self.d, self.a + self.d, self.b + self.c)
-        if min(s) <= 0:
-            raise ValueError(f"non-positive pair sum in {self!r}")
-
-    def as_tuple(self):
-        return (self.a, self.b, self.c, self.d)
 
 
 @dataclass(frozen=True)
@@ -173,22 +138,15 @@ def threshold_for(spec: SystemSpec) -> TwoBodyThreshold:
         label = f"(Z={z:g}) atom + free particle"
         return TwoBodyThreshold(mu=mu, e_ground=e0, e_2p=e0 / 4.0, label=label)
 
-    # four-body: particles are ordered (+, +, -, -) by convention
+    # four-body: positives p0, p1 pair with negatives (n0, n1) or (n1, n0)
     im = spec.inv_masses
-    pos = [i for i, q in enumerate(spec.charges) if q > 0]
-    neg = [i for i, q in enumerate(spec.charges) if q < 0]
+    p0, p1, n0, n1 = sorted(range(4), key=lambda i: -spec.charges[i])
 
-    def atoms(p0, n0, p1, n1):
-        mu_a = 1.0 / (im[p0] + im[n0])
-        mu_b = 1.0 / (im[p1] + im[n1])
-        return -0.5 * mu_a - 0.5 * mu_b, mu_a
+    def atoms(na, nb):
+        mu_a, mu_b = 1.0 / (im[p0] + im[na]), 1.0 / (im[p1] + im[nb])
+        return -0.5 * mu_a - 0.5 * mu_b, mu_a, f"atoms ({p0+1}{na+1})({p1+1}{nb+1})"
 
-    e_a, mu_a = atoms(pos[0], neg[0], pos[1], neg[1])
-    e_b, mu_b = atoms(pos[0], neg[1], pos[1], neg[0])
-    if e_a <= e_b:
-        e0, mu, lab = e_a, mu_a, f"atoms ({pos[0]+1}{neg[0]+1})({pos[1]+1}{neg[1]+1})"
-    else:
-        e0, mu, lab = e_b, mu_b, f"atoms ({pos[0]+1}{neg[1]+1})({pos[1]+1}{neg[0]+1})"
+    e0, mu, lab = min(atoms(n0, n1), atoms(n1, n0), key=lambda r: r[0])
     return TwoBodyThreshold(mu=mu, e_ground=e0, e_2p=e0 / 4.0, label=lab)
 
 
@@ -198,7 +156,12 @@ def natural_to_ev(e: float) -> float:
 
 def hminus_spec(z: float = 1.0, mass_ratio: float = float("inf"),
                 epsilon: int = +1, sector: str = NATURAL) -> SystemSpec:
-    """Convenience constructor: (Z, e-, e-) with central mass M = mass_ratio * m."""
+    """Convenience constructor: (Z, e-, e-) with central mass M = mass_ratio * m.
+
+    mass_ratio must be > 0; inf (the default) is the infinite nucleus.
+    """
+    if not mass_ratio > 0:
+        raise ValueError(f"mass ratio {mass_ratio} must be > 0")
     im0 = 0.0 if mass_ratio == float("inf") else 1.0 / mass_ratio
     return SystemSpec(inv_masses=(im0, 1.0, 1.0), z_central=z,
                       epsilon=epsilon, sector=sector)

@@ -247,7 +247,7 @@ def manifest():
     return cases
 
 
-def run_manifest(pattern=None, report=None):
+def run_manifest(pattern=None):
     """Evaluate (a filtered subset of) the manifest; returns result records."""
     rows = []
     for name, analytic, orac, tol in manifest():

@@ -44,7 +44,6 @@ class MinimizerConfig:
     max_iter: int = 10_000
     restarts: int = 5
     seed: int = 0
-    jitter: float = 0.05
 
     def __post_init__(self):
         if self.f_tol <= 0 or self.x_tol <= 0:
@@ -300,7 +299,7 @@ def minimize_nm(objective, x0, config: MinimizerConfig):
             info["refused_domain"] += 1
         return e
 
-    starts = [x0] + [x0 + config.jitter * scale * rng.standard_normal(x0.shape)
+    starts = [x0] + [x0 + 0.05 * scale * rng.standard_normal(x0.shape)
                      for _ in range(config.restarts - 1)]
     runs = [_nelder_mead(guarded, s, config.max_iter, config.x_tol, config.f_tol)
             for s in starts]
@@ -489,39 +488,43 @@ def chandrasekhar_energy(a, b, z, epsilon=+1):
     return virial_reduce(n, t, v)[0]
 
 
-def _shape_search(energy, x0, config, b_min=0.01):
-    """Simplex over the two ranges (a, b) of a scale-reduced closed form,
-    refusing a <= 0.01 and b <= b_min.  Returns (energy, (a, b), info)."""
+def _shape_search(ntv, x0, config, b_min=0.01):
+    """Simplex over the ranges (a, b) of virial_reduce(*ntv(a, b)), refusing
+    a <= 0.01 and b <= b_min.  Returns (energy, (a, b), info) with physical
+    ranges: the simplex's raw ranges times the scale virial_reduce picks."""
     def obj(p):
         a, b = p
-        return _BIG if a <= 0.01 or b <= b_min else energy(a, b)
+        return _BIG if a <= 0.01 or b <= b_min else virial_reduce(*ntv(a, b))[0]
 
-    x, e, info = minimize_nm(obj, x0, config)
-    return e, tuple(x), info
+    (a, b), e, info = minimize_nm(obj, x0, config)
+    lam = virial_reduce(*ntv(a, b))[1]
+    return e, (lam * a, lam * b), info
 
 
 def optimize_chandrasekhar(z, config: MinimizerConfig, epsilon=+1):
-    """Minimize the two-exponential energy over (a, b).
+    """Minimize the two-exponential energy over (a, b); the physical ranges
+    come larger first, as exchange makes (a, b) and (b, a) one state.
 
     Close to the critical charge this landscape develops a runaway valley
     a -> inf, b -> 0 that approaches the threshold from above, so
     scan_charge searches the shape ratio b/a instead.
     """
-    return _shape_search(lambda a, b: chandrasekhar_energy(a, b, z, epsilon),
-                         [1.04 * z, 0.28 * z], config, b_min=0.005)
+    e, (a, b), info = _shape_search(
+        lambda a, b: matel3.chandrasekhar_ntv(a, b, z, epsilon),
+        [1.04 * z, 0.28 * z], config, b_min=0.005)
+    return e, (max(a, b), min(a, b)), info
 
 
 def optimize_minmax(z, config: MinimizerConfig):
     """Minimize the piecewise min/max exponential over its two ranges."""
-    return _shape_search(lambda a, b: virial_reduce(*matel3.minmax_ntv(a, b, z))[0],
-                         (1.1, 0.5), config)
+    return _shape_search(lambda a, b: matel3.minmax_ntv(a, b, z), (1.1, 0.5),
+                         config)
 
 
 def optimize_shellmodel(z, config: MinimizerConfig):
     """Minimize the antisymmetrized (1s)(2s) energy over the orbital ranges."""
-    return _shape_search(
-        lambda a, b: virial_reduce(*matel3.shellmodel_ntv(a, b, z))[0],
-        [z, 0.6 * z], config)
+    return _shape_search(lambda a, b: matel3.shellmodel_ntv(a, b, z),
+                         [z, 0.6 * z], config)
 
 
 def optimize_single_term(z, config: MinimizerConfig, epsilon, tie_ab):
@@ -545,8 +548,8 @@ def scan_frozen(z):
     would move the frozen range and collapse the scan onto the full
     two-parameter minimum.
     """
-    if z <= 0:
-        raise ValueError("z must be positive")
+    if not 0 < z < math.inf:
+        raise ValueError("z must be finite and > 0")
     b_grid = np.linspace(0.02, 1.2, 119)
 
     def e_of(b):
@@ -563,14 +566,14 @@ def scan_frozen(z):
 
 def scan_contour(z, a_range=(0.2, 2.0), b_range=(0.05, 1.2), grid=(61, 61)):
     """Matrix of scale-optimized energies over an (a, b) grid."""
+    if not 0 < z < math.inf:
+        raise ValueError("z must be finite and > 0")
     if min(a_range) <= 0 or min(b_range) <= 0:
         raise ValueError("ranges must be positive")
     a_vals = np.linspace(a_range[0], a_range[1], grid[0])
     b_vals = np.linspace(b_range[0], b_range[1], grid[1])
-    E = np.empty((len(a_vals), len(b_vals)))
-    for i, a in enumerate(a_vals):
-        for j, b in enumerate(b_vals):
-            E[i, j] = chandrasekhar_energy(a, b, z)
+    E = np.array([[chandrasekhar_energy(a, b, z) for b in b_vals]
+                  for a in a_vals])
     return a_vals, b_vals, E
 
 
@@ -630,7 +633,8 @@ def scan_charge(basis, z_lo=0.85, z_hi=1.3):
     The margin is the family's optimal energy above the threshold -Z^2/2.
     The product families have closed forms.  The two-exponential energy is
     scale-invariant, so a = 1 loses nothing and its optimum is one bounded
-    search over the shape t = b/a in [1e-3, 1].
+    search over the shape t = b/a in [1e-3, 1].  The default bracket
+    straddles the roots of all three families.
     """
     if basis == "perturbative":
         energy = matel3.perturbative_e
@@ -662,8 +666,8 @@ def _two_range(p, both_orders):
     return [(a, b, 0.0), (b, a, 0.0)] if both_orders else [(a, b, 0.0)]
 
 
-def scan_mass3(mass_ratios, config: MinimizerConfig, z=1.0):
-    """Finite central mass along the two-exponential optimum.
+def scan_mass3(mass_ratios, config: MinimizerConfig):
+    """Finite central mass M/m > 0 (inf allowed) along H-'s two-range optimum.
 
     Returns one record per ratio with the optimized energy, the threshold,
     the relative margin, and the measured recoil cross-term expectation
@@ -671,10 +675,10 @@ def scan_mass3(mass_ratios, config: MinimizerConfig, z=1.0):
     """
     out = []
     for ratio in mass_ratios:
-        im0 = 0.0 if math.isinf(ratio) else 1.0 / ratio
-        spec = SystemSpec(inv_masses=(im0, 1.0, 1.0), z_central=z)
+        spec = hminus_spec(mass_ratio=ratio)
+        im0 = spec.inv_masses[0]
         mu = 1.0 / (1.0 + im0)
-        x, e, _ = _search3(spec, [1.04 * z * mu, 0.28 * z * mu], config,
+        x, e, _ = _search3(spec, [1.04 * mu, 0.28 * mu], config,
                            unpack=lambda p: _two_range(p, False))
         terms = _two_range(x, False)
         block = matel3.natural_matblock(terms, spec)
@@ -688,8 +692,9 @@ def scan_mass3(mass_ratios, config: MinimizerConfig, z=1.0):
     return out
 
 
-def scan_asym3(ratios, config: MinimizerConfig, z=1.0):
-    """Unequal negative masses at fixed average inverse mass, infinite center.
+def scan_asym3(ratios, config: MinimizerConfig):
+    """Unequal negative masses (finite m2/m1 > 0) at fixed average inverse
+    mass around H-'s infinite center.
 
     The basis is the two-exponential pair *without* exchange symmetrization
     (the particles are distinguishable): both orderings enter as independent
@@ -698,8 +703,10 @@ def scan_asym3(ratios, config: MinimizerConfig, z=1.0):
     out = []
     warm = [1.04, 0.28]
     for r in ratios:
+        if not 0 < r < math.inf:
+            raise ValueError(f"mass ratio {r} must be finite and > 0")
         im1, im2 = 2.0 * r / (1.0 + r), 2.0 / (1.0 + r)
-        spec = SystemSpec(inv_masses=(0.0, im1, im2), z_central=z)
+        spec = SystemSpec(inv_masses=(0.0, im1, im2), z_central=1.0)
         x, e, _ = _search3(spec, warm, config, symmetrize=False,
                            unpack=lambda p: _two_range(p, True))
         warm = list(x)
@@ -732,6 +739,8 @@ _FOUR = dict(floor=1e-11, bounds=(0.02, 50.0))
 
 
 def _four_spec(mode, ratio):
+    if not 0 <= ratio < math.inf:
+        raise ValueError(f"mass ratio {ratio} must be finite and >= 0")
     iM = 2.0 / (1.0 + ratio)
     im = 2.0 * ratio / (1.0 + ratio)
     if mode == "cc-break":

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from coulomb2e import cli, matel3, matel4, oracle, solve
+from coulomb2e import matel3, matel4, oracle, solve, tables
 from coulomb2e.model import hminus_spec, threshold_for, UNNATURAL
 from coulomb2e.solve import MinimizerConfig
 
@@ -40,12 +40,9 @@ def test_criterion_01_closed_form_estimates():
 
 def test_criterion_02_two_exponential_hminus():
     rows, (b0, e0) = solve.scan_frozen(1.0)
-    e, (a, b), _ = solve.optimize_chandrasekhar(1.0, CFG)
-    n, t, v = matel3.chandrasekhar_ntv(a, b, 1.0, +1)
-    lam = -v / (2.0 * t)
-    sa, sb = sorted((lam * a, lam * b), reverse=True)
+    e, (sa, sb), _ = solve.optimize_chandrasekhar(1.0, CFG)
     # the eigenvalue-based scale search must agree with the closed virial form
-    blk = matel3.natural_matblock([(b, a, 0.0)], hminus_spec(z=1.0))
+    blk = matel3.natural_matblock([(sb, sa, 0.0)], hminus_spec(z=1.0))
     e_eig, _ = solve.scaled_lowest(blk)
     ok = (abs(b0 - 0.279) <= 0.003 and abs(e0 + 0.5126) <= 5e-4
           and abs(e + 0.5133) <= 5e-4
@@ -57,11 +54,11 @@ def test_criterion_02_two_exponential_hminus():
 
 
 def test_criterion_03_table1_correlated_column():
-    refs = cli._TABLE1
     ok = True
     worst = 0.0
-    for z, s, _efac, ecorr, a_ref, b_ref in refs:
-        e, (a, b), _ = cli._t1_corr(z, s, CFG)
+    for z, s, _efac, ecorr, a_ref, b_ref in tables.TABLE1:
+        e, (a, b) = tables.family_energy("a!=b c=0", z, +1 if s == 0 else -1,
+                                         0, CFG)
         worst = max(worst, abs(e - ecorr))
         ok &= abs(e - ecorr) <= 5e-4
         ok &= abs(a - a_ref) <= 0.02 and abs(b - b_ref) <= 0.02
@@ -94,7 +91,7 @@ def test_criterion_05_table2_rows():
     ]
     ok = True
     for label, col, ref in single:
-        got = cli._table2_value(label, col, 1.0 if col == "H-" else 2.0, cfg)
+        got, _ = tables.family_energy(label, *tables.COLUMNS[col], cfg)
         ok &= abs(got - ref) <= 5e-4
     multi = [
         ("N=2", {"H-": -0.52496, "He": -2.90185, "He*": -2.14461,
@@ -104,7 +101,7 @@ def test_criterion_05_table2_rows():
     ]
     for label, refs in multi:
         for col, ref in refs.items():
-            got = cli._table2_value(label, col, 1.0 if col == "H-" else 2.0, cfg)
+            got, _ = tables.family_energy(label, *tables.COLUMNS[col], cfg)
             ok &= got <= ref + 1e-3
             ok &= got >= exact[col] - 1e-9  # variational bound
     _verdict(5, ok, "Table II single-term rows within 5e-4; "

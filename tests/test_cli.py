@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from coulomb2e import cli, solve
+from coulomb2e import cli, solve, tables
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -132,8 +132,38 @@ def test_nonconvergence_exit_code(monkeypatch):
 def test_tables_tolerance_failure_exit(monkeypatch, capsys):
     # corrupt one closed-form reference value: the miss must surface as exit 4
     bad = [("a=b=Z c=0", -0.999, -2.75, None, None)]
-    monkeypatch.setattr(cli, "_TABLE2", bad)
+    monkeypatch.setattr(tables, "TABLE2", bad)
     assert run(["tables", "--table", "2"]) == cli.EXIT_TOL
+
+
+def test_tables_rows_matching_nothing(capsys):
+    for table in ("1", "2"):
+        assert run(["tables", "--table", table, "--rows", "Z=5"]) == cli.EXIT_USAGE
+        assert "no row" in capsys.readouterr().err
+
+
+# bad numbers are usage errors raised where they enter the library: no
+# traceback from a division, no non-convergence report, no NaN rows
+@pytest.mark.parametrize("argv", [
+    ["ion", "--mass-ratio", "0"],
+    ["ion", "--mass-ratio", "nan"],
+    ["ion", "--z", "0"],
+    ["ion", "--z", "-1"],
+    ["molecule", "--mode", "cc-break", "--ratio", "-1"],
+    ["molecule", "--mode", "cc-break", "--ratio", "inf"],
+    ["scan", "mass3", "--ratios", "0"],
+    ["scan", "asym3", "--ratios", "-1"],
+    ["scan", "asym3", "--ratios", "inf"],
+    ["scan", "mass4", "--ratios", "-1"],
+    ["scan", "mass4", "--ratios", "inf"],
+    ["scan", "mass4", "--mode", "identity-break", "--ratios", "0"],
+    ["scan", "frozen", "--z", "nan"],
+    ["scan", "contour", "--z", "nan"],
+], ids=" ".join)
+def test_bad_numbers_are_usage_errors(argv, capsys):
+    assert run(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def test_tables_fast_rows(capsys):

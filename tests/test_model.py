@@ -2,9 +2,10 @@
 
 import pytest
 
-from coulomb2e.model import (SystemSpec, ExpTerm3, ExpTerm4, TwoBodyThreshold,
-                             NATURAL, UNNATURAL, threshold_for, hminus_spec,
-                             ps2_spec, natural_to_ev, HARTREE_EV)
+from coulomb2e import solve
+from coulomb2e.model import (SystemSpec, TwoBodyThreshold, NATURAL, UNNATURAL,
+                             threshold_for, hminus_spec, ps2_spec,
+                             natural_to_ev, HARTREE_EV)
 
 
 def test_three_body_spec_shape():
@@ -19,6 +20,15 @@ def test_three_body_spec_shape():
         SystemSpec(inv_masses=(0.0, 1.0, 1.0), z_central=1.0, epsilon=2)
     with pytest.raises(ValueError):
         SystemSpec(inv_masses=(0.0, 1.0, 1.0), z_central=1.0, sector="bogus")
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SystemSpec(inv_masses=(bad, 1.0, 1.0), z_central=1.0)
+    for z in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            hminus_spec(z=z)
+    for ratio in (0.0, -2.0, float("nan")):
+        with pytest.raises(ValueError):
+            hminus_spec(mass_ratio=ratio)
 
 
 def test_four_body_spec_shape():
@@ -33,13 +43,11 @@ def test_four_body_spec_shape():
 
 
 def test_exp_term_validation():
-    ExpTerm3(1.0, 0.5, -0.3)          # negative single entry is fine
-    with pytest.raises(ValueError):
-        ExpTerm3(1.0, -1.5, 0.3)      # pair sum a+b <= 0
-    assert ExpTerm3(1.0, 0.5, 0.0).as_tuple() == (1.0, 0.5, 0.0)
-    ExpTerm4(0.9, 0.2, 0.3, 0.8)
-    with pytest.raises(ValueError):
-        ExpTerm4(0.5, -0.6, 0.05, 0.5)
+    # the searches check exponential terms by their pair sums
+    assert solve._valid3([(1.0, 0.5, -0.3)], 1e-3)   # negative entry is fine
+    assert not solve._valid3([(1.0, -1.5, 0.3)], 1e-3)   # pair sum a+b <= 0
+    assert solve._four_groups("cc-break", (0.9, 0.2, 0.3, 0.8)) is not None
+    assert solve._four_groups("cc-break", (0.5, -0.6, 0.05, 0.5)) is None
 
 
 def test_threshold_infinite_center():

@@ -474,6 +474,17 @@ def test_optimize_chandrasekhar_hminus():
     assert e == pytest.approx(-0.51330, abs=5e-5)
 
 
+@pytest.mark.parametrize("eps", [+1, -1])
+def test_optimize_chandrasekhar_returns_physical_ranges(eps):
+    # the ranges come at their optimal scale, the larger first
+    z = 2.0
+    e, (a, b), _ = solve.optimize_chandrasekhar(z, LIGHT, epsilon=eps)
+    assert a >= b
+    assert virial_reduce(*matel3.chandrasekhar_ntv(a, b, z, eps))[1] == \
+        pytest.approx(1.0, abs=1e-12)
+    assert chandrasekhar_energy(a, b, z, eps) == pytest.approx(e, rel=1e-12)
+
+
 def test_optimize_minmax_above_chandrasekhar():
     e_mm, _, _ = solve.optimize_minmax(1.0, CFG)
     assert e_mm == pytest.approx(-0.50648, abs=2e-4)

@@ -241,10 +241,10 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, formats=("json", "csv")):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        sp.add_argument("--format", choices=formats, default=formats[0])
 
     sp = sub.add_parser("ion", help="three-body variational solve")
     sp.add_argument("--z", type=float, default=1.0)
@@ -291,7 +291,7 @@ def build_parser():
     sp = sub.add_parser("tables", help="reproduce the reference tables")
     sp.add_argument("--table", type=int, choices=(1, 2), required=True)
     sp.add_argument("--rows", default=None, help="substring filter")
-    common(sp)
+    common(sp, formats=("csv",))
     sp.set_defaults(func=cmd_tables)
 
     sp = sub.add_parser("validate", help="oracle quadrature pairings")

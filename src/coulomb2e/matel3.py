@@ -30,7 +30,7 @@ terms and then return P-vectors.
 
 from functools import cache
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, sqrt
 
 import numpy as np
 
@@ -240,77 +240,35 @@ def energy_effective_charge(z):
 
 # ---------------------------------------------------------------------------
 # antisymmetrized (1s)(2s) shell-model wave function
-#
-# Orbitals are represented as lists of (coef, x-power, y-power, x-range,
-# y-range); products stay in that family and every element is a finite sum of
-# G entries with the r12 order fixed by the operator.
-
-_SQRT2 = np.sqrt(2.0)
-
-
-def _orbital(kind, var, rng):
-    if kind == "1s":
-        base = [(2.0 * rng**1.5, 0, rng)]
-    else:  # 2s
-        n2 = rng**1.5 / _SQRT2
-        base = [(n2, 0, 0.5 * rng), (-0.5 * n2 * rng, 1, 0.5 * rng)]
-    out = []
-    for cf, k, al in base:
-        if var == "x":
-            out.append((cf, k, 0, al, 0.0))
-        else:
-            out.append((cf, 0, k, 0.0, al))
-    return out
-
-
-def _rep_mul(r1, r2):
-    return [(c1 * c2, i1 + i2, j1 + j2, p1 + p2, q1 + q2)
-            for c1, i1, j1, p1, q1 in r1 for c2, i2, j2, p2, q2 in r2]
-
-
-def _rep_d(rep, var):
-    out = []
-    for c, i, j, p, q in rep:
-        if var == "y":
-            if j > 0:
-                out.append((c * j, i, j - 1, p, q))
-            out.append((-c * q, i, j, p, q))
-        else:
-            if i > 0:
-                out.append((c * i, i - 1, j, p, q))
-            out.append((-c * p, i, j, p, q))
-    return out
-
-
-def _rep_element(ra, rb, dx=0, dy=0, dz=0):
-    rows = [(c, (i + 1 - dx, j + 1 - dy, 1 - dz), p, q)
-            for c, i, j, p, q in _rep_mul(ra, rb) if c != 0.0]
-    c, cell, p, q = zip(*rows)
-    cells = tuple(sorted(set(cell)))
-    G = _g3_cells(np.array(p), np.array(q), np.zeros(len(rows)), cells)
-    return float(np.dot(c, G[np.arange(len(rows)), [cells.index(x) for x in cell]]))
 
 
 def shellmodel_ntv(a, b, z):
-    """N, T, V of the antisymmetrized (1s)_a (2s)_b product.
+    """N, T, V of psi = 1s_a(r1) 2s_b(r2) - 2s_b(r1) 1s_a(r2), in closed form.
 
-    Kinetic energy through the gradient form (first derivatives only); the
-    1/r12 element goes through the same G machinery with the z-order dropped
-    to zero.
+    The hydrogenic orbitals 1s_a = 2 a^1.5 e^(-a r) and 2s_b = b^1.5/sqrt(2)
+    (1 - b r/2) e^(-b r/2) give, with w = 2a + b and r = sqrt(2) (ab)^1.5, the
+    overlap S = 32 r (a - b) / w^4, the kinetic integrals t_aa = a^2/2,
+    t_bb = b^2/8, t_ab = 4 r ab (4a - b) / w^4, the nuclear ones u_aa = a,
+    u_bb = b/4, u_ab = 4 r (2a - b) / w^3, and the direct and exchange
+    Coulomb integrals J, K below.  Then N = 8 (1 - S^2), T = 8 (t_aa + t_bb -
+    2 S t_ab), V = 8 (-z (u_aa + u_bb - 2 S u_ab) + J - K), rational in a, b:
+    2 is the pair's norm and 4 the G-moment convention of natural_matblock.
     """
     if a <= 0 or b <= 0:
         raise ValueError("shell-model ranges must be positive")
-    psi = (_rep_mul(_orbital("1s", "y", a), _orbital("2s", "x", b))
-           + [(-c, i, j, p, q) for c, i, j, p, q in
-              _rep_mul(_orbital("2s", "y", b), _orbital("1s", "x", a))])
-    N = _rep_element(psi, psi)
+    w = 2.0 * a + b
+    r = sqrt(2.0) * (a * b) ** 1.5
+    s = 32.0 * r * (a - b) / w**4
+    N = 8.0 * (1.0 - s * s)
     if abs(N) < 1e-12:
         raise ValueError("degenerate shell-model basis: orbitals proportional")
-    dy = _rep_d(psi, "y")
-    dx = _rep_d(psi, "x")
-    T = 0.5 * (_rep_element(dy, dy) + _rep_element(dx, dx))
-    V = (-z * _rep_element(psi, psi, dy=1) - z * _rep_element(psi, psi, dx=1)
-         + _rep_element(psi, psi, dz=1))
+    t_ab = 4.0 * r * a * b * (4.0 * a - b) / w**4
+    u_ab = 4.0 * r * (2.0 * a - b) / w**3
+    J = a * b * (8 * a**4 + 20 * a**3 * b + 12 * a**2 * b**2 + 10 * a * b**3
+                 + b**4) / w**5
+    K = 16.0 * a**3 * b**3 * (20 * a * a - 30 * a * b + 13 * b * b) / w**7
+    T = 8.0 * (0.5 * a * a + 0.125 * b * b - 2.0 * s * t_ab)
+    V = 8.0 * (-z * (a + 0.25 * b - 2.0 * s * u_ab) + J - K)
     return N, T, V
 
 

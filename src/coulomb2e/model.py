@@ -57,6 +57,8 @@ class SystemSpec:
                 raise ValueError("three-body spec needs [1/M, 1/m1, 1/m2]")
             if not 0 < self.z_central < math.inf:
                 raise ValueError("central charge z must be finite and > 0")
+            if any(self.inv_masses[0] + im == 0 for im in self.inv_masses[1:]):
+                raise ValueError("an atom of two infinite masses is unbounded")
 
     @property
     def is_four_body(self) -> bool:

@@ -570,6 +570,8 @@ def scan_contour(z, a_range=(0.2, 2.0), b_range=(0.05, 1.2), grid=(61, 61)):
         raise ValueError("z must be finite and > 0")
     if min(a_range) <= 0 or min(b_range) <= 0:
         raise ValueError("ranges must be positive")
+    if min(grid) < 1:
+        raise ValueError(f"grid {grid} needs at least one point per axis")
     a_vals = np.linspace(a_range[0], a_range[1], grid[0])
     b_vals = np.linspace(b_range[0], b_range[1], grid[1])
     E = np.array([[chandrasekhar_energy(a, b, z) for b in b_vals]
@@ -674,8 +676,8 @@ def scan_mass3(mass_ratios, config: MinimizerConfig):
     (which must vanish to round-off for these angle-independent bases).
     """
     out = []
-    for ratio in mass_ratios:
-        spec = hminus_spec(mass_ratio=ratio)
+    specs = [hminus_spec(mass_ratio=ratio) for ratio in mass_ratios]
+    for ratio, spec in zip(mass_ratios, specs):
         im0 = spec.inv_masses[0]
         mu = 1.0 / (1.0 + im0)
         x, e, _ = _search3(spec, [1.04 * mu, 0.28 * mu], config,
@@ -700,11 +702,12 @@ def scan_asym3(ratios, config: MinimizerConfig):
     (the particles are distinguishable): both orderings enter as independent
     basis vectors and the eigensolver picks the mixing.
     """
-    out = []
-    warm = [1.04, 0.28]
     for r in ratios:
         if not 0 < r < math.inf:
             raise ValueError(f"mass ratio {r} must be finite and > 0")
+    out = []
+    warm = [1.04, 0.28]
+    for r in ratios:
         im1, im2 = 2.0 * r / (1.0 + r), 2.0 / (1.0 + r)
         spec = SystemSpec(inv_masses=(0.0, im1, im2), z_central=1.0)
         x, e, _ = _search3(spec, warm, config, symmetrize=False,
@@ -782,8 +785,8 @@ def scan_mass4(ratios, mode, config: MinimizerConfig):
     """
     out = []
     warm = [0.85, 0.15, 0.15, 0.85] if mode == "cc-break" else [0.85, 0.15]
-    for ratio in ratios:
-        spec = _four_spec(mode, ratio)
+    specs = [_four_spec(mode, ratio) for ratio in ratios]
+    for ratio, spec in zip(ratios, specs):
         thr = threshold_for(spec)
 
         def obj(p):

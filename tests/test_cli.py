@@ -143,7 +143,8 @@ def test_tables_rows_matching_nothing(capsys):
 
 
 # bad numbers are usage errors raised where they enter the library: no
-# traceback from a division, no non-convergence report, no NaN rows
+# traceback from a division, no non-convergence report, no NaN rows, and a
+# scan checks its whole input before its first search
 @pytest.mark.parametrize("argv", [
     ["ion", "--mass-ratio", "0"],
     ["ion", "--mass-ratio", "nan"],
@@ -152,26 +153,46 @@ def test_tables_rows_matching_nothing(capsys):
     ["molecule", "--mode", "cc-break", "--ratio", "-1"],
     ["molecule", "--mode", "cc-break", "--ratio", "inf"],
     ["scan", "mass3", "--ratios", "0"],
+    ["scan", "mass3", "--ratios", "1,0"],
     ["scan", "asym3", "--ratios", "-1"],
     ["scan", "asym3", "--ratios", "inf"],
+    ["scan", "asym3", "--ratios", "1,inf"],
     ["scan", "mass4", "--ratios", "-1"],
     ["scan", "mass4", "--ratios", "inf"],
+    ["scan", "mass4", "--ratios", "1,inf"],
     ["scan", "mass4", "--mode", "identity-break", "--ratios", "0"],
     ["scan", "frozen", "--z", "nan"],
     ["scan", "contour", "--z", "nan"],
+    ["scan", "contour", "--grid", "0"],
 ], ids=" ".join)
-def test_bad_numbers_are_usage_errors(argv, capsys):
+def test_bad_numbers_are_usage_errors(argv, monkeypatch, capsys):
+    searches = []
+    real = solve.minimize_nm
+
+    def spy(*a, **k):
+        searches.append(a)
+        return real(*a, **k)
+
+    monkeypatch.setattr(solve, "minimize_nm", spy)
     assert run(argv) == cli.EXIT_USAGE
+    assert searches == []
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
 
 
 def test_tables_fast_rows(capsys):
     # closed-form rows only: cheap end-to-end check of the report format
-    assert run(["tables", "--table", "2", "--rows", "a=b=Z",
-                "--format", "csv"]) == cli.EXIT_OK
+    argv = ["tables", "--table", "2", "--rows", "a=b=Z"]
+    assert run(argv + ["--format", "csv"]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "a=b=Z c=0,H-,-0.375" in out
+    assert run(argv) == cli.EXIT_OK     # CSV is the default and only format
+    strip = lambda text: [ln for ln in text.splitlines()
+                          if not ln.startswith("# wall_time_s=")]
+    assert strip(capsys.readouterr().out) == strip(out)
+    assert run(argv + ["--format", "json"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice: 'json'" in err
 
 
 def test_sig6_rounding():

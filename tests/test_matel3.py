@@ -1,5 +1,6 @@
 """Three-body matrix elements against quadrature oracles and closed forms."""
 
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -73,7 +74,7 @@ def test_g3_order_contract():
 
 
 def _cells_read(monkeypatch):
-    # every cell set the block assemblers and the shell model ask for
+    # every cell set the block assemblers ask for
     seen = set()
     orig = matel3._g3_cells
 
@@ -87,7 +88,6 @@ def _cells_read(monkeypatch):
     matel3.hughes_eckart_matrix(terms, hminus_spec(z=2.0))
     matel3.unnatural_matblock([(0.5, 0.22, -0.03), (0.19, 0.43, 0.08)],
                               hminus_spec(z=1.0, mass_ratio=7.3, sector=UNNATURAL))
-    matel3.shellmodel_ntv(1.97, 1.3, 2.0)
     monkeypatch.undo()
     return sorted(seen)
 
@@ -95,7 +95,7 @@ def _cells_read(monkeypatch):
 @pytest.mark.parametrize("point", [
     (2.0, 1e-3, 1e-3),          # strong anisotropy: s1/s2 = s3/s2 ~ 1e3
     (1.3, 1.3 + 1e-9, 0.4),     # alpha ~ beta
-    (1.7, 0.6, 0.0),            # gamma = 0, as in the shell model
+    (1.7, 0.6, 0.0),            # gamma = 0: terms without r12, as in the mass scans
     (1.5, 0.8, -0.3),           # a negative single exponent
 ])
 def test_g3_kernel_vs_mpmath(point, monkeypatch):
@@ -175,6 +175,94 @@ def test_shellmodel_energy_z2_matches_reference():
     # optimized elsewhere; here just check the elements give a sane quotient
     n, t, v = matel3.shellmodel_ntv(1.97, 1.3, 2.0)
     assert n > 0 and t > 0 and v < 0
+
+
+# ---------------------------------------------------------------------------
+# exact references for the two-range closed forms
+#
+# Each trial function depends on r1 and r2 only and its square is exchange
+# symmetric, so every element is twice its integral over r1 < r2 with radial
+# measure r1^2 r2^2, where 1/r12 averages to 1/r> = 1/r2.  On that region
+# each function is a sum of terms c r1^i r2^j exp(-p r1 - q r2), and those
+# integrals are rational in the exponents: with rational (a, b, z) N, T and
+# V are exact Fractions, computed here from the orbitals alone.
+
+
+def _tri(i, j, p, q):
+    # int_{0 < r1 < r2} r1^i r2^j exp(-p r1 - q r2); the r1 integral is an
+    # incomplete gamma function, a finite sum for integer i
+    return Fraction(factorial(i)) / p ** (i + 1) * (
+        Fraction(factorial(j)) / q ** (j + 1)
+        - sum(p ** k * Fraction(factorial(j + k), factorial(k))
+              / (p + q) ** (j + k + 1) for k in range(i + 1)))
+
+
+def _grad(psi, var):
+    # d/dr1 (var 0) or d/dr2 (var 1) of a term list (c, i, j, p, q)
+    out = []
+    for c, i, j, p, q in psi:
+        k, e = (i, p) if var == 0 else (j, q)
+        if k:
+            out.append((c * k, i - (var == 0), j - (var == 1), p, q))
+        out.append((-c * e, i, j, p, q))
+    return out
+
+
+def _mean(f, g, di=0, dj=0):
+    # <f| r1^-di r2^-dj |g> over the whole of (r1, r2) space
+    return 2 * sum(cf * cg * _tri(i + k + 2 - di, j + m + 2 - dj, p + r, q + s)
+                   for cf, i, j, p, q in f for cg, k, m, r, s in g)
+
+
+def _exact_ntv(psi, z):
+    # kinetic energy in the gradient form
+    n = _mean(psi, psi)
+    t = sum(_mean(_grad(psi, v), _grad(psi, v)) for v in (0, 1)) / 2
+    v = -z * _mean(psi, psi, di=1) + (1 - z) * _mean(psi, psi, dj=1)
+    return n, t, v
+
+
+def _exact_shellmodel(a, b, z):
+    # 1s_a(r1) 2s_b(r2) - 2s_b(r1) 1s_a(r2) without the orbital norms
+    # 2 a^1.5 and b^1.5 / sqrt(2); their square 2 a^3 b^3 and the G-moment
+    # normalization 4 restore the kernel's convention
+    h = b / 2
+    psi = [(1, 0, 0, a, h), (-h, 0, 1, a, h), (-1, 0, 0, h, a), (h, 1, 0, h, a)]
+    return tuple(8 * a**3 * b**3 * x for x in _exact_ntv(psi, z))
+
+
+_EXACT = {
+    "shellmodel": (_exact_shellmodel, matel3.shellmodel_ntv),
+    "chandrasekhar+": (
+        lambda a, b, z: _exact_ntv([(1, 0, 0, a, b), (1, 0, 0, b, a)], z),
+        lambda a, b, z: matel3.chandrasekhar_ntv(a, b, z, +1)),
+    "chandrasekhar-": (
+        lambda a, b, z: _exact_ntv([(1, 0, 0, a, b), (-1, 0, 0, b, a)], z),
+        lambda a, b, z: matel3.chandrasekhar_ntv(a, b, z, -1)),
+    # exp(-a r< - b r>) is exp(-a r1 - b r2) on r1 < r2
+    "minmax": (lambda a, b, z: _exact_ntv([(1, 0, 0, a, b)], z),
+               matel3.minmax_ntv),
+}
+
+
+_EXACT_POINTS = [
+    (1.5, 1.5, 2.0),                          # a = b
+    (25.0, 0.25, 2.0), (0.25, 25.0, 1.0),     # a/b = 100 and 1/100
+    (1.04, 0.28, 1.0), (2.18, 1.19, 2.0),     # Table I optima
+    (1.97, 0.32, 2.0), (7.73, 2.0, 8.0),
+]
+
+
+# the antisymmetric pair vanishes identically at a = b
+@pytest.mark.parametrize("family, a, b, z", [
+    (f, *p) for f in _EXACT for p in _EXACT_POINTS
+    if not (f == "chandrasekhar-" and p[0] == p[1])])
+def test_two_range_closed_forms_exact(family, a, b, z):
+    exact, kernel = _EXACT[family]
+    # the floats are binary rationals, so Fraction(x) is the very same input
+    ref = exact(Fraction(a), Fraction(b), Fraction(z))
+    for got, want in zip(kernel(a, b, z), ref):
+        assert abs(Fraction(float(got)) - want) <= Fraction(2e-15) * abs(want)
 
 
 def test_minmax_norm_vs_quadrature():

@@ -23,6 +23,11 @@ def test_three_body_spec_shape():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             SystemSpec(inv_masses=(bad, 1.0, 1.0), z_central=1.0)
+    # an infinite center binding an infinitely heavy particle is unbounded
+    for inv in ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="two infinite masses"):
+            SystemSpec(inv_masses=inv, z_central=1.0)
+    assert SystemSpec(inv_masses=(1.0, 0.0, 1.0), z_central=1.0).inv_masses[1] == 0
     for z in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             hminus_spec(z=z)

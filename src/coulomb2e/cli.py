@@ -296,7 +296,7 @@ def build_parser():
 
     sp = sub.add_parser("validate", help="oracle quadrature pairings")
     sp.add_argument("--filter", default=None, help="glob over case names")
-    common(sp)
+    # a text report only: --seed, --out and --format are usage errors here
     sp.set_defaults(func=cmd_validate)
     return p
 

@@ -18,7 +18,10 @@ G(i,j,k) = (-1)^(i+j+k) d^(i+j+k) F3 are, in closed form,
                / (s1^(i1+j1+1) s2^(j2+k2+1) s3^(k3+i3+1))
 
 over i1+i3 = i, j1+j2 = j, k2+k3 = k: every term is positive, so there is no
-cancellation at any order.  `_g3_cells` evaluates a fixed cell set for whole
+cancellation at any order.  A weight column sum w G(cell) (a polynomial
+weight in x, y, z, as the 1+ sector's |x_vec cross y_vec|^2) is expanded the
+same way, with like monomials merged exactly before any float is formed.
+`_g3_cells` evaluates a fixed tuple of cells and weight columns for whole
 arrays of argument triples (one inverse-power table per s, one matrix
 product); each block assembler calls it once for all its term pairs.
 
@@ -46,33 +49,40 @@ def f3(alpha, beta, gamma):
 
 
 @cache
-def _plan(cells):
-    """(powers, exps, coef): G[..., c] = sum_m coef[m, c] prod_n s_n^-powers[n, m],
-    with the inverse-power table of s_n built from the exponents `exps`."""
-    if any(o < 0 for cell in cells for o in cell):
-        raise ValueError("moment orders must be non-negative")
+def _plan(cols):
+    """(powers, exps, coef): col[..., c] = sum_m coef[m, c] prod_n s_n^-powers[n, m],
+    with the inverse-power table of s_n built from the exponents `exps`.
+
+    A column is a cell (i, j, k) or a weight polynomial ((cell, w), ...),
+    i.e. sum w G(cell).  Like monomials merge exactly (integer coefficients
+    times dyadic weights), before any float sum is evaluated.
+    """
     acc = {}
-    for c, (i, j, k) in enumerate(cells):
-        f = 4 * factorial(i) * factorial(j) * factorial(k)
-        for i1, j1, k2 in product(range(i + 1), range(j + 1), range(k + 1)):
-            i3, j2, k3 = i - i1, j - j1, k - k2
-            mono = (i1 + j1 + 1, j2 + k2 + 1, k3 + i3 + 1)
-            acc[mono, c] = acc.get((mono, c), 0) + f * (
-                comb(i1 + j1, i1) * comb(j2 + k2, j2) * comb(k3 + i3, k3))
+    for c, col in enumerate(cols):
+        for (i, j, k), w in (col if isinstance(col[0], tuple) else ((col, 1),)):
+            if min(i, j, k) < 0:
+                raise ValueError("moment orders must be non-negative")
+            f = 4 * factorial(i) * factorial(j) * factorial(k) * w
+            for i1, j1, k2 in product(range(i + 1), range(j + 1), range(k + 1)):
+                i3, j2, k3 = i - i1, j - j1, k - k2
+                mono = (i1 + j1 + 1, j2 + k2 + 1, k3 + i3 + 1)
+                acc[mono, c] = acc.get((mono, c), 0) + f * (
+                    comb(i1 + j1, i1) * comb(j2 + k2, j2) * comb(k3 + i3, k3))
     monos = {mono: m for m, mono in enumerate(sorted({mono for mono, _ in acc}))}
-    coef = np.zeros((len(monos), len(cells)))
+    coef = np.zeros((len(monos), len(cols)))
     for (mono, c), w in acc.items():
         coef[monos[mono], c] = w
     powers = np.array(list(monos), dtype=np.intp).reshape(-1, 3).T
     return powers, -np.arange(powers.max(initial=0) + 1.0), coef
 
 
-def _g3_cells(alpha, beta, gamma, cells):
-    """G at each cell of the tuple `cells`: shape (*argument shape, len(cells))."""
+def _g3_cells(alpha, beta, gamma, cols):
+    """Each column of the tuple `cols` (a cell or a weight polynomial, as in
+    _plan) at the arguments: shape (*argument shape, len(cols))."""
     s = np.array([alpha + beta, beta + gamma, gamma + alpha], dtype=float)
     if np.any(s <= 0):
         raise ValueError("f3 domain: every pair sum must be positive")
-    powers, exps, coef = _plan(cells)
+    powers, exps, coef = _plan(cols)
     inv = s[..., None] ** exps
     return (inv[0][..., powers[0]] * inv[1][..., powers[1]]
             * inv[2][..., powers[2]]) @ coef
@@ -103,13 +113,9 @@ def _cells_at(u, v, cells):
     return dict(zip(cells, _g3_cells(a, b, c, cells).T))
 
 
-def _orders(lo, hi):
-    return tuple(c for c in product(range(hi + 1), repeat=3) if lo <= sum(c) <= hi)
-
-
 # the cells the scalar-sector elements read: Coulomb (order 2), overlap and
 # the kinetic and recoil brackets (order 3)
-_NTV_CELLS = _orders(2, 3)
+_NTV_CELLS = tuple(c for c in product(range(4), repeat=3) if 2 <= sum(c) <= 3)
 
 
 def overlap3(t, tp):
@@ -307,96 +313,55 @@ def minmax_ntv(a, b, z):
 # Basis: (x_vec cross y_vec) [exp(-a x - b y - c z) + (a<->b)].  After summing
 # over the three Cartesian projections the angular integrals leave the scalar
 # weight |x_vec cross y_vec|^2 = x^2 y^2 - ((x^2+y^2-z^2)/2)^2, so every
-# element is again a finite sum of G entries (total order <= 5 beyond the
-# measure).
+# element is a weight column of _plan (total order <= 7 with the measure).
 
 _W2 = {(4, 0, 0): -0.25, (0, 4, 0): -0.25, (0, 0, 4): -0.25,
        (2, 2, 0): 0.5, (2, 0, 2): 0.5, (0, 2, 2): 0.5}
 
-# angular averages of unit-vector dot products, times the polynomial weight
-_DOT_YZ = {(0, 2, 0): 0.5, (0, 0, 2): 0.5, (2, 0, 0): -0.5}   # y^.z^ * yz
-_DOT_XZ = {(2, 0, 0): 0.5, (0, 0, 2): 0.5, (0, 2, 0): -0.5}   # x^.z^ * xz
-_DOT_XY = {(2, 0, 0): 0.5, (0, 2, 0): 0.5, (0, 0, 2): -0.5}   # x^.y^ * xy
 
-
-def _pmul(p, q):
+def _wcol(q):
+    """The _plan weight column of _W2 times the polynomial q in (x, y, z)."""
     out = {}
-    for k1, c1 in p.items():
+    for k1, c1 in _W2.items():
         for k2, c2 in q.items():
             k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-            out[k] = out.get(k, 0.0) + c1 * c2
-    return out
+            out[k] = out.get(k, 0) + c1 * c2
+    return tuple(out.items())
 
 
-_W2_YZ = _pmul(_W2, _DOT_YZ)
-_W2_XZ = _pmul(_W2, _DOT_XZ)
-_W2_XY = _pmul(_W2, _DOT_XY)
-
-
-def _contract(poly, G, dx=0, dy=0, dz=0):
-    # sum of poly * x y z measure, with optional division by x, y or z
-    return sum(c * G[k[0] + 1 - dx, k[1] + 1 - dy, k[2] + 1 - dz]
-               for k, c in poly.items())
-
-
-class CancellationError(ValueError):
-    """Vector-sector elements at these exponents cancel too many digits.
-
-    The weight |x_vec cross y_vec|^2 = -x^4/4 - y^4/4 - z^4/4 + (x^2 y^2 +
-    x^2 z^2 + y^2 z^2)/2 is a difference of moments that individually dwarf
-    the result once the two electron scales are very different (ratio beyond
-    ~10^3).  The moments themselves are machine accurate, but the contraction
-    then has fewer correct digits than a stability verdict needs, and an
-    optimizer happily mines that noise for fake binding.  Such evaluations
-    are refused rather than silently returned.
-    """
-
-
-# max allowed ratio sum(|terms|)/|result| in the overlap contraction; 1e6
-# still guarantees ~1e-10 relative accuracy and is three orders of magnitude
-# above anything a genuine optimum needs
-_CANCEL_CAP = 1e6
-_UN_CELLS = _orders(5, 7)   # every cell the contractions below read
+# The 1+ columns: the overlap weight with the x y z measure, the same
+# divided by x, y or z, the radial weights 2x^2, 2y^2, 2z^2, and the angular
+# brackets: the weight times y^.z^, x^.z^ or x^.y^ (by the law of cosines,
+# e.g. y^.z^ xyz = x (y^2+z^2-x^2)/2).
+# Merged, every monomial coefficient of the first seven is positive
+# (|x_vec cross y_vec|^2 is Heron's (p+q+r)pqr/4 in perimetric coordinates),
+# so those columns are sums of positive terms and cannot cancel.
+_UN_COLS = (
+    *(_wcol(q) for q in ({(1, 1, 1): 1}, {(0, 1, 1): 1}, {(1, 0, 1): 1},
+                         {(1, 1, 0): 1})),
+    (((3, 1, 1), 2),), (((1, 3, 1), 2),), (((1, 1, 3), 2),),
+    *(_wcol(q) for q in ({(1, 2, 0): 0.5, (1, 0, 2): 0.5, (3, 0, 0): -0.5},
+                         {(2, 1, 0): 0.5, (0, 1, 2): 0.5, (0, 3, 0): -0.5},
+                         {(2, 0, 1): 0.5, (0, 2, 1): 0.5, (0, 0, 3): -0.5})))
 
 
 def _un_pair(u, v, z, invm):
-    """(n, t, v) for ordered pairs of plain (a,b,c) vector terms; raises
-    CancellationError if the overlap of any one pair cancels beyond the cap."""
+    """(n, t, v) for ordered pairs of plain (a,b,c) vector terms."""
     a, b, c = _split(u)
     ap, bp, cp = _split(v)
-    G = _cells_at(u, v, _UN_CELLS)
-    n = _contract(_W2, G)
-    n_abs = _contract({k: abs(c0) for k, c0 in _W2.items()}, G)
-    bad = ~(n_abs < _CANCEL_CAP * np.abs(n))
-    if np.any(bad):
-        s = np.reshape([a + ap, b + bp, c + cp], (3, -1))[:, np.argmax(bad)]
-        raise CancellationError(
-            f"untrustworthy vector elements at combined exponents "
-            f"({s[0]:.4g}, {s[1]:.4g}, {s[2]:.4g})")
-    pot = (-z * _contract(_W2, G, dx=1) - z * _contract(_W2, G, dy=1)
-           + _contract(_W2, G, dz=1))
+    n, wx, wy, wz, xx, yy, zz, yz, xz, xy = _g3_cells(
+        a + ap, b + bp, c + cp, _UN_COLS).T
+    pot = -z * wx - z * wy + wz
     # p1^2 (particle at y): radial part 2x^2 replaces the |W|^2 weight
-    k1 = (_contract({(2, 0, 0): 2.0}, G)
-          - (b + bp) * _contract(_W2, G, dy=1)
-          - (c + cp) * _contract(_W2, G, dz=1)
-          + (b * bp + c * cp) * n
-          + (b * cp + bp * c) * sum(cc * G[k[0] + 1, k[1], k[2]]
-                                    for k, cc in _W2_YZ.items()))
-    k2 = (_contract({(0, 2, 0): 2.0}, G)
-          - (a + ap) * _contract(_W2, G, dx=1)
-          - (c + cp) * _contract(_W2, G, dz=1)
-          + (a * ap + c * cp) * n
-          + (a * cp + ap * c) * sum(cc * G[k[0], k[1] + 1, k[2]]
-                                    for k, cc in _W2_XZ.items()))
+    k1 = (xx - (b + bp) * wy - (c + cp) * wz + (b * bp + c * cp) * n
+          + (b * cp + bp * c) * yz)
+    k2 = (yy - (a + ap) * wx - (c + cp) * wz + (a * ap + c * cp) * n
+          + (a * cp + ap * c) * xz)
     im0, im1, im2 = invm
     t = 0.5 * (im1 + im0) * k1 + 0.5 * (im2 + im0) * k2
     if im0 != 0.0:
-        k3 = (_contract({(0, 0, 2): 2.0}, G)
-              - (a + ap) * _contract(_W2, G, dx=1)
-              - (b + bp) * _contract(_W2, G, dy=1)
-              + (a * ap + b * bp) * n
-              + (a * bp + ap * b) * sum(cc * G[k[0], k[1], k[2] + 1]
-                                        for k, cc in _W2_XY.items()))
+        k3 = (zz - (a + ap) * wx - (b + bp) * wy + (a * ap + b * bp) * n
+              + (a * bp + ap * b) * xy)
         # internal kinetic energy from the lab-frame sum (translation-invariant
         # basis): 1/2m1 p1^2 + 1/2m2 p2^2 + 1/2M p3^2 with p3 = -(p1+p2)
         t = 0.5 * im1 * k1 + 0.5 * im2 * k2 + 0.5 * im0 * k3

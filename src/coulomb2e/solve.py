@@ -11,7 +11,7 @@ lam^2 T + lam V (multi-term).  Every three-body simplex runs through
 `_search3`.  The simplex walks the raw ranges, so the overall scale is a
 flat direction of every search; the three closed-form two-parameter searches
 (two-range, min-max, shell model) would need only the range ratio (ROADMAP
-item 2), as the critical-charge scan already does.
+item 4), as the critical-charge scan already does.
 
 Only numpy runs here: `_fminbound`, `_nelder_mead` and `_brentq` port
 scipy's bounded Brent, Nelder-Mead and brentq step for step, to the bit.
@@ -35,6 +35,16 @@ _BIG = 1e6
 
 class NonConvergenceError(RuntimeError):
     """Raised when no restart of the simplex produced a finite optimum."""
+
+
+class CancellationError(ValueError):
+    """A vector-sector basis whose overlap is too ill-conditioned to trust.
+
+    The 1+ matrix elements are accurate to round-off, but a nearly
+    dependent basis amplifies their last bits into fake binding of order
+    1e-5, exactly the scale of the physics; `_un_lowest` refuses such a
+    basis (`_UN_COND_CAP`) rather than return its energy.
+    """
 
 
 @dataclass(frozen=True)
@@ -267,7 +277,7 @@ def _nelder_mead(f, x0, maxfev, xatol, fatol):
 
 
 # refusal counter per ValueError subclass, most specific first
-_REFUSALS = ((matel3.CancellationError, "refused_cancellation"),
+_REFUSALS = ((CancellationError, "refused_cancellation"),
              (np.linalg.LinAlgError, "refused_linalg"),
              (ValueError, "refused_value"))
 
@@ -276,12 +286,13 @@ def minimize_nm(objective, x0, config: MinimizerConfig):
     """Best-of-restarts Nelder-Mead; deterministic given config.seed.
 
     Returns (params, value, info).  An objective refuses a point by
-    returning _BIG or by raising ValueError (matel3.CancellationError,
-    numpy.linalg.LinAlgError, the closed forms' domain errors); both read as
-    _BIG to the simplex, and any other exception is a bug and propagates.
-    info: `nfev`, whether the best restart `converged`, and the refusals of
-    all restarts: `refused_domain` (any _BIG return, the overlap floor's
-    included), `refused_cancellation`, `refused_linalg`, `refused_value`.
+    returning _BIG or by raising ValueError (CancellationError from the 1+
+    overlap-condition cap, numpy.linalg.LinAlgError, the closed forms'
+    domain errors); both read as _BIG to the simplex, and any other
+    exception is a bug and propagates.  info: `nfev`, whether the best
+    restart `converged`, and the refusals of all restarts: `refused_domain`
+    (any _BIG return, the overlap floor's included), `refused_cancellation`
+    (the 1+ condition cap), `refused_linalg`, `refused_value`.
     NonConvergenceError: no restart got below _BIG / 2.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -319,11 +330,13 @@ def _valid3(terms, min_sum):
                and t[2] + t[0] > min_sum for t in terms)
 
 
-# Vector-sector evaluations are self-guarded: matel3 refuses element sets
-# that cancel too many digits, and bases whose overlap condition number
-# exceeds this cap are refused here.  In exact arithmetic a nearly dependent
-# basis is harmless, but here it amplifies the last few bits of the elements
-# into fake binding of order 1e-5 -- exactly the scale of the physics.
+# Vector-sector bases whose overlap condition number exceeds this cap are
+# refused.  In exact arithmetic a nearly dependent basis is harmless; in
+# floats it amplifies the last bits of the elements into fake binding at the
+# 1e-5 scale of the physics.  Free searches (seed 0, 3 x 4000 evaluations)
+# with the cap at 1e10, 1e12 or none stayed above -0.125355451 (1+ H-) and
+# -0.0625 (1+ Ps-), but without it the Ps- searches end 2e-14 to 4e-14
+# above -0.0625, so the cap stays until that margin is shown to be safe.
 _UN_COND_CAP = 1e8
 
 
@@ -331,7 +344,7 @@ def _un_lowest(terms, spec, k=0):
     blk = matel3.unnatural_matblock(terms, spec)
     wN = np.linalg.eigvalsh(np.asarray(blk.n_mat, dtype=float))
     if wN[0] <= 0 or wN[-1] > _UN_COND_CAP * wN[0]:
-        raise matel3.CancellationError(
+        raise CancellationError(
             "vector-sector overlap too ill-conditioned to trust")
     return scaled_lowest(blk, k=k)
 
@@ -429,10 +442,10 @@ def optimize_ion(spec: SystemSpec, n_terms: int, config: MinimizerConfig,
 
     Single terms are shaped by the simplex directly.  Multi-term bases
     polish all 3n ranges from curated seeds (vector-sector seeds come from a
-    short arithmetic progression when no curated set exists).  Vector-sector
-    evaluations are guarded twice -- element cancellation in matel3 and the
-    overlap condition cap here -- because the free simplex otherwise mines
-    float noise near degenerate bases for fake binding at the 1e-5 level.
+    short arithmetic progression when no curated set exists).  The vector
+    sector's elements do not cancel, but a basis past the overlap condition
+    cap (`_UN_COND_CAP`) is refused: the free simplex otherwise mines float
+    noise near degenerate bases for fake binding at the 1e-5 level.
     """
     if spec.is_four_body:
         raise ValueError("optimize_ion needs a three-body spec")

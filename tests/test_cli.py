@@ -35,6 +35,16 @@ def test_validate_filter_and_empty(capsys):
     assert run(["validate", "--filter", "zzz*"]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("opt", [["--out", "v.out"], ["--seed", "3"],
+                                 ["--format", "csv"]])
+def test_validate_rejects_output_options(opt, tmp_path, monkeypatch):
+    # validate prints a text report only; an option it would ignore is a
+    # usage error, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    assert run(["validate", "--filter", "f3*", *opt]) == cli.EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ion_json_schema(tmp_path, capsys):
     out = tmp_path / "ion.json"
     code = run(["ion", "--z", "2", "--spin", "triplet", "--terms", "1",

@@ -1,12 +1,12 @@
 """Three-body matrix elements against quadrature oracles and closed forms."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
 
-from coulomb2e import matel3, oracle
+from coulomb2e import matel3, oracle, solve
 from coulomb2e.model import hminus_spec, UNNATURAL
 
 
@@ -73,14 +73,14 @@ def test_g3_order_contract():
             matel3.g3_table(1.0, 1.0, 1.0, bad)
 
 
-def _cells_read(monkeypatch):
-    # every cell set the block assemblers ask for
+def _cols_read(monkeypatch):
+    # every column (cell or weight polynomial) the block assemblers ask for
     seen = set()
     orig = matel3._g3_cells
 
-    def spy(alpha, beta, gamma, cells):
-        seen.update(cells)
-        return orig(alpha, beta, gamma, cells)
+    def spy(alpha, beta, gamma, cols):
+        seen.update(cols)
+        return orig(alpha, beta, gamma, cols)
 
     monkeypatch.setattr(matel3, "_g3_cells", spy)
     terms = [(0.9, 0.4, 0.08), (0.7, 0.5, 0.03)]
@@ -89,7 +89,17 @@ def _cells_read(monkeypatch):
     matel3.unnatural_matblock([(0.5, 0.22, -0.03), (0.19, 0.43, 0.08)],
                               hminus_spec(z=1.0, mass_ratio=7.3, sector=UNNATURAL))
     monkeypatch.undo()
-    return sorted(seen)
+    return seen
+
+
+def _terms(col):
+    # a column as (cell, weight) pairs; a plain cell has weight 1
+    return col if isinstance(col[0], tuple) else ((col, 1),)
+
+
+# the 1+ columns: seven with all merged monomial coefficients positive, then
+# the three (signed) angular brackets
+_UN_POSITIVE, _UN_ANGULAR = matel3._UN_COLS[:7], matel3._UN_COLS[7:]
 
 
 @pytest.mark.parametrize("point", [
@@ -100,15 +110,42 @@ def _cells_read(monkeypatch):
 ])
 def test_g3_kernel_vs_mpmath(point, monkeypatch):
     mp = pytest.importorskip("mpmath")
-    cells = _cells_read(monkeypatch)
-    assert set(matel3._NTV_CELLS) | set(matel3._UN_CELLS) <= set(cells)
-    got = matel3._g3_cells(*point, tuple(cells))
+    cols = list(_cols_read(monkeypatch))
+    assert set(matel3._NTV_CELLS) | set(matel3._UN_COLS) <= set(cols)
+    got = matel3._g3_cells(*point, tuple(cols))
     with mp.workdps(30):
         f3 = lambda a, b, g: 4 / ((a + b) * (b + g) * (g + a))
         x = [mp.mpf(v) for v in point]
-        for cell, g in zip(cells, got):
-            ref = (-1) ** sum(cell) * mp.diff(f3, x, cell)
-            assert abs(g - ref) <= 1e-13 * abs(ref), cell
+        for col, g in zip(cols, got):
+            parts = [w * (-1) ** sum(cell) * mp.diff(f3, x, cell)
+                     for cell, w in _terms(col)]
+            ref = sum(parts)
+            # the angular brackets are signed sums: bound them by their size
+            scale = sum(map(abs, parts)) if col in _UN_ANGULAR else abs(ref)
+            assert abs(g - ref) <= 1e-13 * scale, col
+
+
+def test_un_plan_is_exact_merge():
+    # the float plan of the 1+ columns is the exact merge of their monomials,
+    # and the seven non-angular columns have no negative coefficient
+    powers, _, coef = matel3._plan(matel3._UN_COLS)
+    monos = [tuple(int(p) for p in m) for m in powers.T]
+    for c, col in enumerate(matel3._UN_COLS):
+        exact = {}
+        for (i, j, k), w in col:
+            f = 4 * factorial(i) * factorial(j) * factorial(k) * Fraction(w)
+            for i1 in range(i + 1):
+                for j1 in range(j + 1):
+                    for k2 in range(k + 1):
+                        i3, j2, k3 = i - i1, j - j1, k - k2
+                        m = (i1 + j1 + 1, j2 + k2 + 1, k3 + i3 + 1)
+                        exact[m] = exact.get(m, 0) + f * (
+                            comb(i1 + j1, i1) * comb(j2 + k2, j2)
+                            * comb(k3 + i3, k3))
+        assert {m: Fraction(x) for m, x in zip(monos, coef[:, c]) if x} == {
+            m: x for m, x in exact.items() if x}
+        if col in _UN_POSITIVE:
+            assert np.all(coef[:, c] >= 0) and np.any(coef[:, c] > 0)
 
 
 def test_overlap_and_coulomb_vs_quadrature():
@@ -323,39 +360,99 @@ def test_unnatural_block_exchange_weighting():
             assert got == pytest.approx(want, rel=1e-14)
 
 
-def test_cancellation_guard_trips_at_extreme_anisotropy():
-    # ranges differing by ~1e4 make the cross-product weight cancel nearly
-    # all digits; these evaluations must be refused, not returned
-    with pytest.raises(matel3.CancellationError):
-        matel3._un_pair((2.4, 1.3e-4, 0.0), (2.4, 1.3e-4, 0.0),
-                        1.0, (0.0, 1.0, 1.0))
+# An exact reference for the 1+ elements: G is rational at float
+# exponents, so the contraction of the cross-product weight
+# |x_vec cross y_vec|^2 = x^2 y^2 - ((x^2+y^2-z^2)/2)^2 over G moments is
+# evaluated term by term in Fractions, with no weight merge.
+
+_Q, _H = Fraction(1, 4), Fraction(1, 2)
+_W2_EXACT = {(4, 0, 0): -_Q, (0, 4, 0): -_Q, (0, 0, 4): -_Q,
+             (2, 2, 0): _H, (2, 0, 2): _H, (0, 2, 2): _H}
+# y^.z^ yz, x^.z^ xz and x^.y^ xy from the law of cosines
+_DOTS_EXACT = ({(0, 2, 0): _H, (0, 0, 2): _H, (2, 0, 0): -_H},
+               {(2, 0, 0): _H, (0, 0, 2): _H, (0, 2, 0): -_H},
+               {(2, 0, 0): _H, (0, 2, 0): _H, (0, 0, 2): -_H})
 
 
-def test_unnatural_block_refuses_if_any_pair_cancels():
-    # With s = (a+b, b+c, c+a), t1 has s = (2.4, 1.2e-3, 0.024) and t2 has
-    # s = (0.024, 1.2e-3, 2.4).  Either term alone, with its exchange
-    # partner, stays below the cap; only the cross pair t1 + t2 (and its
-    # exchange image) sits at the extreme anisotropy of the test above.
+def _g_exact(i, j, k, s1, s2, s3):
+    return 4 * factorial(i) * factorial(j) * factorial(k) * sum(
+        Fraction(comb(i1 + j1, i1) * comb(j - j1 + k2, k2)
+                 * comb(k - k2 + i - i1, k - k2))
+        / (s1 ** (i1 + j1 + 1) * s2 ** (j - j1 + k2 + 1)
+           * s3 ** (k - k2 + i - i1 + 1))
+        for i1 in range(i + 1) for j1 in range(j + 1) for k2 in range(k + 1))
+
+
+def _un_pair_exact(u, v, invm, z=1):
+    a, b, c = map(Fraction, u)
+    ap, bp, cp = map(Fraction, v)
+    al, be, ga = a + ap, b + bp, c + cp
+    memo = {}
+
+    def G(i, j, k):
+        if (i, j, k) not in memo:
+            memo[i, j, k] = _g_exact(i, j, k, al + be, be + ga, ga + al)
+        return memo[i, j, k]
+
+    def con(d, dot=None):
+        # sum over the weight (times a dot bracket) of G at the shifted cells
+        return sum(w * wd * G(k[0] + kd[0] + d[0], k[1] + kd[1] + d[1],
+                              k[2] + kd[2] + d[2])
+                   for k, w in _W2_EXACT.items()
+                   for kd, wd in (dot or {(0, 0, 0): 1}).items())
+
+    n = con((1, 1, 1))
+    wx, wy, wz = con((0, 1, 1)), con((1, 0, 1)), con((1, 1, 0))
+    k1 = (2 * G(3, 1, 1) - be * wy - ga * wz + (b * bp + c * cp) * n
+          + (b * cp + bp * c) * con((1, 0, 0), _DOTS_EXACT[0]))
+    k2 = (2 * G(1, 3, 1) - al * wx - ga * wz + (a * ap + c * cp) * n
+          + (a * cp + ap * c) * con((0, 1, 0), _DOTS_EXACT[1]))
+    k3 = (2 * G(1, 1, 3) - al * wx - be * wy + (a * ap + b * bp) * n
+          + (a * bp + ap * b) * con((0, 0, 1), _DOTS_EXACT[2]))
+    im0, im1, im2 = map(Fraction, invm)
+    t = (im1 * k1 + im2 * k2 + im0 * k3) / 2
+    return n, t, -z * wx - z * wy + wz
+
+
+def _assert_un_pair_exact(u, v, invm, tol_t=2e-15):
+    got = matel3._un_pair(u, v, 1.0, invm)
+    for x, want, tol in zip(got, _un_pair_exact(u, v, invm),
+                            (2e-15, tol_t, 2e-15)):
+        assert abs(Fraction(float(x)) - want) <= Fraction(tol) * abs(want)
+
+
+_INVM = [(0.0, 1.0, 1.0), (0.5, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("invm", _INVM, ids=["inf-mass", "im0=0.5"])
+@pytest.mark.parametrize("ratio", [1.0, 1e2, 1e4, 1e6])
+def test_un_pair_exact_at_anisotropy(ratio, invm):
+    # the weight merge leaves no cancellation in n and v however different
+    # the two electron scales are, either way round
+    for t in ((0.6, 0.6 / ratio, 0.05), (0.6 / ratio, 0.6, 0.05),
+              (2.4, 2.4 / ratio, 0.0)):
+        _assert_un_pair_exact(t, t, invm)
+
+
+@pytest.mark.parametrize("invm", _INVM, ids=["inf-mass", "im0=0.5"])
+def test_un_pair_exact_at_curated_seeds(invm):
+    for seeds in solve._UN_SEEDS.values():
+        for u in seeds:
+            for v in seeds:
+                _assert_un_pair_exact(u, v, invm)
+
+
+@pytest.mark.parametrize("invm", _INVM, ids=["inf-mass", "im0=0.5"])
+def test_un_pair_exact_at_extreme_anisotropy(invm):
+    # ranges ~1e4 apart: the points an element-level cancellation cap used
+    # to refuse.  t1 and t2 have s = (a+b, b+c, c+a) = (2.4, 1.2e-3, 0.024)
+    # and (0.024, 1.2e-3, 2.4); their cross pair sits at that anisotropy.
+    # t keeps a cancellation among its exponent-weighted kinetic pieces
+    # that no weight merge removes, hence its wider bound.
+    t0 = (2.4, 1.3e-4, 0.0)
+    _assert_un_pair_exact(t0, t0, invm, tol_t=1e-13)
     t1, t2 = (1.2114, 1.1886, -1.1874), (1.2114, -1.1874, 1.1886)
-    spec = hminus_spec(z=1.0, sector=UNNATURAL)
-    for t in (t1, t2):
-        assert np.all(np.isfinite(matel3.unnatural_matblock([t], spec).n_mat))
-    with pytest.raises(matel3.CancellationError):
-        matel3.unnatural_matblock([t1, t2], spec)
-    # a guard on the block's summed contraction would have let it pass
-    terms = [t1, _swap(t1), t2, _swap(t2)]
-    u = np.repeat(terms, 4, axis=0)
-    v = np.tile(terms, (4, 1))
-    G = matel3._cells_at(u, v, matel3._UN_CELLS)
-    n = matel3._contract(matel3._W2, G)
-    n_abs = sum(abs(c) * G[i + 1, j + 1, k + 1]
-                for (i, j, k), c in matel3._W2.items())
-    assert n_abs.sum() < matel3._CANCEL_CAP * abs(n.sum())
-    assert np.sum(n_abs >= matel3._CANCEL_CAP * np.abs(n)) == 4
-
-
-def test_cancellation_guard_passes_genuine_optimum():
-    # the physical 2p^2-like configuration is far below the cap
-    n, t, v = matel3._un_pair((0.566, 0.880, -0.063), (0.953, 0.176, -0.014),
-                              1.0, (0.0, 1.0, 1.0))
-    assert n > 0 and t > 0
+    for u, v in ((t1, t2), (t2, t1), (t1, _swap(t2)), (_swap(t1), t2)):
+        _assert_un_pair_exact(u, v, invm, tol_t=1e-13)
+    blk = matel3.unnatural_matblock([t1, t2], hminus_spec(z=1.0, sector=UNNATURAL))
+    assert np.all(np.linalg.eigvalsh(blk.n_mat) > 0)

@@ -392,7 +392,7 @@ def test_scan_charge_root_is_scipy_brentq(basis, bracket, monkeypatch):
                          ids=["hminus-n3", "psminus-n2"])
 def test_refusal_counts_add_up_to_nfev(mass_ratio, n_terms, monkeypatch):
     # 1+ sector: every evaluation is either finite or counted as one refusal;
-    # the Ps- search meets the cancellation cap
+    # the Ps- search meets the overlap-condition cap
     finite = []
     un_lowest = solve._un_lowest
 
@@ -414,7 +414,7 @@ def test_refusal_counts_add_up_to_nfev(mass_ratio, n_terms, monkeypatch):
 
 
 def test_refusals_are_counted_by_class():
-    errors = iter([matel3.CancellationError("c"), np.linalg.LinAlgError("l"),
+    errors = iter([solve.CancellationError("c"), np.linalg.LinAlgError("l"),
                    ValueError("v"), None, None])
 
     def obj(x):
@@ -446,7 +446,7 @@ def test_minimize_nm_raises_when_all_rejected():
 
 
 @pytest.mark.parametrize("exc, refused", [
-    (ValueError, True), (matel3.CancellationError, True),
+    (ValueError, True), (solve.CancellationError, True),
     (np.linalg.LinAlgError, True),
     (TypeError, False), (IndexError, False), (ZeroDivisionError, False),
 ])
@@ -530,7 +530,7 @@ def test_un_lowest_rejects_near_duplicate_basis():
     spec = hminus_spec(z=1.0, sector=UNNATURAL)
     t0 = (0.5, 0.22, -0.03)
     t1 = (0.5, 0.22 + 2e-8, -0.03)
-    with pytest.raises(matel3.CancellationError):
+    with pytest.raises(solve.CancellationError):
         solve._un_lowest([t0, t1], spec)
 
 

@@ -178,13 +178,12 @@ def cmd_scan(args):
         rows = [[args.basis, float(solve.scan_charge(args.basis))]]
     else:
         ratios = _parse_ratios(args.ratios)
-        cfg = _config(args, restarts=2, max_iter=600)
         if args.submode == "mass3":
             header = ["ratio", "energy", "threshold", "margin", "he_expectation"]
-            recs = solve.scan_mass3(ratios, cfg)
+            recs = solve.scan_mass3(ratios)
         elif args.submode == "asym3":
             header = ["ratio", "energy", "threshold", "margin", "stable"]
-            recs = solve.scan_asym3(ratios, cfg)
+            recs = solve.scan_asym3(ratios)
         else:
             header = ["ratio", "mode", "energy", "threshold", "margin", "stable"]
             recs = solve.scan_mass4(ratios, args.mode,

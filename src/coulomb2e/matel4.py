@@ -235,9 +235,10 @@ def ho_ntv(beta):
 
     v is the magnitude of the (attractive-dominated) potential expectation:
     the reduced energy of the family is -v^2/(4 t n).  The bracket inside v
-    has a removable singularity at beta=0 (limit 25/12); below beta=0.1 it is
-    evaluated by its series, which agrees with the closed form to ~1e-10 at
-    the switch.
+    has a removable singularity at beta=0 (limit 25/12); below beta=0.4 it is
+    evaluated by its series (m <= 32), where the closed form loses digits to
+    the cancelling 1/beta^4 and 1/beta^2 pieces (2.4e-12 relative in v at
+    beta=0.1).  Both branches hold v to about 2e-16 at the switch.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError("ho_ntv needs 0 <= beta < 1")
@@ -245,7 +246,7 @@ def ho_ntv(beta):
     omb = 1.0 - b2
     n = 33.0 / 16.0 + (33.0 - 22.0 * b2 + 5.0 * b2 * b2) / (16.0 * omb**3)
     t = 21.0 / 8.0 - 1.5 * b2 + (21.0 - 6.0 * b2 + b2 * b2) / (8.0 * omb**3)
-    if beta < 0.1:
+    if beta < 0.4:
         # bracket = 1 - 5 b2/8 + (1/4) sum_{m>=3} d_m b2^{m-3},
         # d_m = sum_i binom-poly[i]/(m-i); the m=1,2 terms cancel the
         # 1/(4 beta^4) and 7/(8 beta^2) singular pieces exactly

@@ -1,9 +1,9 @@
 """Shared domain types, unit conventions, and dissociation thresholds.
 
 Everything internal is in natural units: m = hbar = e^2 = 1, so energies come
-in units of m e^4 / hbar^2 (~27.211 eV) and lengths in Bohr radii.  An
-infinitely massive particle is encoded by inverse mass 0, which keeps every
-formula finite and branch-free.
+in units of m e^4 / hbar^2 (the hartree, 27.211386 eV) and lengths in Bohr
+radii.  An infinitely massive particle is encoded by inverse mass 0, which
+keeps every formula finite and branch-free.
 """
 
 import math
@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-
-HARTREE_EV = 27.211
 
 NATURAL = "natural"      # scalar 0+ sector
 UNNATURAL = "unnatural"  # vector 1+ sector (threshold is the 2p atom)
@@ -150,10 +148,6 @@ def threshold_for(spec: SystemSpec) -> TwoBodyThreshold:
 
     e0, mu, lab = min(atoms(n0, n1), atoms(n1, n0), key=lambda r: r[0])
     return TwoBodyThreshold(mu=mu, e_ground=e0, e_2p=e0 / 4.0, label=lab)
-
-
-def natural_to_ev(e: float) -> float:
-    return e * HARTREE_EV
 
 
 def hminus_spec(z: float = 1.0, mass_ratio: float = float("inf"),

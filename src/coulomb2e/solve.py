@@ -7,11 +7,12 @@ matrix elements.  Every eigensolve reduces the overlap the same way
 energy, its coefficients and its virial ratio come from one pencil.  For a
 scale-closed family the optimal scale is analytic (single term) or a
 one-dimensional bounded search over the lowest eigenvalue of the reduced
-lam^2 T + lam V (multi-term).  Every three-body simplex runs through
-`_search3`.  The simplex walks the raw ranges, so the overall scale is a
-flat direction of every search; the three closed-form two-parameter searches
-(two-range, min-max, shell model) would need only the range ratio (ROADMAP
-item 4), as the critical-charge scan already does.
+lam^2 T + lam V (multi-term), so a search needs only the shape.  A
+one-parameter shape goes to `_grid_min`: min-max, the critical charge and
+the mass scans (and the frozen scan); the single correlated term fixes a = 1.
+Every three-body simplex runs through `_search3`.  The N-term bases,
+`scan_mass4` and Table I's two-range and shell-model searches still walk
+raw ranges, the scale a flat direction (ROADMAP item 4).
 
 Only numpy runs here: `_fminbound`, `_nelder_mead` and `_brentq` port
 scipy's bounded Brent, Nelder-Mead and brentq step for step, to the bit.
@@ -26,8 +27,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 
 from .model import (MatBlock, SystemSpec, VariationalResult, NATURAL,
-                    UNNATURAL, STABILITY_TOL, threshold_for, hminus_spec,
-                    ps2_spec)
+                    STABILITY_TOL, threshold_for, hminus_spec, ps2_spec)
 from . import matel3, matel4
 
 _BIG = 1e6
@@ -38,13 +38,8 @@ class NonConvergenceError(RuntimeError):
 
 
 class CancellationError(ValueError):
-    """A vector-sector basis whose overlap is too ill-conditioned to trust.
-
-    The 1+ matrix elements are accurate to round-off, but a nearly
-    dependent basis amplifies their last bits into fake binding of order
-    1e-5, exactly the scale of the physics; `_un_lowest` refuses such a
-    basis (`_UN_COND_CAP`) rather than return its energy.
-    """
+    """A vector-sector basis whose overlap is too ill-conditioned to trust;
+    `_un_lowest` refuses it (`_UN_COND_CAP`) rather than return its energy."""
 
 
 @dataclass(frozen=True)
@@ -56,8 +51,10 @@ class MinimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.f_tol <= 0 or self.x_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.f_tol < math.inf and 0 < self.x_tol < math.inf):
+            raise ValueError("tolerances must be finite and > 0")
+        if self.max_iter < 1 or self.restarts < 1:
+            raise ValueError("max_iter and restarts must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +177,22 @@ def _fminbound(f, a, b, xatol):
     return xf, fx, num
 
 
+def _grid_min(f, grid, xatol=1e-10):
+    """Lowest minimum of f over a sorted grid's span: (x, f(x), grid values).
+
+    `_fminbound` refines the two cells around every grid-local minimum, the
+    edges included, not just the best one: near the two-range critical
+    charge the t -> 0 valley and the interior minimum lie a cell apart.
+    """
+    grid = [float(x) for x in grid]
+    fs, last = [f(x) for x in grid], len(grid) - 1
+    lows = [i for i in range(last + 1) if (i == 0 or fs[i] < fs[i - 1])
+            and (i == last or fs[i] <= fs[i + 1])]
+    x, fx, _ = min((_fminbound(f, grid[max(i - 1, 0)], grid[min(i + 1, last)],
+                               xatol) for i in lows), key=lambda r: r[1])
+    return x, fx, fs
+
+
 def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
     """k-th eigenvalue minimized over the overall scale of the basis.
 
@@ -192,7 +205,7 @@ def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
     one.  The curated starts and the printed energies were tuned with this
     search, and a global reduction steers the simplex of the N = 2 H- solve
     into an ill-conditioned basin that ends above the Table II value
-    (ROADMAP item 1).  Each step calls the gufunc behind np.linalg.eigvalsh
+    (ROADMAP item 5).  Each step calls the gufunc behind np.linalg.eigvalsh
     (LAPACK dsyevd, lower triangle) without its wrapper: eigvalsh's values to
     the bit.  A failed dsyevd leaves NaN, which raises LinAlgError.
     """
@@ -353,7 +366,7 @@ def _rows3(x):
     return [tuple(x[i:i + 3]) for i in range(0, len(x), 3)]
 
 
-def _search3(spec, x0, config, k=0, unpack=_rows3, symmetrize=True):
+def _search3(spec, x0, config, k=0, unpack=_rows3):
     """Simplex search of the k-th state of a three-body basis from x0.
 
     `unpack` maps a simplex point to basis terms, or to None outside its
@@ -367,8 +380,7 @@ def _search3(spec, x0, config, k=0, unpack=_rows3, symmetrize=True):
         if terms is None or not _valid3(terms, min_sum):
             return _BIG
         if spec.sector == NATURAL:
-            return scaled_lowest(matel3.natural_matblock(terms, spec, symmetrize),
-                                 k=k)[0]
+            return scaled_lowest(matel3.natural_matblock(terms, spec), k=k)[0]
         return _un_lowest(terms, spec, k=k)[0]
 
     return minimize_nm(obj, x0, config)
@@ -440,12 +452,9 @@ def optimize_ion(spec: SystemSpec, n_terms: int, config: MinimizerConfig,
                  k: int = 0) -> VariationalResult:
     """Best variational energy of a three-body spec with an n-term basis.
 
-    Single terms are shaped by the simplex directly.  Multi-term bases
-    polish all 3n ranges from curated seeds (vector-sector seeds come from a
-    short arithmetic progression when no curated set exists).  The vector
-    sector's elements do not cancel, but a basis past the overlap condition
-    cap (`_UN_COND_CAP`) is refused: the free simplex otherwise mines float
-    noise near degenerate bases for fake binding at the 1e-5 level.
+    The simplex polishes all 3n ranges from curated seeds (vector-sector
+    seeds come from a short arithmetic progression when no curated set
+    exists); a 1+ basis past the overlap condition cap is refused.
     """
     if spec.is_four_body:
         raise ValueError("optimize_ion needs a three-body spec")
@@ -528,10 +537,17 @@ def optimize_chandrasekhar(z, config: MinimizerConfig, epsilon=+1):
     return e, (max(a, b), min(a, b)), info
 
 
-def optimize_minmax(z, config: MinimizerConfig):
-    """Minimize the piecewise min/max exponential over its two ranges."""
-    return _shape_search(lambda a, b: matel3.minmax_ntv(a, b, z), (1.1, 0.5),
-                         config)
+def optimize_minmax(z):
+    """Minimize the piecewise min/max exponential over its shape t = b/a on a
+    log grid over [1e-3, 1e3]: (energy, (a, b)) at physical ranges.  A shape
+    with V >= 0 has no bound scale and counts as its infimum over it, 0."""
+    def e_of(t):
+        n, tk, v = matel3.minmax_ntv(1.0, t, z)
+        return virial_reduce(n, tk, v)[0] if v < 0 else 0.0
+
+    t, e, _ = _grid_min(e_of, np.geomspace(1e-3, 1e3, 61))
+    lam = virial_reduce(*matel3.minmax_ntv(1.0, t, z))[1]
+    return e, (lam, lam * t)
 
 
 def optimize_shellmodel(z, config: MinimizerConfig):
@@ -541,13 +557,16 @@ def optimize_shellmodel(z, config: MinimizerConfig):
 
 
 def optimize_single_term(z, config: MinimizerConfig, epsilon, tie_ab):
-    """Minimize the one-term correlated energy over (a, b, c); tie_ab ties
-    a = b.  Returns (energy, (a, b, c), info)."""
-    unpack = (lambda p: [(p[0], p[0], p[1])]) if tie_ab else _rows3
-    x0 = [0.85 * z, 0.1 * z] if tie_ab else [1.04 * z, 0.28 * z, 0.05 * z]
-    x, e, info = _search3(hminus_spec(z=z, epsilon=epsilon), x0, config,
+    """Minimize the one-term correlated energy over its shape at a = 1: the
+    simplex walks c/a if tie_ab ties b = a, else (b/a, c/a).  Returns
+    (energy, (a, b, c), info) with the physical ranges lam * (1, b/a, c/a)."""
+    unpack = lambda p: [(1.0, 1.0, p[0]) if tie_ab else (1.0, *p)]
+    spec = hminus_spec(z=z, epsilon=epsilon)
+    x, e, info = _search3(spec, [0.12] if tie_ab else [0.27, 0.05], config,
                           unpack=unpack)
-    return e, unpack(x)[0], info
+    term = unpack(x)[0]
+    lam = scaled_lowest(matel3.natural_matblock([term], spec))[1]
+    return e, tuple(float(lam * r) for r in term), info
 
 
 # ---------------------------------------------------------------------------
@@ -569,12 +588,8 @@ def scan_frozen(z):
         n, t, v = matel3.chandrasekhar_ntv(z, b, z, +1)
         return (t + v) / n
 
-    rows = [(float(b), float(e_of(b))) for b in b_grid]
-    i0 = int(np.argmin([e for _, e in rows]))
-    lo = b_grid[max(0, i0 - 1)]
-    hi = b_grid[min(len(b_grid) - 1, i0 + 1)]
-    b0, e0, _ = _fminbound(e_of, float(lo), float(hi), 1e-10)
-    return rows, (float(b0), float(e0))
+    b0, e0, es = _grid_min(e_of, b_grid)
+    return list(zip(b_grid.tolist(), es)), (b0, e0)
 
 
 def scan_contour(z, a_range=(0.2, 2.0), b_range=(0.05, 1.2), grid=(61, 61)):
@@ -647,8 +662,8 @@ def scan_charge(basis, z_lo=0.85, z_hi=1.3):
 
     The margin is the family's optimal energy above the threshold -Z^2/2.
     The product families have closed forms.  The two-exponential energy is
-    scale-invariant, so a = 1 loses nothing and its optimum is one bounded
-    search over the shape t = b/a in [1e-3, 1].  The default bracket
+    scale-invariant, so a = 1 loses nothing and its optimum is one
+    `_grid_min` over the shape t = b/a in [1e-3, 1].  The default bracket
     straddles the roots of all three families.
     """
     if basis == "perturbative":
@@ -656,8 +671,8 @@ def scan_charge(basis, z_lo=0.85, z_hi=1.3):
     elif basis == "effective":
         energy = lambda zz: matel3.energy_effective_charge(zz)[0]
     elif basis == "chandrasekhar":
-        energy = lambda zz: _fminbound(
-            lambda t: chandrasekhar_energy(1.0, t, zz), 1e-3, 1.0, 1e-10)[1]
+        energy = lambda zz: _grid_min(lambda t: chandrasekhar_energy(1.0, t, zz),
+                                      np.geomspace(1e-3, 1.0, 31))[1]
     else:
         raise ValueError(f"unknown basis {basis!r}")
 
@@ -669,69 +684,59 @@ def scan_charge(basis, z_lo=0.85, z_hi=1.3):
     return _brentq(margin, z_lo, z_hi)
 
 
-def _two_range(p, both_orders):
-    """The mass scans' terms at p = (a, b): (a, b, 0), and (b, a, 0) as a
-    separate vector if both_orders.  None when a <= 0.01 or b <= 0.005; the
-    asymmetric-mass optima run toward b -> 0, and the pair-sum floor alone
-    would let them go further.
-    """
-    a, b = p
-    if a <= 0.01 or b <= 0.005:
-        return None
-    return [(a, b, 0.0), (b, a, 0.0)] if both_orders else [(a, b, 0.0)]
+def _pair_scan(ratio, spec, symmetrize):
+    """Mass-scan record of the two-range pair's lowest energy over its shape
+    t = b/a in [1e-4, 1] at a = 1, with the physical ranges as `params`:
+    (1, t, 0) exchange-symmetrized, or else (1, t, 0) and (t, 1, 0) as two
+    vectors.  Up to scale, t -> 1/t maps either basis onto itself."""
+    def block(t):
+        terms = [(1.0, t, 0.0)] if symmetrize else [(1.0, t, 0.0), (t, 1.0, 0.0)]
+        return matel3.natural_matblock(terms, spec, symmetrize)
+
+    t, e, _ = _grid_min(lambda t: scaled_lowest(block(t))[0],
+                        np.geomspace(1e-4, 1.0, 41))
+    lam = scaled_lowest(block(t))[1]
+    thr = threshold_for(spec)
+    return {"ratio": ratio, "energy": e, "threshold": thr.e_ground,
+            "margin": (thr.e_ground - e) / abs(thr.e_ground),
+            "stable": bool(e < thr.e_ground - STABILITY_TOL),
+            "mu": thr.mu, "params": [lam, lam * t]}
 
 
-def scan_mass3(mass_ratios, config: MinimizerConfig):
+def scan_mass3(mass_ratios):
     """Finite central mass M/m > 0 (inf allowed) along H-'s two-range optimum.
 
-    Returns one record per ratio with the optimized energy, the threshold,
-    the relative margin, and the measured recoil cross-term expectation
-    (which must vanish to round-off for these angle-independent bases).
+    One `_pair_scan` record per ratio, plus the measured recoil cross-term
+    expectation (which must vanish to round-off for these angle-independent
+    bases); `mu` is the atom's reduced mass.
     """
     out = []
     specs = [hminus_spec(mass_ratio=ratio) for ratio in mass_ratios]
     for ratio, spec in zip(mass_ratios, specs):
-        im0 = spec.inv_masses[0]
-        mu = 1.0 / (1.0 + im0)
-        x, e, _ = _search3(spec, [1.04 * mu, 0.28 * mu], config,
-                           unpack=lambda p: _two_range(p, False))
-        terms = _two_range(x, False)
-        block = matel3.natural_matblock(terms, spec)
-        he = matel3.hughes_eckart_matrix(terms, spec)[0, 0] / block.n_mat[0, 0]
-        thr = threshold_for(spec)
-        out.append({"ratio": ratio, "energy": e, "mu": mu,
-                    "threshold": thr.e_ground,
-                    "margin": (thr.e_ground - e) / abs(thr.e_ground),
-                    "he_expectation": float(he * im0),
-                    "params": [float(x[0]), float(x[1])]})
+        rec = _pair_scan(ratio, spec, True)
+        terms, im0 = [(*rec["params"], 0.0)], spec.inv_masses[0]
+        he = (matel3.hughes_eckart_matrix(terms, spec)[0, 0]
+              / matel3.natural_matblock(terms, spec).n_mat[0, 0])
+        out.append({**rec, "he_expectation": float(he * im0)})
     return out
 
 
-def scan_asym3(ratios, config: MinimizerConfig):
+def scan_asym3(ratios):
     """Unequal negative masses (finite m2/m1 > 0) at fixed average inverse
     mass around H-'s infinite center.
 
     The basis is the two-exponential pair *without* exchange symmetrization
     (the particles are distinguishable): both orderings enter as independent
-    basis vectors and the eigensolver picks the mixing.
+    basis vectors and the eigensolver picks the mixing.  Where the pair does
+    not bind, its optimum is the t = 1e-4 grid edge: a hydrogen-like atom
+    and a far electron, just above the threshold.
     """
     for r in ratios:
         if not 0 < r < math.inf:
             raise ValueError(f"mass ratio {r} must be finite and > 0")
-    out = []
-    warm = [1.04, 0.28]
-    for r in ratios:
-        im1, im2 = 2.0 * r / (1.0 + r), 2.0 / (1.0 + r)
-        spec = SystemSpec(inv_masses=(0.0, im1, im2), z_central=1.0)
-        x, e, _ = _search3(spec, warm, config, symmetrize=False,
-                           unpack=lambda p: _two_range(p, True))
-        warm = list(x)
-        thr = threshold_for(spec)
-        out.append({"ratio": r, "energy": e, "threshold": thr.e_ground,
-                    "margin": (thr.e_ground - e) / abs(thr.e_ground),
-                    "stable": bool(e < thr.e_ground - STABILITY_TOL),
-                    "params": [float(x[0]), float(x[1])]})
-    return out
+    return [_pair_scan(r, SystemSpec(inv_masses=(0.0, 2.0 * r / (1.0 + r),
+                                                 2.0 / (1.0 + r)),
+                                     z_central=1.0), False) for r in ratios]
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ def test_criterion_05_table2_rows():
 
 
 def test_criterion_06_minmax():
-    e_mm, _, _ = solve.optimize_minmax(1.0, CFG)
+    e_mm, _ = solve.optimize_minmax(1.0)
     e_ch, _, _ = solve.optimize_chandrasekhar(1.0, CFG)
     ok = abs(e_mm + 0.506) <= 1e-3 and e_mm > e_ch
     _verdict(6, ok, f"min-max optimum {e_mm:.5f} (above two-range {e_ch:.5f})")
@@ -200,7 +200,7 @@ def test_criterion_07_two_range_zc_mpmath():
 
 def test_criterion_08_mass_scaling():
     e_inf, _, _ = solve.optimize_chandrasekhar(1.0, CFG)
-    recs = solve.scan_mass3([1.0, 10.0, 1836.0], CFG)
+    recs = solve.scan_mass3([1.0, 10.0, 1836.0])
     ok = True
     for r in recs:
         want = r["mu"] * e_inf

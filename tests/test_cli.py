@@ -176,14 +176,14 @@ def test_tables_rows_matching_nothing(capsys):
     ["scan", "contour", "--grid", "0"],
 ], ids=" ".join)
 def test_bad_numbers_are_usage_errors(argv, monkeypatch, capsys):
+    # neither a simplex nor a scale search runs before the input is checked
     searches = []
-    real = solve.minimize_nm
+    for name in ("minimize_nm", "scaled_lowest"):
+        def spy(*a, _real=getattr(solve, name), **k):
+            searches.append(a)
+            return _real(*a, **k)
 
-    def spy(*a, **k):
-        searches.append(a)
-        return real(*a, **k)
-
-    monkeypatch.setattr(solve, "minimize_nm", spy)
+        monkeypatch.setattr(solve, name, spy)
     assert run(argv) == cli.EXIT_USAGE
     assert searches == []
     out, err = capsys.readouterr()
@@ -260,6 +260,8 @@ def test_molecule_meta_reports_the_search(capsys):
     (["scan", "frozen", "--z", "1", "--format", "csv"], "scan_frozen_z1.csv"),
     (["scan", "charge", "--basis", "perturbative", "--format", "csv"],
      "scan_charge_perturbative.csv"),
+    (["scan", "charge", "--basis", "chandrasekhar", "--format", "csv"],
+     "scan_charge_chandrasekhar.csv"),
 ])
 def test_golden_outputs(argv, name, capsys):
     assert run(argv) == cli.EXIT_OK

@@ -199,10 +199,30 @@ def test_ho_reduced_vs_assembler():
 
 
 def test_ho_series_matches_closed_form_at_switch():
-    lo = matel4.ho_ntv(0.0999999)
-    hi = matel4.ho_ntv(0.1000001)
+    lo = matel4.ho_ntv(0.3999999)
+    hi = matel4.ho_ntv(0.4000001)
     for x, y in zip(lo, hi):
         assert x == pytest.approx(y, rel=1e-6)
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.1, 0.1001, 0.2, 0.3, 0.4, 0.45,
+                                  0.5, 0.695])
+def test_ho_ntv_vs_mpmath(beta):
+    # the closed form in 50-digit arithmetic: below beta = 0.4 the float
+    # closed form of v loses digits to its cancelling 1/beta^4 and 1/beta^2
+    # pieces (2.4e-12 at beta = 0.1), so the series branch must cover it
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        b2 = mp.mpf(beta) ** 2
+        omb = 1 - b2
+        n = mp.mpf(33) / 16 + (33 - 22 * b2 + 5 * b2**2) / (16 * omb**3)
+        t = mp.mpf(21) / 8 - 3 * b2 / 2 + (21 - 6 * b2 + b2**2) / (8 * omb**3)
+        bracket = (1 - 5 * b2 / 8 - 1 / (4 * b2**2) + 7 / (8 * b2)
+                   + omb**4 / (4 * b2**3) * mp.log(1 / omb))
+        v = (mp.mpf(19) / 6 + (21 - 18 * b2 + 5 * b2**2) / (4 * omb**3)
+             - bracket / omb**2)
+    for got, ref in zip(matel4.ho_ntv(beta), (n, t, v)):
+        assert abs(got - float(ref)) <= 1e-14 * abs(float(ref))
 
 
 def test_ho_domain():

@@ -4,8 +4,7 @@ import pytest
 
 from coulomb2e import solve
 from coulomb2e.model import (SystemSpec, TwoBodyThreshold, NATURAL, UNNATURAL,
-                             threshold_for, hminus_spec, ps2_spec,
-                             natural_to_ev, HARTREE_EV)
+                             threshold_for, hminus_spec, ps2_spec)
 
 
 def test_three_body_spec_shape():
@@ -93,7 +92,3 @@ def test_e_relevant_sector_switch():
     thr = TwoBodyThreshold(mu=1.0, e_ground=-0.5, e_2p=-0.125, label="t")
     assert thr.e_relevant(NATURAL) == -0.5
     assert thr.e_relevant(UNNATURAL) == -0.125
-
-
-def test_unit_conversion():
-    assert natural_to_ev(1.0) == HARTREE_EV

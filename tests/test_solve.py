@@ -9,7 +9,7 @@ import scipy.linalg as sla
 from scipy.optimize import brentq, minimize, minimize_scalar
 
 from coulomb2e import matel3, matel4, solve
-from coulomb2e.model import MatBlock, hminus_spec, UNNATURAL
+from coulomb2e.model import MatBlock, SystemSpec, hminus_spec, UNNATURAL
 from coulomb2e.solve import (MinimizerConfig, NonConvergenceError,
                              chandrasekhar_energy, gen_eig, minimize_nm,
                              scaled_lowest, virial_reduce)
@@ -262,17 +262,85 @@ def _captured_objectives(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("scan", [solve.scan_mass3, solve.scan_asym3])
-def test_mass_scans_keep_their_box(scan, monkeypatch):
-    # the box a <= 0.01 or b <= 0.005 refuses points the pair-sum floor
-    # would let through
-    seen = _captured_objectives(monkeypatch)
-    scan([1.5], LIGHT)
-    obj, = seen
-    for p in ([0.01, 0.3], [0.3, 0.005], [-0.2, 0.3]):
-        assert obj(np.array(p)) == solve._BIG
-    for p in ([0.011, 0.3], [0.3, 0.006]):
-        assert obj(np.array(p)) < 0
+def test_grid_min_refines_every_local_minimum():
+    # the best grid point sits in the shallow basin; the deeper one lies
+    # inside the edge cell [0, 0.1], whose grid point is only a local minimum
+    f = lambda x: min((x - 0.55) ** 2 - 0.01, 50 * (x - 0.03) ** 2 - 0.02)
+    grid = np.linspace(0.0, 1.0, 11)
+    x, fx, fs = solve._grid_min(f, grid)
+    assert fs == [f(g) for g in grid]
+    assert min(fs) > -0.01
+    assert x == pytest.approx(0.03, abs=1e-7)
+    assert fx == pytest.approx(-0.02, abs=1e-12)
+
+
+def test_shape_searches_run_no_simplex(monkeypatch):
+    # the mass scans and min-max search their shape alone; no simplex
+    # walks the overall scale
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimize_nm called")
+
+    monkeypatch.setattr(solve, "minimize_nm", refuse)
+    assert len(solve.scan_mass3([1.0, 10.0])) == 2
+    assert len(solve.scan_asym3([1.0, 2.0])) == 2
+    assert solve.optimize_minmax(1.0)[0] < -0.5
+
+
+@pytest.mark.parametrize("scan, ratio", [
+    (solve.scan_mass3, 1.0), (solve.scan_mass3, 1836.0),
+    (solve.scan_asym3, 1.05), (solve.scan_asym3, 1.5)])
+def test_mass_scans_return_physical_ranges(scan, ratio):
+    rec, = scan([ratio])
+    a, b = rec["params"]
+    if scan is solve.scan_mass3:
+        block = matel3.natural_matblock([(a, b, 0.0)],
+                                        hminus_spec(mass_ratio=ratio))
+    else:
+        spec = SystemSpec(inv_masses=(0.0, 2 * ratio / (1 + ratio),
+                                      2 / (1 + ratio)), z_central=1.0)
+        block = matel3.natural_matblock([(a, b, 0.0), (b, a, 0.0)], spec,
+                                        symmetrize=False)
+    e, lam = scaled_lowest(block)
+    assert lam == pytest.approx(1.0, abs=1e-6)
+    assert e == pytest.approx(rec["energy"], rel=1e-12)
+
+
+def test_scan_mass3_keeps_its_energies():
+    # the values of the former two-range simplex at these ratios
+    want = [-0.2566514427317631, -0.4666389867850237, -0.5130234609205411]
+    for rec, e in zip(solve.scan_mass3([1.0, 10.0, 1836.0]), want):
+        assert rec["energy"] == pytest.approx(e, rel=1e-9)
+
+
+def test_scan_asym3_critical_ratio_lies_between_1_06_and_1_07():
+    # the pair binds at 1.05 and 1.06; from 1.07 on its optimum is the
+    # t -> 0 edge, a hydrogen-like atom and a far electron, just above
+    # threshold
+    recs = solve.scan_asym3([1.0, 1.05, 1.06, 1.07, 1.1])
+    e = [r["energy"] for r in recs]
+    assert e[0] == pytest.approx(-0.5133028855, rel=1e-9)
+    assert e[1] == pytest.approx(-0.5151546395, rel=1e-9)
+    assert [r["stable"] for r in recs] == [True, True, True, False, False]
+    for r in recs[3:]:
+        assert -1e-6 < r["margin"] <= 0
+    assert e[4] <= -0.52499
+
+
+@pytest.mark.parametrize("tie_ab, z, epsilon, want", [
+    (True, 1.0, +1, -0.5079008655475303), (True, 2.0, +1, -2.889618205352145),
+    (False, 1.0, +1, -0.5238659297754874), (False, 2.0, +1, -2.899534375468239),
+    (False, 2.0, -1, -2.1615259627826404)])
+def test_single_term_searches_its_shape(tie_ab, z, epsilon, want):
+    # a = 1 fixes the scale; the physical ranges are at the optimal scale,
+    # and the energy is the former raw-range simplex's or lower
+    cfg = MinimizerConfig(restarts=2, max_iter=1200)
+    e, (a, b, c), _ = solve.optimize_single_term(z, cfg, epsilon, tie_ab)
+    assert (a == b) == tie_ab
+    e2, lam = scaled_lowest(matel3.natural_matblock(
+        [(a, b, c)], hminus_spec(z=z, epsilon=epsilon)))
+    assert lam == pytest.approx(1.0, abs=1e-6)
+    assert e2 == pytest.approx(e, rel=1e-12)
+    assert e <= want + 1e-9 * abs(want)
 
 
 def test_natural_ion_search_refuses_small_pair_sums(monkeypatch):
@@ -429,6 +497,15 @@ def test_refusals_are_counted_by_class():
     assert info["refused_domain"] >= 1
 
 
+@pytest.mark.parametrize("bad", [
+    {"restarts": 0}, {"restarts": -3}, {"max_iter": 0},
+    {"f_tol": 0.0}, {"f_tol": math.nan}, {"x_tol": -1e-8},
+    {"x_tol": math.nan}, {"x_tol": math.inf}])
+def test_minimizer_config_rejects_what_it_cannot_honour(bad):
+    with pytest.raises(ValueError):
+        MinimizerConfig(**bad)
+
+
 def test_minimize_nm_deterministic():
     def obj(x):
         return (x[0] - 1.3) ** 2 + (x[1] + 0.4) ** 2 + 0.1 * x[0] * x[1]
@@ -486,9 +563,27 @@ def test_optimize_chandrasekhar_returns_physical_ranges(eps):
 
 
 def test_optimize_minmax_above_chandrasekhar():
-    e_mm, _, _ = solve.optimize_minmax(1.0, CFG)
+    e_mm, _ = solve.optimize_minmax(1.0)
     assert e_mm == pytest.approx(-0.50648, abs=2e-4)
     assert e_mm > -0.51330
+
+
+@pytest.mark.parametrize("z, want", [(1.0, -0.5064752788801143),
+                                     (2.0, -2.8727294182584338)])
+def test_optimize_minmax_returns_physical_ranges(z, want):
+    e, (a, b) = solve.optimize_minmax(z)
+    assert e == pytest.approx(want, rel=1e-9)
+    e2, lam = virial_reduce(*matel3.minmax_ntv(a, b, z))
+    assert lam == pytest.approx(1.0, abs=1e-12)
+    assert e2 == pytest.approx(e, rel=1e-12)
+
+
+def test_optimize_minmax_weak_charge_is_unbound():
+    # shapes with V >= 0 have no bound scale and count as 0 rather than
+    # raise; the optimum is the t -> 0 edge, just above threshold -z^2/2
+    e, (a, b) = solve.optimize_minmax(0.3)
+    assert -0.045 < e < -0.044
+    assert b / a == pytest.approx(1e-3)
 
 
 def test_optimize_ion_triplet_helium():
@@ -513,7 +608,7 @@ def test_scan_contour_exchange_symmetric():
 
 
 def test_scan_asym3_symmetric_point_matches_pair():
-    recs = solve.scan_asym3([1.0], LIGHT)
+    recs = solve.scan_asym3([1.0])
     assert recs[0]["energy"] == pytest.approx(-0.51330, abs=5e-4)
     assert recs[0]["stable"]
 

@@ -236,9 +236,8 @@ def ho_ntv(beta):
     v is the magnitude of the (attractive-dominated) potential expectation:
     the reduced energy of the family is -v^2/(4 t n).  The bracket inside v
     has a removable singularity at beta=0 (limit 25/12); below beta=0.4 it is
-    evaluated by its series (m <= 32), where the closed form loses digits to
-    the cancelling 1/beta^4 and 1/beta^2 pieces (2.4e-12 relative in v at
-    beta=0.1).  Both branches hold v to about 2e-16 at the switch.
+    evaluated by its series (m <= 32): the closed form's 1/beta^4 and 1/beta^2
+    pieces cancel (2.4e-12 relative in v at 0.1); both give ~2e-16 at 0.4.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError("ho_ntv needs 0 <= beta < 1")

@@ -38,8 +38,13 @@ class NonConvergenceError(RuntimeError):
 
 
 class CancellationError(ValueError):
-    """A vector-sector basis whose overlap is too ill-conditioned to trust;
-    `_un_lowest` refuses it (`_UN_COND_CAP`) rather than return its energy."""
+    """A vector-sector basis whose overlap is too ill-conditioned to trust.
+
+    The 1+ matrix elements are accurate to round-off, but a nearly
+    dependent basis amplifies their last bits into fake binding of order
+    1e-5, exactly the scale of the physics; `_un_lowest` refuses such a
+    basis (`_UN_COND_CAP`) rather than return its energy.
+    """
 
 
 @dataclass(frozen=True)
@@ -177,7 +182,7 @@ def _fminbound(f, a, b, xatol):
     return xf, fx, num
 
 
-def _grid_min(f, grid, xatol=1e-10):
+def _grid_min(f, grid):
     """Lowest minimum of f over a sorted grid's span: (x, f(x), grid values).
 
     `_fminbound` refines the two cells around every grid-local minimum, the
@@ -189,7 +194,7 @@ def _grid_min(f, grid, xatol=1e-10):
     lows = [i for i in range(last + 1) if (i == 0 or fs[i] < fs[i - 1])
             and (i == last or fs[i] <= fs[i + 1])]
     x, fx, _ = min((_fminbound(f, grid[max(i - 1, 0)], grid[min(i + 1, last)],
-                               xatol) for i in lows), key=lambda r: r[1])
+                               1e-10) for i in lows), key=lambda r: r[1])
     return x, fx, fs
 
 
@@ -452,9 +457,12 @@ def optimize_ion(spec: SystemSpec, n_terms: int, config: MinimizerConfig,
                  k: int = 0) -> VariationalResult:
     """Best variational energy of a three-body spec with an n-term basis.
 
-    The simplex polishes all 3n ranges from curated seeds (vector-sector
-    seeds come from a short arithmetic progression when no curated set
-    exists); a 1+ basis past the overlap condition cap is refused.
+    Single terms are shaped by the simplex directly.  Multi-term bases
+    polish all 3n ranges from curated seeds (vector-sector seeds come from a
+    short arithmetic progression when no curated set exists).  The vector
+    sector's elements do not cancel, but a basis past the overlap condition
+    cap (`_UN_COND_CAP`) is refused: the free simplex otherwise mines float
+    noise near degenerate bases for fake binding at the 1e-5 level.
     """
     if spec.is_four_body:
         raise ValueError("optimize_ion needs a three-body spec")
@@ -539,13 +547,14 @@ def optimize_chandrasekhar(z, config: MinimizerConfig, epsilon=+1):
 
 def optimize_minmax(z):
     """Minimize the piecewise min/max exponential over its shape t = b/a on a
-    log grid over [1e-3, 1e3]: (energy, (a, b)) at physical ranges.  A shape
+    log grid over [1e-12, 1e3]: (energy, (a, b)) at physical ranges.  An
+    unbound z ends at the t -> 0 edge, z (1 - z) t above -z^2/2.  A shape
     with V >= 0 has no bound scale and counts as its infimum over it, 0."""
     def e_of(t):
         n, tk, v = matel3.minmax_ntv(1.0, t, z)
         return virial_reduce(n, tk, v)[0] if v < 0 else 0.0
 
-    t, e, _ = _grid_min(e_of, np.geomspace(1e-3, 1e3, 61))
+    t, e, _ = _grid_min(e_of, np.geomspace(1e-12, 1e3, 151))
     lam = virial_reduce(*matel3.minmax_ntv(1.0, t, z))[1]
     return e, (lam, lam * t)
 
@@ -676,9 +685,7 @@ def scan_charge(basis, z_lo=0.85, z_hi=1.3):
     else:
         raise ValueError(f"unknown basis {basis!r}")
 
-    def margin(zz):
-        return energy(zz) + 0.5 * zz * zz
-
+    margin = lambda zz: energy(zz) + 0.5 * zz * zz
     if not (margin(z_lo) > 0 > margin(z_hi)):
         raise NonConvergenceError("charge bracket does not straddle the margin")
     return _brentq(margin, z_lo, z_hi)
@@ -704,12 +711,10 @@ def _pair_scan(ratio, spec, symmetrize):
 
 
 def scan_mass3(mass_ratios):
-    """Finite central mass M/m > 0 (inf allowed) along H-'s two-range optimum.
-
-    One `_pair_scan` record per ratio, plus the measured recoil cross-term
-    expectation (which must vanish to round-off for these angle-independent
-    bases); `mu` is the atom's reduced mass.
-    """
+    """Finite central mass M/m > 0 (inf allowed) along H-'s two-range optimum:
+    one `_pair_scan` record per ratio (`mu` the atom's reduced mass) plus the
+    recoil cross-term expectation, which must vanish to round-off for these
+    angle-independent bases."""
     out = []
     specs = [hminus_spec(mass_ratio=ratio) for ratio in mass_ratios]
     for ratio, spec in zip(mass_ratios, specs):
@@ -723,14 +728,9 @@ def scan_mass3(mass_ratios):
 
 def scan_asym3(ratios):
     """Unequal negative masses (finite m2/m1 > 0) at fixed average inverse
-    mass around H-'s infinite center.
-
-    The basis is the two-exponential pair *without* exchange symmetrization
-    (the particles are distinguishable): both orderings enter as independent
-    basis vectors and the eigensolver picks the mixing.  Where the pair does
-    not bind, its optimum is the t = 1e-4 grid edge: a hydrogen-like atom
-    and a far electron, just above the threshold.
-    """
+    mass around H-'s infinite center: the distinguishable particles' pair is
+    not exchange-symmetrized (`_pair_scan`).  An unbound ratio ends at the
+    t = 1e-4 edge: a hydrogen-like atom and a far electron, just above."""
     for r in ratios:
         if not 0 < r < math.inf:
             raise ValueError(f"mass ratio {r} must be finite and > 0")

@@ -302,6 +302,14 @@ def test_two_range_closed_forms_exact(family, a, b, z):
         assert abs(Fraction(float(got)) - want) <= Fraction(2e-15) * abs(want)
 
 
+# optimize_minmax's shape grid runs down to t = b/a = 1e-12
+@pytest.mark.parametrize("t", [1e-12, 1e-9, 1e-6])
+def test_minmax_exact_at_small_shape(t):
+    ref = _EXACT["minmax"][0](Fraction(1), Fraction(t), Fraction(0.5))
+    for got, want in zip(matel3.minmax_ntv(1.0, t, 0.5), ref):
+        assert abs(Fraction(float(got)) - want) <= Fraction(2e-15) * abs(want)
+
+
 def test_minmax_norm_vs_quadrature():
     nm = matel3.minmax_ntv(1.0, 0.3, 1.0)[0]
     qm = 2.0 * oracle.quad_minmax(2, 2, 2.0, 0.6)

@@ -582,8 +582,21 @@ def test_optimize_minmax_weak_charge_is_unbound():
     # shapes with V >= 0 have no bound scale and count as 0 rather than
     # raise; the optimum is the t -> 0 edge, just above threshold -z^2/2
     e, (a, b) = solve.optimize_minmax(0.3)
-    assert -0.045 < e < -0.044
-    assert b / a == pytest.approx(1e-3)
+    assert -0.045 <= e < -0.045 + 3e-13
+    assert b / a < 2e-12
+
+
+@pytest.mark.parametrize("z, former", [(0.5, -0.12499999999988558),
+                                       (0.7, -0.2449999999999543),
+                                       (0.9, -0.4049999999987239)])
+def test_optimize_minmax_unbound_charge_reaches_threshold(z, former):
+    # below Z = 1 the family's infimum is the t -> 0 limit, z (1 - z) t above
+    # -z^2/2 (minmax_ntv holds 3e-16 relative there); the grid's 1e-12 end
+    # puts the energy within 3e-13 of threshold, and within 2e-12 of the
+    # former two-parameter simplex search (`former`, default config)
+    e, _ = solve.optimize_minmax(z)
+    assert -0.5 * z * z <= e < -0.5 * z * z + 3e-13
+    assert e == pytest.approx(former, abs=2e-12)
 
 
 def test_optimize_ion_triplet_helium():

@@ -31,7 +31,7 @@ the swap (a,b,c) -> (b,a,c).  Element functions also take (P, 3) arrays of
 terms and then return P-vectors.
 """
 
-from functools import cache
+from functools import lru_cache
 from itertools import product
 from math import comb, factorial, sqrt
 
@@ -48,7 +48,7 @@ def f3(alpha, beta, gamma):
     return 4.0 / (s1 * s2 * s3)
 
 
-@cache
+@lru_cache(maxsize=64)   # a solve reuses one set; g3_table brings one per order
 def _plan(cols):
     """(powers, exps, coef): col[..., c] = sum_m coef[m, c] prod_n s_n^-powers[n, m],
     with the inverse-power table of s_n built from the exponents `exps`.
@@ -132,18 +132,17 @@ def coulomb3(pair, t, tp):
     return _cells_at(t, tp, (idx,))[idx]
 
 
-def kinetic3(particle, t, tp, G=None):
+def kinetic3(particle, t, tp):
     """<t| p_particle^2 |t'> (gradient form, exact closed combination of G).
 
     particle 1 sits at distance y=r1, particle 2 at x=r2, particle 3 is the
     center.  Diagonal coefficients use products of the two exponent sets; the
     off-diagonal bracket carries the angular average of the unit-vector dot
-    products, e.g. y^.z^ = (y^2+z^2-x^2)/(2yz).  `G` holds the _NTV_CELLS
-    moments at t + tp when the caller has them already.
+    products, e.g. y^.z^ = (y^2+z^2-x^2)/(2yz).
     """
     a, b, c = _split(t)
     ap, bp, cp = _split(tp)
-    G = _cells_at(t, tp, _NTV_CELLS) if G is None else G
+    G = _cells_at(t, tp, _NTV_CELLS)
     if particle == 1:
         return ((b * bp + c * cp) * G[1, 1, 1]
                 - 0.5 * (b * cp + bp * c) * (G[3, 0, 0] - G[1, 2, 0] - G[1, 0, 2]))
@@ -156,15 +155,15 @@ def kinetic3(particle, t, tp, G=None):
     raise ValueError("particle must be 1, 2 or 3")
 
 
-def he_cross(t, tp, G=None):
+def he_cross(t, tp):
     """<t| px . py |t'> — the recoil cross term of a finite-mass center.
 
     Zero (to round-off) whenever neither term depends on r12; asserted rather
-    than assumed by the finite-mass scan.  `G` as for kinetic3.
+    than assumed by the finite-mass scan.
     """
     _, b, c = _split(t)
     ap, _, cp = _split(tp)
-    G = _cells_at(t, tp, _NTV_CELLS) if G is None else G
+    G = _cells_at(t, tp, _NTV_CELLS)
     xy = 0.5 * (G[2, 0, 1] + G[0, 2, 1] - G[0, 0, 3])
     xz = 0.5 * (G[0, 3, 0] - G[2, 1, 0] - G[0, 1, 2])
     yz = -0.5 * (G[3, 0, 0] - G[1, 2, 0] - G[1, 0, 2])
@@ -172,14 +171,22 @@ def he_cross(t, tp, G=None):
 
 
 def _elements_ntv(u, v, z, invm):
-    """(overlap, kinetic, potential) for the ordered term pairs u, v."""
+    """(overlap, kinetic, potential) for the ordered term pairs u, v: the
+    expressions of kinetic3 (particles 1 and 2) and he_cross, inlined."""
     im0, im1, im2 = invm
-    G = _cells_at(u, v, _NTV_CELLS)
-    tt = (0.5 * (im1 + im0) * kinetic3(1, u, v, G)
-          + 0.5 * (im2 + im0) * kinetic3(2, u, v, G))
+    a, b, c = u.T
+    ap, bp, cp = v.T
+    (_, g003, g011, g012, _, g021, g030, g101, g102, g110, g111, g120, _,
+     g201, g210, g300) = _g3_cells(a + ap, b + bp, c + cp, _NTV_CELLS).T
+    tt = (0.5 * (im1 + im0) * ((b * bp + c * cp) * g111
+                               - 0.5 * (b * cp + bp * c) * (g300 - g120 - g102))
+          + 0.5 * (im2 + im0) * ((a * ap + c * cp) * g111
+                                 - 0.5 * (a * cp + ap * c) * (g030 - g210 - g012)))
     if im0 != 0.0:
-        tt = tt + im0 * he_cross(u, v, G)
-    return G[1, 1, 1], tt, -z * G[1, 0, 1] - z * G[0, 1, 1] + G[1, 1, 0]
+        tt = tt + im0 * (ap * b * (0.5 * (g201 + g021 - g003))
+                         + ap * c * (0.5 * (g030 - g210 - g012))
+                         - b * cp * (-0.5 * (g300 - g120 - g102)) - c * cp * g111)
+    return g111, tt, -z * g101 - z * g011 + g110
 
 
 def _exchange_groups(terms, epsilon):

@@ -81,15 +81,18 @@ def assemble(groups, pair):
     elements per matrix.  Entry (i, j) of the k-th matrix is the sum of
     w_u w_v pair(U, V)[k] over u in group i and v in group j, in group order.
     The upper triangle is mirrored, so the operators must be Hermitian.
+    Each entry sums its pairs in u-major, v-minor order.
     """
     m = len(groups)
-    cell, ws, us, vs = zip(*[(i * m + j, w1 * w2, u, v)
-                             for i in range(m) for j in range(i, m)
-                             for w1, u in groups[i] for w2, v in groups[j]])
-    r, c = np.divmod(np.arange(m * m), m)
-    mirror = (np.minimum(r, c) * m + np.maximum(r, c)).reshape(m, m)
-    return [np.bincount(cell, np.array(ws) * x, m * m)[mirror]
-            for x in pair(np.array(us, dtype=float), np.array(vs, dtype=float))]
+    gid = np.repeat(np.arange(m), [len(g) for g in groups])
+    w, terms = (np.array(x, dtype=float)
+                for x in zip(*[wt for g in groups for wt in g]))
+    p, q = np.nonzero(gid[:, None] <= gid[None, :])
+    cell = gid[p] * m + gid[q]
+    mirror = np.arange(m * m).reshape(m, m)
+    mirror = np.minimum(mirror, mirror.T)      # (j, i) reads cell (i, j), i <= j
+    return [np.bincount(cell, w[p] * w[q] * x, m * m)[mirror]
+            for x in pair(terms[p], terms[q])]
 
 
 @dataclass(frozen=True)

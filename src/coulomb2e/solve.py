@@ -80,6 +80,11 @@ def virial_reduce(n, t, v):
     return -v * v / (4.0 * n * t), lam
 
 
+def _scale_inf(n, t, v):
+    """virial_reduce's energy, or 0 (the infimum) where V >= 0 binds no scale."""
+    return virial_reduce(n, t, v)[0] if v < 0 else 0.0
+
+
 def _reduce(block: MatBlock, floor):
     """Canonical orthogonalization of the overlap: X, X^T T X and X^T V X.
 
@@ -198,6 +203,54 @@ def _grid_min(f, grid):
     return x, fx, fs
 
 
+def _eigvalsh2(d1, e, d2):
+    """Eigenvalues, ascending, of the lower triangle d1; e, d2 as dsyevd
+    (jobz='N') computes them at n = 2: dsytrd keeps d1, e, d2; dsterf splits
+    (two tests, eps = 2^-53) or runs dlae2 on sqrt(e^2), d2 first when
+    |d2| < |d1| (QR); dlasrt sorts.  None unless 1e-120 < max|entry| < 1e140,
+    inside the range that dsyevd (up to 2^485) and dsterf (from 2^-405) run
+    unscaled; NaN and inf give None too."""
+    a1, ae, a2 = abs(d1), abs(e), abs(d2)
+    if not (a1 < 1e140 and ae < 1e140 and a2 < 1e140 and max(a1, ae, a2) > 1e-120):
+        return None
+    e2, eps = e * e, 2.0 ** -53
+    if ae > math.sqrt(a1) * math.sqrt(a2) * eps and e2 > eps * eps * abs(d1 * d2):
+        a, c = (d2, d1) if a2 < a1 else (d1, d2)
+        b = math.sqrt(e2)
+        sm, adf, ab = a + c, abs(a - c), abs(b + b)
+        acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
+        hi, lo = (adf, ab) if adf > ab else (ab, adf)   # ab > 0; a tie gives sqrt(2)
+        q = lo / hi
+        rt = hi * math.sqrt(1.0 + q * q)
+        rt1 = 0.5 * (sm - rt) if sm < 0.0 else 0.5 * (sm + rt)
+        rt2 = -0.5 * rt if sm == 0.0 else (acmx / rt1) * acmn - (b / rt1) * b
+        d1, d2 = (rt2, rt1) if a2 < a1 else (rt1, rt2)
+    return (d2, d1) if d2 < d1 else (d1, d2)
+
+
+def _scale_step(Tt, Vt, k):
+    """lam -> the k-th eigenvalue of lam^2 Tt + lam Vt (see scaled_lowest)."""
+    # the Python steps round lam^2 Tt + lam Vt's lower triangle as numpy does
+    py = lambda lam: None
+    if len(Tt) == 1:
+        [[t]], [[v]] = Tt.tolist(), Vt.tolist()
+        py = lambda lam: (lam * lam * t + lam * v,)
+    elif len(Tt) == 2:
+        ((t0, _), (t1, t2)), ((v0, _), (v1, v2)) = Tt.tolist(), Vt.tolist()
+        py = lambda lam: _eigvalsh2(lam * lam * t0 + lam * v0,
+                                    lam * lam * t1 + lam * v1,
+                                    lam * lam * t2 + lam * v2)
+
+    def e_of(lam):
+        w = py(lam) or _eigvalsh_lo(lam * lam * Tt + lam * Vt, signature="d->d")
+        e = float(w[k])
+        if math.isnan(e):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return e
+
+    return e_of
+
+
 def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
     """k-th eigenvalue minimized over the overall scale of the basis.
 
@@ -210,22 +263,20 @@ def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
     one.  The curated starts and the printed energies were tuned with this
     search, and a global reduction steers the simplex of the N = 2 H- solve
     into an ill-conditioned basin that ends above the Table II value
-    (ROADMAP item 5).  Each step calls the gufunc behind np.linalg.eigvalsh
-    (LAPACK dsyevd, lower triangle) without its wrapper: eigvalsh's values to
-    the bit.  A failed dsyevd leaves NaN, which raises LinAlgError.
+    (ROADMAP item 5).  Each step (`_scale_step`) returns np.linalg.eigvalsh's
+    values to the bit (LAPACK dsyevd, lower triangle).  One direction is the
+    entry itself; two mirror dsyevd's dsterf and dlae2 arithmetic in Python
+    floats (`_eigvalsh2`), which assumes a LAPACK whose dlae2 is built
+    without FMA contraction, as `test_scale_step_is_eigvalsh` checks.  Three
+    or more, or a 2 x 2 that dsyevd rescales, call the gufunc behind
+    eigvalsh without its wrapper.  A failed dsyevd leaves NaN, which raises
+    LinAlgError.
     """
     X, Tt, Vt = _reduce(block, floor)
     if X.shape[1] <= k:
         return _BIG, 1.0
-
-    def e_of(lam):
-        e = float(_eigvalsh_lo(lam * lam * Tt + lam * Vt, signature="d->d")[k])
-        if math.isnan(e):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return e
-
     with np.errstate(invalid="ignore"):    # the NaN check reports instead
-        lam, e, _ = _fminbound(e_of, bounds[0], bounds[1], 1e-12)
+        lam, e, _ = _fminbound(_scale_step(Tt, Vt, k), bounds[0], bounds[1], 1e-12)
     return e, lam
 
 
@@ -550,11 +601,8 @@ def optimize_minmax(z):
     log grid over [1e-12, 1e3]: (energy, (a, b)) at physical ranges.  An
     unbound z ends at the t -> 0 edge, z (1 - z) t above -z^2/2.  A shape
     with V >= 0 has no bound scale and counts as its infimum over it, 0."""
-    def e_of(t):
-        n, tk, v = matel3.minmax_ntv(1.0, t, z)
-        return virial_reduce(n, tk, v)[0] if v < 0 else 0.0
-
-    t, e, _ = _grid_min(e_of, np.geomspace(1e-12, 1e3, 151))
+    t, e, _ = _grid_min(lambda t: _scale_inf(*matel3.minmax_ntv(1.0, t, z)),
+                        np.geomspace(1e-12, 1e3, 151))
     lam = virial_reduce(*matel3.minmax_ntv(1.0, t, z))[1]
     return e, (lam, lam * t)
 
@@ -680,8 +728,9 @@ def scan_charge(basis, z_lo=0.85, z_hi=1.3):
     elif basis == "effective":
         energy = lambda zz: matel3.energy_effective_charge(zz)[0]
     elif basis == "chandrasekhar":
-        energy = lambda zz: _grid_min(lambda t: chandrasekhar_energy(1.0, t, zz),
-                                      np.geomspace(1e-3, 1.0, 31))[1]
+        energy = lambda zz: _grid_min(
+            lambda t: _scale_inf(*matel3.chandrasekhar_ntv(1.0, t, zz, +1)),
+            np.geomspace(1e-3, 1.0, 31))[1]
     else:
         raise ValueError(f"unknown basis {basis!r}")
 

@@ -173,6 +173,45 @@ def test_he_cross_vanishes_diagonal_no_r12():
     assert abs(matel3.he_cross(t, t)) < 1e-14 * matel3.overlap3(t, t)
 
 
+@pytest.mark.parametrize("invm", [(0.0, 1.0, 1.0), (1 / 7.3, 1.0, 1.0),
+                                  (0.0, 1.2, 0.8)])
+def test_elements_ntv_are_kinetic3_and_he_cross(invm):
+    # the block elements inline kinetic3 (particles 1, 2) and he_cross over
+    # one table of the _NTV_CELLS moments: the same expressions in the same
+    # order, to the bit
+    rng = np.random.default_rng(3)
+    u, v = (rng.uniform((0.3, 0.1, -0.05), (2.5, 1.5, 0.3), (40, 3)) for _ in "uv")
+    z, (im0, im1, im2) = 1.7, invm
+    tt = (0.5 * (im1 + im0) * matel3.kinetic3(1, u, v)
+          + 0.5 * (im2 + im0) * matel3.kinetic3(2, u, v))
+    if im0 != 0.0:
+        tt = tt + im0 * matel3.he_cross(u, v)
+    G = matel3._cells_at(u, v, matel3._NTV_CELLS)
+    pot = -z * G[1, 0, 1] - z * G[0, 1, 1] + G[1, 1, 0]
+    for g, w in zip(matel3._elements_ntv(u, v, z, invm), (G[1, 1, 1], tt, pot)):
+        assert np.array_equal(g, w)
+
+
+def test_plan_cache_is_bounded_and_misses_only_fixed_column_sets(monkeypatch):
+    # a whole optimize_ion solve builds the plan of its one column set at
+    # its first evaluation and never again
+    assert matel3._plan.cache_info().maxsize is not None
+    for sector, build in (("natural", "natural_matblock"),
+                          ("unnatural", "unnatural_matblock")):
+        matel3._plan.cache_clear()
+        misses, orig = [], getattr(matel3, build)
+
+        def counted(*a, **kw):
+            out = orig(*a, **kw)
+            misses.append(matel3._plan.cache_info().misses)
+            return out
+
+        monkeypatch.setattr(matel3, build, counted)
+        solve.optimize_ion(hminus_spec(z=1.0, sector=sector), 2,
+                           solve.MinimizerConfig(seed=0, restarts=1, max_iter=200))
+        assert len(misses) > 200 and set(misses) == {1}
+
+
 def test_chandrasekhar_closed_form_vs_assembled():
     a, b, z = 1.04, 0.28, 1.0
     n, t, v = matel3.chandrasekhar_ntv(a, b, z, +1)

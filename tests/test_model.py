@@ -1,10 +1,11 @@
-"""Domain types: validation rules and dissociation thresholds."""
+"""Domain types: validation rules, dissociation thresholds, the block assembler."""
 
+import numpy as np
 import pytest
 
-from coulomb2e import solve
-from coulomb2e.model import (SystemSpec, TwoBodyThreshold, NATURAL, UNNATURAL,
-                             threshold_for, hminus_spec, ps2_spec)
+from coulomb2e import matel3, matel4, solve
+from coulomb2e.model import (MatBlock, SystemSpec, TwoBodyThreshold, NATURAL,
+                             UNNATURAL, threshold_for, hminus_spec, ps2_spec)
 
 
 def test_three_body_spec_shape():
@@ -92,3 +93,61 @@ def test_e_relevant_sector_switch():
     thr = TwoBodyThreshold(mu=1.0, e_ground=-0.5, e_2p=-0.125, label="t")
     assert thr.e_relevant(NATURAL) == -0.5
     assert thr.e_relevant(UNNATURAL) == -0.125
+
+
+def _assemble_per_pair(groups, pair):
+    # the former assembler: one Python row per ordered pair, cell by cell
+    m = len(groups)
+    cell, ws, us, vs = zip(*[(i * m + j, w1 * w2, u, v)
+                             for i in range(m) for j in range(i, m)
+                             for w1, u in groups[i] for w2, v in groups[j]])
+    r, c = np.divmod(np.arange(m * m), m)
+    mirror = (np.minimum(r, c) * m + np.maximum(r, c)).reshape(m, m)
+    return [np.bincount(cell, np.array(ws) * x, m * m)[mirror]
+            for x in pair(np.array(us, dtype=float), np.array(vs, dtype=float))]
+
+
+def _blocks():
+    # (id, builder) over natural (both exchange signs, infinite and finite
+    # mass, unsymmetrized), recoil, vector and both four-body blocks
+    rng = np.random.default_rng(7)
+    out = []
+    for n in (1, 2, 3, 8):
+        t = [tuple(rng.uniform((0.3, 0.1, -0.05), (2.5, 1.5, 0.3))) for _ in range(n)]
+        for eps in (+1, -1):
+            for ratio in (float("inf"), 7.3):
+                s = hminus_spec(z=2.0, mass_ratio=ratio, epsilon=eps)
+                out.append((f"natural-n{n}-eps{eps}-M{ratio}",
+                            lambda t=t, s=s: matel3.natural_matblock(t, s)))
+        s = hminus_spec(z=1.0, mass_ratio=7.3)
+        out.append((f"unsymmetrized-n{n}",
+                    lambda t=t, s=s: matel3.natural_matblock(t, s, False)))
+        out.append((f"recoil-n{n}", lambda t=t, s=s: matel3.hughes_eckart_matrix(t, s)))
+        for ratio in (float("inf"), 1.0):
+            s = hminus_spec(z=1.0, mass_ratio=ratio, sector=UNNATURAL)
+            out.append((f"vector-n{n}-M{ratio}",
+                        lambda t=t, s=s: matel3.unnatural_matblock(t, s)))
+    for mode, p in (("cc-break", (0.85, 0.15, 0.3, 0.6)),
+                    ("identity-break", (0.85, 0.15))):
+        s = solve._four_spec(mode, 1.7)
+        out.append((mode, lambda m=mode, p=p, s=s:
+                    matel4.assemble4(solve._four_groups(m, p), s)))
+    return out
+
+
+def _mats(b):
+    return (b.n_mat, b.t_mat, b.v_mat) if isinstance(b, MatBlock) else (b,)
+
+
+@pytest.mark.parametrize("build", [b for _, b in _blocks()],
+                         ids=[i for i, _ in _blocks()])
+def test_assemble_matches_the_per_pair_loop(build, monkeypatch):
+    # the numpy pair layout sums every entry in the loop's u-major, v-minor
+    # order, so every block is the same to the bit
+    got = _mats(build())
+    monkeypatch.setattr(matel3, "assemble", _assemble_per_pair)
+    monkeypatch.setattr(matel4, "assemble", _assemble_per_pair)
+    want = _mats(build())
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)

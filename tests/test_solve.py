@@ -160,29 +160,142 @@ def test_scaled_lowest_matches_scipy_eigvalsh_reference():
         assert scaled_lowest(block, **kw) == _scaled_lowest_ref(block, **kw)
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _matrices2(rng, n):
+    # n seeded 2 x 2 matrices, not symmetric (the step reads the lower
+    # triangle), entries of either sign over e^-8 .. e^8, every ninth one a
+    # corner: equal diagonals, d2 = -d1, zero coupling, coupling times 1e-9,
+    # diagonals equal to 1e-12 relative, coupling at dsterf's split test
+    # (sqrt|d1| sqrt|d2| eps), |d1 - d2| = |2e| (dlae2's tie), and a coupling
+    # whose square is subnormal, so that sqrt(e^2) need not be |e|
+    m = rng.choice([-1.0, 1.0], (n, 2, 2)) * np.exp(rng.uniform(-8.0, 8.0, (n, 2, 2)))
+    d1, e, d2 = m[:, 0, 0], m[:, 1, 0], m[:, 1, 1]
+    c = np.arange(n) % 9
+    d2[c == 1] = d1[c == 1]
+    d2[c == 2] = -d1[c == 2]
+    e[c == 3] = 0.0
+    e[c == 4] *= 1e-9
+    d2[c == 5] = d1[c == 5] * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0, (c == 5).sum()))
+    s = c == 6
+    e[s] = np.sqrt(np.abs(d1[s] * d2[s])) * 2.0 ** -53 * rng.uniform(0.5, 2.0, s.sum())
+    e[c == 7] = 0.5 * (d1[c == 7] - d2[c == 7])
+    s = c == 8
+    d1[s] *= np.exp(rng.uniform(-265.0, -240.0, s.sum()))
+    d2[s] *= np.exp(rng.uniform(-680.0, -460.0, s.sum()))
+    e[s] *= np.exp(rng.uniform(-380.0, -357.0, s.sum()))
+    return m
+
+
 def test_scale_step_is_eigvalsh():
-    # each scale step calls the gufunc behind np.linalg.eigvalsh directly;
-    # its eigenvalues must be eigvalsh's to the bit
+    # each scale step returns np.linalg.eigvalsh's eigenvalues to the bit, k
+    # = 0 and 1: the gufunc behind it from three directions on, and from one
+    # or two the Python step, which mirrors dsyevd's arithmetic and assumes a
+    # LAPACK whose dlae2 is built without FMA contraction
     for block, kw in _sample_blocks():
         Tt, Vt = _pencil(block, kw.get("floor", 1e-12))
         for lam in (0.05, 0.37, 1.0, 2.9, 50.0):
             m = lam * lam * Tt + lam * Vt
-            assert np.array_equal(solve._eigvalsh_lo(m, signature="d->d"),
-                                  np.linalg.eigvalsh(m))
+            ref = np.linalg.eigvalsh(m)
+            assert np.array_equal(_bits(solve._eigvalsh_lo(m, signature="d->d")),
+                                  _bits(ref))
+            for k in range(min(len(m), 2)):
+                assert _bits(solve._scale_step(Tt, Vt, k)(lam)) == _bits(ref[k])
+    rng = np.random.default_rng(13)
+    # the 2 x 2 step on 160 000 matrices
+    m = _matrices2(rng, 160_000)
+    got = [solve._eigvalsh2(a[0][0], a[1][0], a[1][1]) for a in m.tolist()]
+    assert np.array_equal(_bits(got), _bits(solve._eigvalsh_lo(m, signature="d->d")))
+    # whole steps of 1- and 2-direction pencils, 100 000 each: lam^2 T + lam V
+    # rounded as numpy rounds it, then the eigenvalue
+    lams = np.exp(rng.uniform(np.log(0.02), np.log(50.0), (20_000, 5)))
+    L = lams[..., None, None]
+    for n in (1, 2):
+        T, V = (_matrices2(rng, 20_000)[:, :n, :n] for _ in "TV")
+        ref = solve._eigvalsh_lo(L * L * T[:, None] + L * V[:, None], signature="d->d")
+        for k in range(n):
+            steps = (solve._scale_step(t, v, k) for t, v in zip(T, V))
+            got = [[f(lam) for lam in row] for f, row in zip(steps, lams.tolist())]
+            assert np.array_equal(_bits(got), _bits(ref[..., k]))
+
+
+def _spy_gufunc(monkeypatch):
+    # the order of every matrix the scale steps hand to the gufunc
+    calls, gufunc = [], solve._eigvalsh_lo
+    monkeypatch.setattr(solve, "_eigvalsh_lo", lambda a, signature:
+                        calls.append(len(a)) or gufunc(a, signature=signature))
+    return calls
+
+
+def test_scale_step_leaves_rescaled_or_non_finite_pencils_to_lapack(monkeypatch):
+    # outside 1e-120 .. 1e140 (a margin inside the range that dsyevd and
+    # dsterf run unscaled), or with an entry that is not finite, the Python
+    # step declines and the gufunc runs
+    for m in ([[1e141, 0.0], [3.0, 2.0]], [[1.0, 0.0], [1e141, 2.0]],
+              [[1e-121, 0.0], [3e-121, 0.0]], [[np.nan, 0.0], [0.5, 2.0]],
+              [[1.0, 0.0], [np.inf, 2.0]]):
+        assert solve._eigvalsh2(m[0][0], m[1][0], m[1][1]) is None
+    calls = _spy_gufunc(monkeypatch)
+    T = np.array([[2e140, 0.0], [1e139, 3e139]])
+    assert solve._scale_step(T, T, 1)(1.0) == np.linalg.eigvalsh(T + T)[1]
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("n, bad", [(1, np.nan), (2, np.nan), (2, np.inf),
+                                    (2, -np.inf)])
+def test_scaled_lowest_raises_on_a_non_finite_entry(n, bad):
+    # a NaN or infinite element reaches LAPACK (or, 1 x 1, the entry itself)
+    # and comes back NaN, which raises LinAlgError as a failed dsyevd does
+    T = 0.5 * np.eye(n)
+    T[n - 1, 0] = T[0, n - 1] = bad
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(np.linalg.LinAlgError):
+            scaled_lowest(MatBlock(np.eye(n), T, -np.eye(n)))
+
+
+def test_small_pencils_skip_the_gufunc_and_larger_ones_use_it(monkeypatch):
+    calls = _spy_gufunc(monkeypatch)
+    spec = hminus_spec(z=1.0)
+    for n in (1, 2):
+        scaled_lowest(matel3.natural_matblock(solve._NAT_SEEDS[1.0, +1, n, 0], spec))
+    assert calls == []
+    scaled_lowest(matel3.natural_matblock(solve._NAT_SEEDS[1.0, +1, 3, 0], spec))
+    assert calls and set(calls) == {3}
 
 
 def test_scaled_lowest_raises_when_lapack_fails(monkeypatch):
     # a failed dsyevd leaves NaN eigenvalues and raises numpy's invalid-value
     # flag; the step must turn that into LinAlgError, which minimize_nm
     # counts as a refusal, and no RuntimeWarning may escape.  np.sqrt(-1)
-    # raises the same flag through the same ufunc machinery.
+    # raises the same flag through the same ufunc machinery.  A three-term
+    # block keeps three directions, so its steps call the gufunc.
     monkeypatch.setattr(solve, "_eigvalsh_lo",
                         lambda a, signature: np.sqrt(np.full(len(a), -1.0)))
-    blk = matel3.natural_matblock([(1.07, 0.45, 0.05)], hminus_spec(z=1.0))
+    blk = matel3.natural_matblock(solve._NAT_SEEDS[1.0, +1, 3, 0], hminus_spec(z=1.0))
+    assert solve._reduce(blk, 1e-12)[0].shape[1] == 3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(np.linalg.LinAlgError):
             scaled_lowest(blk)
+
+
+# He 1^1S, He 2^3S and H-, N = 2, seed 0, one restart of 500 evaluations (the
+# ion-natural benchmark's first pass): energy and meta.scale by repr, as the
+# gufunc-only scale step and the per-pair assembler gave them
+ION_NATURAL_TRIPLE = [
+    (2.0, +1, "-2.903251970081735", "1.1472800645303336"),
+    (2.0, -1, "-2.175121180616898", "0.8466134174580716"),
+    (1.0, +1, "-0.5242612513639442", "0.2491886831474205"),
+]
+
+
+@pytest.mark.parametrize("z, eps, energy, scale", ION_NATURAL_TRIPLE)
+def test_ion_natural_triple_is_bit_stable(z, eps, energy, scale):
+    res = solve.optimize_ion(hminus_spec(z=z, epsilon=eps), 2,
+                             MinimizerConfig(seed=0, restarts=1, max_iter=500))
+    assert (repr(res.energy), repr(res.meta["scale"])) == (energy, scale)
 
 
 def _quotient(block, c, lam):
@@ -454,6 +567,15 @@ def test_scan_charge_root_is_scipy_brentq(basis, bracket, monkeypatch):
     zc = solve.scan_charge(basis, *bracket)
     monkeypatch.setattr(solve, "_brentq", brentq)
     assert zc == solve.scan_charge(basis, *bracket)
+
+
+@pytest.mark.parametrize("z_lo", [0.3, 0.5])
+def test_scan_charge_counts_unbound_shapes_as_zero(z_lo):
+    # at Z = 0.3 some two-range shapes have V >= 0 and bind at no scale:
+    # they count as their infimum over it, 0, and the root stays put
+    assert matel3.chandrasekhar_ntv(1.0, 1.0, 0.3, +1)[2] > 0
+    zc = solve.scan_charge("chandrasekhar")
+    assert abs(solve.scan_charge("chandrasekhar", z_lo=z_lo) - zc) <= 2e-12
 
 
 @pytest.mark.parametrize("mass_ratio, n_terms", [(math.inf, 3), (1.0, 2)],

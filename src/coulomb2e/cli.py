@@ -306,6 +306,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
+    if getattr(args, "seed", 0) < 0:      # before any search; validate has none
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except (NonConvergenceError, ValueError) as exc:

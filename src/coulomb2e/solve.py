@@ -14,11 +14,14 @@ Every three-body simplex runs through `_search3`.  The N-term bases,
 `scan_mass4` and Table I's two-range and shell-model searches still walk
 raw ranges, the scale a flat direction (ROADMAP item 4).
 
-Only numpy runs here: `_fminbound`, `_nelder_mead` and `_brentq` port
+No scipy runs here: `_fminbound`, `_nelder_mead` and `_brentq` port
 scipy's bounded Brent, Nelder-Mead and brentq step for step, to the bit.
+The simplex runs on Python floats (numpy's per-call cost on 2- to 9-vectors
+outweighed the arithmetic) and leaves ties and NaN to np.argsort's own order.
 """
 
 import math
+import operator
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -60,6 +63,8 @@ class MinimizerConfig:
             raise ValueError("tolerances must be finite and > 0")
         if self.max_iter < 1 or self.restarts < 1:
             raise ValueError("max_iter and restarts must be >= 1")
+        if type(self.seed) is not int or self.seed < 0:     # bool is no seed
+            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +294,11 @@ def _nelder_mead(f, x0, maxfev, xatol, fatol):
 
     A step-for-step port of scipy.optimize.minimize(method="Nelder-Mead")
     with scipy's defaults and maxiter = maxfev (an iteration costs an
-    evaluation, so that cap never binds first and is left out): the same
-    numpy calls in the same order, down to a budget that stops an iteration
-    between evaluations.
+    evaluation, so that cap never binds first and is left out), down to a
+    budget that stops an iteration between evaluations.  Vertices are lists
+    of Python floats, each step numpy's expression in the same order (the
+    centroid adds rows in turn as np.add.reduce does, never by sum(), which
+    compensates from Python 3.12 on); np.argsort itself orders ties and NaN.
     """
     n, nfev = len(x0), 0
 
@@ -300,49 +307,57 @@ def _nelder_mead(f, x0, maxfev, xatol, fatol):
         if nfev >= maxfev:
             raise _Spent
         nfev += 1
-        return f(x)
+        return float(f(np.array(x)))
 
     def ordered(sim, fsim):
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = sorted(range(n + 1), key=fsim.__getitem__)
+        if not all(fsim[i] < fsim[j] for i, j in zip(ind, ind[1:])):
+            ind = np.argsort(fsim).tolist()    # a tie or a NaN
+        return [sim[i] for i in ind], [fsim[i] for i in ind]
 
-    sim = np.tile(x0, (n + 1, 1))
-    sim[1:][np.diag_indices(n)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
-    fsim = np.full(n + 1, np.inf)
+    x0 = np.asarray(x0, dtype=float).tolist()
+    sim = [x0] + [x0[:k] + [1.05 * v if v != 0 else 0.00025] + x0[k + 1:]
+                  for k, v in enumerate(x0)]
+    fsim = [math.inf] * (n + 1)
     with suppress(_Spent):
         for k in range(n + 1):
             fsim[k] = fc(sim[k])
     # scipy orders the first simplex twice; an unstable argsort may swap ties
     sim, fsim = ordered(*ordered(sim, fsim))
-    while nfev < maxfev and not (np.max(np.abs(sim[1:] - sim[0])) <= xatol and
-                                 np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+    while nfev < maxfev and not (
+            all(abs(a - b) <= xatol for s in sim[1:] for a, b in zip(s, sim[0]))
+            and all(abs(fsim[0] - v) <= fatol for v in fsim[1:])):
         with suppress(_Spent):
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
+            xbar = sim[0]
+            for s in sim[1:-1]:
+                xbar = list(map(operator.add, xbar, s))
+            xbar = [a / n for a in xbar]
+            w = sim[-1]
+            xr = [2 * a - b for a, b in zip(xbar, w)]
             fxr = fc(xr)
             if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
+                xe = [3 * a - 2 * b for a, b in zip(xbar, w)]
                 fxe = fc(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:      # outside contraction
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, w)]
                     fxc = fc(xc)
                     keep = fxc <= fxr
                 else:                   # inside contraction
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    xc = [0.5 * a + 0.5 * b for a, b in zip(xbar, w)]
                     fxc = fc(xc)
                     keep = fxc < fsim[-1]
                 if keep:
                     sim[-1], fsim[-1] = xc, fxc
                 else:                   # shrink toward the best vertex
                     for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        sim[j] = [a + 0.5 * (b - a) for a, b in zip(sim[0], sim[j])]
                         fsim[j] = fc(sim[j])
         sim, fsim = ordered(sim, fsim)
-    return sim[0], np.min(fsim), nfev, nfev < maxfev
+    return np.array(sim[0]), np.min(fsim), nfev, nfev < maxfev
 
 
 # refusal counter per ValueError subclass, most specific first

@@ -174,6 +174,12 @@ def test_tables_rows_matching_nothing(capsys):
     ["scan", "frozen", "--z", "nan"],
     ["scan", "contour", "--z", "nan"],
     ["scan", "contour", "--grid", "0"],
+    ["ion", "--terms", "1", "--seed", "-1"],
+    ["molecule", "--mode", "ps2", "--seed", "-1"],
+    ["molecule", "--mode", "identity-break", "--seed", "-2"],
+    ["scan", "charge", "--seed", "-1"],
+    ["scan", "mass4", "--seed", "-1"],
+    ["tables", "--table", "1", "--seed", "-1"],
 ], ids=" ".join)
 def test_bad_numbers_are_usage_errors(argv, monkeypatch, capsys):
     # neither a simplex nor a scale search runs before the input is checked
@@ -188,6 +194,7 @@ def test_bad_numbers_are_usage_errors(argv, monkeypatch, capsys):
     assert searches == []
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
+    assert ("--seed" in err) == ("--seed" in argv)
 
 
 def test_tables_fast_rows(capsys):

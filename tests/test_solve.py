@@ -494,6 +494,25 @@ def _plateau(x):
     return solve._BIG if x[0] + x[1] > 1.6 else (x[0] - 0.4) ** 2 + 3.0 * x[1] ** 2
 
 
+def _nan_half(x):
+    # NaN on a half-space: numpy's argsort puts NaN last
+    return math.nan if x[0] + x[1] > 1.2 else (x[0] - 0.4) ** 2 + 3.0 * x[1] ** 2
+
+
+def _inf_half(x):
+    return math.inf if x[0] + x[1] > 1.6 else (x[0] - 0.4) ** 2 + 3.0 * x[1] ** 2
+
+
+def _signed_zeros(x):
+    # a flat floor at 0.0 and -0.0, which argsort counts as a tie
+    r = float(np.sum(x * x))
+    return math.copysign(0.0, math.sin(1e3 * x[0])) if r < 0.5 else r
+
+
+def _bowl(x):
+    return float(np.sum((x - np.arange(len(x))) ** 2))
+
+
 @pytest.mark.parametrize("f, x0, maxfev", [
     (lambda x: (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2, [-1.2, 1.0], 400),
     (_plateau, [1.0, 0.7], 300),
@@ -504,8 +523,15 @@ def _plateau(x):
     (_steps, [1.0, 0.5, -0.4], 22),      # stops before its 2nd vertex
     (_steps, np.linspace(-1.0, 1.0, 24), 1500),     # 24 ranges, as N = 8
     (None, None, 300),                   # optimize_ion's H- N = 2 search
+    (_nan_half, [0.7, 0.49], 300),       # two NaN vertices at the start
+    (_inf_half, [0.9, 0.7], 300),        # inf refusals that tie
+    (_signed_zeros, [0.5, 0.4, -0.3], 300),
+    (_signed_zeros, [1.0, 0.5, -0.4], 300),
+    (_steps, [1.0, 0.5, -0.4, 0.8, 0.3, 0.6, -0.2, 0.9, 0.1], 1500),   # N = 3
+    (_bowl, [1e16, 1.0, 1.0], 1000),     # a compensated centroid walks apart
 ], ids=["rosenbrock", "plateau", "steps", "zero-coordinate", "budget-2",
-        "mid-shrink-1", "mid-shrink-2", "steps-24", "hminus-n2"])
+        "mid-shrink-1", "mid-shrink-2", "steps-24", "hminus-n2", "nan-half",
+        "inf-ties", "signed-zeros-1", "signed-zeros-2", "steps-9", "magnitudes"])
 def test_nelder_mead_is_scipy_nelder_mead(f, x0, maxfev, monkeypatch):
     # the port must walk scipy's simplex exactly: same x, f(x), evaluations
     # and success flag
@@ -521,7 +547,14 @@ def test_nelder_mead_is_scipy_nelder_mead(f, x0, maxfev, monkeypatch):
                    options=dict(maxiter=maxfev, maxfev=maxfev,
                                 xatol=1e-8, fatol=1e-10))
     f_port, points = _recorded(f)
-    x, fx, nfev, ok = solve._nelder_mead(f_port, x0, maxfev, 1e-8, 1e-10)
+    arrays = []
+
+    def f_checked(x):
+        arrays.append(type(x) is np.ndarray and x.dtype == np.float64)
+        return f_port(x)
+
+    x, fx, nfev, ok = solve._nelder_mead(f_checked, x0, maxfev, 1e-8, 1e-10)
+    assert all(arrays) and type(x) is np.ndarray and x.dtype == np.float64
     assert np.array_equal(x, ref.x)
     assert (fx, nfev, ok) == (ref.fun, ref.nfev, ref.success)
     assert np.array_equal(points, ref_points)
@@ -622,7 +655,8 @@ def test_refusals_are_counted_by_class():
 @pytest.mark.parametrize("bad", [
     {"restarts": 0}, {"restarts": -3}, {"max_iter": 0},
     {"f_tol": 0.0}, {"f_tol": math.nan}, {"x_tol": -1e-8},
-    {"x_tol": math.nan}, {"x_tol": math.inf}])
+    {"x_tol": math.nan}, {"x_tol": math.inf},
+    {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": None}])
 def test_minimizer_config_rejects_what_it_cannot_honour(bad):
     with pytest.raises(ValueError):
         MinimizerConfig(**bad)

@@ -8,6 +8,7 @@ reported on stdout only, so files from identical flags are identical.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -234,7 +235,9 @@ def cmd_validate(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process; parse_args does not mutate it."""
     p = argparse.ArgumentParser(prog="coulomb2e",
                                 description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)

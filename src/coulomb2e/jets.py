@@ -21,6 +21,15 @@ instead spreads the round-off of the largest coefficients over all of them
 assembler reads agrees with 50-digit mpmath derivatives to 8e-15 relative or
 better at those points, near a = b and c = d, at exact degeneracy and on both
 sides of the series switch (tests/test_matel4.py holds them to 1e-13).
+
+A jet's `deg` bounds its degree: coefficients above it are exact zeros.  A
+variable has 1, sums the larger bound, products the sum (capped), scalar
+operations keep it; a product runs only over the table's pairs with
+|i| <= deg1, |j| <= deg2, in order.  No bit changes: bincount starts cells
+at +0.0, so a partial sum is never -0.0, and each skipped term is +-0.0 for
+finite coefficients (0 * inf is NaN).  `Jet(c, lay)` and `Jet.const` are
+dense, so only they may have `c` written in place.  (Truncated Taylor
+arithmetic: Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13.)
 """
 
 from functools import cache
@@ -30,9 +39,10 @@ import numpy as np
 
 
 class _Layout:
-    """Kept multi-indices of one (shape, degree) and its product table."""
+    """Kept multi-indices of one (shape, degree) and its product tables."""
 
-    __slots__ = ("shape", "degree", "n", "index", "pi", "pj", "po")
+    __slots__ = ("shape", "degree", "n", "index", "pi", "pj", "po", "tot",
+                 "tables")
 
     def __init__(self, shape, degree):
         if degree is None:
@@ -47,6 +57,16 @@ class _Layout:
         self.index = {tuple(int(v) for v in e): k for k, e in enumerate(cells)}
         self.pi, self.pj = pi, pj
         self.po = pos[tuple(s[pi, pj].T)]
+        self.tot = cells.sum(axis=1)
+        self.tables = {(degree, degree): (pi, pj, self.po)}
+
+    def pairs(self, d1, d2):
+        """The product table restricted to |i| <= d1 and |j| <= d2, in order."""
+        t = self.tables.get((d1, d2))
+        if t is None:
+            keep = (self.tot[self.pi] <= d1) & (self.tot[self.pj] <= d2)
+            t = self.tables[d1, d2] = (self.pi[keep], self.pj[keep], self.po[keep])
+        return t
 
 
 @cache
@@ -58,11 +78,12 @@ def _layout(shape, degree):
 class Jet:
     """Taylor coefficients of f around a point, truncated per axis and in total."""
 
-    __slots__ = ("c", "lay")
+    __slots__ = ("c", "lay", "deg")
 
-    def __init__(self, coeffs, lay):
+    def __init__(self, coeffs, lay, deg=None):
         self.c = coeffs
         self.lay = lay
+        self.deg = lay.degree if deg is None else deg
 
     @classmethod
     def variable(cls, value, axis, shape, degree=None):
@@ -73,7 +94,7 @@ class Jet:
         unit = tuple(int(k == axis) for k in range(len(lay.shape)))
         if unit in lay.index:
             c[lay.index[unit]] = 1.0
-        return cls(c, lay)
+        return cls(c, lay, min(1, lay.degree))
 
     @classmethod
     def const(cls, value, shape, degree=None):
@@ -88,34 +109,35 @@ class Jet:
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.c + other.c, self.lay)
+            return Jet(self.c + other.c, self.lay, max(self.deg, other.deg))
         out = self.c.copy()
         out[0] += other
-        return Jet(out, self.lay)
+        return Jet(out, self.lay, self.deg)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.c - other.c, self.lay)
+            return Jet(self.c - other.c, self.lay, max(self.deg, other.deg))
         out = self.c.copy()
         out[0] -= other
-        return Jet(out, self.lay)
+        return Jet(out, self.lay, self.deg)
 
     def __rsub__(self, other):
         out = -self.c
         out[0] += other
-        return Jet(out, self.lay)
+        return Jet(out, self.lay, self.deg)
 
     def __neg__(self):
-        return Jet(-self.c, self.lay)
+        return Jet(-self.c, self.lay, self.deg)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.c * other, self.lay)
-        lay = self.lay
-        return Jet(np.bincount(lay.po, self.c[lay.pi] * other.c[lay.pj], lay.n),
-                   lay)
+            return Jet(self.c * other, self.lay, self.deg)
+        lay, d1, d2 = self.lay, self.deg, other.deg
+        pi, pj, po = lay.pairs(d1, d2)
+        return Jet(np.bincount(po, self.c[pi] * other.c[pj], lay.n), lay,
+                   min(d1 + d2, lay.degree))
 
     __rmul__ = __mul__
 
@@ -124,7 +146,7 @@ class Jet:
         a0 = self.val
         if a0 == 0.0:
             raise ZeroDivisionError("jet reciprocal at zero value")
-        r = Jet(np.zeros(self.lay.n), self.lay)
+        r = Jet(np.zeros(self.lay.n), self.lay, 0)
         r.c[0] = 1.0 / a0
         # after step k, r is exact through total degree 2^k - 1
         for _ in range(self.lay.degree.bit_length()):
@@ -137,7 +159,7 @@ class Jet:
         if a0 <= 0.0:
             raise ValueError("jet log of non-positive value")
         u = self * (1.0 / a0) - 1.0
-        acc = Jet(np.zeros(self.lay.n), self.lay)
+        acc = Jet(np.zeros(self.lay.n), self.lay, 0)
         term = acc + 1.0
         # u has no constant term, so u^k starts at total degree k
         for k in range(1, self.lay.degree + 1):

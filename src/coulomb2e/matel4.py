@@ -22,9 +22,15 @@ and atanh(r)/r is analytic in r^2 on |r| < 1.  Evaluating that by its series
 for small |r| (and directly otherwise) is stable for every admissible
 argument, including exact degeneracy; the series switch engages well before
 the printed form loses precision.
+
+`assemble4`'s array kernel reads each pair's F4 tables through the
+`_f4_table` lru (the only four-body cache) in one gather of the `_MOMENTS`
+cells; the scalar `moment4`, `overlap4`, `kinetic4` and `coulomb4` are its
+bit-exact reference.
 """
 
 from functools import lru_cache
+from math import factorial, prod
 
 import numpy as np
 
@@ -62,6 +68,9 @@ _MOMENTS = (
 )
 _ORDERS = tuple(max(col) for col in zip(*_MOMENTS))
 _DEGREE = max(sum(idx) for idx in _MOMENTS)
+# moment4's factor (-1)^|idx| idx! per entry: c * (+-f) == (+-1) * (c * f)
+_SIGNED_FACT = np.array([(-1.0) ** sum(idx) * prod(map(factorial, idx))
+                         for idx in _MOMENTS])
 
 
 def _f4_jet(a, b, c, d, orders):
@@ -188,8 +197,30 @@ def kinetic4(particle, t, tp):
     raise ValueError("particle must be 1..4")
 
 
-_PAIR_SIGNS = (("12", +1.0), ("34", +1.0), ("13", -1.0),
-               ("23", -1.0), ("14", -1.0), ("24", -1.0))
+def _kinetic(m, e, f, ep, fp, xa):
+    # _p3sq (xa = 6) and _p4sq (xa = 9) on the moment columns m
+    x = 0.5 * (m[:, xa] - m[:, xa + 1] - m[:, xa + 2])
+    return (e * ep + f * fp) * m[:, 0] - (e * fp + ep * f) * x
+
+
+def _pair_ntv(U, V, invm):
+    """overlap4, kinetic4 and coulomb4 over the ordered term pairs U, V, with
+    their float operations in their order.  Each pair reads two F4 tables:
+    m at its _pair_args (A, B, C, D) and r at (A, C, B, D), which kinetic4
+    reads for particles 1 and 2 and coulomb4 for the pair 34."""
+    tabs = [_f4_table(*k) for w0, w1, w2, w3 in (U + V).tolist()
+            for k in ((w0, w2, w1, w3), (w0, w1, w2, w3))]
+    cells = [tabs[0].lay.index[idx] for idx in _MOMENTS]
+    g = np.array([tab.c for tab in tabs])[:, cells] * _SIGNED_FACT
+    m, r = g[0::2], g[1::2]
+    a, b, c, d = U.T          # spec order (r13, r14, r23, r24)
+    ap, bp, cp, dp = V.T
+    t = np.zeros(len(U))
+    for im, k in zip(invm, ((r, a, b, ap, bp, 6), (r, c, d, cp, dp, 9),
+                            (m, a, c, ap, cp, 6), (m, b, d, bp, dp, 9))):
+        if im != 0.0:
+            t = t + 0.5 * im * _kinetic(*k)
+    return m[:, 0], t, 0.0 + m[:, 1] + r[:, 1] - m[:, 2] - m[:, 3] - m[:, 4] - m[:, 5]
 
 
 def assemble4(groups, spec):
@@ -198,18 +229,11 @@ def assemble4(groups, spec):
     `groups` is a list of basis vectors, each a list of (weight, term-tuple)
     pairs carrying whatever identical-particle symmetrization the spec's mass
     pattern allows.  The basis is translation invariant, so the lab-frame
-    kinetic sum equals the internal kinetic energy.
+    kinetic sum equals the internal kinetic energy.  One `_pair_ntv` call
+    takes all ordered term pairs of the block.
     """
     invm = spec.inv_masses
-
-    def pair(U, V):
-        return np.array([(overlap4(ti, tj),
-                          sum(0.5 * invm[p - 1] * kinetic4(p, ti, tj)
-                              for p in range(1, 5) if invm[p - 1] != 0.0),
-                          sum(s * coulomb4(pr, ti, tj) for pr, s in _PAIR_SIGNS))
-                         for ti, tj in zip(U.tolist(), V.tolist())], dtype=float).T
-
-    return MatBlock(*assemble(groups, pair))
+    return MatBlock(*assemble(groups, lambda U, V: _pair_ntv(U, V, invm)))
 
 
 def symmetrized_group(t):

@@ -212,6 +212,38 @@ def test_tables_fast_rows(capsys):
     assert out == "" and "invalid choice: 'json'" in err
 
 
+def test_parser_is_built_once(capsys):
+    # two main calls share one argparse tree and print what a freshly built
+    # parser prints; usage errors and --version are unchanged
+    argv = ["tables", "--table", "2", "--rows", "a=b=Z"]
+    bad = ["ion", "--terms", "99"]
+    strip = lambda text: [ln for ln in text.splitlines()
+                          if not ln.startswith("# wall_time_s=")]
+
+    def outputs():
+        res = []
+        for args in (argv, argv, bad, ["--version"]):
+            code = run(args)
+            res.append((code, *capsys.readouterr()))
+        return res
+
+    cli.build_parser.cache_clear()
+    cached = outputs()
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    fresh = []
+    for args in (argv, argv, bad, ["--version"]):
+        cli.build_parser.cache_clear()
+        code = run(args)
+        fresh.append((code, *capsys.readouterr()))
+    for (c1, out1, err1), (c2, out2, err2) in zip(cached, fresh):
+        assert (c1, strip(out1), err1) == (c2, strip(out2), err2)
+    assert [c for c, _, _ in cached] == [0, 0, cli.EXIT_USAGE, 0]
+    assert strip(cached[0][1]) == strip(cached[1][1]) != []
+    assert "invalid choice" in cached[2][2]
+    assert cached[3][1] == f"{cli.__version__}\n"
+
+
 def test_sig6_rounding():
     assert cli._sig6(0.123456789) == 0.123457
     assert cli._sig6({"x": [1.23456789e-7, True]}) == {"x": [1.23457e-07, True]}

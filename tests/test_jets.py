@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from coulomb2e.jets import Jet
+from coulomb2e.jets import Jet, _layout
 
 
 def test_variable_and_const_values():
@@ -145,3 +145,37 @@ def test_degree_cap_keeps_low_orders_exact():
                 else:
                     with pytest.raises(ValueError):
                         G.deriv((i, j))
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3, 3, 4), (3, 3, 4)])
+def test_degree_aware_product_matches_full_table(shape):
+    # jets whose coefficients above degree bounds d1, d2 are zero multiply
+    # to the bit as the full pair table does, signed zeros included, and the
+    # product's bound is d1 + d2 capped at the layout degree
+    rng = np.random.default_rng(len(shape))
+    lay = _layout(shape, 5)
+    tot = np.array([sum(idx) for idx in lay.index])
+    for d1 in range(6):
+        for d2 in range(6):
+            for _ in range(5):
+                a, b = (Jet(np.where(tot <= d, rng.choice(
+                    [-0.0, 0.0, 1.0, -2.5, np.pi], lay.n)
+                    * rng.standard_normal(lay.n) ** 3, 0.0), lay, d)
+                    for d in (d1, d2))
+                got = a * b
+                want = np.bincount(lay.po, a.c[lay.pi] * b.c[lay.pj], lay.n)
+                assert got.c.tobytes() == want.tobytes(), (d1, d2)
+                assert got.deg == min(d1 + d2, 5)
+                assert not got.c[tot > got.deg].any()
+
+
+def test_degree_bounds_of_the_operations():
+    x = Jet.variable(0.7, 0, (3, 3), 4)
+    y = Jet.variable(1.2, 1, (3, 3), 4)
+    assert (x.deg, y.deg) == (1, 1)
+    assert ((x * y).deg, (x * y * x * y * x).deg) == (2, 4)
+    assert ((x + y * y).deg, (x * y - 3.0).deg, (2.0 * (x * y)).deg) == (2, 2, 2)
+    assert ((-(x * y)).deg, (1.0 - x).deg, (x + 1.0).deg) == (2, 1, 1)
+    # dense by default: a jet whose c may be written in place
+    assert Jet.const(1.0, (3, 3), 4).deg == 4
+    assert Jet(np.zeros(x.lay.n), x.lay).deg == 4

@@ -6,12 +6,16 @@ import pytest
 from scipy.optimize import brentq
 
 from coulomb2e import matel4, oracle, solve
+from coulomb2e.jets import Jet
 from coulomb2e.model import SystemSpec, ps2_spec
 
 
 T1 = (0.9, 0.2, 0.3, 0.8)
 T2 = (0.7, 0.4, 0.1, 1.0)
 A4 = matel4._pair_args(T1, T2)
+# V = sum of s * coulomb4(pair) over the six pairs
+_PAIR_SIGNS = (("12", +1.0), ("34", +1.0), ("13", -1.0),
+               ("23", -1.0), ("14", -1.0), ("24", -1.0))
 
 
 def test_f4_vs_quadrature():
@@ -82,35 +86,142 @@ def test_assembler_reads_exactly_the_tabulated_moments(monkeypatch):
         return orig(*args)
 
     monkeypatch.setattr(matel4, "moment4", spy)
+    group = [t for _, t in matel4.symmetrized_group(T1)]
+    for u in group:
+        for v in group:
+            matel4.overlap4(u, v)
+            for p in (1, 2, 3, 4):
+                matel4.kinetic4(p, u, v)
+            for pr, _ in _PAIR_SIGNS:
+                matel4.coulomb4(pr, u, v)
+    assert seen == set(matel4._MOMENTS)
+    monkeypatch.setattr(matel4, "moment4", orig)
+
+    # and the assembler's gather reads exactly those cells of each table:
+    # with every other cell NaN the block is unchanged to the bit, and a NaN
+    # in any one of them reaches the block
     spec = SystemSpec(inv_masses=(1.0, 0.5, 2.0, 0.7), z_central=None,
                       charges=(1.0, 1.0, -1.0, -1.0))
-    matel4.assemble4([matel4.symmetrized_group(T1)], spec)
-    assert seen == set(matel4._MOMENTS)
+    groups = [matel4.symmetrized_group(T1)]
+    want = matel4.assemble4(groups, spec)
+    real = matel4._f4_table
+    lay = real(*A4).lay
+    cells = [lay.index[idx] for idx in matel4._MOMENTS]
+
+    def masked(poison):
+        def table(*args):
+            c = np.full(lay.n, np.nan)
+            c[cells] = real(*args).c[cells]
+            if poison is not None:
+                c[poison] = np.nan
+            return Jet(c, lay)
+        return table
+
+    monkeypatch.setattr(matel4, "_f4_table", masked(None))
+    got = matel4.assemble4(groups, spec)
+    for x, y in ((got.n_mat, want.n_mat), (got.t_mat, want.t_mat),
+                 (got.v_mat, want.v_mat)):
+        assert x.tobytes() == y.tobytes()
+    for k in cells:
+        monkeypatch.setattr(matel4, "_f4_table", masked(k))
+        got = matel4.assemble4(groups, spec)
+        assert any(np.isnan(x).any() for x in (got.n_mat, got.t_mat, got.v_mat)), k
 
 
-@pytest.mark.parametrize("mode", ["cc-break", "identity-break"])
-def test_assemble4_matches_pairwise_sum(mode):
-    # the array-valued assembler must reproduce, bit for bit, the weighted
-    # per-pair sum in group order of the scalar element functions
-    spec = solve._four_spec(mode, 1.7)
-    if mode == "cc-break":
-        groups = [matel4.symmetrized_group(T1), matel4.symmetrized_group(T2)]
-    else:
-        groups = solve._four_groups(mode, (0.62, 0.31))
-    blk = matel4.assemble4(groups, spec)
+def _pairwise_block(groups, spec):
+    # the weighted per-pair sum, in group order, of the scalar element
+    # functions, added left to right as the per-row assembler did
     invm = spec.inv_masses
+    m = len(groups)
+    out = np.zeros((3, m, m))
     for i, gi in enumerate(groups):
         for j, gj in enumerate(groups):
             acc = 0.0
             for w1, u in (gi if i <= j else gj):
                 for w2, v in (gj if i <= j else gi):
-                    acc = acc + w1 * w2 * np.array((
-                        matel4.overlap4(u, v),
-                        sum(0.5 * invm[p - 1] * matel4.kinetic4(p, u, v)
-                            for p in range(1, 5)),
-                        sum(s * matel4.coulomb4(pr, u, v)
-                            for pr, s in matel4._PAIR_SIGNS)))
-            assert [blk.n_mat[i, j], blk.t_mat[i, j], blk.v_mat[i, j]] == list(acc)
+                    t = 0.0
+                    for p in range(1, 5):
+                        if invm[p - 1] != 0.0:
+                            t = t + 0.5 * invm[p - 1] * matel4.kinetic4(p, u, v)
+                    pot = 0.0
+                    for pr, s in _PAIR_SIGNS:
+                        pot = pot + s * matel4.coulomb4(pr, u, v)
+                    acc = acc + w1 * w2 * np.array((matel4.overlap4(u, v), t, pot))
+            out[:, i, j] = acc
+    return out
+
+
+def _near(rng, x):
+    # a nearby exponent: equal, or off by a relative 1e-9 .. 1e-2
+    return x * (1.0 + rng.choice([0.0, 1e-9, 1e-5, 1e-2]) * rng.choice([-1, 1]))
+
+
+@pytest.mark.parametrize("mode", ["cc-break", "identity-break"])
+def test_assemble4_matches_pairwise_sum(mode):
+    # the array-valued assembler must reproduce, bit for bit, the weighted
+    # per-pair sum in group order of the scalar element functions: the fixed
+    # block below, then 100 seeded blocks at ratios in [1, 3] with
+    # near-degenerate exponents, then two with infinitely heavy positives
+    rng = np.random.default_rng(2009)
+    if mode == "cc-break":
+        cases = [(1.7, [matel4.symmetrized_group(T1),
+                        matel4.symmetrized_group(T2)])]
+    else:
+        cases = [(1.7, solve._four_groups(mode, (0.62, 0.31)))]
+    while len(cases) < 103:
+        ratio = float(rng.uniform(1.0, 3.0)) if len(cases) < 101 else None
+        x = [float(v) for v in rng.uniform(0.1, 1.5, 4)]
+        for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
+            if rng.random() < 0.3:
+                x[j] = float(_near(rng, x[i]))
+        if mode == "cc-break":
+            groups = solve._four_groups(mode, tuple(x))
+            if rng.random() < 0.2:
+                groups = groups + [matel4.symmetrized_group(
+                    tuple(float(v) for v in rng.uniform(0.1, 1.5, 4)))]
+        else:
+            groups = solve._four_groups(mode, (x[0], x[1]))
+        cases.append((ratio, groups))
+    heavy = SystemSpec(inv_masses=(0.0, 0.0, 1.0, 1.5), z_central=None,
+                       charges=(1.0, 1.0, -1.0, -1.0))
+    for ratio, groups in cases:
+        spec = heavy if ratio is None else solve._four_spec(mode, ratio)
+        blk = matel4.assemble4(groups, spec)
+        want = _pairwise_block(groups, spec)
+        for got, ref in zip((blk.n_mat, blk.t_mat, blk.v_mat), want):
+            assert got.tobytes() == ref.tobytes(), (ratio, groups)
+
+
+def test_f4_tables_match_full_table_products(monkeypatch):
+    # degree-aware products build every F4 table to the bit as full-table
+    # products do: 2 000 seeded argument sets on both sides of the series
+    # switch, near a = b and c = d, and at exact degeneracy
+    rng = np.random.default_rng(15)
+    args = []
+    for k in range(2000):
+        a, b, c, d = (float(v) for v in rng.uniform(0.05, 4.0, 4))
+        if k % 10 < 3:
+            b, d = float(_near(rng, a)), float(_near(rng, c))
+        elif k % 10 < 5:        # strong anisotropy: the direct branch
+            a, c = (float(v) for v in rng.uniform(1.5, 4.0, 2))
+            b, d = (float(v) for v in rng.uniform(0.05, 0.5, 2))
+        args.append((a, b, c, d))
+    r = np.array([abs(_r_at(*x)) for x in args])
+    for side in (r < matel4._R_SWITCH, r >= matel4._R_SWITCH):
+        assert side.sum() > 200 and (side & (abs(r - matel4._R_SWITCH) < 0.03)).sum() > 10
+    assert sum(x[0] == x[1] and x[2] == x[3] for x in args) > 10
+    fast = [matel4._f4_jet(*x, matel4._ORDERS).c for x in args]
+
+    def full(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.c * other, self.lay)
+        lay = self.lay
+        return Jet(np.bincount(lay.po, self.c[lay.pi] * other.c[lay.pj], lay.n), lay)
+
+    monkeypatch.setattr(Jet, "__mul__", full)
+    monkeypatch.setattr(Jet, "__rmul__", full)
+    for x, c in zip(args, fast):
+        assert matel4._f4_jet(*x, matel4._ORDERS).c.tobytes() == c.tobytes(), x
 
 
 def _f4_mp(mp, a, b, c, d, u):

@@ -821,6 +821,27 @@ def test_scan_mass4_records_report_the_search():
     assert isinstance(rec["converged"], bool)
 
 
+# the molecule4 benchmark's seed-0 passes 0-2 (simplex seed = pass, ratios
+# [1, r] with r from default_rng([0, pass, 4])): energies of the per-pair
+# moment4 assembler and full-table jet products, with numpy 2.4.6
+_MASS4_PINNED = {
+    ("cc-break", 0, 2.9842160587427786): ("-0.5042331263235788", "-0.5042551752675356"),
+    ("identity-break", 0, 1.9016348825652267): ("-0.5042296509175105", "-0.5042318399637705"),
+    ("cc-break", 1, 1.4495932749446765): ("-0.5042331263235788", "-0.5042528375326888"),
+    ("identity-break", 1, 1.8201738521820963): ("-0.5042296509175105", "-0.5042318399637704"),
+    ("cc-break", 2, 2.5509440505289005): ("-0.5042331263235788", "-0.5042547199587674"),
+    ("identity-break", 2, 2.3277955399766577): ("-0.5042296509175105", "-0.5042318399637705"),
+}
+
+
+@pytest.mark.parametrize("mode, seed, ratio", sorted(_MASS4_PINNED))
+def test_scan_mass4_energies_pinned(mode, seed, ratio):
+    rows = solve.scan_mass4([1.0, ratio], mode,
+                            MinimizerConfig(seed=seed, restarts=1, max_iter=8))
+    got = tuple(repr(float(r["energy"])) for r in rows)
+    assert got == _MASS4_PINNED[mode, seed, ratio]
+
+
 def test_molecule_result_ps2():
     res = solve.molecule_result("ps2", 1.0, LIGHT)
     assert res.energy == pytest.approx(-0.504233, abs=1e-5)

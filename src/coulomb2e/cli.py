@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import __version__, oracle, solve, tables
+from . import __version__, solve, tables
 from .model import NATURAL, UNNATURAL, TwoBodyThreshold, hminus_spec
 from .solve import MinimizerConfig, NonConvergenceError
 
@@ -216,6 +216,7 @@ def cmd_tables(args):
 
 
 def cmd_validate(args):
+    from . import oracle     # only this command reads it; keeps start-up lean
     pattern = args.filter or "*"
     report = oracle.run_manifest(pattern)
     if not report:

@@ -22,7 +22,7 @@ cancellation at any order.  A weight column sum w G(cell) (a polynomial
 weight in x, y, z, as the 1+ sector's |x_vec cross y_vec|^2) is expanded the
 same way, with like monomials merged exactly before any float is formed.
 `_g3_cells` evaluates a fixed tuple of cells and weight columns for whole
-arrays of argument triples (one inverse-power table per s, one matrix
+arrays of argument triples (one inverse-power table of s, one matrix
 product); each block assembler calls it once for all its term pairs.
 
 Term convention: a 3-tuple (a, b, c) means exp(-a*x - b*y - c*z), i.e. `a` on
@@ -76,16 +76,19 @@ def _plan(cols):
     return powers, -np.arange(powers.max(initial=0) + 1.0), coef
 
 
-def _g3_cells(alpha, beta, gamma, cols):
+# e + e.take(_NEXT, -1) is (s1, s2, s3); [..., _ROWS, powers] reads s_n^-powers[n]
+_NEXT, _ROWS = np.array([1, 2, 0]), np.arange(3)[:, None]
+
+
+def _g3_cells(e, cols):
     """Each column of the tuple `cols` (a cell or a weight polynomial, as in
-    _plan) at the arguments: shape (*argument shape, len(cols))."""
-    s = np.array([alpha + beta, beta + gamma, gamma + alpha], dtype=float)
-    if np.any(s <= 0):
+    _plan) at the triples e[..., :] = (alpha, beta, gamma): (..., len(cols))."""
+    s = e + e.take(_NEXT, -1)
+    if (s <= 0).any():
         raise ValueError("f3 domain: every pair sum must be positive")
     powers, exps, coef = _plan(cols)
-    inv = s[..., None] ** exps
-    return (inv[0][..., powers[0]] * inv[1][..., powers[1]]
-            * inv[2][..., powers[2]]) @ coef
+    inv = (s[..., None] ** exps)[..., _ROWS, powers]    # (..., 3, monomials)
+    return (inv[..., 0, :] * inv[..., 1, :] * inv[..., 2, :]) @ coef
 
 
 def g3_table(alpha, beta, gamma, omax):
@@ -93,13 +96,13 @@ def g3_table(alpha, beta, gamma, omax):
     if min(omax) < 0:
         raise ValueError("moment orders must be non-negative")
     sh = tuple(o + 1 for o in omax)
-    return _g3_cells(float(alpha), float(beta), float(gamma),
+    return _g3_cells(np.array([alpha, beta, gamma], dtype=float),
                      tuple(np.ndindex(sh))).reshape(sh)
 
 
 def g3(idx, alpha, beta, gamma):
     """One moment G(i,j,k; alpha,beta,gamma); any non-negative order."""
-    return float(_g3_cells(float(alpha), float(beta), float(gamma), (tuple(idx),))[0])
+    return float(_g3_cells(np.array([alpha, beta, gamma], float), (tuple(idx),))[0])
 
 
 def _split(t):
@@ -109,8 +112,7 @@ def _split(t):
 
 def _cells_at(u, v, cells):
     """{cell: G} at the combined exponents of the terms (or term arrays) u, v."""
-    a, b, c = _split(u) + _split(v)
-    return dict(zip(cells, _g3_cells(a, b, c, cells).T))
+    return dict(zip(cells, _g3_cells(np.add(u, v, dtype=float), cells).T))
 
 
 # the cells the scalar-sector elements read: Coulomb (order 2), overlap and
@@ -170,19 +172,26 @@ def he_cross(t, tp):
     return ap * b * xy + ap * c * xz - b * cp * yz - c * cp * G[1, 1, 1]
 
 
+# _elements_ntv's cells: overlap, Coulomb, the (particle 1, 2) kinetic bracket terms
+_NTV_TAKE = np.array([_NTV_CELLS.index(tuple(map(int, c))) for c in
+                      "111 101 011 110 300 030 120 210 102 012".split()])
+
+
 def _elements_ntv(u, v, z, invm):
-    """(overlap, kinetic, potential) for the ordered term pairs u, v: the
-    expressions of kinetic3 (particles 1 and 2) and he_cross, inlined."""
+    """(overlap, kinetic, potential) for the ordered term pairs u, v: the expressions of
+    kinetic3 (particles 1 and 2 as one (P, 2) stack) and he_cross, inlined."""
     im0, im1, im2 = invm
-    a, b, c = u.T
-    ap, bp, cp = v.T
-    (_, g003, g011, g012, _, g021, g030, g101, g102, g110, g111, g120, _,
-     g201, g210, g300) = _g3_cells(a + ap, b + bp, c + cp, _NTV_CELLS).T
-    tt = (0.5 * (im1 + im0) * ((b * bp + c * cp) * g111
-                               - 0.5 * (b * cp + bp * c) * (g300 - g120 - g102))
-          + 0.5 * (im2 + im0) * ((a * ap + c * cp) * g111
-                                 - 0.5 * (a * cp + ap * c) * (g030 - g210 - g012)))
+    G = _g3_cells(u + v, _NTV_CELLS)
+    g = G[:, _NTV_TAKE]
+    g111, g101, g011, g110 = g[:, :4].T
+    x, xp, c, cp = u[:, 1::-1], v[:, 1::-1], u[:, 2:], v[:, 2:]
+    kin = ((x * xp + c * cp) * g111[:, None]
+           - 0.5 * (x * cp + xp * c) * (g[:, 4:6] - g[:, 6:8] - g[:, 8:]))
+    tt = 0.5 * (im1 + im0) * kin[:, 0] + 0.5 * (im2 + im0) * kin[:, 1]
     if im0 != 0.0:
+        (a, b, c), (ap, bp, cp) = u.T, v.T
+        (_, g003, _, g012, _, g021, g030, _, g102, _, _, g120, _,
+         g201, g210, g300) = G.T
         tt = tt + im0 * (ap * b * (0.5 * (g201 + g021 - g003))
                          + ap * c * (0.5 * (g030 - g210 - g012))
                          - b * cp * (-0.5 * (g300 - g120 - g102)) - c * cp * g111)
@@ -357,7 +366,7 @@ def _un_pair(u, v, z, invm):
     a, b, c = _split(u)
     ap, bp, cp = _split(v)
     n, wx, wy, wz, xx, yy, zz, yz, xz, xy = _g3_cells(
-        a + ap, b + bp, c + cp, _UN_COLS).T
+        np.add(u, v, dtype=float), _UN_COLS).T
     pot = -z * wx - z * wy + wz
     # p1^2 (particle at y): radial part 2x^2 replaces the |W|^2 weight
     k1 = (xx - (b + bp) * wy - (c + cp) * wz + (b * bp + c * cp) * n

@@ -8,6 +8,7 @@ keeps every formula finite and branch-free.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,6 +73,18 @@ class MatBlock:
     v_mat: "object"
 
 
+@lru_cache(maxsize=64)   # a solve keeps one weight pattern; a scan a few
+def _layout(weights):
+    """`assemble`'s pair layout for groups of these weights (a tuple per group)."""
+    m = len(weights)
+    gid = np.repeat(np.arange(m), [len(g) for g in weights])
+    w = np.array([x for g in weights for x in g], dtype=float)
+    p, q = np.nonzero(gid[:, None] <= gid[None, :])
+    mirror = np.arange(m * m).reshape(m, m)
+    mirror = np.minimum(mirror, mirror.T)      # (j, i) reads cell (i, j), i <= j
+    return p, q, gid[p] * m + gid[q], w[p] * w[q], mirror
+
+
 def assemble(groups, pair):
     """Symmetric matrices over symmetrized basis vectors.
 
@@ -81,17 +94,11 @@ def assemble(groups, pair):
     elements per matrix.  Entry (i, j) of the k-th matrix is the sum of
     w_u w_v pair(U, V)[k] over u in group i and v in group j, in group order.
     The upper triangle is mirrored, so the operators must be Hermitian.
-    Each entry sums its pairs in u-major, v-minor order.
+    Each entry sums its pairs in u-major, v-minor order (`_layout`, cached).
     """
-    m = len(groups)
-    gid = np.repeat(np.arange(m), [len(g) for g in groups])
-    w, terms = (np.array(x, dtype=float)
-                for x in zip(*[wt for g in groups for wt in g]))
-    p, q = np.nonzero(gid[:, None] <= gid[None, :])
-    cell = gid[p] * m + gid[q]
-    mirror = np.arange(m * m).reshape(m, m)
-    mirror = np.minimum(mirror, mirror.T)      # (j, i) reads cell (i, j), i <= j
-    return [np.bincount(cell, w[p] * w[q] * x, m * m)[mirror]
+    p, q, cell, ww, mirror = _layout(tuple(tuple(w for w, _ in g) for g in groups))
+    terms = np.array([t for g in groups for _, t in g], dtype=float)
+    return [np.bincount(cell, ww * x, mirror.size)[mirror]
             for x in pair(terms[p], terms[q])]
 
 

@@ -18,6 +18,7 @@ No scipy runs here: `_fminbound`, `_nelder_mead` and `_brentq` port
 scipy's bounded Brent, Nelder-Mead and brentq step for step, to the bit.
 The simplex runs on Python floats (numpy's per-call cost on 2- to 9-vectors
 outweighed the arithmetic) and leaves ties and NaN to np.argsort's own order.
+Eigensolves call numpy's private eigh_lo and eigvalsh_lo (`_dsyevd`): numpy < 3.
 """
 
 import math
@@ -26,8 +27,8 @@ from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
-# private to numpy, hence the numpy < 3 cap; check it on each numpy major
-from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
+# private to numpy, hence the numpy < 3 cap; check both on each numpy major
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo, eigvalsh_lo as _eigvalsh_lo
 
 from .model import (MatBlock, SystemSpec, VariationalResult, NATURAL,
                     STABILITY_TOL, threshold_for, hminus_spec, ps2_spec)
@@ -90,13 +91,27 @@ def _scale_inf(n, t, v):
     return virial_reduce(n, t, v)[0] if v < 0 else 0.0
 
 
+def _no_convergence(*_):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _checked(e):
+    return _no_convergence() if math.isnan(e) else e   # a failed dsyevd's NaN
+
+
+def _dsyevd(gufunc, a, signature):
+    """np.linalg.eigh or eigvalsh less its checks and casts, raising where it raises."""
+    with np.errstate(call=_no_convergence, all="ignore", invalid="call"):
+        return gufunc(a, signature=signature)
+
+
 def _reduce(block: MatBlock, floor):
     """Canonical orthogonalization of the overlap: X, X^T T X and X^T V X.
 
     X spans the overlap eigendirections above floor times the largest
     overlap eigenvalue, scaled so that X^T N X = 1.
     """
-    w, U = np.linalg.eigh(np.asarray(block.n_mat, dtype=float))
+    w, U = _dsyevd(_eigh_lo, np.asarray(block.n_mat, dtype=float), "d->dd")
     keep = w > floor * max(w[-1], 1e-300)
     X = U[:, keep] / np.sqrt(w[keep])
     return X, X.T @ np.asarray(block.t_mat) @ X, X.T @ np.asarray(block.v_mat) @ X
@@ -111,7 +126,7 @@ def gen_eig(block: MatBlock, floor=1e-12):
     subspace with c^T N c = 1.
     """
     X, Tt, Vt = _reduce(block, floor)
-    w, y = np.linalg.eigh(Tt + Vt)
+    w, y = _dsyevd(_eigh_lo, Tt + Vt, "d->dd")
     return w, X @ y
 
 
@@ -234,26 +249,23 @@ def _eigvalsh2(d1, e, d2):
 
 
 def _scale_step(Tt, Vt, k):
-    """lam -> the k-th eigenvalue of lam^2 Tt + lam Vt (see scaled_lowest)."""
-    # the Python steps round lam^2 Tt + lam Vt's lower triangle as numpy does
-    py = lambda lam: None
+    """lam -> the k-th eigenvalue of lam^2 Tt + lam Vt (see scaled_lowest), one
+    closure per size; the 2 x 2 Python step is finite where it runs (NaN: gufunc)."""
+    lapack = lambda lam: _checked(float(
+        _eigvalsh_lo(lam * lam * Tt + lam * Vt, signature="d->d")[k]))
     if len(Tt) == 1:
         [[t]], [[v]] = Tt.tolist(), Vt.tolist()
-        py = lambda lam: (lam * lam * t + lam * v,)
-    elif len(Tt) == 2:
+        return lambda lam: _checked(lam * lam * t + lam * v)
+    if len(Tt) == 2:
         ((t0, _), (t1, t2)), ((v0, _), (v1, v2)) = Tt.tolist(), Vt.tolist()
-        py = lambda lam: _eigvalsh2(lam * lam * t0 + lam * v0,
-                                    lam * lam * t1 + lam * v1,
-                                    lam * lam * t2 + lam * v2)
 
-    def e_of(lam):
-        w = py(lam) or _eigvalsh_lo(lam * lam * Tt + lam * Vt, signature="d->d")
-        e = float(w[k])
-        if math.isnan(e):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return e
+        def step2(lam):
+            w = _eigvalsh2(lam * lam * t0 + lam * v0, lam * lam * t1 + lam * v1,
+                           lam * lam * t2 + lam * v2)
+            return lapack(lam) if w is None else w[k]
 
-    return e_of
+        return step2
+    return lapack
 
 
 def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
@@ -426,7 +438,7 @@ _UN_COND_CAP = 1e8
 
 def _un_lowest(terms, spec, k=0):
     blk = matel3.unnatural_matblock(terms, spec)
-    wN = np.linalg.eigvalsh(np.asarray(blk.n_mat, dtype=float))
+    wN = _dsyevd(_eigvalsh_lo, np.asarray(blk.n_mat, dtype=float), "d->d")
     if wN[0] <= 0 or wN[-1] > _UN_COND_CAP * wN[0]:
         raise CancellationError(
             "vector-sector overlap too ill-conditioned to trust")
@@ -434,6 +446,7 @@ def _un_lowest(terms, spec, k=0):
 
 
 def _rows3(x):
+    x = np.asarray(x, dtype=float).tolist()    # floats skip numpy scalar math
     return [tuple(x[i:i + 3]) for i in range(0, len(x), 3)]
 
 

@@ -330,3 +330,22 @@ def test_runs_without_scipy():
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+_LAZY_ORACLE = """
+import sys
+import coulomb2e.cli
+assert "coulomb2e.oracle" not in sys.modules, "cli imported the oracle"
+assert coulomb2e.cli.main(["validate", "--filter", "f3*"]) == 0
+assert "coulomb2e.oracle" in sys.modules
+"""
+
+
+def test_cli_imports_the_oracle_only_for_validate():
+    # the quadrature oracle costs start-up time that only `validate` needs
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_ORACLE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

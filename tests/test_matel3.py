@@ -78,9 +78,9 @@ def _cols_read(monkeypatch):
     seen = set()
     orig = matel3._g3_cells
 
-    def spy(alpha, beta, gamma, cols):
+    def spy(e, cols):
         seen.update(cols)
-        return orig(alpha, beta, gamma, cols)
+        return orig(e, cols)
 
     monkeypatch.setattr(matel3, "_g3_cells", spy)
     terms = [(0.9, 0.4, 0.08), (0.7, 0.5, 0.03)]
@@ -112,7 +112,7 @@ def test_g3_kernel_vs_mpmath(point, monkeypatch):
     mp = pytest.importorskip("mpmath")
     cols = list(_cols_read(monkeypatch))
     assert set(matel3._NTV_CELLS) | set(matel3._UN_COLS) <= set(cols)
-    got = matel3._g3_cells(*point, tuple(cols))
+    got = matel3._g3_cells(np.array(point), tuple(cols))
     with mp.workdps(30):
         f3 = lambda a, b, g: 4 / ((a + b) * (b + g) * (g + a))
         x = [mp.mpf(v) for v in point]

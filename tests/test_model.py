@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coulomb2e import matel3, matel4, solve
+from coulomb2e import matel3, matel4, model, solve
 from coulomb2e.model import (MatBlock, SystemSpec, TwoBodyThreshold, NATURAL,
                              UNNATURAL, threshold_for, hminus_spec, ps2_spec)
 
@@ -151,3 +151,24 @@ def test_assemble_matches_the_per_pair_loop(build, monkeypatch):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def test_layout_cache_is_bounded_and_misses_once_per_weight_pattern(monkeypatch):
+    # the pair layout depends on the groups' weights alone: a whole
+    # optimize_ion solve builds it at its first block and never again
+    assert model._layout.cache_info().maxsize is not None
+    for sector, build in ((NATURAL, "natural_matblock"),
+                          (UNNATURAL, "unnatural_matblock")):
+        model._layout.cache_clear()
+        misses, orig = [], getattr(matel3, build)
+
+        def counted(*a, **kw):
+            out = orig(*a, **kw)
+            misses.append(model._layout.cache_info().misses)
+            return out
+
+        monkeypatch.setattr(matel3, build, counted)
+        solve.optimize_ion(hminus_spec(z=1.0, sector=sector), 2,
+                           solve.MinimizerConfig(seed=0, restarts=1, max_iter=200))
+        assert len(misses) > 200 and set(misses) == {1}
+        assert model._layout.cache_info().currsize == 1

@@ -116,7 +116,7 @@ def test_fminbound_is_scipy_bounded_brent(f, a, b, xatol):
 
 def test_scaled_lowest_search_is_local():
     # on this block the bounded search keeps its local minimum, which a
-    # dense grid beats by 9.8 % (ROADMAP item 1)
+    # dense grid beats by 9.8 % (ROADMAP item 5)
     e, lam = scaled_lowest(
         matel3.natural_matblock(HM_LOCAL_TERMS, hminus_spec(z=1.0)))
     e_of = _hm_local_energy()
@@ -279,6 +279,82 @@ def test_scaled_lowest_raises_when_lapack_fails(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(np.linalg.LinAlgError):
             scaled_lowest(blk)
+
+
+def _via_wrappers(gufunc, a, signature):
+    # the reference for solve._dsyevd: numpy's np.linalg wrappers
+    return (np.linalg.eigh if gufunc is solve._eigh_lo else np.linalg.eigvalsh)(a)
+
+
+def _outcome(f, *args):
+    # what f returns, as bit patterns (NaN included), or the error it raises
+    try:
+        out = f(*args)
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+    arrays = out if isinstance(out, tuple) else (out,)
+    return [_bits(x).tolist() for x in arrays]
+
+
+def _overlap_sample():
+    # the seeded blocks (natural n = 1, 2, 3, 8, vector, four-body), each
+    # again with a NaN entry of its lower triangle in the overlap
+    out = [blk for blk, _ in _sample_blocks()]
+    for blk in list(out):
+        N = np.array(blk.n_mat, dtype=float)
+        N[len(N) - 1, 0] = np.nan
+        out.append(MatBlock(N, blk.t_mat, blk.v_mat))
+    return out
+
+
+def test_direct_dsyevd_is_the_linalg_wrapper(monkeypatch):
+    # eigh and eigvalsh of each overlap, the reduction, gen_eig and the 1+
+    # overlap-condition check: the wrappers' values to the bit, and
+    # LinAlgError exactly where the wrappers raise it
+    sample = _overlap_sample()
+    assert {len(b.n_mat) for b in sample} >= {1, 2, 3, 8}
+
+    def outcomes():
+        out = []
+        for blk in sample:
+            N = np.asarray(blk.n_mat, dtype=float)
+            out += [_outcome(solve._dsyevd, solve._eigh_lo, N, "d->dd"),
+                    _outcome(solve._dsyevd, solve._eigvalsh_lo, N, "d->d"),
+                    _outcome(solve._reduce, blk, 1e-12), _outcome(gen_eig, blk)]
+        return out
+
+    got = outcomes()
+    monkeypatch.setattr(solve, "_dsyevd", _via_wrappers)
+    assert got == outcomes()
+    # both kinds of NaN overlap occur: one that dsyevd fails on, one it survives
+    assert np.linalg.LinAlgError in got
+    assert any(o != np.linalg.LinAlgError and np.isnan(np.array(o[0]).view(float)).any()
+               for o in got)
+
+
+def test_failed_dsyevd_on_a_nan_overlap_is_refused_linalg(monkeypatch):
+    # dsyevd fails on this NaN overlap, so np.linalg.eigh and eigvalsh raise
+    # LinAlgError; so do the reduction and the 1+ condition check, and
+    # minimize_nm counts each such evaluation as refused_linalg
+    N = np.eye(3) + 0.1
+    N[2, 0] = N[0, 2] = np.nan
+    blk = MatBlock(N, np.eye(3), -np.eye(3))
+    for wrapper in (np.linalg.eigh, np.linalg.eigvalsh):
+        with pytest.raises(np.linalg.LinAlgError):
+            wrapper(N)
+    with pytest.raises(np.linalg.LinAlgError):
+        scaled_lowest(blk)
+    monkeypatch.setattr(matel3, "unnatural_matblock", lambda terms, spec: blk)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            solve._un_lowest([(0.5, 0.2, 0.0)], hminus_spec(sector=UNNATURAL))
+        # the simplex's second vertex, 1.05 x 0.98, lands where the overlap fails
+        _, e, info = minimize_nm(lambda x: scaled_lowest(blk)[0] if x[0] > 1.0
+                                 else (x[0] - 0.5) ** 2, [0.98],
+                                 MinimizerConfig(restarts=1, max_iter=200))
+    assert e < 1e-8 and info["refused_linalg"] >= 1
+    assert info["refused_value"] == info["refused_domain"] == 0
 
 
 # He 1^1S, He 2^3S and H-, N = 2, seed 0, one restart of 500 evaluations (the
@@ -596,7 +672,8 @@ def test_brentq_gives_up_after_scipy_iterations():
     ("effective", (0.9, 1.2)),
 ])
 def test_scan_charge_root_is_scipy_brentq(basis, bracket, monkeypatch):
-    # the brackets of ROADMAP item 2 and the CLI's: the same root to the bit
+    # the CLI's default bracket and narrower and wider critical-charge
+    # brackets: the same root to the bit
     zc = solve.scan_charge(basis, *bracket)
     monkeypatch.setattr(solve, "_brentq", brentq)
     assert zc == solve.scan_charge(basis, *bracket)

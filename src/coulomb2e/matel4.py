@@ -173,27 +173,23 @@ def _p4sq(t, tp):
     return (c * cp + d * dp) * n - (c * dp + cp * d) * x4
 
 
-def _relabel_1324(t):
-    # simultaneous relabel 1<->3, 2<->4: fixes r13 and r24, swaps r14<->r23,
-    # and maps r12 into the r34 slot.  In the spec tuple that swaps b and c.
-    return (t[0], t[2], t[1], t[3])
-
-
 def kinetic4(particle, t, tp):
     """<t| p_particle^2 |t'>.
 
     The generating function gives the pattern for particles 3 and 4 directly;
     particles 1 and 2 follow from relabeling both positives into the negative
-    slots (1<->3, 2<->4), under which the basis family maps onto itself.
+    slots (1<->3, 2<->4), under which the basis family maps onto itself.  That
+    relabel fixes r13 and r24 and swaps r14 <-> r23, so in the term tuple it
+    swaps b and c, the same swap as _to_F.
     """
     if particle == 3:
         return _p3sq(t, tp)
     if particle == 4:
         return _p4sq(t, tp)
     if particle == 1:
-        return _p3sq(_relabel_1324(t), _relabel_1324(tp))
+        return _p3sq(_to_F(t), _to_F(tp))
     if particle == 2:
-        return _p4sq(_relabel_1324(t), _relabel_1324(tp))
+        return _p4sq(_to_F(t), _to_F(tp))
     raise ValueError("particle must be 1..4")
 
 

@@ -10,9 +10,10 @@ one-dimensional bounded search over the lowest eigenvalue of the reduced
 lam^2 T + lam V (multi-term), so a search needs only the shape.  A
 one-parameter shape goes to `_grid_min`: min-max, the critical charge and
 the mass scans (and the frozen scan); the single correlated term fixes a = 1.
-Every three-body simplex runs through `_search3`.  The N-term bases,
-`scan_mass4` and Table I's two-range and shell-model searches still walk
-raw ranges, the scale a flat direction (ROADMAP item 4).
+Every three-body simplex runs through `_search3`; Table I's two-range and
+shell-model searches walk t alone at a = 1 (`_shape_search`).  The N-term
+bases and `scan_mass4` still walk raw ranges, the scale a flat direction
+(ROADMAP item 4).
 
 No scipy runs here: `_fminbound`, `_nelder_mead` and `_brentq` port
 scipy's bounded Brent, Nelder-Mead and brentq step for step, to the bit.
@@ -62,8 +63,9 @@ class MinimizerConfig:
     def __post_init__(self):
         if not (0 < self.f_tol < math.inf and 0 < self.x_tol < math.inf):
             raise ValueError("tolerances must be finite and > 0")
-        if self.max_iter < 1 or self.restarts < 1:
-            raise ValueError("max_iter and restarts must be >= 1")
+        for name in ("max_iter", "restarts"):
+            if type(v := getattr(self, name)) is not int or v < 1:  # nor bool
+                raise ValueError(f"{name} must be an int >= 1, got {v!r}")
         if type(self.seed) is not int or self.seed < 0:     # bool is no seed
             raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
 
@@ -597,30 +599,28 @@ def chandrasekhar_energy(a, b, z, epsilon=+1):
     return virial_reduce(n, t, v)[0]
 
 
-def _shape_search(ntv, x0, config, b_min=0.01):
-    """Simplex over the ranges (a, b) of virial_reduce(*ntv(a, b)), refusing
-    a <= 0.01 and b <= b_min.  Returns (energy, (a, b), info) with physical
-    ranges: the simplex's raw ranges times the scale virial_reduce picks."""
-    def obj(p):
-        a, b = p
-        return _BIG if a <= 0.01 or b <= b_min else virial_reduce(*ntv(a, b))[0]
-
-    (a, b), e, info = minimize_nm(obj, x0, config)
-    lam = virial_reduce(*ntv(a, b))[1]
-    return e, (lam * a, lam * b), info
+def _shape_search(ntv, t0, config):
+    """Simplex over the shape t = b/a of virial_reduce(*ntv(1, t)) from t0; the
+    closed forms refuse t <= 0 and virial_reduce a shape with V >= 0.
+    Returns (energy, (a, b), info) with the physical ranges lam * (1, t)."""
+    (t,), e, info = minimize_nm(lambda p: virial_reduce(*ntv(1.0, p[0]))[0],
+                                [t0], config)
+    lam = virial_reduce(*ntv(1.0, t))[1]
+    return e, (lam, lam * t), info
 
 
 def optimize_chandrasekhar(z, config: MinimizerConfig, epsilon=+1):
-    """Minimize the two-exponential energy over (a, b); the physical ranges
-    come larger first, as exchange makes (a, b) and (b, a) one state.
+    """Minimize the two-exponential energy over its shape t = b/a; the
+    physical ranges come larger first, as exchange makes (a, b) and (b, a)
+    one state.
 
     Close to the critical charge this landscape develops a runaway valley
-    a -> inf, b -> 0 that approaches the threshold from above, so
-    scan_charge searches the shape ratio b/a instead.
+    at the t -> 0 edge that approaches the threshold from above, so
+    scan_charge searches t on a grid instead.
     """
     e, (a, b), info = _shape_search(
         lambda a, b: matel3.chandrasekhar_ntv(a, b, z, epsilon),
-        [1.04 * z, 0.28 * z], config, b_min=0.005)
+        0.28 / 1.04, config)
     return e, (max(a, b), min(a, b)), info
 
 
@@ -636,9 +636,9 @@ def optimize_minmax(z):
 
 
 def optimize_shellmodel(z, config: MinimizerConfig):
-    """Minimize the antisymmetrized (1s)(2s) energy over the orbital ranges."""
-    return _shape_search(lambda a, b: matel3.shellmodel_ntv(a, b, z),
-                         [z, 0.6 * z], config)
+    """Minimize the antisymmetrized (1s)(2s) energy over its shape t = b/a."""
+    return _shape_search(lambda a, b: matel3.shellmodel_ntv(a, b, z), 0.6,
+                         config)
 
 
 def optimize_single_term(z, config: MinimizerConfig, epsilon, tie_ab):

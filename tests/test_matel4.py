@@ -276,8 +276,8 @@ def test_overlap_and_kinetic_symmetric_in_bra_ket():
 
 def test_kinetic_relabel_consistency():
     # swapping the two positives with the two negatives maps p1^2 onto p3^2
-    t_sw = matel4._relabel_1324(T1)
-    u_sw = matel4._relabel_1324(T2)
+    t_sw = matel4._to_F(T1)
+    u_sw = matel4._to_F(T2)
     assert matel4.kinetic4(1, T1, T2) == pytest.approx(
         matel4.kinetic4(3, t_sw, u_sw), rel=1e-12)
 

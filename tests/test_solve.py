@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -733,7 +734,9 @@ def test_refusals_are_counted_by_class():
     {"restarts": 0}, {"restarts": -3}, {"max_iter": 0},
     {"f_tol": 0.0}, {"f_tol": math.nan}, {"x_tol": -1e-8},
     {"x_tol": math.nan}, {"x_tol": math.inf},
-    {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": None}])
+    {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": None},
+    {"restarts": 2.0}, {"max_iter": 2.5}, {"max_iter": True},
+    {"restarts": True}])
 def test_minimizer_config_rejects_what_it_cannot_honour(bad):
     with pytest.raises(ValueError):
         MinimizerConfig(**bad)
@@ -784,15 +787,31 @@ def test_optimize_chandrasekhar_hminus():
     assert e == pytest.approx(-0.51330, abs=5e-5)
 
 
-@pytest.mark.parametrize("eps", [+1, -1])
-def test_optimize_chandrasekhar_returns_physical_ranges(eps):
-    # the ranges come at their optimal scale, the larger first
+@pytest.mark.parametrize("search, ntv", [
+    (partial(solve.optimize_chandrasekhar, epsilon=+1),
+     partial(matel3.chandrasekhar_ntv, epsilon=+1)),
+    (partial(solve.optimize_chandrasekhar, epsilon=-1),
+     partial(matel3.chandrasekhar_ntv, epsilon=-1)),
+    (solve.optimize_shellmodel, matel3.shellmodel_ntv),
+], ids=["chandrasekhar+1", "chandrasekhar-1", "shellmodel"])
+def test_table1_searches_walk_the_shape_to_physical_ranges(monkeypatch, search,
+                                                           ntv):
+    # the simplex walks t = b/a alone; the ranges come at their optimal
+    # scale, the two-range pair's larger first
+    starts = []
+
+    def spy(objective, x0, config):
+        starts.append(len(x0))
+        return minimize_nm(objective, x0, config)
+
+    monkeypatch.setattr(solve, "minimize_nm", spy)
     z = 2.0
-    e, (a, b), _ = solve.optimize_chandrasekhar(z, LIGHT, epsilon=eps)
-    assert a >= b
-    assert virial_reduce(*matel3.chandrasekhar_ntv(a, b, z, eps))[1] == \
-        pytest.approx(1.0, abs=1e-12)
-    assert chandrasekhar_energy(a, b, z, eps) == pytest.approx(e, rel=1e-12)
+    e, (a, b), _ = search(z, LIGHT)
+    assert starts == [1]
+    assert ntv is matel3.shellmodel_ntv or a >= b
+    e2, lam = virial_reduce(*ntv(a, b, z))
+    assert lam == pytest.approx(1.0, abs=1e-12)
+    assert e2 == pytest.approx(e, rel=1e-12)
 
 
 def test_optimize_minmax_above_chandrasekhar():

@@ -4,7 +4,8 @@
 Covers the frozen-range curve, the (a,b) energy surface, the three critical
 charges, the finite- and asymmetric-mass three-body scans, and both four-body
 symmetry-breaking directions.  The four-body scans are the slow part
-(several minutes); pass --skip-four-body to leave them out.
+(about 6 s on a 2-core Xeon, nearly all of it the cc-break scan); pass
+--skip-four-body to leave them out.
 """
 
 import argparse

@@ -146,7 +146,7 @@ def cmd_molecule(args):
     label = f"molecule mode={args.mode} ratio={ratio:g}"
     t0 = time.perf_counter()
     res = solve.molecule_result(args.mode, ratio, _config(args, restarts=1,
-                                                          max_iter=300))
+                                                          max_iter=1000))
     wall = time.perf_counter() - t0
     thr = res.threshold
     res.energy *= s

@@ -23,13 +23,17 @@ for small |r| (and directly otherwise) is stable for every admissible
 argument, including exact degeneracy; the series switch engages well before
 the printed form loses precision.
 
-`assemble4`'s array kernel reads each pair's F4 tables through the
-`_f4_table` lru (the only four-body cache) in one gather of the `_MOMENTS`
-cells; the scalar `moment4`, `overlap4`, `kinetic4` and `coulomb4` are its
-bit-exact reference.
+F4 is unchanged under (a b)(c d) and (a c)(b d), so the `_f4_table` lru
+(the only four-body cache) holds one table per orbit of that group, built at
+the orbit's smallest member, and `_f4_orbit` serves any member through
+permuted cells.  A served moment differs from a build at the requested
+arguments in the last bits (2e-14 relative at worst in the tests).
+`assemble4`'s array kernel reads each pair's tables in one gather of the
+`_MOMENTS` cells; the scalar `moment4`, `overlap4`, `kinetic4` and
+`coulomb4` read the same cells and are its bit-exact reference.
 """
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import factorial, prod
 
 import numpy as np
@@ -105,14 +109,39 @@ def _f4_table(a, b, c, d):
     return _f4_jet(a, b, c, d, _ORDERS)
 
 
+# F4 is unchanged under (a b)(c d), (a c)(b d) and their product: they flip
+# or swap p = a-b and q = c-d, which leaves u1, u2 and (a+b)(c+d) alone.
+# Each is an involution g of the four axes that fixes u, so d^idx F4 at x is
+# d^(idx o g) F4 at x o g, and one table serves the whole orbit.
+_KLEIN = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+
+
+def _f4_orbit(a, b, c, d):
+    """The cached F4 table at the smallest x o g of x = (a, b, c, d) (the
+    first g on a tie), and g's row k in _KLEIN: the table's cell idx o g
+    holds x's derivative idx."""
+    x0, x1, x2, x3 = (a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a)
+    y, k = (x1, 1) if x1 < x0 else (x0, 0)
+    z, l = (x3, 3) if x3 < x2 else (x2, 2)
+    return (_f4_table(*z), l) if z < y else (_f4_table(*y), k)
+
+
+@cache
+def _orbit_cells(lay):
+    """Cells of idx o g in lay: one row per _KLEIN row g, one column per _MOMENTS idx."""
+    return np.array([[lay.index[tuple(idx[i] for i in g) + idx[4:]]
+                      for idx in _MOMENTS] for g in _KLEIN])
+
+
 def g4(idx, a, b, c, d):
     """Signed mixed partial (-1)^|idx| d^idx F4 at u=0; idx=(i,j,k,l,m).
 
     Raises ValueError for an order beyond the jet's truncation (_ORDERS per
     axis, _DEGREE in total).
     """
-    F = _f4_table(float(a), float(b), float(c), float(d))
-    return (-1.0) ** sum(idx) * F.deriv(idx)
+    F, k = _f4_orbit(float(a), float(b), float(c), float(d))
+    idx = tuple(idx)
+    return (-1.0) ** sum(idx) * F.deriv(tuple(idx[i] for i in _KLEIN[k]) + idx[4:])
 
 
 def moment4(i, j, k, l, m, a, b, c, d):
@@ -204,10 +233,10 @@ def _pair_ntv(U, V, invm):
     their float operations in their order.  Each pair reads two F4 tables:
     m at its _pair_args (A, B, C, D) and r at (A, C, B, D), which kinetic4
     reads for particles 1 and 2 and coulomb4 for the pair 34."""
-    tabs = [_f4_table(*k) for w0, w1, w2, w3 in (U + V).tolist()
-            for k in ((w0, w2, w1, w3), (w0, w1, w2, w3))]
-    cells = [tabs[0].lay.index[idx] for idx in _MOMENTS]
-    g = np.array([tab.c for tab in tabs])[:, cells] * _SIGNED_FACT
+    tabs, ks = zip(*[_f4_orbit(*k) for w0, w1, w2, w3 in (U + V).tolist()
+                     for k in ((w0, w2, w1, w3), (w0, w1, w2, w3))])
+    cells = _orbit_cells(tabs[0].lay)[list(ks)]
+    g = np.array([tab.c for tab in tabs])[np.arange(len(tabs))[:, None], cells] * _SIGNED_FACT
     m, r = g[0::2], g[1::2]
     a, b, c, d = U.T          # spec order (r13, r14, r23, r24)
     ap, bp, cp, dp = V.T

@@ -107,15 +107,26 @@ def _dsyevd(gufunc, a, signature):
         return gufunc(a, signature=signature)
 
 
+def _check_finite(N):
+    if not np.isfinite(N).all():
+        raise np.linalg.LinAlgError("overlap matrix is not finite")
+
+
 def _reduce(block: MatBlock, floor):
     """Canonical orthogonalization of the overlap: X, X^T T X and X^T V X.
 
     X spans the overlap eigendirections above floor times the largest
-    overlap eigenvalue, scaled so that X^T N X = 1.
+    overlap eigenvalue, scaled so that X^T N X = 1.  A non-finite overlap
+    raises LinAlgError: dsyevd does not always flag it, and its NaN
+    eigenvalues fall below any floor, so it is checked once a direction
+    drops out.
     """
-    w, U = _dsyevd(_eigh_lo, np.asarray(block.n_mat, dtype=float), "d->dd")
+    N = np.asarray(block.n_mat, dtype=float)
+    w, U = _dsyevd(_eigh_lo, N, "d->dd")
     keep = w > floor * max(w[-1], 1e-300)
     X = U[:, keep] / np.sqrt(w[keep])
+    if X.shape[1] < len(w):
+        _check_finite(N)
     return X, X.T @ np.asarray(block.t_mat) @ X, X.T @ np.asarray(block.v_mat) @ X
 
 
@@ -442,6 +453,7 @@ def _un_lowest(terms, spec, k=0):
     blk = matel3.unnatural_matblock(terms, spec)
     wN = _dsyevd(_eigvalsh_lo, np.asarray(blk.n_mat, dtype=float), "d->d")
     if wN[0] <= 0 or wN[-1] > _UN_COND_CAP * wN[0]:
+        _check_finite(blk.n_mat)      # NaN can leave finite eigenvalues
         raise CancellationError(
             "vector-sector overlap too ill-conditioned to trust")
     return scaled_lowest(blk, k=k)

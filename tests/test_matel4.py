@@ -192,11 +192,10 @@ def test_assemble4_matches_pairwise_sum(mode):
             assert got.tobytes() == ref.tobytes(), (ratio, groups)
 
 
-def test_f4_tables_match_full_table_products(monkeypatch):
-    # degree-aware products build every F4 table to the bit as full-table
-    # products do: 2 000 seeded argument sets on both sides of the series
-    # switch, near a = b and c = d, and at exact degeneracy
-    rng = np.random.default_rng(15)
+def _f4_args(seed):
+    # 2 000 seeded F4 argument sets on both sides of the series switch, near
+    # a = b and c = d, and at exact degeneracy
+    rng = np.random.default_rng(seed)
     args = []
     for k in range(2000):
         a, b, c, d = (float(v) for v in rng.uniform(0.05, 4.0, 4))
@@ -210,6 +209,13 @@ def test_f4_tables_match_full_table_products(monkeypatch):
     for side in (r < matel4._R_SWITCH, r >= matel4._R_SWITCH):
         assert side.sum() > 200 and (side & (abs(r - matel4._R_SWITCH) < 0.03)).sum() > 10
     assert sum(x[0] == x[1] and x[2] == x[3] for x in args) > 10
+    return args
+
+
+def test_f4_tables_match_full_table_products(monkeypatch):
+    # degree-aware products build every F4 table to the bit as full-table
+    # products do, over _f4_args' 2 000 argument sets
+    args = _f4_args(15)
     fast = [matel4._f4_jet(*x, matel4._ORDERS).c for x in args]
 
     def full(self, other):
@@ -222,6 +228,72 @@ def test_f4_tables_match_full_table_products(monkeypatch):
     monkeypatch.setattr(Jet, "__rmul__", full)
     for x, c in zip(args, fast):
         assert matel4._f4_jet(*x, matel4._ORDERS).c.tobytes() == c.tobytes(), x
+
+
+def _orbit(x):
+    return [tuple(x[i] for i in g) for g in matel4._KLEIN]
+
+
+def test_moments_closed_under_the_orbit_group():
+    # the four involutions form a group that fixes u and maps the moments the
+    # kernel reads onto themselves, so every served cell is a tabulated one
+    klein = set(matel4._KLEIN)
+    for g in klein:
+        assert tuple(g[i] for i in g) == (0, 1, 2, 3)
+        assert {tuple(g[i] for i in h) for h in klein} == klein
+        assert {tuple(idx[i] for i in g) + idx[4:] for idx in matel4._MOMENTS} \
+            == set(matel4._MOMENTS)
+        assert matel4.f4(*(T1[i] for i in g)) == pytest.approx(matel4.f4(*T1), rel=1e-15)
+    lay = matel4._f4_table(*A4).lay
+    cells = [lay.index[idx] for idx in matel4._MOMENTS]
+    rows = matel4._orbit_cells(lay).tolist()
+    assert rows[0] == cells and all(sorted(r) == sorted(cells) for r in rows)
+
+
+def test_orbit_tables_match_direct_builds():
+    # a request at any member of an orbit reads the one table at its smallest
+    # member through permuted cells; over _f4_args' 2 000 argument sets each
+    # served moment matches a build at the requested arguments to 1e-13
+    # relative, and the lru holds one table per orbit
+    matel4._f4_table.cache_clear()
+    args = _f4_args(18)
+    for x in args:
+        orbit = _orbit(x)
+        for y in orbit:
+            tab, k = matel4._f4_orbit(*y)
+            assert tab is matel4._f4_table(*min(orbit))
+            if y == min(orbit):     # that table itself, read in place
+                assert k == 0
+                continue
+            got = tab.c[matel4._orbit_cells(tab.lay)[k]]
+            ref = matel4._f4_jet(*y, matel4._ORDERS)
+            want = ref.c[[ref.lay.index[idx] for idx in matel4._MOMENTS]]
+            assert np.all(abs(got - want) <= 1e-13 * abs(want)), (y, got - want)
+    assert matel4._f4_table.cache_info().currsize == len({min(_orbit(x)) for x in args})
+
+
+def test_molecule4_pass_builds_one_table_per_orbit(monkeypatch):
+    # the benchmark's molecule4 pass (seed 0, pass 0): both modes at ratio 1
+    # and a seeded ratio, one restart of 8 evaluations.  With one table per
+    # argument set this pass built 130 tables, in 66 orbits; served moments
+    # differ from direct builds in the last bits, which changes one step of
+    # the cc-break simplex at ratio 1 (it compares two vertices that differ
+    # only in scale), so the path reaches one orbit outside that set
+    seen = []
+    real = matel4._f4_jet
+
+    def spy(*args):
+        seen.append(args[:4])
+        return real(*args)
+
+    matel4._f4_table.cache_clear()
+    monkeypatch.setattr(matel4, "_f4_jet", spy)
+    for mode, ratio in (("cc-break", 2.9842160587427786),
+                        ("identity-break", 1.9016348825652267)):
+        solve.scan_mass4([1.0, ratio], mode,
+                         solve.MinimizerConfig(seed=0, restarts=1, max_iter=8))
+    assert matel4._f4_table.cache_info().misses == len(seen) == 67
+    assert len({min(_orbit(x)) for x in seen}) == 67
 
 
 def _f4_mp(mp, a, b, c, d, u):

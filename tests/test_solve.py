@@ -358,6 +358,37 @@ def test_failed_dsyevd_on_a_nan_overlap_is_refused_linalg(monkeypatch):
     assert info["refused_value"] == info["refused_domain"] == 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_a_surviving_nan_overlap_raises_linalg_error(n, monkeypatch):
+    # dsyevd survives some NaN overlaps: eigh leaves NaN eigenvalues, which
+    # fall below the floor, and eigvalsh can even return finite ones
+    # ([[nan, 0], [0, 1]] gives [0, -0]).  The reduction and the 1+ condition
+    # check must still raise LinAlgError, not read a smaller block, _BIG
+    # (refused_domain) or CancellationError
+    rng = np.random.default_rng([18, n])
+    blocks = [MatBlock(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2),
+                       -np.eye(2))] if n == 2 else []
+    while len(blocks) < 40:
+        A = rng.standard_normal((n, n))
+        N = A @ A.T + n * np.eye(n)
+        i, j = rng.integers(0, n, 2)
+        N[i, j] = N[j, i] = np.nan
+        blocks.append(MatBlock(N, np.eye(n) + 0.1 * A * A.T, -np.eye(n)))
+    for blk in blocks:
+        monkeypatch.setattr(matel3, "unnatural_matblock", lambda terms, spec: blk)
+        for f, args in ((scaled_lowest, (blk,)), (gen_eig, (blk,)),
+                        (solve._un_lowest, ([(0.5, 0.2, 0.0)], None))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(np.linalg.LinAlgError):
+                    f(*args)
+    _, e, info = minimize_nm(lambda x: scaled_lowest(blocks[0])[0] if x[0] > 1.0
+                             else (x[0] - 0.5) ** 2, [0.98],
+                             MinimizerConfig(restarts=1, max_iter=200))
+    assert e < 1e-8 and info["refused_linalg"] >= 1
+    assert info["refused_value"] == info["refused_domain"] == 0
+
+
 # He 1^1S, He 2^3S and H-, N = 2, seed 0, one restart of 500 evaluations (the
 # ion-natural benchmark's first pass): energy and meta.scale by repr, as the
 # gufunc-only scale step and the per-pair assembler gave them
@@ -918,15 +949,28 @@ def test_scan_mass4_records_report_the_search():
 
 
 # the molecule4 benchmark's seed-0 passes 0-2 (simplex seed = pass, ratios
-# [1, r] with r from default_rng([0, pass, 4])): energies of the per-pair
-# moment4 assembler and full-table jet products, with numpy 2.4.6
+# [1, r] with r from default_rng([0, pass, 4])), with numpy 2.4.6: the
+# energies with one F4 table per symmetry orbit, then those of one table per
+# argument set, which they must stay within 1e-14 relative of
 _MASS4_PINNED = {
-    ("cc-break", 0, 2.9842160587427786): ("-0.5042331263235788", "-0.5042551752675356"),
-    ("identity-break", 0, 1.9016348825652267): ("-0.5042296509175105", "-0.5042318399637705"),
-    ("cc-break", 1, 1.4495932749446765): ("-0.5042331263235788", "-0.5042528375326888"),
-    ("identity-break", 1, 1.8201738521820963): ("-0.5042296509175105", "-0.5042318399637704"),
-    ("cc-break", 2, 2.5509440505289005): ("-0.5042331263235788", "-0.5042547199587674"),
-    ("identity-break", 2, 2.3277955399766577): ("-0.5042296509175105", "-0.5042318399637705"),
+    ("cc-break", 0, 2.9842160587427786): (
+        ("-0.504233126323579", "-0.5042551752675352"),
+        ("-0.5042331263235788", "-0.5042551752675356")),
+    ("identity-break", 0, 1.9016348825652267): (
+        ("-0.5042296509175112", "-0.5042318399637699"),
+        ("-0.5042296509175105", "-0.5042318399637705")),
+    ("cc-break", 1, 1.4495932749446765): (
+        ("-0.504233126323579", "-0.5042528375326886"),
+        ("-0.5042331263235788", "-0.5042528375326888")),
+    ("identity-break", 1, 1.8201738521820963): (
+        ("-0.5042296509175112", "-0.5042318399637699"),
+        ("-0.5042296509175105", "-0.5042318399637704")),
+    ("cc-break", 2, 2.5509440505289005): (
+        ("-0.504233126323579", "-0.5042547199587673"),
+        ("-0.5042331263235788", "-0.5042547199587674")),
+    ("identity-break", 2, 2.3277955399766577): (
+        ("-0.5042296509175112", "-0.5042318399637699"),
+        ("-0.5042296509175105", "-0.5042318399637705")),
 }
 
 
@@ -935,7 +979,10 @@ def test_scan_mass4_energies_pinned(mode, seed, ratio):
     rows = solve.scan_mass4([1.0, ratio], mode,
                             MinimizerConfig(seed=seed, restarts=1, max_iter=8))
     got = tuple(repr(float(r["energy"])) for r in rows)
-    assert got == _MASS4_PINNED[mode, seed, ratio]
+    pinned, per_argument_set = _MASS4_PINNED[mode, seed, ratio]
+    assert got == pinned
+    for e, e0 in zip(map(float, got), map(float, per_argument_set)):
+        assert abs(e - e0) <= 1e-14 * abs(e0)
 
 
 def test_molecule_result_ps2():

@@ -4,11 +4,13 @@
 Covers the frozen-range curve, the (a,b) energy surface, the three critical
 charges, the finite- and asymmetric-mass three-body scans, and both four-body
 symmetry-breaking directions.  The four-body scans are the slow part
-(about 6 s on a 2-core Xeon, nearly all of it the cc-break scan); pass
+(about 4 s on a 2-core Xeon, nearly all of it the cc-break scan); pass
 --skip-four-body to leave them out.
 """
 
 import argparse
+import contextlib
+import io
 import pathlib
 import sys
 import time
@@ -47,8 +49,9 @@ def main():
     for name, argv in jobs:
         dest = outdir / name
         t0 = time.perf_counter()
-        code = cli.main(argv + ["--seed", str(args.seed), "--format", "csv",
-                                "--out", str(dest)])
+        with contextlib.redirect_stdout(io.StringIO()):   # the CSV is in dest
+            code = cli.main(argv + ["--seed", str(args.seed), "--format", "csv",
+                                    "--out", str(dest)])
         print(f"{name:28s} exit {code}  {time.perf_counter() - t0:6.1f}s")
         worst = max(worst, code)
     return worst

@@ -17,23 +17,28 @@ that table.  Each output coefficient is thus the plain sum of its own a_i b_j
 terms, so its round-off is relative to those terms only; an FFT convolution
 instead spreads the round-off of the largest coefficients over all of them
 (it put F4's moments off by 2.6e-8 relative at (2.0, 0.3, 1.7, 0.25) and by
-4.5e-3 at (3.0, 0.1, 2.5, 0.15)).  Measured: every F4 moment the four-body
-assembler reads agrees with 50-digit mpmath derivatives to 8e-15 relative or
-better at those points, near a = b and c = d, at exact degeneracy and on both
-sides of the series switch (tests/test_matel4.py holds them to 1e-13).
+4.5e-3 at (3.0, 0.1, 2.5, 0.15)).  Every univariate function of a jet is one
+Taylor composition, `compose`: Horner's rule in t = x - val over f's
+coefficients f^(m)(val)/m!, as Python floats, costs degree - 1 products (1/x
+and log x, once Newton's iteration and a log series, and F4's atanh(r)/r).
+Measured: every F4 moment the four-body assembler reads agrees with 50-digit
+mpmath derivatives to 3e-15 relative or better at those points, at r = 0.90,
+near a = b and c = d, at exact degeneracy and on both sides of the series
+switch (tests/test_matel4.py holds them to 1e-13).
 
 A jet's `deg` bounds its degree: coefficients above it are exact zeros.  A
 variable has 1, sums the larger bound, products the sum (capped), scalar
 operations keep it; a product runs only over the table's pairs with
 |i| <= deg1, |j| <= deg2, in order.  No bit changes: bincount starts cells
 at +0.0, so a partial sum is never -0.0, and each skipped term is +-0.0 for
-finite coefficients (0 * inf is NaN).  `Jet(c, lay)` and `Jet.const` are
+finite coefficients (0 * inf is NaN).  A composition over k + 1
+coefficients has k * deg (capped).  `Jet(c, lay)` and `Jet.const` are
 dense, so only they may have `c` written in place.  (Truncated Taylor
 arithmetic: Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13.)
 """
 
 from functools import cache
-from math import factorial, prod
+from math import factorial, log, prod
 
 import numpy as np
 
@@ -141,31 +146,30 @@ class Jet:
 
     __rmul__ = __mul__
 
+    def compose(self, coefs):
+        """f(self) from coefs[m] = f^(m)(val)/m!, m = 0 .. lay.degree, by
+        Horner's rule in t = self - val (t^m starts at total degree m)."""
+        t = self - self.val
+        f = t * coefs[-1]
+        for cm in coefs[-2:0:-1]:
+            f = (f + cm) * t
+        return f + coefs[0]
+
     def recip(self):
-        """1/self by Newton iteration r <- r(2 - self*r); needs val != 0."""
+        """1/self; needs val != 0."""
         a0 = self.val
         if a0 == 0.0:
             raise ZeroDivisionError("jet reciprocal at zero value")
-        r = Jet(np.zeros(self.lay.n), self.lay, 0)
-        r.c[0] = 1.0 / a0
-        # after step k, r is exact through total degree 2^k - 1
-        for _ in range(self.lay.degree.bit_length()):
-            r = r * (2.0 - self * r)
-        return r
+        return self.compose([(-1.0) ** m / a0 ** (m + 1)
+                             for m in range(self.lay.degree + 1)])
 
     def log(self):
-        """log(self) via the series in u = self/val - 1; needs val > 0."""
+        """log(self); needs val > 0."""
         a0 = self.val
         if a0 <= 0.0:
             raise ValueError("jet log of non-positive value")
-        u = self * (1.0 / a0) - 1.0
-        acc = Jet(np.zeros(self.lay.n), self.lay, 0)
-        term = acc + 1.0
-        # u has no constant term, so u^k starts at total degree k
-        for k in range(1, self.lay.degree + 1):
-            term = term * u
-            acc = acc + term * ((-1.0) ** (k + 1) / k)
-        return acc + np.log(a0)
+        return self.compose([log(a0)] + [(-1.0) ** (m + 1) / (m * a0 ** m)
+                                         for m in range(1, self.lay.degree + 1)])
 
     def deriv(self, idx):
         """Mixed partial derivative of the given multi-index order.

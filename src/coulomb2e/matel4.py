@@ -18,10 +18,10 @@ p = a-b, q = c-d and
     u1 = S^2 - (p-q)^2/4,   u2 = S^2 - (p+q)^2/4   (both > 0 in the domain),
 
 one has log(u1/u2)/(p q) = 2 atanh(r)/r / (u1+u2) with r = (u1-u2)/(u1+u2),
-and atanh(r)/r is analytic in r^2 on |r| < 1.  Evaluating that by its series
-for small |r| (and directly otherwise) is stable for every admissible
-argument, including exact degeneracy; the series switch engages well before
-the printed form loses precision.
+and atanh(r)/r is analytic in r^2 on |r| < 1: stable for every admissible
+argument, exact degeneracy included.  A table takes 19 jet products: 1/(u1+u2),
+1/((a+b)(c+d)) and atanh(r)/r are Taylor compositions (`Jet.compose`), the last
+over `_g_coefs`, whose series switch at |r| = _R_SWITCH is F4's only branch.
 
 F4 is unchanged under (a b)(c d) and (a c)(b d), so the `_f4_table` lru
 (the only four-body cache) holds one table per orbit of that group, built at
@@ -34,15 +34,33 @@ arguments in the last bits (2e-14 relative at worst in the tests).
 """
 
 from functools import cache, lru_cache
-from math import factorial, prod
+from math import atanh, comb, factorial, prod
 
 import numpy as np
 
 from .jets import Jet
 from .model import MatBlock, assemble
 
-_R_SWITCH = 0.3
-_SERIES_K = 18
+_R_SWITCH = 0.5
+
+
+@cache
+def _g_series():    # row m: the coefficient of r^j in G_m(r), j < 96
+    return np.array([[comb(j + m, m) / (j + m + 1) if (j + m) % 2 == 0 else 0.0
+                      for j in range(96)] for m in range(_DEGREE + 1)])
+
+
+def _g_coefs(r):
+    """G_m = g^(m)(r)/m!, m <= _DEGREE, of g(x) = atanh(x)/x: by its power
+    series below _R_SWITCH in |r| (terms of one sign, r^96 < 1.3e-29), else by
+    r G_(m+1) = H_m/(m+1) - G_m from (x g)' = 1/(1 - x^2) = sum H_m (x - r)^m."""
+    if abs(r) < _R_SWITCH:
+        return (_g_series() * r ** np.arange(96.0)).sum(axis=1).tolist()
+    g = [atanh(r) / r]
+    for m in range(_DEGREE):
+        h = 0.5 * ((1.0 - r) ** -(m + 1) + (-1.0) ** m * (1.0 + r) ** -(m + 1))
+        g.append((h / (m + 1) - g[m]) / r)
+    return g
 
 
 def f4(a, b, c, d, u=0.0):
@@ -53,12 +71,7 @@ def f4(a, b, c, d, u=0.0):
     u2 = S * S - 0.25 * (p + q) ** 2
     if u1 <= 0 or u2 <= 0:
         raise ValueError("f4 domain: non-positive log argument")
-    r = (u1 - u2) / (u1 + u2)
-    if abs(r) < _R_SWITCH:
-        g = sum(r ** (2 * k) / (2 * k + 1) for k in range(_SERIES_K, -1, -1))
-    else:
-        g = np.arctanh(r) / r
-    return 16.0 * 2.0 * g / (u1 + u2) / ((a + b) * (c + d))
+    return 32.0 * _g_coefs((u1 - u2) / (u1 + u2))[0] / (u1 + u2) / ((a + b) * (c + d))
 
 
 # Moment indices (i, j, k, l, m) that overlap4, coulomb4, _p3sq and _p4sq
@@ -85,22 +98,15 @@ def _f4_jet(a, b, c, d, orders):
     D = Jet.variable(d, 3, sh, _DEGREE)
     U = Jet.variable(0.0, 4, sh, _DEGREE)
     S = 0.5 * (A + B + C + D) + U
-    p = A - B
-    q = C - D
-    u1 = S * S - 0.25 * ((p - q) * (p - q))
-    u2 = S * S - 0.25 * ((p + q) * (p + q))
+    S2 = S * S
+    p, q = A - B, C - D
+    u1 = S2 - 0.25 * ((p - q) * (p - q))
+    u2 = S2 - 0.25 * ((p + q) * (p + q))
     if u1.val <= 0 or u2.val <= 0:
         raise ValueError("f4 domain: non-positive log argument")
     usr = (u1 + u2).recip()
     r = (u1 - u2) * usr
-    if abs(r.val) < _R_SWITCH:
-        r2 = r * r
-        g = Jet.const(0.0, sh, _DEGREE)
-        for k in range(_SERIES_K, 0, -1):
-            g = (g + 1.0 / (2 * k + 1)) * r2
-        g = g + 1.0
-    else:
-        g = 0.5 * ((1.0 + r) * (1.0 - r).recip()).log() * r.recip()
+    g = r.compose(_g_coefs(r.val))
     return 32.0 * g * usr * ((A + B) * (C + D)).recip()
 
 

@@ -179,3 +179,75 @@ def test_degree_bounds_of_the_operations():
     # dense by default: a jet whose c may be written in place
     assert Jet.const(1.0, (3, 3), 4).deg == 4
     assert Jet(np.zeros(x.lay.n), x.lay).deg == 4
+
+
+def _linear_jet(x0, w, shape, degree):
+    # x0 + sum_k w[k] x_k, with each variable expanded at 0
+    out = Jet.const(x0, shape, degree)
+    for k, wk in enumerate(w):
+        out = out + wk * Jet.variable(0.0, k, shape, degree)
+    return out
+
+
+@pytest.mark.parametrize("f, coef", [
+    ("recip", lambda x0, m: (-1.0) ** m / x0 ** (m + 1)),
+    ("log", lambda x0, m: math.log(x0) if m == 0 else (-1.0) ** (m + 1) / (m * x0 ** m)),
+    ("exp", lambda x0, m: math.exp(x0) / math.factorial(m)),
+])
+def test_compose_matches_known_series(f, coef):
+    # f(x0 + L) for a linear L = sum_k w_k x_k has the cell alpha equal to
+    # f^(|alpha|)(x0) prod w_k^alpha_k / alpha!, i.e. coef(|alpha|) times the
+    # multinomial |alpha|!/alpha! prod w_k^alpha_k, on a degree-5 layout
+    x0, w, sh = 1.7, (0.3, -0.8, 1.1), (3, 4, 6)
+    X = _linear_jet(x0, w, sh, 5)
+    coefs = [coef(x0, m) for m in range(6)]
+    F = X.compose(coefs)
+    if f != "exp":
+        assert getattr(X, f)().c.tobytes() == F.c.tobytes()
+    for idx, k in F.lay.index.items():
+        n = sum(idx)
+        want = coef(x0, n) * math.factorial(n) * math.prod(
+            wk ** a / math.factorial(a) for wk, a in zip(w, idx))
+        assert F.c[k] == pytest.approx(want, rel=1e-14, abs=1e-15), idx
+
+
+def test_compose_round_trips_and_degree_bound():
+    # log then exp, and recip twice, give back a nonlinear degree-5 jet; a
+    # composition over k + 1 coefficients has the bound k * deg (capped)
+    sh = (3, 3, 4)
+    x = Jet.variable(0.9, 0, sh, 5)
+    y = Jet.variable(1.4, 1, sh, 5)
+    z = Jet.variable(0.6, 2, sh, 5)
+    X = x * y + 0.5 * z * z * x + 2.0
+    lg = X.log()
+    E = lg.compose([math.exp(lg.val) / math.factorial(m) for m in range(6)])
+    assert np.allclose(E.c, X.c, rtol=1e-14, atol=1e-14)
+    assert np.allclose(X.recip().recip().c, X.c, rtol=1e-14, atol=1e-14)
+    assert (x.compose([1.0, 2.0, 3.0]).deg, (x * y).compose([1.0, 2.0, 3.0]).deg,
+            X.compose([1.0] * 6).deg) == (2, 4, 5)
+
+
+def test_compose_matches_full_table_products(monkeypatch):
+    # degree-aware products inside compose give the bytes full-table
+    # products give, as for the F4 tables
+    rng = np.random.default_rng(19)
+    lay = _layout((3, 3, 3, 3, 4), 5)
+    tot = np.array([sum(idx) for idx in lay.index])
+    jets = []
+    for d in (1, 2, 3, 5):
+        c = np.where(tot <= d, rng.standard_normal(lay.n), 0.0)
+        c[0] = rng.uniform(0.5, 2.0)
+        jets.append(Jet(c, lay, d))
+    coefs = rng.standard_normal(6).tolist()
+    fast = [(J.compose(coefs).c, J.recip().c, J.log().c) for J in jets]
+
+    def full(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.c * other, self.lay)
+        return Jet(np.bincount(lay.po, self.c[lay.pi] * other.c[lay.pj], lay.n), lay)
+
+    monkeypatch.setattr(Jet, "__mul__", full)
+    monkeypatch.setattr(Jet, "__rmul__", full)
+    for J, want in zip(jets, fast):
+        got = (J.compose(coefs).c, J.recip().c, J.log().c)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))

@@ -25,9 +25,10 @@ def test_f4_vs_quadrature():
 
 
 def test_f4_series_and_direct_branches_agree():
-    # straddle the series switch with nearby argument sets
+    # one argument set on each side of the series switch
+    assert abs(_r_at(1.0, 1.2, 1.0, 1.15)) < matel4._R_SWITCH < _r_at(3.0, 0.1, 2.5, 0.15)
     lo = matel4.f4(1.0, 1.2, 1.0, 1.15)   # small r -> series
-    hi = matel4.f4(1.0, 3.5, 0.3, 2.0)    # large r -> direct atanh
+    hi = matel4.f4(3.0, 0.1, 2.5, 0.15)   # large r -> atanh(r)/r
     assert np.isfinite(lo) and np.isfinite(hi)
     # exact degeneracy (printed form is 0/0 here) must still evaluate
     assert np.isfinite(matel4.f4(1.3, 1.3, 0.8, 0.8))
@@ -201,7 +202,7 @@ def _f4_args(seed):
         a, b, c, d = (float(v) for v in rng.uniform(0.05, 4.0, 4))
         if k % 10 < 3:
             b, d = float(_near(rng, a)), float(_near(rng, c))
-        elif k % 10 < 5:        # strong anisotropy: the direct branch
+        elif k % 10 < 5:        # strong anisotropy: the recurrence side
             a, c = (float(v) for v in rng.uniform(1.5, 4.0, 2))
             b, d = (float(v) for v in rng.uniform(0.05, 0.5, 2))
         args.append((a, b, c, d))
@@ -275,10 +276,10 @@ def test_orbit_tables_match_direct_builds():
 def test_molecule4_pass_builds_one_table_per_orbit(monkeypatch):
     # the benchmark's molecule4 pass (seed 0, pass 0): both modes at ratio 1
     # and a seeded ratio, one restart of 8 evaluations.  With one table per
-    # argument set this pass built 130 tables, in 66 orbits; served moments
-    # differ from direct builds in the last bits, which changes one step of
-    # the cc-break simplex at ratio 1 (it compares two vertices that differ
-    # only in scale), so the path reaches one orbit outside that set
+    # argument set this pass built 130 tables, in 66 orbits.  The cc-break
+    # simplex at ratio 1 compares two vertices that differ only in scale,
+    # so last-bit moves of the moments can flip one step and add an orbit
+    # outside that set (67 with the earlier Newton/series tables)
     seen = []
     real = matel4._f4_jet
 
@@ -292,8 +293,8 @@ def test_molecule4_pass_builds_one_table_per_orbit(monkeypatch):
                         ("identity-break", 1.9016348825652267)):
         solve.scan_mass4([1.0, ratio], mode,
                          solve.MinimizerConfig(seed=0, restarts=1, max_iter=8))
-    assert matel4._f4_table.cache_info().misses == len(seen) == 67
-    assert len({min(_orbit(x)) for x in seen}) == 67
+    assert matel4._f4_table.cache_info().misses == len(seen) == 66
+    assert len({min(_orbit(x)) for x in seen}) == 66
 
 
 def _f4_mp(mp, a, b, c, d, u):
@@ -313,19 +314,20 @@ def _r_at(a, b, c, d):
     return p * q / (2 * s * s - 0.5 * (p * p + q * q))
 
 
-# both sides of the r = 0.3 series switch, along c at (2.0, 0.3, c, 0.25)
+# both sides of the series switch, along c at (2.0, 0.3, c, 0.25)
 _C_SWITCH = [brentq(lambda c: _r_at(2.0, 0.3, c, 0.25) - r, 0.3, 5.0)
              for r in (matel4._R_SWITCH - 1e-4, matel4._R_SWITCH + 1e-4)]
 
 
 @pytest.mark.parametrize("pt", [
-    (2.0, 0.3, 1.7, 0.25),             # asymmetric, direct branch
+    (2.0, 0.3, 1.7, 0.25),             # asymmetric, r = 0.38
     (3.0, 0.1, 2.5, 0.15),             # strong anisotropy, r = 0.71
+    (4.0, 0.05, 3.9, 0.06),            # stronger anisotropy, r = 0.90
     (1.3, 1.3 + 1e-7, 0.8, 0.5),       # a ~ b
     (1.1, 0.7, 0.9, 0.9 + 1e-7),       # c ~ d
     (1.3, 1.3, 0.8, 0.8),              # exact degeneracy, r = 0
     (2.0, 0.3, _C_SWITCH[0], 0.25),    # series side of the switch
-    (2.0, 0.3, _C_SWITCH[1], 0.25),    # direct side of the switch
+    (2.0, 0.3, _C_SWITCH[1], 0.25),    # recurrence side of the switch
 ])
 def test_f4_moments_vs_mpmath(pt):
     mp = pytest.importorskip("mpmath")
@@ -336,6 +338,25 @@ def test_f4_moments_vs_mpmath(pt):
                 lambda *x: _f4_mp(mp, *x), x0, idx)
             got = matel4.moment4(*idx, *pt)
             assert abs(got - want) <= 1e-13 * abs(want), (idx, got, want)
+
+
+def test_atanh_coefficients_vs_mpmath():
+    # G_m = g^(m)(r)/m! of g = atanh(r)/r, m = 0 .. 5, against 50-digit
+    # mpmath over [-0.995, 0.995]: both sides of the series switch, r = 0 and
+    # r = +-1e-12, where the odd orders vanish and are held absolutely
+    mp = pytest.importorskip("mpmath")
+    s = matel4._R_SWITCH
+    grid = sorted(set(np.linspace(-0.995, 0.995, 81).tolist())
+                  | {s - 1e-7, s + 1e-7, -s - 1e-7, -s + 1e-7, 0.0, 1e-12, -1e-12})
+    with mp.workdps(50):
+        g = lambda x: mp.atanh(x) / x if x else mp.mpf(1)
+        for r in grid:
+            got = matel4._g_coefs(r)
+            want = mp.taylor(g, mp.mpf(r), matel4._DEGREE)
+            for m, (x, y) in enumerate(zip(got, want)):
+                scale = 1.0 if m % 2 and abs(r) < 1e-6 else abs(y)
+                assert abs(x - y) <= 1e-14 * scale, (r, m, x, y)
+    assert matel4._g_coefs(0.0) == [1.0, 0.0, 1 / 3, 0.0, 1 / 5, 0.0]
 
 
 def test_overlap_and_kinetic_symmetric_in_bra_ket():

@@ -183,7 +183,7 @@ def cmd_scan(args):
             header = ["ratio", "energy", "threshold", "margin", "he_expectation"]
             recs = solve.scan_mass3(ratios)
         elif args.submode == "asym3":
-            header = ["ratio", "energy", "threshold", "margin", "stable"]
+            header = ["ratio", "energy", "threshold", "margin", "stable", "at_edge"]
             recs = solve.scan_asym3(ratios)
         else:
             header = ["ratio", "mode", "energy", "threshold", "margin", "stable"]

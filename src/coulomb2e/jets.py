@@ -1,30 +1,27 @@
 """Truncated multivariate Taylor ("jet") arithmetic for exact high-order derivatives.
 
 A Jet stores the Taylor coefficients c[i1,...,in] of a smooth function around
-an expansion point, for every multi-index with i_k < shape[k] on each axis and
-i1 + ... + in <= degree in total.  The dropped multi-indices form an ideal
-(a product never feeds a kept coefficient from a dropped one), so arithmetic
-on jets propagates every kept mixed partial exactly, which is what the
+an expansion point, for every multi-index with i_k < shape[k] on each axis,
+i1 + ... + in <= degree in total and, if the layout has `below`, at or below
+one of those multi-indices.  The kept multi-indices form an order ideal (a
+product never feeds a kept coefficient from a dropped one), so arithmetic on
+jets propagates every kept mixed partial exactly, which is what the
 closed-form generating functions need: the four-body matrix elements are
 mixed partials of F4 of total order up to 5, and finite differences are
-hopeless at that depth.  The degree defaults to sum(shape - 1), i.e. per-axis
-truncation only.
+hopeless at that depth.  The degree defaults to sum(shape - 1).
 
-Multiplication is the truncated Cauchy product itself.  For each (shape,
-degree) the index pairs (i, j) whose sum is a kept multi-index are tabulated
-once, on first use, and a product is one gather, multiply and bincount over
-that table.  Each output coefficient is thus the plain sum of its own a_i b_j
-terms, so its round-off is relative to those terms only; an FFT convolution
-instead spreads the round-off of the largest coefficients over all of them
-(it put F4's moments off by 2.6e-8 relative at (2.0, 0.3, 1.7, 0.25) and by
-4.5e-3 at (3.0, 0.1, 2.5, 0.15)).  Every univariate function of a jet is one
+Multiplication is the truncated Cauchy product itself.  For each layout the
+index pairs (i, j) whose sum is a kept multi-index are tabulated once, on
+first use, by one lookup per pair in radix 2 * shape (where a sum of two
+cells never carries), and a product is one gather, multiply and bincount
+over that table.  Each output coefficient is thus the plain sum of its own
+a_i b_j terms, in the same order on any ideal that keeps it, so its
+round-off is relative to those terms only; an FFT convolution instead
+spreads the round-off of the largest coefficients over all of them (it put
+F4's moments off by 2.6e-8 relative at (2.0, 0.3, 1.7, 0.25) and by 4.5e-3
+at (3.0, 0.1, 2.5, 0.15)).  Every univariate function of a jet is one
 Taylor composition, `compose`: Horner's rule in t = x - val over f's
-coefficients f^(m)(val)/m!, as Python floats, costs degree - 1 products (1/x
-and log x, once Newton's iteration and a log series, and F4's atanh(r)/r).
-Measured: every F4 moment the four-body assembler reads agrees with 50-digit
-mpmath derivatives to 3e-15 relative or better at those points, at r = 0.90,
-near a = b and c = d, at exact degeneracy and on both sides of the series
-switch (tests/test_matel4.py holds them to 1e-13).
+coefficients f^(m)(val)/m!, as Python floats, costs degree - 1 products.
 
 A jet's `deg` bounds its degree: coefficients above it are exact zeros.  A
 variable has 1, sums the larger bound, products the sum (capped), scalar
@@ -44,24 +41,30 @@ import numpy as np
 
 
 class _Layout:
-    """Kept multi-indices of one (shape, degree) and its product tables."""
+    """Kept multi-indices of one (shape, degree, below) and its product tables."""
 
     __slots__ = ("shape", "degree", "n", "index", "pi", "pj", "po", "tot",
                  "tables")
 
-    def __init__(self, shape, degree):
+    def __init__(self, shape, degree, below=None):
         if degree is None:
             degree = sum(s - 1 for s in shape)
         cells = np.indices(shape).reshape(len(shape), -1).T
-        cells = cells[cells.sum(axis=1) <= degree]   # zero multi-index first
-        pos = np.full(shape, -1, dtype=np.intp)
-        pos[tuple(cells.T)] = np.arange(len(cells))
-        s = cells[:, None, :] + cells[None, :, :]
-        pi, pj = np.nonzero((s < shape).all(axis=2) & (s.sum(axis=2) <= degree))
+        keep = cells.sum(axis=1) <= degree
+        if below is not None:
+            keep &= (cells[:, None] <= np.array(below)).all(axis=2).any(axis=1)
+        cells = cells[keep]                          # zero multi-index first
+        # a cell's key in radix 2 * shape: the key of a sum of two cells is
+        # the sum of their keys (no axis carries), so one lookup finds it
+        radix = [2 * s for s in shape]
+        key = cells @ [prod(radix[k + 1:]) for k in range(len(shape))]
+        pos = np.full(prod(radix), -1, dtype=np.intp)
+        pos[key] = np.arange(len(cells))
+        out = pos[key[:, None] + key]
+        pi, pj = np.nonzero(out >= 0)
         self.shape, self.degree, self.n = shape, degree, len(cells)
         self.index = {tuple(int(v) for v in e): k for k, e in enumerate(cells)}
-        self.pi, self.pj = pi, pj
-        self.po = pos[tuple(s[pi, pj].T)]
+        self.pi, self.pj, self.po = pi, pj, out[pi, pj]
         self.tot = cells.sum(axis=1)
         self.tables = {(degree, degree): (pi, pj, self.po)}
 
@@ -75,9 +78,9 @@ class _Layout:
 
 
 @cache
-def _layout(shape, degree):
-    """One shared layout per (shape, degree), built on first use."""
-    return _Layout(shape, degree)
+def _layout(shape, degree, below=None):
+    """One shared layout per (shape, degree, below), built on first use."""
+    return _Layout(shape, degree, below)
 
 
 class Jet:
@@ -180,6 +183,6 @@ class Jet:
         k = self.lay.index.get(tuple(idx))
         if k is None:
             raise ValueError(
-                f"derivative order {tuple(int(i) for i in idx)} beyond the jet "
-                f"truncation (shape {self.lay.shape}, degree {self.lay.degree})")
+                f"derivative order {tuple(int(i) for i in idx)} not kept by the "
+                f"jet ({self.lay.n} cells of shape {self.lay.shape})")
         return float(self.c[k]) * prod(factorial(i) for i in idx)

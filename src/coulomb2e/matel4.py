@@ -19,9 +19,12 @@ p = a-b, q = c-d and
 
 one has log(u1/u2)/(p q) = 2 atanh(r)/r / (u1+u2) with r = (u1-u2)/(u1+u2),
 and atanh(r)/r is analytic in r^2 on |r| < 1: stable for every admissible
-argument, exact degeneracy included.  A table takes 19 jet products: 1/(u1+u2),
-1/((a+b)(c+d)) and atanh(r)/r are Taylor compositions (`Jet.compose`), the last
-over `_g_coefs`, whose series switch at |r| = _R_SWITCH is F4's only branch.
+argument, exact degeneracy included.  A table takes 11 jet products
+(`_f4_jet`): 1/(u1+u2) and atanh(r)/r are Taylor compositions, the last over
+`_g_coefs`, whose series switch at |r| = _R_SWITCH is F4's only branch;
+u1 +- u2 and 32/((a+b)(c+d)) enter in closed form.  The jet keeps the 78
+cells at or below a `_MOMENTS` entry (an order ideal, read to the bit as in
+the 162-cell degree-5 box).  Moments match 50-digit mpmath to 1.7e-15.
 
 F4 is unchanged under (a b)(c d) and (a c)(b d), so the `_f4_table` lru
 (the only four-body cache) holds one table per orbit of that group, built at
@@ -38,7 +41,7 @@ from math import atanh, comb, factorial, prod
 
 import numpy as np
 
-from .jets import Jet
+from .jets import Jet, _layout
 from .model import MatBlock, assemble
 
 _R_SWITCH = 0.5
@@ -75,8 +78,8 @@ def f4(a, b, c, d, u=0.0):
 
 
 # Moment indices (i, j, k, l, m) that overlap4, coulomb4, _p3sq and _p4sq
-# read.  The F4 jet keeps exactly the orders these need: per axis their
-# maxima, in total their largest sum.  moment4 refuses anything beyond.
+# read.  The F4 jet keeps exactly the cells at or below one of them, inside
+# the box _SHAPE at total degree _DEGREE; moment4 refuses anything beyond.
 _MOMENTS = (
     (1, 1, 1, 1, 1), (1, 1, 1, 1, 0),
     (0, 1, 1, 1, 1), (1, 0, 1, 1, 1), (1, 1, 0, 1, 1), (1, 1, 1, 0, 1),
@@ -85,34 +88,60 @@ _MOMENTS = (
 )
 _ORDERS = tuple(max(col) for col in zip(*_MOMENTS))
 _DEGREE = max(sum(idx) for idx in _MOMENTS)
+_SHAPE = tuple(o + 1 for o in _ORDERS)
 # moment4's factor (-1)^|idx| idx! per entry: c * (+-f) == (+-1) * (c * f)
 _SIGNED_FACT = np.array([(-1.0) ** sum(idx) * prod(map(factorial, idx))
                          for idx in _MOMENTS])
 
 
-def _f4_jet(a, b, c, d, orders):
-    sh = tuple(o + 1 for o in orders)
-    A = Jet.variable(a, 0, sh, _DEGREE)
-    B = Jet.variable(b, 1, sh, _DEGREE)
-    C = Jet.variable(c, 2, sh, _DEGREE)
-    D = Jet.variable(d, 3, sh, _DEGREE)
-    U = Jet.variable(0.0, 4, sh, _DEGREE)
-    S = 0.5 * (A + B + C + D) + U
-    S2 = S * S
-    p, q = A - B, C - D
-    u1 = S2 - 0.25 * ((p - q) * (p - q))
-    u2 = S2 - 0.25 * ((p + q) * (p + q))
-    if u1.val <= 0 or u2.val <= 0:
-        raise ValueError("f4 domain: non-positive log argument")
-    usr = (u1 + u2).recip()
-    r = (u1 - u2) * usr
-    g = r.compose(_g_coefs(r.val))
-    return 32.0 * g * usr * ((A + B) * (C + D)).recip()
+@cache
+def _f4_parts(lay):
+    """_f4_inputs' constants on lay: the unit cells, u1 +- u2's quadratic
+    parts (Hessian / alpha!), 32/((a+b)(c+d))'s numerators and exponents."""
+    e = np.eye(5)
+    s, p, q = 0.5 * e[:4].sum(axis=0) + e[4], e[0] - e[1], e[2] - e[3]
+    hess = (4.0 * np.outer(s, s) - np.outer(p, p) - np.outer(q, q),
+            0.0 + np.outer(p, q) + np.outer(q, p))    # +0.0, as a product gives
+    cells = np.array(list(lay.index))
+    quad = np.zeros((2, lay.n))
+    for k, idx in enumerate(cells):
+        if idx.sum() == 2:
+            i, j = np.repeat(np.arange(5), idx)
+            quad[:, k] = [h[i, j] / (1 + (i == j)) for h in hess]
+    num = [32.0 * (-1) ** (i + j + k + l) * comb(i + j, i) * comb(k + l, k)
+           if m == 0 else 0.0 for i, j, k, l, m in lay.index]
+    unit = [lay.index[tuple(int(k == i) for i in range(5))] for k in range(5)]
+    i, j, k, l, _ = cells.T
+    return unit, quad[0], quad[1], np.array(num), i + j + 1.0, k + l + 1.0
+
+
+def _f4_inputs(a, b, c, d, lay):
+    """Jets on lay of u1 + u2 = 2 S^2 - (p^2 + q^2)/2 and u1 - u2 = p q (exact,
+    degree 2: value, gradient, fixed quadratic part) and of 32/((a+b)(c+d)):
+    (-1)^(i+j+k+l) C(i+j, i) C(k+l, k) 32/((a+b)^(i+j+1) (c+d)^(k+l+1)), m = 0."""
+    S = 0.5 * (a + b + c + d)
+    p, q, s1, s2 = a - b, c - d, a + b, c + d
+    w, pq = 2.0 * S * S - 0.5 * (p * p + q * q), p * q
+    if w <= abs(pq) or s1 * s2 == 0.0:          # u1, u2 = (w +- pq)/2 > 0
+        raise ValueError("f4 domain: non-positive log argument or a+b, c+d = 0")
+    unit, wq, pqq, num, e1, e2 = _f4_parts(lay)
+    cw, cp = wq.copy(), pqq.copy()
+    cw[0], cw[unit] = w, (2.0 * S - p, 2.0 * S + p, 2.0 * S - q, 2.0 * S + q, 4.0 * S)
+    cp[0], cp[unit] = pq, (q, -q, p, -p, 0.0)
+    return Jet(cw, lay, 2), Jet(cp, lay, 2), Jet(num / (s1 ** e1 * s2 ** e2), lay)
+
+
+def _f4_jet(a, b, c, d, lay):
+    """F4's table on lay at u = 0: g(r)/(u1 + u2) 32/((a+b)(c+d)), 11 products."""
+    W, P, sep = _f4_inputs(a, b, c, d, lay)
+    usr = W.recip()
+    r = P * usr
+    return r.compose(_g_coefs(r.val)) * usr * sep
 
 
 @lru_cache(maxsize=4096)
 def _f4_table(a, b, c, d):
-    return _f4_jet(a, b, c, d, _ORDERS)
+    return _f4_jet(a, b, c, d, _layout(_SHAPE, _DEGREE, _MOMENTS))
 
 
 # F4 is unchanged under (a b)(c d), (a c)(b d) and their product: they flip
@@ -142,8 +171,8 @@ def _orbit_cells(lay):
 def g4(idx, a, b, c, d):
     """Signed mixed partial (-1)^|idx| d^idx F4 at u=0; idx=(i,j,k,l,m).
 
-    Raises ValueError for an order beyond the jet's truncation (_ORDERS per
-    axis, _DEGREE in total).
+    Raises ValueError for an order the jet does not keep: any cell not at or
+    below a `_MOMENTS` entry.
     """
     F, k = _f4_orbit(float(a), float(b), float(c), float(d))
     idx = tuple(idx)

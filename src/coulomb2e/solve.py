@@ -784,7 +784,8 @@ def _pair_scan(ratio, spec, symmetrize):
     """Mass-scan record of the two-range pair's lowest energy over its shape
     t = b/a in [1e-4, 1] at a = 1, with the physical ranges as `params`:
     (1, t, 0) exchange-symmetrized, or else (1, t, 0) and (t, 1, 0) as two
-    vectors.  Up to scale, t -> 1/t maps either basis onto itself."""
+    vectors.  Up to scale, t -> 1/t maps either basis onto itself.  `at_edge`
+    flags an end within 1e-9 of t = 1e-4, whose margin is the grid's."""
     def block(t):
         terms = [(1.0, t, 0.0)] if symmetrize else [(1.0, t, 0.0), (t, 1.0, 0.0)]
         return matel3.natural_matblock(terms, spec, symmetrize)
@@ -796,7 +797,7 @@ def _pair_scan(ratio, spec, symmetrize):
     return {"ratio": ratio, "energy": e, "threshold": thr.e_ground,
             "margin": (thr.e_ground - e) / abs(thr.e_ground),
             "stable": bool(e < thr.e_ground - STABILITY_TOL),
-            "mu": thr.mu, "params": [lam, lam * t]}
+            "at_edge": bool(t - 1e-4 < 1e-9), "mu": thr.mu, "params": [lam, lam * t]}
 
 
 def scan_mass3(mass_ratios):
@@ -819,7 +820,8 @@ def scan_asym3(ratios):
     """Unequal negative masses (finite m2/m1 > 0) at fixed average inverse
     mass around H-'s infinite center: the distinguishable particles' pair is
     not exchange-symmetrized (`_pair_scan`).  An unbound ratio ends at the
-    t = 1e-4 edge: a hydrogen-like atom and a far electron, just above."""
+    t = 1e-4 edge, a hydrogen-like atom and a far electron just above, and
+    its record says so in `at_edge`."""
     for r in ratios:
         if not 0 < r < math.inf:
             raise ValueError(f"mass ratio {r} must be finite and > 0")

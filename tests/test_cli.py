@@ -99,6 +99,17 @@ def test_scan_charge_perturbative(capsys):
     assert float(row.split(",")[1]) == pytest.approx(1.2498, abs=1e-3)
 
 
+def test_scan_asym3_flags_grid_edge_margins(capsys):
+    # an unbound row's margin is the t = 1e-4 grid end's, and the CSV says
+    # so in its own column; a bound row's is the family's
+    assert run(["scan", "asym3", "--ratios", "1,1.05,1.1,2,10",
+                "--format", "csv"]) == cli.EXIT_OK
+    lines = [l for l in capsys.readouterr().out.splitlines() if l[:1] != "#"]
+    assert lines[0] == "ratio,energy,threshold,margin,stable,at_edge"
+    assert [l.split(",")[-1] for l in lines[1:]] == ["False", "False", "True",
+                                                      "True", "True"]
+
+
 def test_molecule_ps2(capsys):
     assert run(["molecule", "--mode", "ps2"]) == cli.EXIT_OK
     payload = json.loads(capsys.readouterr().out.split("# wall_time")[0])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from coulomb2e import matel4
 from coulomb2e.jets import Jet, _layout
 
 
@@ -251,3 +252,51 @@ def test_compose_matches_full_table_products(monkeypatch):
     for J, want in zip(jets, fast):
         got = (J.compose(coefs).c, J.recip().c, J.log().c)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def _broadcast_pairs(shape, degree, below=None):
+    # the pair table by brute force: every (i, j) of kept cells whose sum,
+    # formed over an (n, n, dims) broadcast, is a kept cell
+    cells = [i for i in np.ndindex(shape) if sum(i) <= degree and (
+        below is None or any(all(a <= b for a, b in zip(i, t)) for t in below))]
+    pos = np.full(shape, -1, dtype=np.intp)
+    pos[tuple(np.array(cells).T)] = np.arange(len(cells))
+    c = np.array(cells)
+    s = c[:, None, :] + c[None, :, :]
+    inside = (s < shape).all(axis=2) & (s.sum(axis=2) <= degree)
+    at = pos[tuple(np.minimum(s, np.array(shape) - 1).transpose(2, 0, 1))]
+    out = np.where(inside, at, -1)
+    pi, pj = np.nonzero(out >= 0)
+    return cells, pi, pj, out[pi, pj]
+
+
+@pytest.mark.parametrize("shape, degree, below", [
+    ((4,), 3, None), ((3,), 2, None), ((5,), 4, None), ((3, 2), 3, None),
+    ((3, 3), 2, None), ((3, 3), 4, None), ((4, 4), 2, None), ((4, 4), 3, None),
+    ((4, 4), 4, None), ((4, 4), 6, None), ((3, 3, 4), 5, None),
+    ((3, 4, 6), 5, None), ((3, 3, 3, 3, 4), 5, None),
+    ((3, 3, 3, 3, 4), 5, matel4._MOMENTS), ((3, 4, 6), 5, ((2, 0, 3), (1, 3, 1)))])
+def test_radix_pair_table_matches_broadcast(shape, degree, below):
+    # one lookup per pair in radix 2 * shape gives the same cells and the
+    # same pi, pj and po, array for array, as the broadcast over all pairs
+    lay = _layout(shape, degree, below)
+    cells, pi, pj, po = _broadcast_pairs(shape, degree, below)
+    assert list(lay.index) == cells
+    for got, want in ((lay.pi, pi), (lay.pj, pj), (lay.po, po)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_ideal_products_match_box_products():
+    # on an order ideal a product keeps the box product's pairs for each of
+    # its cells, in the same order: the same bytes, at every degree bound
+    rng = np.random.default_rng(6)
+    shape, below = (3, 4, 6), ((2, 0, 3), (1, 3, 1), (0, 1, 5))
+    box, ideal = _layout(shape, 5), _layout(shape, 5, below)
+    cells = [box.index[i] for i in ideal.index]
+    tot = np.array([sum(i) for i in box.index])
+    for d1, d2 in ((1, 1), (2, 3), (5, 5)):
+        a, b = (Jet(np.where(tot <= d, rng.standard_normal(box.n), 0.0), box, d)
+                for d in (d1, d2))
+        got = Jet(a.c[cells], ideal, d1) * Jet(b.c[cells], ideal, d2)
+        assert got.c.tobytes() == (a * b).c[cells].tobytes()
+        assert got.deg == min(d1 + d2, 5)

@@ -1,5 +1,8 @@
 """Four-body matrix elements: generating function, moments, assembler."""
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -63,17 +66,88 @@ def test_g4_vs_finite_differences_low_order():
     assert matel4.g4((0, 0, 0, 0, 1), a, b, c, d) == pytest.approx(-fdu, rel=1e-5)
 
 
+def _ideal():
+    # the F4 jet's layout: the cells at or below a _MOMENTS entry
+    return matel4._layout(matel4._SHAPE, matel4._DEGREE, matel4._MOMENTS)
+
+
+def _below_moments(idx):
+    return any(all(i <= j for i, j in zip(idx, top)) for top in matel4._MOMENTS)
+
+
+def test_f4_layout_is_the_down_closure_of_the_moments():
+    # every cell at or below a _MOMENTS entry, nothing else, in the box's
+    # order (zero first), with the pair table of that ideal
+    lay = _ideal()
+    closure = {idx for idx in np.ndindex(matel4._SHAPE) if _below_moments(idx)}
+    assert list(lay.index) == sorted(closure) and lay.n == 78
+    assert lay.index[(0, 0, 0, 0, 0)] == 0 and len(lay.pi) == 686
+    assert matel4._f4_table(*A4).lay is lay
+
+
 def test_g4_order_cap():
-    # per-axis cap (2, 2, 2, 2, 3) and total-degree cap 5: a truncated
-    # cell must raise, not read as zero
+    # the jet keeps the down-closure of _MOMENTS inside the (2, 2, 2, 2, 3)
+    # box at total degree 5: every kept cell reads finite, and every other
+    # cell raises rather than reading as zero, (2, 0, 0, 0, 3) included
     assert matel4._ORDERS == (2, 2, 2, 2, 3) and matel4._DEGREE == 5
-    for idx in ((3, 0, 0, 0, 0), (0, 0, 0, 0, 4), (2, 2, 2, 0, 0),
-                (1, 1, 1, 1, 2), (2, 0, 1, 1, 2), (0, 0, 0, 0, -1)):
+    assert not _below_moments((2, 0, 0, 0, 3))
+    outside = [(3, 0, 0, 0, 0), (0, 0, 0, 0, 4), (0, 0, 0, 0, -1)]
+    for idx in list(np.ndindex(matel4._SHAPE)) + outside:
+        if _below_moments(idx) and idx not in outside:
+            assert np.isfinite(matel4.g4(idx, 1.0, 1.0, 1.0, 1.0))
+            assert np.isfinite(matel4.moment4(*idx, 1.1, 0.9, 0.8, 1.2))
+            continue
         with pytest.raises(ValueError):
             matel4.g4(idx, 1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             matel4.moment4(*idx, 1.1, 0.9, 0.8, 1.2)
-    assert np.isfinite(matel4.g4((2, 0, 0, 0, 3), 1.0, 1.0, 1.0, 1.0))
+
+
+def _variables(x):
+    # A, B, C, D and U on the degree-5 box, U expanded at u = 0
+    return [Jet.variable(v, k, matel4._SHAPE, matel4._DEGREE)
+            for k, v in enumerate(x + (0.0,))]
+
+
+def test_f4_quadratic_inputs_match_jet_products():
+    # u1 + u2 and u1 - u2 written in closed form equal, to the bit and with
+    # the same degree bound, 2 S S - (p p + q q)/2 and p q built from jet
+    # variables: on the degree-5 box and on the F4 ideal's cells
+    rng = np.random.default_rng(20)
+    box = matel4._layout(matel4._SHAPE, matel4._DEGREE)
+    cells = [box.index[idx] for idx in _ideal().index]
+    for _ in range(200):
+        x = tuple(float(v) for v in rng.uniform(0.05, 4.0, 4))
+        A, B, C, D, U = _variables(x)
+        S, p, q = 0.5 * (A + B + C + D) + U, A - B, C - D
+        want = (2 * S * S - 0.5 * (p * p + q * q), p * q)
+        for lay, at in ((box, slice(None)), (_ideal(), cells)):
+            for got, ref in zip(matel4._f4_inputs(*x, lay)[:2], want):
+                assert got.c.tobytes() == ref.c[at].tobytes(), x
+                assert got.deg == ref.deg == 2
+
+
+def test_f4_separable_factor_coefficients():
+    # 32/((a+b)(c+d)) in closed form: within 1e-15 relative of the exact
+    # rational coefficients, exact zeros where m > 0, and within 1e-14 of
+    # the jet 32 ((A+B)(C+D))^-1, whose own products and composition are up
+    # to 3.3e-15 off the exact values at these points (the closed form 7.5e-16)
+    rng = np.random.default_rng(21)
+    box = matel4._layout(matel4._SHAPE, matel4._DEGREE)
+    for _ in range(100):
+        x = tuple(float(v) for v in rng.uniform(0.05, 4.0, 4))
+        sep = matel4._f4_inputs(*x, box)[2].c
+        A, B, C, D, _ = _variables(x)
+        jet = (32 * ((A + B) * (C + D)).recip()).c
+        s, t = Fraction(x[0]) + Fraction(x[1]), Fraction(x[2]) + Fraction(x[3])
+        for (i, j, k, l, m), n in box.index.items():
+            if m:
+                assert sep[n] == jet[n] == 0.0
+                continue
+            want = 32 * (-1) ** (i + j + k + l) * comb(i + j, i) * comb(k + l, k) \
+                / (s ** (i + j + 1) * t ** (k + l + 1))
+            assert abs(Fraction(sep[n]) - want) <= Fraction(1e-15) * abs(want)
+            assert abs(sep[n] - jet[n]) <= 1e-14 * abs(jet[n])
 
 
 def test_assembler_reads_exactly_the_tabulated_moments(monkeypatch):
@@ -217,7 +291,7 @@ def test_f4_tables_match_full_table_products(monkeypatch):
     # degree-aware products build every F4 table to the bit as full-table
     # products do, over _f4_args' 2 000 argument sets
     args = _f4_args(15)
-    fast = [matel4._f4_jet(*x, matel4._ORDERS).c for x in args]
+    fast = [matel4._f4_jet(*x, _ideal()).c for x in args]
 
     def full(self, other):
         if not isinstance(other, Jet):
@@ -228,7 +302,18 @@ def test_f4_tables_match_full_table_products(monkeypatch):
     monkeypatch.setattr(Jet, "__mul__", full)
     monkeypatch.setattr(Jet, "__rmul__", full)
     for x, c in zip(args, fast):
-        assert matel4._f4_jet(*x, matel4._ORDERS).c.tobytes() == c.tobytes(), x
+        assert matel4._f4_jet(*x, _ideal()).c.tobytes() == c.tobytes(), x
+
+
+def test_f4_ideal_reads_as_the_box_build():
+    # a product keeps the same pairs in the same order on an order ideal, so
+    # the F4 table on the ideal equals, to the bit, the same pipeline on the
+    # degree-5 box at the ideal's cells, over _f4_args' 2 000 argument sets
+    box = matel4._layout(matel4._SHAPE, matel4._DEGREE)
+    cells = [box.index[idx] for idx in _ideal().index]
+    for x in _f4_args(15):
+        got = matel4._f4_jet(*x, _ideal()).c
+        assert got.tobytes() == matel4._f4_jet(*x, box).c[cells].tobytes(), x
 
 
 def _orbit(x):
@@ -267,7 +352,7 @@ def test_orbit_tables_match_direct_builds():
                 assert k == 0
                 continue
             got = tab.c[matel4._orbit_cells(tab.lay)[k]]
-            ref = matel4._f4_jet(*y, matel4._ORDERS)
+            ref = matel4._f4_jet(*y, _ideal())
             want = ref.c[[ref.lay.index[idx] for idx in matel4._MOMENTS]]
             assert np.all(abs(got - want) <= 1e-13 * abs(want)), (y, got - want)
     assert matel4._f4_table.cache_info().currsize == len({min(_orbit(x)) for x in args})

@@ -547,6 +547,16 @@ def test_scan_asym3_critical_ratio_lies_between_1_06_and_1_07():
     assert e[4] <= -0.52499
 
 
+def test_scan_asym3_flags_grid_edge_rows():
+    # from the critical ratio on the search ends on the t = 1e-4 grid end,
+    # so the printed margin is that end's (about -1e-8 x ratio): flagged;
+    # the bound rows end inside the grid
+    recs = solve.scan_asym3([1.0, 1.05, 1.1, 2.0, 10.0])
+    assert [r["at_edge"] for r in recs] == [False, False, True, True, True]
+    assert [r["stable"] for r in recs] == [True, True, False, False, False]
+    assert recs[4]["margin"] == pytest.approx(-1.0e-7, rel=1e-3)
+
+
 @pytest.mark.parametrize("tie_ab, z, epsilon, want", [
     (True, 1.0, +1, -0.5079008655475303), (True, 2.0, +1, -2.889618205352145),
     (False, 1.0, +1, -0.5238659297754874), (False, 2.0, +1, -2.899534375468239),
@@ -950,28 +960,29 @@ def test_scan_mass4_records_report_the_search():
 
 # the molecule4 benchmark's seed-0 passes 0-2 (simplex seed = pass, ratios
 # [1, r] with r from default_rng([0, pass, 4])), with numpy 2.4.6: the
-# energies with F4 tables built by Taylor composition, then those of the
-# earlier tables (Newton reciprocals, the atanh series and the log series),
-# which they must stay within 1e-14 relative of
+# energies with F4 tables built on the 78-cell ideal from closed-form
+# quadratic inputs and a separable 32/((a+b)(c+d)), then those of the
+# earlier tables (the same composition on jet-product inputs over the
+# degree-5 box), which they must stay within 1e-14 relative of
 _MASS4_PINNED = {
     ("cc-break", 0, 2.9842160587427786): (
-        ("-0.5042331263235792", "-0.5042551752675353"),
-        ("-0.504233126323579", "-0.5042551752675352")),
+        ("-0.5042331263235788", "-0.5042551752675357"),
+        ("-0.5042331263235792", "-0.5042551752675353")),
     ("identity-break", 0, 1.9016348825652267): (
-        ("-0.5042296509175105", "-0.5042318399637695"),
-        ("-0.5042296509175112", "-0.5042318399637699")),
+        ("-0.5042296509175103", "-0.5042318399637695"),
+        ("-0.5042296509175105", "-0.5042318399637695")),
     ("cc-break", 1, 1.4495932749446765): (
-        ("-0.5042331263235792", "-0.5042528375326886"),
-        ("-0.504233126323579", "-0.5042528375326886")),
+        ("-0.5042331263235788", "-0.5042528375326891"),
+        ("-0.5042331263235792", "-0.5042528375326886")),
     ("identity-break", 1, 1.8201738521820963): (
-        ("-0.5042296509175105", "-0.5042318399637695"),
-        ("-0.5042296509175112", "-0.5042318399637699")),
+        ("-0.5042296509175103", "-0.5042318399637695"),
+        ("-0.5042296509175105", "-0.5042318399637695")),
     ("cc-break", 2, 2.5509440505289005): (
-        ("-0.5042331263235792", "-0.5042547199587671"),
-        ("-0.504233126323579", "-0.5042547199587673")),
+        ("-0.5042331263235788", "-0.5042547199587676"),
+        ("-0.5042331263235792", "-0.5042547199587671")),
     ("identity-break", 2, 2.3277955399766577): (
-        ("-0.5042296509175105", "-0.5042318399637695"),
-        ("-0.5042296509175112", "-0.5042318399637699")),
+        ("-0.5042296509175103", "-0.5042318399637695"),
+        ("-0.5042296509175105", "-0.5042318399637695")),
 }
 
 

@@ -11,14 +11,14 @@ from .model import (SystemSpec, MatBlock, TwoBodyThreshold, VariationalResult,
                     STABILITY_TOL, NATURAL, UNNATURAL, threshold_for,
                     hminus_spec, ps2_spec)
 from .solve import (MinimizerConfig, NonConvergenceError,
-                    optimize_ion, optimize_chandrasekhar, optimize_ps2,
-                    molecule_result)
+                    optimize_ion, optimize_chandrasekhar, optimize_minmax,
+                    optimize_ps2, molecule_result)
 
 __all__ = [
     "SystemSpec", "MatBlock", "TwoBodyThreshold",
     "VariationalResult", "STABILITY_TOL", "NATURAL", "UNNATURAL",
     "threshold_for", "hminus_spec", "ps2_spec",
     "MinimizerConfig", "NonConvergenceError",
-    "optimize_ion", "optimize_chandrasekhar", "optimize_ps2",
+    "optimize_ion", "optimize_chandrasekhar", "optimize_minmax", "optimize_ps2",
     "molecule_result",
 ]

@@ -1,4 +1,4 @@
-"""Command-line surface: solves, scans, table reproduction, validation.
+"""Command-line surface: solves, scans and table reproduction.
 
 Exit codes: 0 success (an unstable verdict is still a result), 2 usage,
 3 solver non-convergence, 4 tolerance failure.  Single results go out as
@@ -180,7 +180,7 @@ def cmd_scan(args):
     else:
         ratios = _parse_ratios(args.ratios)
         if args.submode == "mass3":
-            header = ["ratio", "energy", "threshold", "margin", "he_expectation"]
+            header = ["ratio", "energy", "threshold", "margin"]
             recs = solve.scan_mass3(ratios)
         elif args.submode == "asym3":
             header = ["ratio", "energy", "threshold", "margin", "stable", "at_edge"]
@@ -213,24 +213,6 @@ def cmd_tables(args):
     _write(_csv_text(header, rows, meta), args.out)   # tables are CSV only
     print(f"# wall_time_s={time.perf_counter() - t0:.2f}")
     return EXIT_TOL if any(r[-1] is False for r in rows) else EXIT_OK
-
-
-def cmd_validate(args):
-    from . import oracle     # only this command reads it; keeps start-up lean
-    pattern = args.filter or "*"
-    report = oracle.run_manifest(pattern)
-    if not report:
-        print(f"validate: no manifest case matches {pattern!r}", file=sys.stderr)
-        return EXIT_USAGE
-    worst = False
-    for rec in report:
-        tag = "PASS" if rec["passed"] else "FAIL"
-        print(f"{tag}  {rec['name']:<28s} rel={rec['rel_err']:.3e} "
-              f"tol={rec['tol']:.0e}")
-        worst |= not rec["passed"]
-    n_ok = sum(r["passed"] for r in report)
-    print(f"# {n_ok}/{len(report)} cases pass")
-    return EXIT_TOL if worst else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +279,6 @@ def build_parser():
     common(sp, formats=("csv",))
     sp.set_defaults(func=cmd_tables)
 
-    sp = sub.add_parser("validate", help="oracle quadrature pairings")
-    sp.add_argument("--filter", default=None, help="glob over case names")
-    # a text report only: --seed, --out and --format are usage errors here
-    sp.set_defaults(func=cmd_validate)
     return p
 
 
@@ -310,7 +288,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
-    if getattr(args, "seed", 0) < 0:      # before any search; validate has none
+    if args.seed < 0:                     # before any search
         print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -24,13 +24,13 @@ Taylor composition, `compose`: Horner's rule in t = x - val over f's
 coefficients f^(m)(val)/m!, as Python floats, costs degree - 1 products.
 
 A jet's `deg` bounds its degree: coefficients above it are exact zeros.  A
-variable has 1, sums the larger bound, products the sum (capped), scalar
+coordinate has 1, sums the larger bound, products the sum (capped), scalar
 operations keep it; a product runs only over the table's pairs with
 |i| <= deg1, |j| <= deg2, in order.  No bit changes: bincount starts cells
 at +0.0, so a partial sum is never -0.0, and each skipped term is +-0.0 for
 finite coefficients (0 * inf is NaN).  A composition over k + 1
-coefficients has k * deg (capped).  `Jet(c, lay)` and `Jet.const` are
-dense, so only they may have `c` written in place.  (Truncated Taylor
+coefficients has k * deg (capped).  `Jet(c, lay)` without `deg` is dense,
+so only such a jet may have `c` written in place.  (Truncated Taylor
 arithmetic: Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13.)
 """
 
@@ -93,24 +93,6 @@ class Jet:
         self.lay = lay
         self.deg = lay.degree if deg is None else deg
 
-    @classmethod
-    def variable(cls, value, axis, shape, degree=None):
-        """The coordinate function x_axis, expanded at `value`."""
-        lay = _layout(tuple(shape), degree)
-        c = np.zeros(lay.n)
-        c[0] = value
-        unit = tuple(int(k == axis) for k in range(len(lay.shape)))
-        if unit in lay.index:
-            c[lay.index[unit]] = 1.0
-        return cls(c, lay, min(1, lay.degree))
-
-    @classmethod
-    def const(cls, value, shape, degree=None):
-        lay = _layout(tuple(shape), degree)
-        c = np.zeros(lay.n)
-        c[0] = value
-        return cls(c, lay)
-
     @property
     def val(self):
         return float(self.c[0])
@@ -130,14 +112,6 @@ class Jet:
         out = self.c.copy()
         out[0] -= other
         return Jet(out, self.lay, self.deg)
-
-    def __rsub__(self, other):
-        out = -self.c
-        out[0] += other
-        return Jet(out, self.lay, self.deg)
-
-    def __neg__(self):
-        return Jet(-self.c, self.lay, self.deg)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
@@ -166,7 +140,7 @@ class Jet:
         return self.compose([(-1.0) ** m / a0 ** (m + 1)
                              for m in range(self.lay.degree + 1)])
 
-    def log(self):
+    def log(self):      # kept: perfbench traces it by name
         """log(self); needs val > 0."""
         a0 = self.val
         if a0 <= 0.0:

@@ -9,7 +9,7 @@ where alpha goes with x = r2, beta with y = r1, gamma with z = r12 and the
 integration domain is the triangle |x-y| <= z <= x+y with measure x*y*z dxdydz.
 The constant angular factor 8*pi^2 is omitted everywhere: it cancels in every
 Rayleigh quotient.  (With this normalization F3 itself carries a factor 2
-relative to the bare triangle integral; the oracle uses the same convention.)
+relative to the bare triangle integral.)
 
 With s1 = alpha+beta, s2 = beta+gamma, s3 = gamma+alpha the moments
 G(i,j,k) = (-1)^(i+j+k) d^(i+j+k) F3 are, in closed form,
@@ -38,14 +38,6 @@ from math import comb, factorial, sqrt
 import numpy as np
 
 from .model import MatBlock, UNNATURAL, assemble
-
-
-def f3(alpha, beta, gamma):
-    """The base integral 4/((alpha+beta)(beta+gamma)(gamma+alpha))."""
-    s1, s2, s3 = alpha + beta, beta + gamma, gamma + alpha
-    if s1 <= 0 or s2 <= 0 or s3 <= 0:
-        raise ValueError("f3 domain: every pair sum must be positive")
-    return 4.0 / (s1 * s2 * s3)
 
 
 @lru_cache(maxsize=64)   # a solve reuses one set; g3_table brings one per order
@@ -91,7 +83,7 @@ def _g3_cells(e, cols):
     return (inv[..., 0, :] * inv[..., 1, :] * inv[..., 2, :]) @ coef
 
 
-def g3_table(alpha, beta, gamma, omax):
+def g3_table(alpha, beta, gamma, omax):     # kept: perfbench probes and traces it
     """All G(i,j,k) for i,j,k <= omax at one argument triple."""
     if min(omax) < 0:
         raise ValueError("moment orders must be non-negative")
@@ -100,76 +92,14 @@ def g3_table(alpha, beta, gamma, omax):
                      tuple(np.ndindex(sh))).reshape(sh)
 
 
-def g3(idx, alpha, beta, gamma):
-    """One moment G(i,j,k; alpha,beta,gamma); any non-negative order."""
-    return float(_g3_cells(np.array([alpha, beta, gamma], float), (tuple(idx),))[0])
-
-
 def _split(t):
     """Exponent columns (a, b, c) of one term (3,) or of stacked terms (P, 3)."""
     return np.asarray(t, dtype=float).T
 
 
-def _cells_at(u, v, cells):
-    """{cell: G} at the combined exponents of the terms (or term arrays) u, v."""
-    return dict(zip(cells, _g3_cells(np.add(u, v, dtype=float), cells).T))
-
-
 # the cells the scalar-sector elements read: Coulomb (order 2), overlap and
 # the kinetic and recoil brackets (order 3)
 _NTV_CELLS = tuple(c for c in product(range(4), repeat=3) if 2 <= sum(c) <= 3)
-
-
-def overlap3(t, tp):
-    """<t|t'> = G(1,1,1) at the combined exponents."""
-    return _cells_at(t, tp, ((1, 1, 1),))[1, 1, 1]
-
-
-_PAIR_IDX = {"12": (1, 1, 0), "23": (0, 1, 1), "13": (1, 0, 1)}
-
-
-def coulomb3(pair, t, tp):
-    """<t| 1/r_pair |t'>; pair in {'13','23','12'} with 3 the center."""
-    idx = _PAIR_IDX[pair]
-    return _cells_at(t, tp, (idx,))[idx]
-
-
-def kinetic3(particle, t, tp):
-    """<t| p_particle^2 |t'> (gradient form, exact closed combination of G).
-
-    particle 1 sits at distance y=r1, particle 2 at x=r2, particle 3 is the
-    center.  Diagonal coefficients use products of the two exponent sets; the
-    off-diagonal bracket carries the angular average of the unit-vector dot
-    products, e.g. y^.z^ = (y^2+z^2-x^2)/(2yz).
-    """
-    a, b, c = _split(t)
-    ap, bp, cp = _split(tp)
-    G = _cells_at(t, tp, _NTV_CELLS)
-    if particle == 1:
-        return ((b * bp + c * cp) * G[1, 1, 1]
-                - 0.5 * (b * cp + bp * c) * (G[3, 0, 0] - G[1, 2, 0] - G[1, 0, 2]))
-    if particle == 2:
-        return ((a * ap + c * cp) * G[1, 1, 1]
-                - 0.5 * (a * cp + ap * c) * (G[0, 3, 0] - G[2, 1, 0] - G[0, 1, 2]))
-    if particle == 3:
-        return ((a * ap + b * bp) * G[1, 1, 1]
-                + 0.5 * (a * bp + ap * b) * (G[2, 0, 1] + G[0, 2, 1] - G[0, 0, 3]))
-    raise ValueError("particle must be 1, 2 or 3")
-
-
-def he_cross(t, tp):
-    """<t| px . py |t'> — the recoil cross term of a finite-mass center.
-
-    Zero (to round-off) whenever neither term depends on r12; asserted rather
-    than assumed by the finite-mass scan.
-    """
-    _, b, c = _split(t)
-    ap, _, cp = _split(tp)
-    G = _cells_at(t, tp, _NTV_CELLS)
-    xy = 0.5 * (G[2, 0, 1] + G[0, 2, 1] - G[0, 0, 3])
-    xz = 0.5 * (G[0, 3, 0] - G[2, 1, 0] - G[0, 1, 2])
-    yz = -0.5 * (G[3, 0, 0] - G[1, 2, 0] - G[1, 0, 2])
-    return ap * b * xy + ap * c * xz - b * cp * yz - c * cp * G[1, 1, 1]
 
 
 # _elements_ntv's cells: overlap, Coulomb, the (particle 1, 2) kinetic bracket terms
@@ -178,8 +108,14 @@ _NTV_TAKE = np.array([_NTV_CELLS.index(tuple(map(int, c))) for c in
 
 
 def _elements_ntv(u, v, z, invm):
-    """(overlap, kinetic, potential) for the ordered term pairs u, v: the expressions of
-    kinetic3 (particles 1 and 2 as one (P, 2) stack) and he_cross, inlined."""
+    """(overlap, kinetic, potential) for the ordered term pairs u, v.
+
+    p^2 of the electron at y (gradient form; at x swap a, b and x, y) is
+    (b b' + c c') G(1,1,1) - (b c' + b' c)/2 (G(3,0,0) - G(1,2,0) - G(1,0,2)),
+    the bracket being the angular average of y^.z^ = (y^2+z^2-x^2)/(2yz); both
+    electrons run as one (P, 2) stack.  A finite-mass center adds im0 times
+    the recoil cross term <px.py>.  The tests' scalar `kinetic3` and
+    `he_cross` write out the same expressions in the same order."""
     im0, im1, im2 = invm
     G = _g3_cells(u + v, _NTV_CELLS)
     g = G[:, _NTV_TAKE]
@@ -216,16 +152,6 @@ def natural_matblock(terms, spec, symmetrize=True):
     z, invm = spec.z_central, spec.inv_masses
     groups = _exchange_groups(terms, spec.epsilon if symmetrize else None)
     return MatBlock(*assemble(groups, lambda u, v: _elements_ntv(u, v, z, invm)))
-
-
-def hughes_eckart_matrix(terms, spec):
-    """Matrix of the px.py recoil operator over the same basis as natural_matblock.
-
-    Used to *verify* (not assume) that the cross term has zero expectation on
-    angle-independent wave functions.
-    """
-    return assemble(_exchange_groups(terms, spec.epsilon),
-                    lambda u, v: (he_cross(u, v),))[0]
 
 
 # ---------------------------------------------------------------------------

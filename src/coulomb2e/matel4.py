@@ -9,7 +9,7 @@ dependence).  Every element is a mixed partial derivative, at u=0, of
 where inside F4 the arguments follow the generating-function order
 (r13, r23, r14, r24) and u screens r12.  The prefactor 16 absorbs the angular
 constant consistently with the three-body convention (the bare distance
-integral carries 1/4 of these values; the oracle uses the same convention).
+integral carries 1/4 of these values).
 
 The printed form of F4 is numerically disastrous near a=b or c=d, and the
 derivatives needed here amplify any cancellation.  With S = (a+b+c+d)/2 + u,
@@ -32,8 +32,7 @@ the orbit's smallest member, and `_f4_orbit` serves any member through
 permuted cells.  A served moment differs from a build at the requested
 arguments in the last bits (2e-14 relative at worst in the tests).
 `assemble4`'s array kernel reads each pair's tables in one gather of the
-`_MOMENTS` cells; the scalar `moment4`, `overlap4`, `kinetic4` and
-`coulomb4` read the same cells and are its bit-exact reference.
+`_MOMENTS` cells.
 """
 
 from functools import cache, lru_cache
@@ -66,19 +65,9 @@ def _g_coefs(r):
     return g
 
 
-def f4(a, b, c, d, u=0.0):
-    """Scalar F4 value (argument order r13, r23, r14, r24, r12-screen)."""
-    S = 0.5 * (a + b + c + d) + u
-    p, q = a - b, c - d
-    u1 = S * S - 0.25 * (p - q) ** 2
-    u2 = S * S - 0.25 * (p + q) ** 2
-    if u1 <= 0 or u2 <= 0:
-        raise ValueError("f4 domain: non-positive log argument")
-    return 32.0 * _g_coefs((u1 - u2) / (u1 + u2))[0] / (u1 + u2) / ((a + b) * (c + d))
-
-
-# Moment indices (i, j, k, l, m) that overlap4, coulomb4, _p3sq and _p4sq
-# read.  The F4 jet keeps exactly the cells at or below one of them, inside
+# Moment indices (i, j, k, l, m) that the overlap, the Coulomb pairs and
+# the kinetic brackets of particles 3 and 4 read, in _pair_ntv's column
+# order.  The F4 jet keeps exactly the cells at or below one of them, inside
 # the box _SHAPE at total degree _DEGREE; moment4 refuses anything beyond.
 _MOMENTS = (
     (1, 1, 1, 1, 1), (1, 1, 1, 1, 0),
@@ -168,106 +157,36 @@ def _orbit_cells(lay):
                       for idx in _MOMENTS] for g in _KLEIN])
 
 
-def g4(idx, a, b, c, d):
-    """Signed mixed partial (-1)^|idx| d^idx F4 at u=0; idx=(i,j,k,l,m).
+def moment4(i, j, k, l, m, a, b, c, d):     # kept: perfbench probes and traces it
+    """Moment int r13^i r23^j r14^k r24^l r12^(m-1) exp(-...) d(distances),
+    the signed mixed partial (-1)^(i+j+k+l+m) d^(i,j,k,l,m) F4 at u = 0.
 
     Raises ValueError for an order the jet does not keep: any cell not at or
     below a `_MOMENTS` entry.
     """
-    F, k = _f4_orbit(float(a), float(b), float(c), float(d))
-    idx = tuple(idx)
-    return (-1.0) ** sum(idx) * F.deriv(tuple(idx[i] for i in _KLEIN[k]) + idx[4:])
-
-
-def moment4(i, j, k, l, m, a, b, c, d):
-    """Moment int r13^i r23^j r14^k r24^l r12^(m-1) exp(-...) d(distances)."""
-    return g4((i, j, k, l, m), a, b, c, d)
-
-
-# ---------------------------------------------------------------------------
-# term plumbing.  Four-body terms are (a, b, c, d) on (r13, r14, r23, r24);
-# the generating function wants (r13, r23, r14, r24), hence the b<->c swap.
-
-
-def _to_F(t):
-    return (t[0], t[2], t[1], t[3])
-
-
-def _pair_args(t, tp):
-    return tuple(x + y for x, y in zip(_to_F(t), _to_F(tp)))
-
-
-def overlap4(t, tp):
-    return moment4(1, 1, 1, 1, 1, *_pair_args(t, tp))
-
-
-def coulomb4(pair, t, tp):
-    """<t| 1/r_pair |t'> for any of the six pairs ('12','34','13','14','23','24')."""
-    A, B, C, D = _pair_args(t, tp)
-    if pair == "12":
-        return moment4(1, 1, 1, 1, 0, A, B, C, D)
-    if pair == "34":
-        # relabeling 1<->2 swaps (r13,r23) and (r14,r24) roles: v34 = v12 at (A,C,B,D)
-        return moment4(1, 1, 1, 1, 0, A, C, B, D)
-    lower = {"13": (0, 1, 1, 1, 1), "23": (1, 0, 1, 1, 1),
-             "14": (1, 1, 0, 1, 1), "24": (1, 1, 1, 0, 1)}[pair]
-    return moment4(*lower, A, B, C, D)
-
-
-def _p3sq(t, tp):
-    # particle 3 touches r13 and r23; their F-order exponents are (a, b)
-    a, b, c, d = _to_F(t)
-    ap, bp, cp, dp = _to_F(tp)
-    A, B, C, D = _pair_args(t, tp)
-    n = moment4(1, 1, 1, 1, 1, A, B, C, D)
-    x3 = 0.5 * (moment4(0, 0, 1, 1, 3, A, B, C, D)
-                - moment4(2, 0, 1, 1, 1, A, B, C, D)
-                - moment4(0, 2, 1, 1, 1, A, B, C, D))
-    return (a * ap + b * bp) * n - (a * bp + ap * b) * x3
-
-
-def _p4sq(t, tp):
-    c, d = _to_F(t)[2:]
-    cp, dp = _to_F(tp)[2:]
-    A, B, C, D = _pair_args(t, tp)
-    n = moment4(1, 1, 1, 1, 1, A, B, C, D)
-    x4 = 0.5 * (moment4(1, 1, 0, 0, 3, A, B, C, D)
-                - moment4(1, 1, 2, 0, 1, A, B, C, D)
-                - moment4(1, 1, 0, 2, 1, A, B, C, D))
-    return (c * cp + d * dp) * n - (c * dp + cp * d) * x4
-
-
-def kinetic4(particle, t, tp):
-    """<t| p_particle^2 |t'>.
-
-    The generating function gives the pattern for particles 3 and 4 directly;
-    particles 1 and 2 follow from relabeling both positives into the negative
-    slots (1<->3, 2<->4), under which the basis family maps onto itself.  That
-    relabel fixes r13 and r24 and swaps r14 <-> r23, so in the term tuple it
-    swaps b and c, the same swap as _to_F.
-    """
-    if particle == 3:
-        return _p3sq(t, tp)
-    if particle == 4:
-        return _p4sq(t, tp)
-    if particle == 1:
-        return _p3sq(_to_F(t), _to_F(tp))
-    if particle == 2:
-        return _p4sq(_to_F(t), _to_F(tp))
-    raise ValueError("particle must be 1..4")
+    F, g = _f4_orbit(float(a), float(b), float(c), float(d))
+    idx = (i, j, k, l)
+    return (-1.0) ** (i + j + k + l + m) * F.deriv(tuple(idx[n] for n in _KLEIN[g]) + (m,))
 
 
 def _kinetic(m, e, f, ep, fp, xa):
-    # _p3sq (xa = 6) and _p4sq (xa = 9) on the moment columns m
+    # p^2 (gradient form) of the negative particle whose two distances carry
+    # the exponents e, f: the overlap column and the angular bracket of the
+    # moment columns xa .. xa + 2 (6 for particle 3, 9 for particle 4)
     x = 0.5 * (m[:, xa] - m[:, xa + 1] - m[:, xa + 2])
     return (e * ep + f * fp) * m[:, 0] - (e * fp + ep * f) * x
 
 
 def _pair_ntv(U, V, invm):
-    """overlap4, kinetic4 and coulomb4 over the ordered term pairs U, V, with
-    their float operations in their order.  Each pair reads two F4 tables:
-    m at its _pair_args (A, B, C, D) and r at (A, C, B, D), which kinetic4
-    reads for particles 1 and 2 and coulomb4 for the pair 34."""
+    """(overlap, kinetic, potential) over the ordered term pairs U, V.
+
+    Terms (a, b, c, d) are on (r13, r14, r23, r24) and F4 wants (r13, r23,
+    r14, r24), hence the b<->c swap.  Each pair reads two F4 tables: m at
+    its summed exponents in F4 order (A, B, C, D) and r at (A, C, B, D).
+    r serves particles 1 and 2 (relabeling 1<->3, 2<->4 maps the basis
+    family onto itself and swaps b and c) and the pair 34 (relabeling 1<->2
+    makes v34 the v12 at (A, C, B, D)).  The tests' scalar `overlap4`,
+    `kinetic4` and `coulomb4` write out the same float operations in order."""
     tabs, ks = zip(*[_f4_orbit(*k) for w0, w1, w2, w3 in (U + V).tolist()
                      for k in ((w0, w2, w1, w3), (w0, w1, w2, w3))])
     cells = _orbit_cells(tabs[0].lay)[list(ks)]

@@ -802,18 +802,9 @@ def _pair_scan(ratio, spec, symmetrize):
 
 def scan_mass3(mass_ratios):
     """Finite central mass M/m > 0 (inf allowed) along H-'s two-range optimum:
-    one `_pair_scan` record per ratio (`mu` the atom's reduced mass) plus the
-    recoil cross-term expectation, which must vanish to round-off for these
-    angle-independent bases."""
-    out = []
+    one `_pair_scan` record per ratio, `mu` the atom's reduced mass."""
     specs = [hminus_spec(mass_ratio=ratio) for ratio in mass_ratios]
-    for ratio, spec in zip(mass_ratios, specs):
-        rec = _pair_scan(ratio, spec, True)
-        terms, im0 = [(*rec["params"], 0.0)], spec.inv_masses[0]
-        he = (matel3.hughes_eckart_matrix(terms, spec)[0, 0]
-              / matel3.natural_matblock(terms, spec).n_mat[0, 0])
-        out.append({**rec, "he_expectation": float(he * im0)})
-    return out
+    return [_pair_scan(ratio, spec, True) for ratio, spec in zip(mass_ratios, specs)]
 
 
 def scan_asym3(ratios):
@@ -915,8 +906,11 @@ def scan_mass4(ratios, mode, config: MinimizerConfig):
 
 
 def molecule_result(mode, ratio, config: MinimizerConfig) -> VariationalResult:
-    """One four-body solve packaged as a VariationalResult."""
+    """One four-body solve packaged as a VariationalResult; ps2 has equal
+    masses, so any ratio but 1 raises ValueError."""
     if mode == "ps2":
+        if ratio != 1.0:
+            raise ValueError(f"ps2 has equal masses: ratio {ratio} is not 1")
         e, beta = optimize_ps2()
         thr = threshold_for(ps2_spec())
         n, t, v = matel4.ho_ntv(beta)

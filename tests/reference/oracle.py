@@ -1,20 +1,21 @@
 """Independent quadrature checks for every closed-form matrix element.
 
-Nothing in here is used by the optimizers: these routines re-derive the
-generating-function moments by brute-force Gauss-Laguerre x Gauss-Legendre
-quadrature so that the analytic tables can be verified mechanically.  The
-normalization follows the closed forms (a constant angular factor is left
-out of both sides): the three-body moments carry a factor 2 and the
-four-body moments a factor 4 relative to the bare distance integrals.
+These routines re-derive the generating-function moments by brute-force
+Gauss-Laguerre x Gauss-Legendre quadrature so that the analytic tables can
+be verified mechanically.  The normalization follows the closed forms (a
+constant angular factor is left out of both sides): the three-body moments
+carry a factor 2 and the four-body moments a factor 4 relative to the bare
+distance integrals.
 """
 
-import fnmatch
 import warnings
 
 import numpy as np
 
-from . import matel3, matel4
-from .model import hminus_spec
+from coulomb2e import matel3, matel4
+from coulomb2e.model import hminus_spec
+
+from . import elements as el
 
 _REL_WARN = 1e-9
 
@@ -44,7 +45,7 @@ def _quad3_half(i, j, k, alpha, beta, gamma, n):
 
 def quad3_monomial(i, j, k, alpha, beta, gamma, n=80):
     """2 * int x^i y^j z^k e^(-alpha x - beta y - gamma z) over the triangle
-    |x-y| <= z <= x+y; matches g3((i,j,k); alpha,beta,gamma)."""
+    |x-y| <= z <= x+y; matches elements.g3((i,j,k), alpha, beta, gamma)."""
     return 2.0 * (_quad3_half(i, j, k, alpha, beta, gamma, n)
                   + _quad3_half(j, i, k, beta, alpha, gamma, n))
 
@@ -57,7 +58,7 @@ def quad3_poly(poly, alpha, beta, gamma, n=80):
 
 def quad4_moment(i, j, k, l, m, aF, bF, cF, dF, n12=64, ns=64, nt=48):
     """4 * int r13^i r23^j r14^k r24^l r12^(m-1) e^(-...) d(5 distances);
-    matches matel4.moment4 with the same index convention.
+    matches coulomb2e.matel4.moment4 with the same index convention.
 
     The two triangles hanging off r12 factorize in the variables
     s = r1 + r2 (in [r12, inf)) and t = r1 - r2 (in [-r12, r12]).
@@ -145,7 +146,7 @@ def gauss_shell_e1(z, n=120):
 
 
 def _pair_g3(idx, args):
-    return matel3.g3(idx, *args), quad3_monomial(*idx, *args)
+    return el.g3(idx, *args), quad3_monomial(*idx, *args)
 
 
 def _kin3_weight(particle, t, tp):
@@ -175,7 +176,7 @@ def _unnorm(poly, shift):
 
 
 def manifest():
-    """Named (analytic, oracle, tolerance) triples covering all families."""
+    """(name, analytic, oracle, relative tolerance) for every element family."""
     cases = []
     t3, u3 = (0.9, 0.4, 0.08), (0.7, 0.5, 0.03)
     args3 = tuple(x + y for x, y in zip(t3, u3))
@@ -185,16 +186,16 @@ def manifest():
         a, q = _pair_g3(idx, args3)
         cases.append((f"g3_{idx[0]}{idx[1]}{idx[2]}", a, q, 1e-8))
 
-    cases.append(("f3_base", matel3.f3(1.0, 1.0, 1.0),
+    cases.append(("f3_base", el.f3(1.0, 1.0, 1.0),
                   quad3_monomial(0, 0, 0, 1.0, 1.0, 1.0), 1e-8))
-    cases.append(("overlap3", matel3.overlap3(t3, u3),
+    cases.append(("overlap3", el.overlap3(t3, u3),
                   quad3_monomial(1, 1, 1, *args3), 1e-8))
     for pair, shift in [("12", (1, 1, 0)), ("13", (1, 0, 1)), ("23", (0, 1, 1))]:
-        cases.append((f"coulomb3_{pair}", matel3.coulomb3(pair, t3, u3),
+        cases.append((f"coulomb3_{pair}", el.coulomb3(pair, t3, u3),
                       quad3_monomial(*shift, *args3), 1e-8))
     for p in (1, 2, 3):
         poly = _kin3_weight(p, t3, u3)
-        cases.append((f"kinetic3_p{p}", matel3.kinetic3(p, t3, u3),
+        cases.append((f"kinetic3_p{p}", el.kinetic3(p, t3, u3),
                       quad3_poly(poly, *args3), 1e-8))
 
     # closed two-exponential forms against the assembled G-machinery: the two
@@ -223,19 +224,19 @@ def manifest():
 
     # four-body family
     t4, u4 = (0.9, 0.2, 0.3, 0.8), (0.7, 0.4, 0.1, 1.0)
-    A4 = matel4._pair_args(t4, u4)
-    cases.append(("overlap4", matel4.overlap4(t4, u4),
+    A4 = el.pair_args(t4, u4)
+    cases.append(("overlap4", el.overlap4(t4, u4),
                   quad4_moment(1, 1, 1, 1, 1, *A4), 1e-6))
-    cases.append(("coulomb4_12", matel4.coulomb4("12", t4, u4),
+    cases.append(("coulomb4_12", el.coulomb4("12", t4, u4),
                   quad4_moment(1, 1, 1, 1, 0, *A4), 1e-6))
-    cases.append(("coulomb4_13", matel4.coulomb4("13", t4, u4),
+    cases.append(("coulomb4_13", el.coulomb4("13", t4, u4),
                   quad4_moment(0, 1, 1, 1, 1, *A4), 1e-6))
-    cases.append(("coulomb4_24", matel4.coulomb4("24", t4, u4),
+    cases.append(("coulomb4_24", el.coulomb4("24", t4, u4),
                   quad4_moment(1, 1, 1, 0, 1, *A4), 1e-6))
     A4s = (A4[0], A4[2], A4[1], A4[3])
-    cases.append(("coulomb4_34", matel4.coulomb4("34", t4, u4),
+    cases.append(("coulomb4_34", el.coulomb4("34", t4, u4),
                   quad4_moment(1, 1, 1, 1, 0, *A4s), 1e-6))
-    cases.append(("f4_base", matel4.f4(1.0, 2.0, 1.0, 2.0),
+    cases.append(("f4_base", el.f4(1.0, 2.0, 1.0, 2.0),
                   quad4_moment(0, 0, 0, 0, 0, 1.0, 2.0, 1.0, 2.0), 1e-7))
     for mom in [(0, 0, 1, 1, 3), (2, 0, 1, 1, 1), (1, 1, 0, 2, 1)]:
         cases.append((f"moment4_{''.join(map(str, mom))}",
@@ -245,20 +246,6 @@ def manifest():
     cases.append(("gauss_shell_z2", gauss_shell_e1(2.0), 1.25, 1e-9))
     cases.append(("zexp_z2_order1", zexp_partial(2.0, 1)[0], -2.75, 1e-12))
     return cases
-
-
-def run_manifest(pattern=None):
-    """Evaluate (a filtered subset of) the manifest; returns result records."""
-    rows = []
-    for name, analytic, orac, tol in manifest():
-        if pattern and not fnmatch.fnmatch(name, pattern):
-            continue
-        denom = max(abs(orac), 1e-300)
-        rel = abs(analytic - orac) / denom
-        rows.append({"name": name, "analytic": float(analytic),
-                     "oracle": float(orac), "rel_err": float(rel),
-                     "tol": tol, "passed": bool(rel <= tol)})
-    return rows
 
 
 def convergence_check(n_lo=48, factor=2):

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output formats, determinism."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -28,21 +29,11 @@ def test_help_exits_zero():
     assert run(["--help"]) == 0
 
 
-def test_validate_filter_and_empty(capsys):
-    assert run(["validate", "--filter", "f3*"]) == cli.EXIT_OK
-    out = capsys.readouterr().out
-    assert "PASS" in out and "f3_base" in out
-    assert run(["validate", "--filter", "zzz*"]) == cli.EXIT_USAGE
-
-
-@pytest.mark.parametrize("opt", [["--out", "v.out"], ["--seed", "3"],
-                                 ["--format", "csv"]])
-def test_validate_rejects_output_options(opt, tmp_path, monkeypatch):
-    # validate prints a text report only; an option it would ignore is a
-    # usage error, and nothing is written
-    monkeypatch.chdir(tmp_path)
-    assert run(["validate", "--filter", "f3*", *opt]) == cli.EXIT_USAGE
-    assert list(tmp_path.iterdir()) == []
+def test_validate_and_the_oracle_are_gone():
+    # the quadrature oracle lives with the tests (tests/reference): the
+    # runtime package has neither the module nor a `validate` command
+    assert run(["validate"]) == cli.EXIT_USAGE
+    assert importlib.util.find_spec("coulomb2e.oracle") is None
 
 
 def test_ion_json_schema(tmp_path, capsys):
@@ -131,7 +122,7 @@ def test_molecule_masses_set_the_mass_unit(monkeypatch, capsys):
         return json.loads(capsys.readouterr().out.split("# wall_time")[0])["result"]
 
     unit, double = result("--masses", "1,1,1,1"), result("--masses", "2,2,2,2")
-    assert double["energy"] == 2 * unit["energy"]
+    assert double["energy"] == 2 * unit["energy"] == pytest.approx(-1.00847, abs=1e-5)
     assert double["threshold"]["e_ground"] == 2 * unit["threshold"]["e_ground"]
     assert double["margin"] == unit["margin"]
     light = result("--mode", "cc-break", "--ratio", "2")
@@ -173,6 +164,7 @@ def test_tables_rows_matching_nothing(capsys):
     ["ion", "--z", "-1"],
     ["molecule", "--mode", "cc-break", "--ratio", "-1"],
     ["molecule", "--mode", "cc-break", "--ratio", "inf"],
+    ["molecule", "--mode", "ps2", "--ratio", "3"],     # ps2 has equal masses
     ["scan", "mass3", "--ratios", "0"],
     ["scan", "mass3", "--ratios", "1,0"],
     ["scan", "asym3", "--ratios", "-1"],
@@ -339,24 +331,5 @@ def test_runs_without_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-
-
-_LAZY_ORACLE = """
-import sys
-import coulomb2e.cli
-assert "coulomb2e.oracle" not in sys.modules, "cli imported the oracle"
-assert coulomb2e.cli.main(["validate", "--filter", "f3*"]) == 0
-assert "coulomb2e.oracle" in sys.modules
-"""
-
-
-def test_cli_imports_the_oracle_only_for_validate():
-    # the quadrature oracle costs start-up time that only `validate` needs
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _LAZY_ORACLE], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -6,8 +6,9 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from coulomb2e import matel3, oracle, solve
+from coulomb2e import matel3, solve
 from coulomb2e.model import hminus_spec, UNNATURAL
+from reference import elements as el, oracle
 
 
 T1 = (0.9, 0.4, 0.08)
@@ -16,22 +17,22 @@ ARGS = tuple(x + y for x, y in zip(T1, T2))
 
 
 def test_f3_value_and_domain():
-    assert matel3.f3(1.0, 1.0, 1.0) == pytest.approx(0.5)
+    assert el.f3(1.0, 1.0, 1.0) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        matel3.f3(1.0, -2.0, 0.5)
+        el.f3(1.0, -2.0, 0.5)
 
 
 def test_g3_low_orders_closed_form():
     # G(0,0,0) = F3 itself; G(1,1,1) is the overlap moment
-    assert matel3.g3((0, 0, 0), 2.0, 1.0, 0.5) == pytest.approx(
-        matel3.f3(2.0, 1.0, 0.5), rel=1e-14)
+    assert el.g3((0, 0, 0), 2.0, 1.0, 0.5) == pytest.approx(
+        el.f3(2.0, 1.0, 0.5), rel=1e-14)
 
 
 @pytest.mark.parametrize("idx", [(1, 1, 1), (2, 0, 1), (0, 3, 0), (2, 2, 2),
                                  (1, 0, 4)])
 def test_g3_vs_quadrature(idx):
     q = oracle.quad3_monomial(*idx, *ARGS)
-    assert matel3.g3(idx, *ARGS) == pytest.approx(q, rel=1e-8)
+    assert el.g3(idx, *ARGS) == pytest.approx(q, rel=1e-8)
 
 
 def test_g3_vs_finite_differences_order3():
@@ -40,7 +41,7 @@ def test_g3_vs_finite_differences_order3():
     h = 1e-3
 
     def f(da=0.0, db=0.0, dg=0.0):
-        return matel3.f3(al + da, be + db, ga + dg)
+        return el.f3(al + da, be + db, ga + dg)
 
     fd_111 = 0.0
     for sa in (+1, -1):
@@ -48,16 +49,16 @@ def test_g3_vs_finite_differences_order3():
             for sg in (+1, -1):
                 fd_111 += sa * sb * sg * f(sa * h, sb * h, sg * h)
     fd_111 /= -(2 * h) ** 3  # G carries (-1)^(i+j+k)
-    assert matel3.g3((1, 1, 1), al, be, ga) == pytest.approx(fd_111, rel=1e-5)
+    assert el.g3((1, 1, 1), al, be, ga) == pytest.approx(fd_111, rel=1e-5)
 
     fd_2 = (f(h) - 2 * f() + f(-h)) / h**2
-    assert matel3.g3((2, 0, 0), al, be, ga) == pytest.approx(fd_2, rel=1e-5)
+    assert el.g3((2, 0, 0), al, be, ga) == pytest.approx(fd_2, rel=1e-5)
 
 
 def test_g3_table_consistent_with_single_entries():
     G = matel3.g3_table(*ARGS, (3, 3, 3))
     for idx in [(0, 0, 0), (1, 2, 3), (3, 3, 3)]:
-        assert G[idx] == pytest.approx(matel3.g3(idx, *ARGS), rel=1e-13)
+        assert G[idx] == pytest.approx(el.g3(idx, *ARGS), rel=1e-13)
 
 
 def test_g3_order_contract():
@@ -65,10 +66,10 @@ def test_g3_order_contract():
     # At alpha = beta = gamma = 1: G(n,0,0) = 2 n! (n+1) / 2^(n+2)
     n = 18
     want = 2.0 * factorial(n) * (n + 1) / 2.0 ** (n + 2)
-    assert matel3.g3((n, 0, 0), 1.0, 1.0, 1.0) == pytest.approx(want, rel=1e-13)
+    assert el.g3((n, 0, 0), 1.0, 1.0, 1.0) == pytest.approx(want, rel=1e-13)
     for bad in ((-1, 0, 0), (0, 2, -3)):
         with pytest.raises(ValueError):
-            matel3.g3(bad, 1.0, 1.0, 1.0)
+            el.g3(bad, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             matel3.g3_table(1.0, 1.0, 1.0, bad)
 
@@ -85,7 +86,7 @@ def _cols_read(monkeypatch):
     monkeypatch.setattr(matel3, "_g3_cells", spy)
     terms = [(0.9, 0.4, 0.08), (0.7, 0.5, 0.03)]
     matel3.natural_matblock(terms, hminus_spec(z=2.0, mass_ratio=7.3))
-    matel3.hughes_eckart_matrix(terms, hminus_spec(z=2.0))
+    el.hughes_eckart_matrix(terms, hminus_spec(z=2.0))
     matel3.unnatural_matblock([(0.5, 0.22, -0.03), (0.19, 0.43, 0.08)],
                               hminus_spec(z=1.0, mass_ratio=7.3, sector=UNNATURAL))
     monkeypatch.undo()
@@ -149,28 +150,28 @@ def test_un_plan_is_exact_merge():
 
 
 def test_overlap_and_coulomb_vs_quadrature():
-    assert matel3.overlap3(T1, T2) == pytest.approx(
+    assert el.overlap3(T1, T2) == pytest.approx(
         oracle.quad3_monomial(1, 1, 1, *ARGS), rel=1e-8)
     for pair, shift in [("12", (1, 1, 0)), ("13", (1, 0, 1)), ("23", (0, 1, 1))]:
-        assert matel3.coulomb3(pair, T1, T2) == pytest.approx(
+        assert el.coulomb3(pair, T1, T2) == pytest.approx(
             oracle.quad3_monomial(*shift, *ARGS), rel=1e-8)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_kinetic_symmetric_in_bra_ket(p):
-    assert matel3.kinetic3(p, T1, T2) == pytest.approx(
-        matel3.kinetic3(p, T2, T1), rel=1e-12)
+    assert el.kinetic3(p, T1, T2) == pytest.approx(
+        el.kinetic3(p, T2, T1), rel=1e-12)
 
 
 def test_kinetic_diagonal_positive():
     for p in (1, 2, 3):
-        assert matel3.kinetic3(p, T1, T1) > 0
+        assert el.kinetic3(p, T1, T1) > 0
 
 
 def test_he_cross_vanishes_diagonal_no_r12():
     # angle-independent function of r1 and r2 only: <px.py> = 0
     t = (1.1, 0.6, 0.0)
-    assert abs(matel3.he_cross(t, t)) < 1e-14 * matel3.overlap3(t, t)
+    assert abs(el.he_cross(t, t)) < 1e-14 * el.overlap3(t, t)
 
 
 @pytest.mark.parametrize("invm", [(0.0, 1.0, 1.0), (1 / 7.3, 1.0, 1.0),
@@ -182,11 +183,11 @@ def test_elements_ntv_are_kinetic3_and_he_cross(invm):
     rng = np.random.default_rng(3)
     u, v = (rng.uniform((0.3, 0.1, -0.05), (2.5, 1.5, 0.3), (40, 3)) for _ in "uv")
     z, (im0, im1, im2) = 1.7, invm
-    tt = (0.5 * (im1 + im0) * matel3.kinetic3(1, u, v)
-          + 0.5 * (im2 + im0) * matel3.kinetic3(2, u, v))
+    tt = (0.5 * (im1 + im0) * el.kinetic3(1, u, v)
+          + 0.5 * (im2 + im0) * el.kinetic3(2, u, v))
     if im0 != 0.0:
-        tt = tt + im0 * matel3.he_cross(u, v)
-    G = matel3._cells_at(u, v, matel3._NTV_CELLS)
+        tt = tt + im0 * el.he_cross(u, v)
+    G = el.cells_at(u, v, matel3._NTV_CELLS)
     pot = -z * G[1, 0, 1] - z * G[0, 1, 1] + G[1, 1, 0]
     for g, w in zip(matel3._elements_ntv(u, v, z, invm), (G[1, 1, 1], tt, pot)):
         assert np.array_equal(g, w)

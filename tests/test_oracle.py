@@ -2,20 +2,14 @@
 
 import pytest
 
-from coulomb2e import oracle
+from reference import oracle
 
 
 def test_manifest_all_pass():
-    rows = oracle.run_manifest()
-    assert rows, "manifest must not be empty"
-    bad = [r for r in rows if not r["passed"]]
-    assert not bad, f"oracle disagreements: {[r['name'] for r in bad]}"
-
-
-def test_manifest_filtering():
-    rows = oracle.run_manifest("g3_*")
-    assert rows and all(r["name"].startswith("g3_") for r in rows)
-    assert oracle.run_manifest("no_such_case*") == []
+    cases = oracle.manifest()
+    assert len(cases) == 31
+    bad = [(name, a, q) for name, a, q, tol in cases if not abs(a - q) <= tol * abs(q)]
+    assert not bad, f"oracle disagreements: {bad}"
 
 
 def test_quadrature_node_doubling_stable():

@@ -25,6 +25,13 @@ same way, with like monomials merged exactly before any float is formed.
 arrays of argument triples (one inverse-power table of s, one matrix
 product); each block assembler calls it once for all its term pairs.
 
+A block is `model.assemble` over the exchange groups of its terms, without
+building them: `_gather` (an lru keyed by the basis size and the exchange
+sign) holds, for that group pattern, the flat indices into the (n, 3)
+exponent array of every ordered upper-triangle term pair in assemble's
+u-major order, so a block is two gathers, one `_g3_cells` call and
+`model.scatter`.
+
 Term convention: a 3-tuple (a, b, c) means exp(-a*x - b*y - c*z), i.e. `a` on
 electron 2's distance, `b` on electron 1's, `c` on r12.  Electron exchange is
 the swap (a,b,c) -> (b,a,c).  Element functions also take (P, 3) arrays of
@@ -37,7 +44,7 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 
-from .model import MatBlock, UNNATURAL, assemble
+from .model import MatBlock, UNNATURAL, _layout, scatter
 
 
 @lru_cache(maxsize=64)   # a solve reuses one set; g3_table brings one per order
@@ -142,16 +149,39 @@ def _exchange_groups(terms, epsilon):
     return [[(1.0, t), (float(epsilon), (t[1], t[0], t[2]))] for t in tl]
 
 
+@lru_cache(maxsize=64)   # a solve keeps one (n, epsilon); a scan a few
+def _gather(n, epsilon):
+    """`assemble`'s layout of _exchange_groups over n terms, read from the
+    flat (n, 3) exponent array: the flat indices of each pair's terms U and
+    V, (pairs, 3) each, then the pairs' cells, weights and the mirror."""
+    groups = _exchange_groups(np.arange(3 * n).reshape(n, 3).tolist(), epsilon)
+    p, q, cell, ww, mirror = _layout(tuple(tuple(w for w, _ in g) for g in groups))
+    flat = np.array([t for g in groups for _, t in g], dtype=np.intp)
+    return flat[p], flat[q], cell, ww, mirror
+
+
+def _block3(terms, epsilon, pair):
+    """The MatBlock of `pair` over _exchange_groups(terms, epsilon), bit for
+    bit as assemble builds it, from two gathers of the (n, 3) terms."""
+    x = np.asarray(terms, dtype=float)
+    if x.ndim != 2 or x.shape[1] != 3 or len(x) == 0:
+        raise ValueError(f"terms must form an (n, 3) array, n >= 1, not {x.shape}")
+    iu, iv, cell, ww, mirror = _gather(len(x), epsilon)
+    x = x.ravel()
+    return MatBlock(*scatter(cell, ww, mirror, pair(x[iu], x[iv])))
+
+
 def natural_matblock(terms, spec, symmetrize=True):
     """N, T, V matrices over exchange-symmetrized scalar exponential terms.
 
     Each basis vector is exp(-a x - b y - c z) + eps * (a<->b) when
     `symmetrize` is set; with distinguishable negative particles pass
-    symmetrize=False and supply both orderings as separate terms.
+    symmetrize=False and supply both orderings as separate terms.  `terms`
+    is an (n, 3) array or a list of n (a, b, c) tuples.
     """
     z, invm = spec.z_central, spec.inv_masses
-    groups = _exchange_groups(terms, spec.epsilon if symmetrize else None)
-    return MatBlock(*assemble(groups, lambda u, v: _elements_ntv(u, v, z, invm)))
+    return _block3(terms, spec.epsilon if symmetrize else None,
+                   lambda u, v: _elements_ntv(u, v, z, invm))
 
 
 # ---------------------------------------------------------------------------
@@ -320,5 +350,4 @@ def unnatural_matblock(terms, spec):
     if spec.sector != UNNATURAL:
         raise ValueError("unnatural_matblock needs an unnatural-sector spec")
     z, invm = spec.z_central, spec.inv_masses
-    return MatBlock(*assemble(_exchange_groups(terms, +1),
-                              lambda u, v: _un_pair(u, v, z, invm)))
+    return _block3(terms, +1, lambda u, v: _un_pair(u, v, z, invm))

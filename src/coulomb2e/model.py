@@ -73,9 +73,11 @@ class MatBlock:
     v_mat: "object"
 
 
-@lru_cache(maxsize=64)   # a solve keeps one weight pattern; a scan a few
+@lru_cache(maxsize=64)   # a four-body solve keeps one weight pattern; a scan a few
 def _layout(weights):
-    """`assemble`'s pair layout for groups of these weights (a tuple per group)."""
+    """`assemble`'s pair layout for groups of these weights (a tuple per group):
+    the ordered term pairs p, q of the upper triangle in u-major, v-minor
+    order, their cells, their weights w_p w_q and the mirror of the cells."""
     m = len(weights)
     gid = np.repeat(np.arange(m), [len(g) for g in weights])
     w = np.array([x for g in weights for x in g], dtype=float)
@@ -83,6 +85,12 @@ def _layout(weights):
     mirror = np.arange(m * m).reshape(m, m)
     mirror = np.minimum(mirror, mirror.T)      # (j, i) reads cell (i, j), i <= j
     return p, q, gid[p] * m + gid[q], w[p] * w[q], mirror
+
+
+def scatter(cell, ww, mirror, xs):
+    """One symmetric matrix per pair vector x of xs: entry (i, j) sums ww * x
+    over the pairs of cell i m + j (i <= j) in pair order, mirrored below."""
+    return [np.bincount(cell, ww * x, mirror.size)[mirror] for x in xs]
 
 
 def assemble(groups, pair):
@@ -95,11 +103,13 @@ def assemble(groups, pair):
     w_u w_v pair(U, V)[k] over u in group i and v in group j, in group order.
     The upper triangle is mirrored, so the operators must be Hermitian.
     Each entry sums its pairs in u-major, v-minor order (`_layout`, cached).
+    The four-body blocks come from here; the three-body blocks gather the
+    same layout straight from their exponent array (`matel3._gather`), and
+    both go through `scatter`.
     """
     p, q, cell, ww, mirror = _layout(tuple(tuple(w for w, _ in g) for g in groups))
     terms = np.array([t for g in groups for _, t in g], dtype=float)
-    return [np.bincount(cell, ww * x, mirror.size)[mirror]
-            for x in pair(terms[p], terms[q])]
+    return scatter(cell, ww, mirror, pair(terms[p], terms[q]))
 
 
 @dataclass(frozen=True)

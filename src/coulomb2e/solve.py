@@ -10,8 +10,9 @@ one-dimensional bounded search over the lowest eigenvalue of the reduced
 lam^2 T + lam V (multi-term), so a search needs only the shape.  A
 one-parameter shape goes to `_grid_min`: min-max, the critical charge and
 the mass scans (and the frozen scan); the single correlated term fixes a = 1.
-Every three-body simplex runs through `_search3`; Table I's two-range and
-shell-model searches walk t alone at a = 1 (`_shape_search`).  The N-term
+Every three-body simplex runs through `_search3`, whose objective hands the
+simplex point to the block builders as its (n, 3) view; Table I's two-range
+and shell-model searches walk t alone at a = 1 (`_shape_search`).  The N-term
 bases and `scan_mass4` still walk raw ranges, the scale a flat direction
 (ROADMAP item 4).
 
@@ -19,7 +20,11 @@ No scipy runs here: `_fminbound`, `_nelder_mead` and `_brentq` port
 scipy's bounded Brent, Nelder-Mead and brentq step for step, to the bit.
 The simplex runs on Python floats (numpy's per-call cost on 2- to 9-vectors
 outweighed the arithmetic) and leaves ties and NaN to np.argsort's own order.
-Eigensolves call numpy's private eigh_lo and eigvalsh_lo (`_dsyevd`): numpy < 3.
+The scale step of a one- or two-direction pencil runs on Python floats too,
+one closure per pencil that mirrors dsyevd's arithmetic to the bit
+(`_scale_step`).  `_reduce` masks the overlap eigenvectors only when a
+direction drops.  Eigensolves call numpy's private eigh_lo and eigvalsh_lo
+(`_dsyevd`): numpy < 3.
 """
 
 import math
@@ -123,9 +128,12 @@ def _reduce(block: MatBlock, floor):
     """
     N = np.asarray(block.n_mat, dtype=float)
     w, U = _dsyevd(_eigh_lo, N, "d->dd")
-    keep = w > floor * max(w[-1], 1e-300)
-    X = U[:, keep] / np.sqrt(w[keep])
-    if X.shape[1] < len(w):
+    cut = floor * max(w[-1], 1e-300)
+    if w.min() > cut:              # every direction kept (min propagates NaN)
+        X = U / np.sqrt(w)
+    else:
+        keep = w > cut
+        X = U[:, keep] / np.sqrt(w[keep])
         _check_finite(N)
     return X, X.T @ np.asarray(block.t_mat) @ X, X.T @ np.asarray(block.v_mat) @ X
 
@@ -236,31 +244,6 @@ def _grid_min(f, grid):
     return x, fx, fs
 
 
-def _eigvalsh2(d1, e, d2):
-    """Eigenvalues, ascending, of the lower triangle d1; e, d2 as dsyevd
-    (jobz='N') computes them at n = 2: dsytrd keeps d1, e, d2; dsterf splits
-    (two tests, eps = 2^-53) or runs dlae2 on sqrt(e^2), d2 first when
-    |d2| < |d1| (QR); dlasrt sorts.  None unless 1e-120 < max|entry| < 1e140,
-    inside the range that dsyevd (up to 2^485) and dsterf (from 2^-405) run
-    unscaled; NaN and inf give None too."""
-    a1, ae, a2 = abs(d1), abs(e), abs(d2)
-    if not (a1 < 1e140 and ae < 1e140 and a2 < 1e140 and max(a1, ae, a2) > 1e-120):
-        return None
-    e2, eps = e * e, 2.0 ** -53
-    if ae > math.sqrt(a1) * math.sqrt(a2) * eps and e2 > eps * eps * abs(d1 * d2):
-        a, c = (d2, d1) if a2 < a1 else (d1, d2)
-        b = math.sqrt(e2)
-        sm, adf, ab = a + c, abs(a - c), abs(b + b)
-        acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
-        hi, lo = (adf, ab) if adf > ab else (ab, adf)   # ab > 0; a tie gives sqrt(2)
-        q = lo / hi
-        rt = hi * math.sqrt(1.0 + q * q)
-        rt1 = 0.5 * (sm - rt) if sm < 0.0 else 0.5 * (sm + rt)
-        rt2 = -0.5 * rt if sm == 0.0 else (acmx / rt1) * acmn - (b / rt1) * b
-        d1, d2 = (rt2, rt1) if a2 < a1 else (rt1, rt2)
-    return (d2, d1) if d2 < d1 else (d1, d2)
-
-
 def _scale_step(Tt, Vt, k):
     """lam -> the k-th eigenvalue of lam^2 Tt + lam Vt (see scaled_lowest), one
     closure per size; the 2 x 2 Python step is finite where it runs (NaN: gufunc)."""
@@ -269,16 +252,38 @@ def _scale_step(Tt, Vt, k):
     if len(Tt) == 1:
         [[t]], [[v]] = Tt.tolist(), Vt.tolist()
         return lambda lam: _checked(lam * lam * t + lam * v)
-    if len(Tt) == 2:
-        ((t0, _), (t1, t2)), ((v0, _), (v1, v2)) = Tt.tolist(), Vt.tolist()
+    if len(Tt) != 2:
+        return lapack
+    ((t0, _), (t1, t2)), ((v0, _), (v1, v2)) = Tt.tolist(), Vt.tolist()
+    eps, low = 2.0 ** -53, k == 0
 
-        def step2(lam):
-            w = _eigvalsh2(lam * lam * t0 + lam * v0, lam * lam * t1 + lam * v1,
-                           lam * lam * t2 + lam * v2)
-            return lapack(lam) if w is None else w[k]
+    def step2(lam):
+        # dsyevd (jobz='N') at n = 2 on the lower triangle d1; e, d2: dsytrd
+        # keeps it; dsterf splits (two tests) or runs dlae2 on sqrt(e^2), d2
+        # first when |d2| < |d1| (QR); dlasrt sorts.  Only 1e-120 <
+        # max|entry| < 1e140 runs here, inside the range that dsyevd (up to
+        # 2^485) and dsterf (from 2^-405) run unscaled; NaN and inf fail it.
+        l2 = lam * lam
+        d1, e, d2 = l2 * t0 + lam * v0, l2 * t1 + lam * v1, l2 * t2 + lam * v2
+        a1, ae, a2 = abs(d1), abs(e), abs(d2)
+        if not (a1 < 1e140 and ae < 1e140 and a2 < 1e140
+                and (a1 > 1e-120 or ae > 1e-120 or a2 > 1e-120)):
+            return lapack(lam)
+        e2 = e * e
+        if ae > math.sqrt(a1) * math.sqrt(a2) * eps and e2 > eps * eps * abs(d1 * d2):
+            a, c = (d2, d1) if a2 < a1 else (d1, d2)
+            b = math.sqrt(e2)
+            sm, adf, ab = a + c, abs(a - c), abs(b + b)
+            acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
+            hi, lo = (adf, ab) if adf > ab else (ab, adf)   # ab > 0; a tie gives sqrt(2)
+            q = lo / hi
+            rt = hi * math.sqrt(1.0 + q * q)
+            rt1 = 0.5 * (sm - rt) if sm < 0.0 else 0.5 * (sm + rt)
+            rt2 = -0.5 * rt if sm == 0.0 else (acmx / rt1) * acmn - (b / rt1) * b
+            d1, d2 = (rt2, rt1) if a2 < a1 else (rt1, rt2)
+        return d2 if (d2 < d1) == low else d1     # the k-th of the sorted pair
 
-        return step2
-    return lapack
+    return step2
 
 
 def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
@@ -296,11 +301,11 @@ def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
     (ROADMAP item 5).  Each step (`_scale_step`) returns np.linalg.eigvalsh's
     values to the bit (LAPACK dsyevd, lower triangle).  One direction is the
     entry itself; two mirror dsyevd's dsterf and dlae2 arithmetic in Python
-    floats (`_eigvalsh2`), which assumes a LAPACK whose dlae2 is built
-    without FMA contraction, as `test_scale_step_is_eigvalsh` checks.  Three
-    or more, or a 2 x 2 that dsyevd rescales, call the gufunc behind
-    eigvalsh without its wrapper.  A failed dsyevd leaves NaN, which raises
-    LinAlgError.
+    floats inside the step's own closure, which assumes a LAPACK whose dlae2
+    is built without FMA contraction, as `test_scale_step_is_eigvalsh`
+    checks.  Three or more, or a 2 x 2 that dsyevd rescales, call the gufunc
+    behind eigvalsh without its wrapper.  A failed dsyevd leaves NaN, which
+    raises LinAlgError.
     """
     X, Tt, Vt = _reduce(block, floor)
     if X.shape[1] <= k:
@@ -435,8 +440,8 @@ def minimize_nm(objective, x0, config: MinimizerConfig):
 
 
 def _valid3(terms, min_sum):
-    return all(t[0] + t[1] > min_sum and t[1] + t[2] > min_sum
-               and t[2] + t[0] > min_sum for t in terms)
+    return all(a + b > min_sum and b + c > min_sum and c + a > min_sum
+               for a, b, c in np.asarray(terms, dtype=float).tolist())
 
 
 # Vector-sector bases whose overlap condition number exceeds this cap are
@@ -459,17 +464,17 @@ def _un_lowest(terms, spec, k=0):
     return scaled_lowest(blk, k=k)
 
 
-def _rows3(x):
-    x = np.asarray(x, dtype=float).tolist()    # floats skip numpy scalar math
-    return [tuple(x[i:i + 3]) for i in range(0, len(x), 3)]
+def _terms3(x):
+    """The (n, 3) terms of a flat simplex point: a view, no copy."""
+    return x.reshape(-1, 3)
 
 
-def _search3(spec, x0, config, k=0, unpack=_rows3):
+def _search3(spec, x0, config, k=0, unpack=_terms3):
     """Simplex search of the k-th state of a three-body basis from x0.
 
-    `unpack` maps a simplex point to basis terms, or to None outside its
-    domain; terms with a pair sum at or below the sector's floor (1e-3
-    natural, 1e-6 vector) are refused too.  Returns minimize_nm's triple.
+    `unpack` maps a simplex point (an array) to basis terms, by default its
+    (n, 3) view, or to None outside its domain; terms with a pair sum at or
+    below the sector's floor (1e-3 natural, 1e-6 vector) are refused too.  Returns minimize_nm's triple.
     """
     min_sum = 1e-3 if spec.sector == NATURAL else 1e-6
 
@@ -513,7 +518,7 @@ def _nat_seed(z, eps, n, k, config):
         x, _, _ = _search3(hminus_spec(z=z, epsilon=eps),
                            np.ravel(_nat_seed(*base_key, config)), config,
                            k=base_key[3])
-        return _rows3(x) + [extra]
+        return np.append(x, extra)
     # generic fallback: hydrogenic scale with a diffuse partner
     base = [(1.05 * z, 0.45 * z, 0.05 * z)]
     for i in range(1, n):
@@ -567,14 +572,14 @@ def optimize_ion(spec: SystemSpec, n_terms: int, config: MinimizerConfig,
     seeds = (_nat_seed(spec.z_central, spec.epsilon, n_terms, k, config)
              if natural else _un_seed(spec, n_terms))
     x, e, info = _search3(spec, np.ravel(seeds), config, k)
-    terms = _rows3(x)
+    terms = _terms3(x)
     block = (matel3.natural_matblock if natural
              else matel3.unnatural_matblock)(terms, spec)
     _, lam = scaled_lowest(block, k=k)
     c, vr = _state_at_scale(block, lam, k)
     margin = (e_thr - e) / abs(e_thr)
     return VariationalResult(
-        energy=e, params=[list(t) for t in terms], coeffs=list(c),
+        energy=e, params=terms.tolist(), coeffs=list(c),
         virial_ratio=vr, threshold=thr, margin=margin,
         stable=bool(e < e_thr - STABILITY_TOL), sector=spec.sector,
         meta={"k": k, "n_terms": n_terms, "scale": lam, **info})

@@ -9,6 +9,7 @@ distance integrals.
 """
 
 import warnings
+from functools import cache
 
 import numpy as np
 
@@ -175,8 +176,10 @@ def _unnorm(poly, shift):
     return {(i + di, j + dj, k + dk): c for (i, j, k), c in poly.items()}
 
 
+@cache     # about 1.3 s of quadrature, shared by every test that reads it
 def manifest():
-    """(name, analytic, oracle, relative tolerance) for every element family."""
+    """(name, analytic, oracle, relative tolerance) for every element family,
+    as a tuple."""
     cases = []
     t3, u3 = (0.9, 0.4, 0.08), (0.7, 0.5, 0.03)
     args3 = tuple(x + y for x, y in zip(t3, u3))
@@ -245,7 +248,7 @@ def manifest():
 
     cases.append(("gauss_shell_z2", gauss_shell_e1(2.0), 1.25, 1e-9))
     cases.append(("zexp_z2_order1", zexp_partial(2.0, 1)[0], -2.75, 1e-12))
-    return cases
+    return tuple(cases)
 
 
 def convergence_check(n_lo=48, factor=2):

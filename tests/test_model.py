@@ -6,6 +6,7 @@ import pytest
 from coulomb2e import matel3, matel4, model, solve
 from coulomb2e.model import (MatBlock, SystemSpec, TwoBodyThreshold, NATURAL,
                              UNNATURAL, threshold_for, hminus_spec, ps2_spec)
+from reference import elements
 from reference.elements import hughes_eckart_matrix
 
 
@@ -144,9 +145,12 @@ def _mats(b):
                          ids=[i for i, _ in _blocks()])
 def test_assemble_matches_the_per_pair_loop(build, monkeypatch):
     # the numpy pair layout sums every entry in the loop's u-major, v-minor
-    # order, so every block is the same to the bit
+    # order, so every block is the same to the bit: the three-body gather,
+    # the recoil reference's assemble and the four-body assemble alike
     got = _mats(build())
-    monkeypatch.setattr(matel3, "assemble", _assemble_per_pair)
+    monkeypatch.setattr(matel3, "_block3", lambda terms, eps, pair: MatBlock(
+        *_assemble_per_pair(matel3._exchange_groups(terms, eps), pair)))
+    monkeypatch.setattr(elements, "assemble", _assemble_per_pair)
     monkeypatch.setattr(matel4, "assemble", _assemble_per_pair)
     want = _mats(build())
     assert len(got) == len(want)
@@ -154,22 +158,60 @@ def test_assemble_matches_the_per_pair_loop(build, monkeypatch):
         assert np.array_equal(g, w)
 
 
+def test_gather_matches_the_exchange_groups():
+    # the cached gather gives the blocks of model.assemble over the exchange
+    # groups, bit for bit: both signs, unsymmetrized, the vector sector,
+    # infinite and finite masses, n = 1, 2, 3, 8, array and tuple terms
+    rng = np.random.default_rng(22)
+    for n in (1, 2, 3, 8):
+        for _ in range(3):
+            x = rng.uniform((0.3, 0.1, -0.05), (2.5, 1.5, 0.3), (n, 3))
+            for ratio in (float("inf"), 1.0, 7.3):
+                cases = [(matel3.unnatural_matblock, matel3._un_pair,
+                          hminus_spec(z=1.0, mass_ratio=ratio, sector=UNNATURAL), +1, ())]
+                for eps in (+1, -1):
+                    s = hminus_spec(z=2.0, mass_ratio=ratio, epsilon=eps)
+                    cases.append((matel3.natural_matblock, matel3._elements_ntv, s, eps, ()))
+                cases.append((matel3.natural_matblock, matel3._elements_ntv,
+                              hminus_spec(z=1.0, mass_ratio=ratio), None, (False,)))
+                for build, pair, s, eps, extra in cases:
+                    want = model.assemble(
+                        matel3._exchange_groups(x.tolist(), eps),
+                        lambda u, v: pair(u, v, s.z_central, s.inv_masses))
+                    for terms in (x, [tuple(t) for t in x.tolist()]):
+                        got = _mats(build(terms, s, *extra))
+                        for g, w in zip(got, want, strict=True):
+                            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("terms", [[(1, .5, .1, .2)], [], [(1, .5)], [1, .5, .1],
+                                   np.ones((2, 4))])
+def test_block_builders_reject_terms_that_are_not_n_by_3(terms):
+    # a flat gather would read an (n, 4) array as other terms; refuse it
+    with pytest.raises(ValueError, match=r"\(n, 3\) array"):
+        matel3.natural_matblock(terms, hminus_spec(z=1.0))
+    with pytest.raises(ValueError, match=r"\(n, 3\) array"):
+        matel3.unnatural_matblock(terms, hminus_spec(z=1.0, sector=UNNATURAL))
+
+
 def test_layout_cache_is_bounded_and_misses_once_per_weight_pattern(monkeypatch):
-    # the pair layout depends on the groups' weights alone: a whole
-    # optimize_ion solve builds it at its first block and never again
-    assert model._layout.cache_info().maxsize is not None
+    # the three-body gather depends on the basis size and exchange sign
+    # alone: a whole optimize_ion solve builds it at its first block and
+    # never again, then serves every other block from its one entry
+    info = matel3._gather.cache_info
+    assert info().maxsize is not None
     for sector, build in ((NATURAL, "natural_matblock"),
                           (UNNATURAL, "unnatural_matblock")):
-        model._layout.cache_clear()
+        matel3._gather.cache_clear()
         misses, orig = [], getattr(matel3, build)
 
         def counted(*a, **kw):
             out = orig(*a, **kw)
-            misses.append(model._layout.cache_info().misses)
+            misses.append(info().misses)
             return out
 
         monkeypatch.setattr(matel3, build, counted)
         solve.optimize_ion(hminus_spec(z=1.0, sector=sector), 2,
                            solve.MinimizerConfig(seed=0, restarts=1, max_iter=200))
         assert len(misses) > 200 and set(misses) == {1}
-        assert model._layout.cache_info().currsize == 1
+        assert info().currsize == 1 and info().hits == len(misses) - 1

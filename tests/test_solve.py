@@ -205,10 +205,16 @@ def test_scale_step_is_eigvalsh():
             for k in range(min(len(m), 2)):
                 assert _bits(solve._scale_step(Tt, Vt, k)(lam)) == _bits(ref[k])
     rng = np.random.default_rng(13)
-    # the 2 x 2 step on 160 000 matrices
+    # the 2 x 2 step on 160 000 matrices m, each as the pencil (m, 0) at
+    # lam = 1, all in Python floats (no gufunc call)
     m = _matrices2(rng, 160_000)
-    got = [solve._eigvalsh2(a[0][0], a[1][0], a[1][1]) for a in m.tolist()]
-    assert np.array_equal(_bits(got), _bits(solve._eigvalsh_lo(m, signature="d->d")))
+    ref, zero = solve._eigvalsh_lo(m, signature="d->d"), np.zeros((2, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_gufunc(mp)
+        for k in (0, 1):
+            got = [solve._scale_step(a, zero, k)(1.0) for a in m]
+            assert np.array_equal(_bits(got), _bits(ref[:, k]))
+        assert calls == []
     # whole steps of 1- and 2-direction pencils, 100 000 each: lam^2 T + lam V
     # rounded as numpy rounds it, then the eigenvalue
     lams = np.exp(rng.uniform(np.log(0.02), np.log(50.0), (20_000, 5)))
@@ -233,12 +239,24 @@ def _spy_gufunc(monkeypatch):
 def test_scale_step_leaves_rescaled_or_non_finite_pencils_to_lapack(monkeypatch):
     # outside 1e-120 .. 1e140 (a margin inside the range that dsyevd and
     # dsterf run unscaled), or with an entry that is not finite, the Python
-    # step declines and the gufunc runs
+    # step declines and the gufunc runs: its value, or LinAlgError for NaN
+    gufunc, calls = solve._eigvalsh_lo, _spy_gufunc(monkeypatch)
     for m in ([[1e141, 0.0], [3.0, 2.0]], [[1.0, 0.0], [1e141, 2.0]],
               [[1e-121, 0.0], [3e-121, 0.0]], [[np.nan, 0.0], [0.5, 2.0]],
               [[1.0, 0.0], [np.inf, 2.0]]):
-        assert solve._eigvalsh2(m[0][0], m[1][0], m[1][1]) is None
-    calls = _spy_gufunc(monkeypatch)
+        a = np.array(m)
+        with np.errstate(invalid="ignore"):
+            ref = gufunc(a, signature="d->d")
+        for k in (0, 1):
+            calls.clear()
+            step = solve._scale_step(a, np.zeros((2, 2)), k)
+            if np.isnan(ref).any():
+                with pytest.raises(np.linalg.LinAlgError):
+                    step(1.0)
+            else:
+                assert _bits(step(1.0)) == _bits(ref[k])
+            assert calls == [2]
+    calls.clear()
     T = np.array([[2e140, 0.0], [1e139, 3e139]])
     assert solve._scale_step(T, T, 1)(1.0) == np.linalg.eigvalsh(T + T)[1]
     assert calls == [2]
@@ -403,6 +421,23 @@ ION_NATURAL_TRIPLE = [
 def test_ion_natural_triple_is_bit_stable(z, eps, energy, scale):
     res = solve.optimize_ion(hminus_spec(z=z, epsilon=eps), 2,
                              MinimizerConfig(seed=0, restarts=1, max_iter=500))
+    assert (repr(res.energy), repr(res.meta["scale"])) == (energy, scale)
+
+
+# 1+ H- N = 1 and N = 3, and 1+ Ps- N = 2 (mass ratio 1), seed 0, two
+# restarts of 40 evaluations (the ion-unnatural benchmark's first pass):
+# energy and meta.scale by repr, as the per-evaluation exchange groups gave them
+ION_UNNATURAL_TRIPLE = [
+    (float("inf"), 1, "-0.12463796799623836", "0.6817864720154923"),
+    (float("inf"), 3, "-0.12533415559387107", "0.5282831872478222"),
+    (1.0, 2, "-0.06237422670012612", "0.3793482769101034"),
+]
+
+
+@pytest.mark.parametrize("ratio, n, energy, scale", ION_UNNATURAL_TRIPLE)
+def test_ion_unnatural_triple_is_bit_stable(ratio, n, energy, scale):
+    spec = hminus_spec(z=1.0, mass_ratio=ratio, sector=UNNATURAL)
+    res = solve.optimize_ion(spec, n, MinimizerConfig(seed=0, restarts=2, max_iter=40))
     assert (repr(res.energy), repr(res.meta["scale"])) == (energy, scale)
 
 

@@ -26,13 +26,17 @@ u1 +- u2 and 32/((a+b)(c+d)) enter in closed form.  The jet keeps the 78
 cells at or below a `_MOMENTS` entry (an order ideal, read to the bit as in
 the 162-cell degree-5 box).  Moments match 50-digit mpmath to 1.7e-15.
 
-F4 is unchanged under (a b)(c d) and (a c)(b d), so the `_f4_table` lru
-(the only four-body cache) holds one table per orbit of that group, built at
-the orbit's smallest member, and `_f4_orbit` serves any member through
-permuted cells.  A served moment differs from a build at the requested
-arguments in the last bits (2e-14 relative at worst in the tests).
-`assemble4`'s array kernel reads each pair's tables in one gather of the
-`_MOMENTS` cells.
+F4's symmetry group is the Klein group of (a b)(c d) and (a c)(b d) times
+the dilations: F4 is homogeneous of degree -4, so a cell of order n obeys
+d^idx F4(h y) = h^(-4-n) d^idx F4(y).  The `_f4_table` lru (the only
+four-body cache) holds one table per orbit of that group, built at the
+orbit's smallest member with largest argument 1, and `_f4_orbit` serves any
+member through permuted cells times h^(-4-n), h = max(a, b, c, d).  The
+identity-break pair (a,b,b,a), (b,a,a,b) thus reads one table at (1,1,1,1)
+for its cross term whatever a + b.  A served moment differs from a build at
+the requested arguments in the last bits (2.4e-14 relative at worst in the
+tests).  `assemble4`'s array kernel reads each pair's tables in one gather
+of the `_MOMENTS` cells.
 """
 
 from functools import cache, lru_cache
@@ -81,6 +85,10 @@ _SHAPE = tuple(o + 1 for o in _ORDERS)
 # moment4's factor (-1)^|idx| idx! per entry: c * (+-f) == (+-1) * (c * f)
 _SIGNED_FACT = np.array([(-1.0) ** sum(idx) * prod(map(factorial, idx))
                          for idx in _MOMENTS])
+# -4 - |idx| per entry: the exponent of h in a moment at dilated arguments
+_NEG_ORDER = np.array([-4.0 - sum(idx) for idx in _MOMENTS])
+# the smallest largest argument h whose h^(-4-_DEGREE) is finite
+_H_MIN = 2.0 ** -(1023 // (4 + _DEGREE))
 
 
 @cache
@@ -111,7 +119,12 @@ def _f4_inputs(a, b, c, d, lay):
     S = 0.5 * (a + b + c + d)
     p, q, s1, s2 = a - b, c - d, a + b, c + d
     w, pq = 2.0 * S * S - 0.5 * (p * p + q * q), p * q
-    if w <= abs(pq) or s1 * s2 == 0.0:          # u1, u2 = (w +- pq)/2 > 0
+    # u1, u2 = (w +- pq)/2 = (a+d)(b+c), (a+c)(b+d) > 0.  The sign of a sum
+    # is exact and survives `_f4_orbit`'s division by h, so a zero or
+    # negative factor is refused whatever the rounding of w and pq (and NaN
+    # fails every test)
+    if not (w > abs(pq) and s1 * s2 != 0.0 and (a + d) * (b + c) > 0.0
+            and (a + c) * (b + d) > 0.0):
         raise ValueError("f4 domain: non-positive log argument or a+b, c+d = 0")
     unit, wq, pqq, num, e1, e2 = _f4_parts(lay)
     cw, cp = wq.copy(), pqq.copy()
@@ -140,7 +153,7 @@ def _f4_table(a, b, c, d):
 _KLEIN = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 
 
-def _f4_orbit(a, b, c, d):
+def _f4_klein(a, b, c, d):
     """The cached F4 table at the smallest x o g of x = (a, b, c, d) (the
     first g on a tie), and g's row k in _KLEIN: the table's cell idx o g
     holds x's derivative idx."""
@@ -148,6 +161,17 @@ def _f4_orbit(a, b, c, d):
     y, k = (x1, 1) if x1 < x0 else (x0, 0)
     z, l = (x3, 3) if x3 < x2 else (x2, 2)
     return (_f4_table(*z), l) if z < y else (_f4_table(*y), k)
+
+
+def _f4_orbit(a, b, c, d):
+    """(table, k, h): h = max(a, b, c, d), and `_f4_klein` at (a, b, c, d)/h.
+    h^(-4-|idx|) times the table's cell idx o g is the derivative idx at
+    (a, b, c, d).  ValueError unless h >= _H_MIN (zero or negative included):
+    a table at a smaller scale would overflow on serving."""
+    h = max(a, b, c, d)
+    if not h >= _H_MIN:
+        raise ValueError(f"f4 domain: largest argument {h} below {_H_MIN}")
+    return (*_f4_klein(a / h, b / h, c / h, d / h), h)
 
 
 @cache
@@ -164,9 +188,12 @@ def moment4(i, j, k, l, m, a, b, c, d):     # kept: perfbench probes and traces 
     Raises ValueError for an order the jet does not keep: any cell not at or
     below a `_MOMENTS` entry.
     """
-    F, g = _f4_orbit(float(a), float(b), float(c), float(d))
+    F, g, h = _f4_orbit(float(a), float(b), float(c), float(d))
     idx = (i, j, k, l)
-    return (-1.0) ** (i + j + k + l + m) * F.deriv(tuple(idx[n] for n in _KLEIN[g]) + (m,))
+    n = i + j + k + l + m
+    # numpy's power, as in _pair_ntv: libm's pow differs in the last bit
+    return ((-1.0) ** n * F.deriv(tuple(idx[v] for v in _KLEIN[g]) + (m,))
+            * float(np.power(h, -4.0 - n)))
 
 
 def _kinetic(m, e, f, ep, fp, xa):
@@ -185,13 +212,20 @@ def _pair_ntv(U, V, invm):
     its summed exponents in F4 order (A, B, C, D) and r at (A, C, B, D).
     r serves particles 1 and 2 (relabeling 1<->3, 2<->4 maps the basis
     family onto itself and swaps b and c) and the pair 34 (relabeling 1<->2
-    makes v34 the v12 at (A, C, B, D)).  The tests' scalar `overlap4`,
-    `kinetic4` and `coulomb4` write out the same float operations in order."""
-    tabs, ks = zip(*[_f4_orbit(*k) for w0, w1, w2, w3 in (U + V).tolist()
+    makes v34 the v12 at (A, C, B, D)).  Both tables are read at the pair's
+    arguments over their largest, h, and scaled by h^(-4-|idx|).  The tests'
+    scalar `overlap4`, `kinetic4` and `coulomb4` write out the same float
+    operations in order."""
+    X = U + V
+    h = X.max(axis=1)                   # (A, B, C, D) and (A, C, B, D) share h
+    if not h.min() >= _H_MIN:
+        raise ValueError(f"f4 domain: a largest argument below {_H_MIN}")
+    tabs, ks = zip(*[_f4_klein(*k) for w0, w1, w2, w3 in (X / h[:, None]).tolist()
                      for k in ((w0, w2, w1, w3), (w0, w1, w2, w3))])
     cells = _orbit_cells(tabs[0].lay)[list(ks)]
     g = np.array([tab.c for tab in tabs])[np.arange(len(tabs))[:, None], cells] * _SIGNED_FACT
-    m, r = g[0::2], g[1::2]
+    g = g.reshape(len(U), 2, -1) * h[:, None, None] ** _NEG_ORDER
+    m, r = g[:, 0], g[:, 1]
     a, b, c, d = U.T          # spec order (r13, r14, r23, r24)
     ap, bp, cp, dp = V.T
     t = np.zeros(len(U))

@@ -411,7 +411,6 @@ def minimize_nm(objective, x0, config: MinimizerConfig):
     """
     x0 = np.asarray(x0, dtype=float)
     scale = np.maximum(np.abs(x0), 0.1)
-    rng = np.random.default_rng(config.seed)
     info = dict.fromkeys(["refused_domain"] + [k for _, k in _REFUSALS], 0)
 
     def guarded(x):
@@ -424,8 +423,11 @@ def minimize_nm(objective, x0, config: MinimizerConfig):
             info["refused_domain"] += 1
         return e
 
-    starts = [x0] + [x0 + 0.05 * scale * rng.standard_normal(x0.shape)
-                     for _ in range(config.restarts - 1)]
+    starts = [x0]
+    if config.restarts > 1:     # only then is numpy.random imported
+        rng = np.random.default_rng(config.seed)
+        starts += [x0 + 0.05 * scale * rng.standard_normal(x0.shape)
+                   for _ in range(config.restarts - 1)]
     runs = [_nelder_mead(guarded, s, config.max_iter, config.x_tol, config.f_tol)
             for s in starts]
     best = min(runs, key=lambda r: r[1])     # the first of equal values

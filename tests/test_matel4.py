@@ -238,7 +238,10 @@ def test_assemble4_matches_pairwise_sum(mode):
     # the array-valued assembler must reproduce, bit for bit, the weighted
     # per-pair sum in group order of the scalar element functions: the fixed
     # block below, then 100 seeded blocks at ratios in [1, 3] with
-    # near-degenerate exponents, then two with infinitely heavy positives
+    # near-degenerate exponents, then two with infinitely heavy positives,
+    # then ten of the seeded blocks dilated by factors in [1e-2, 1e2] (both
+    # sides read each table through `_f4_orbit`'s (table, k, h) and scale
+    # its cells by the same numpy power of h)
     rng = np.random.default_rng(2009)
     if mode == "cc-break":
         cases = [(1.7, [matel4.symmetrized_group(T1),
@@ -259,6 +262,10 @@ def test_assemble4_matches_pairwise_sum(mode):
         else:
             groups = solve._four_groups(mode, (x[0], x[1]))
         cases.append((ratio, groups))
+    for ratio, groups in cases[1:11]:
+        lam = float(10.0 ** rng.uniform(-2.0, 2.0))
+        cases.append((ratio, [[(w, tuple(lam * v for v in t)) for w, t in g]
+                              for g in groups]))
     heavy = SystemSpec(inv_masses=(0.0, 0.0, 1.0, 1.5), z_central=None,
                        charges=(1.0, 1.0, -1.0, -1.0))
     for ratio, groups in cases:
@@ -338,35 +345,40 @@ def test_moments_closed_under_the_orbit_group():
     assert rows[0] == cells and all(sorted(r) == sorted(cells) for r in rows)
 
 
+def _key(y):
+    # the table a request at y reads: the smallest Klein member of y over
+    # its largest argument
+    h = max(y)
+    return min(_orbit(tuple(v / h for v in y)))
+
+
 def test_orbit_tables_match_direct_builds():
-    # a request at any member of an orbit reads the one table at its smallest
-    # member through permuted cells; over _f4_args' 2 000 argument sets each
-    # served moment matches a build at the requested arguments to 1e-13
-    # relative, and the lru holds one table per orbit
+    # a request at any dilated orbit member lam x o g reads the one table at
+    # _key, through permuted cells times h^(-4-|idx|), h = max(lam x); over
+    # _f4_args' 2 000 argument sets, each dilated by a seeded lam in
+    # [1e-2, 1e2], every served moment matches a build at the requested
+    # arguments to 1e-13 relative, and the lru holds one table per key
     matel4._f4_table.cache_clear()
-    args = _f4_args(18)
-    for x in args:
-        orbit = _orbit(x)
-        for y in orbit:
-            tab, k = matel4._f4_orbit(*y)
-            assert tab is matel4._f4_table(*min(orbit))
-            if y == min(orbit):     # that table itself, read in place
-                assert k == 0
-                continue
-            got = tab.c[matel4._orbit_cells(tab.lay)[k]]
+    rng = np.random.default_rng(23)
+    order = np.array([sum(idx) for idx in matel4._MOMENTS])
+    keys = set()
+    for x in _f4_args(18):
+        lam = float(10.0 ** rng.uniform(-2.0, 2.0))
+        for y in _orbit(tuple(lam * v for v in x)):
+            tab, k, h = matel4._f4_orbit(*y)
+            keys.add(_key(y))
+            assert h == max(y) and tab is matel4._f4_table(*_key(y))
+            if y == _key(y):        # that table itself, read in place
+                assert k == 0 and h == 1.0
+            got = tab.c[matel4._orbit_cells(tab.lay)[k]] * h ** (-4.0 - order)
             ref = matel4._f4_jet(*y, _ideal())
             want = ref.c[[ref.lay.index[idx] for idx in matel4._MOMENTS]]
             assert np.all(abs(got - want) <= 1e-13 * abs(want)), (y, got - want)
-    assert matel4._f4_table.cache_info().currsize == len({min(_orbit(x)) for x in args})
+    assert matel4._f4_table.cache_info().currsize == len(keys)
 
 
-def test_molecule4_pass_builds_one_table_per_orbit(monkeypatch):
-    # the benchmark's molecule4 pass (seed 0, pass 0): both modes at ratio 1
-    # and a seeded ratio, one restart of 8 evaluations.  With one table per
-    # argument set this pass built 130 tables, in 66 orbits.  The cc-break
-    # simplex at ratio 1 compares two vertices that differ only in scale,
-    # so last-bit moves of the moments can flip one step and add an orbit
-    # outside that set (67 with the earlier Newton/series tables)
+def _spy_builds(monkeypatch):
+    # the arguments of every F4 table build from an empty lru on
     seen = []
     real = matel4._f4_jet
 
@@ -376,12 +388,105 @@ def test_molecule4_pass_builds_one_table_per_orbit(monkeypatch):
 
     matel4._f4_table.cache_clear()
     monkeypatch.setattr(matel4, "_f4_jet", spy)
+    return seen
+
+
+def test_dilations_share_one_table(monkeypatch):
+    # (s, s, s, s) at any s reads the one table at (1, 1, 1, 1), and
+    # (lam a, lam b, lam b, lam a) and its Klein partner (lam b, lam a,
+    # lam a, lam b) read one table for every lam (powers of two scale
+    # exactly, so their keys agree to the bit; other factors can round a key
+    # off by an ulp, which builds a second table of the same orbit)
+    seen = _spy_builds(monkeypatch)
+    for s in (1e-3, 0.3, 1.0, 1.7, 2.6, 40.0):
+        assert matel4.moment4(1, 1, 1, 1, 1, s, s, s, s) == pytest.approx(
+            matel4.moment4(1, 1, 1, 1, 1, 1.0, 1.0, 1.0, 1.0) * s ** -9.0, rel=1e-15)
+    assert seen == [(1.0, 1.0, 1.0, 1.0)]
+    seen = _spy_builds(monkeypatch)
+    a, b = 0.83, 0.27
+    for lam in (2.0 ** -7, 0.5, 1.0, 4.0, 2.0 ** 6):
+        for y in ((a, b, b, a), (b, a, a, b)):
+            for idx in matel4._MOMENTS:
+                matel4.moment4(*idx, *(lam * v for v in y))
+    assert seen == [(b / a, 1.0, 1.0, b / a)]
+    # an identity-break block's cross pair sums to (s, s, s, s): blocks at
+    # n shapes build n + 1 tables, one per diagonal orbit and (1, 1, 1, 1)
+    seen = _spy_builds(monkeypatch)
+    rng = np.random.default_rng(25)
+    spec = solve._four_spec("identity-break", 1.9)
+    shapes = [tuple(float(v) for v in rng.uniform(0.05, 2.0, 2)) for _ in range(12)]
+    for p in shapes:
+        matel4.assemble4(solve._four_groups("identity-break", p), spec)
+    assert len(seen) == len(shapes) + 1 and (1.0, 1.0, 1.0, 1.0) in seen
+
+
+def _klein_check_refuses(x):
+    # the domain check of the Klein-keyed tables, before dilation keys:
+    # w <= |pq| or (a+b)(c+d) == 0 at the smallest Klein member of x itself
+    a, b, c, d = min(_orbit(x))
+    S = 0.5 * (a + b + c + d)
+    p, q = a - b, c - d
+    return 2.0 * S * S - 0.5 * (p * p + q * q) <= abs(p * q) or (a + b) * (c + d) == 0.0
+
+
+def test_dilation_keeps_every_domain_refusal():
+    # every argument set that the Klein-keyed tables refused is still
+    # refused, by moment4 and by the kernel: 4 000 seeded sets of mixed sign
+    # over six decades, a quarter with one exactly zero pair sum (u1, u2 or
+    # (a+b)(c+d) = 0, where the rounding of w and pq decides the old check),
+    # a fiftieth scaled to 1e-170 (where w underflowed), and a zero largest
+    # argument.  Sets the old check served at a negative largest argument
+    # (as its mirror -x) are refused too, as is NaN
+    rng = np.random.default_rng(24)
+    pairs = ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
+    sets = [(0.0, 0.0, 0.0, 0.0), (0.0, -1.0, 0.0, -1.0), (1.0, -3.0, 0.5, 0.5),
+            (2.0, -1.0, 3.0, 1.0), (-1.0, -1e-17, -1.0, -1e-17)]
+    for k in range(4000):
+        x = [float(v) for v in rng.uniform(-2.0, 2.0, 4) * 10.0 ** rng.integers(-3, 3)]
+        if k % 4 == 0:
+            i, j = pairs[k // 4 % 6]
+            x[j] = -x[i]
+        if k % 50 == 1:
+            x = [v * 1e-170 for v in x]
+        sets.append(tuple(x))
+    refused = [x for x in sets if _klein_check_refuses(x)]
+    assert len(refused) > 2500 and (2.0, -1.0, 3.0, 1.0) in refused
+    more = [(-1.0, -2.0, -1.0, -2.0), (-0.5, -0.25, -3.0, -1.0), (0.0, -1.0, -2.0, -0.5),
+            (np.nan, 1.0, 1.0, 1.0), (1.0, np.nan, 1.0, 1.0)]
+    assert not any(map(_klein_check_refuses, more[:3]))
+    invm = (1.0, 1.0, 1.0, 1.0)
+    for x in refused + more:
+        with pytest.raises(ValueError):
+            matel4.moment4(1, 1, 1, 1, 1, *x)
+        U = np.array([[x[0], x[2], x[1], x[3]]])    # its first table sits at x
+        with pytest.raises(ValueError):
+            matel4._pair_ntv(U, 0.0 * U, invm)
+
+
+def test_molecule4_pass_builds_one_table_per_orbit(monkeypatch):
+    # the benchmark's molecule4 pass (seed 0, pass 0): both modes at ratio 1
+    # and a seeded ratio, one restart of 8 evaluations.  With one table per
+    # argument set this pass built 130 tables, 66 with one per Klein orbit
+    # and now 47, one per dilation x Klein orbit (_key of each request).
+    # The cc-break simplex at ratio 1 compares two vertices that differ only
+    # in scale, so last-bit moves of the moments can flip one step and
+    # change that set (67 Klein orbits with the earlier Newton/series tables)
+    seen = _spy_builds(monkeypatch)
+    keys = set()
+    real = matel4._pair_ntv
+
+    def spy(U, V, invm):
+        for w0, w1, w2, w3 in (U + V).tolist():
+            keys.update((_key((w0, w2, w1, w3)), _key((w0, w1, w2, w3))))
+        return real(U, V, invm)
+
+    monkeypatch.setattr(matel4, "_pair_ntv", spy)
     for mode, ratio in (("cc-break", 2.9842160587427786),
                         ("identity-break", 1.9016348825652267)):
         solve.scan_mass4([1.0, ratio], mode,
                          solve.MinimizerConfig(seed=0, restarts=1, max_iter=8))
-    assert matel4._f4_table.cache_info().misses == len(seen) == 66
-    assert len({min(_orbit(x)) for x in seen}) == 66
+    assert matel4._f4_table.cache_info().misses == len(seen) == 47
+    assert set(seen) == keys
 
 
 def _f4_mp(mp, a, b, c, d, u):

@@ -1,8 +1,12 @@
 """Variational engine: eigensolves, scale handling, optimizers, scans."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -829,6 +833,46 @@ def test_minimize_nm_deterministic():
     assert e1 == e2
 
 
+def test_minimize_nm_draws_restarts_as_before(monkeypatch):
+    # restart k > 0 starts at x0 + 0.05 max(|x0|, 0.1) N(0, 1), the normals
+    # drawn in order from default_rng(seed); the first restart at x0 itself
+    seen = []
+    real = solve._nelder_mead
+
+    def spy(f, x, *args):
+        seen.append(np.array(x))
+        return real(f, x, *args)
+
+    monkeypatch.setattr(solve, "_nelder_mead", spy)
+    x0 = np.array([0.3, -1.2, 0.0])
+    minimize_nm(lambda x: float(x @ x), x0, MinimizerConfig(seed=5, restarts=3, max_iter=50))
+    rng = np.random.default_rng(5)
+    scale = np.maximum(np.abs(x0), 0.1)
+    want = [x0] + [x0 + 0.05 * scale * rng.standard_normal(3) for _ in range(2)]
+    assert len(seen) == 3 and all(a.tobytes() == b.tobytes() for a, b in zip(seen, want))
+
+
+_ONE_RESTART = """
+import sys
+from coulomb2e.solve import MinimizerConfig, minimize_nm
+minimize_nm(lambda x: (x[0] - 1.3) ** 2, [0.0], MinimizerConfig(restarts=1, max_iter=50))
+assert "numpy.random" not in sys.modules, "a single restart imported numpy.random"
+minimize_nm(lambda x: (x[0] - 1.3) ** 2, [0.0], MinimizerConfig(restarts=2, max_iter=50))
+assert "numpy.random" in sys.modules
+"""
+
+
+def test_one_restart_does_not_import_numpy_random():
+    # a single restart never draws, so it must not pay numpy.random's import
+    # (about 15 ms, once per process: `molecule` and `scan mass4` run one)
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _ONE_RESTART], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_minimize_nm_raises_when_all_rejected():
     with pytest.raises(NonConvergenceError):
         minimize_nm(lambda x: solve._BIG, [1.0], LIGHT)
@@ -995,29 +1039,28 @@ def test_scan_mass4_records_report_the_search():
 
 # the molecule4 benchmark's seed-0 passes 0-2 (simplex seed = pass, ratios
 # [1, r] with r from default_rng([0, pass, 4])), with numpy 2.4.6: the
-# energies with F4 tables built on the 78-cell ideal from closed-form
-# quadratic inputs and a separable 32/((a+b)(c+d)), then those of the
-# earlier tables (the same composition on jet-product inputs over the
-# degree-5 box), which they must stay within 1e-14 relative of
+# energies with one F4 table per dilation x Klein orbit, served at the
+# arguments over their largest, then those of one table per Klein orbit
+# (the earlier tables), which they must stay within 1e-14 relative of
 _MASS4_PINNED = {
     ("cc-break", 0, 2.9842160587427786): (
-        ("-0.5042331263235788", "-0.5042551752675357"),
-        ("-0.5042331263235792", "-0.5042551752675353")),
+        ("-0.5042331263235792", "-0.5042551752675358"),
+        ("-0.5042331263235788", "-0.5042551752675357")),
     ("identity-break", 0, 1.9016348825652267): (
-        ("-0.5042296509175103", "-0.5042318399637695"),
-        ("-0.5042296509175105", "-0.5042318399637695")),
+        ("-0.5042296509175104", "-0.5042318399637694"),
+        ("-0.5042296509175103", "-0.5042318399637695")),
     ("cc-break", 1, 1.4495932749446765): (
-        ("-0.5042331263235788", "-0.5042528375326891"),
-        ("-0.5042331263235792", "-0.5042528375326886")),
+        ("-0.5042331263235792", "-0.5042528375326893"),
+        ("-0.5042331263235788", "-0.5042528375326891")),
     ("identity-break", 1, 1.8201738521820963): (
-        ("-0.5042296509175103", "-0.5042318399637695"),
-        ("-0.5042296509175105", "-0.5042318399637695")),
+        ("-0.5042296509175104", "-0.5042318399637691"),
+        ("-0.5042296509175103", "-0.5042318399637695")),
     ("cc-break", 2, 2.5509440505289005): (
-        ("-0.5042331263235788", "-0.5042547199587676"),
-        ("-0.5042331263235792", "-0.5042547199587671")),
+        ("-0.5042331263235792", "-0.5042547199587678"),
+        ("-0.5042331263235788", "-0.5042547199587676")),
     ("identity-break", 2, 2.3277955399766577): (
-        ("-0.5042296509175103", "-0.5042318399637695"),
-        ("-0.5042296509175105", "-0.5042318399637695")),
+        ("-0.5042296509175104", "-0.5042318399637691"),
+        ("-0.5042296509175103", "-0.5042318399637695")),
 }
 
 

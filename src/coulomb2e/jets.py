@@ -14,24 +14,17 @@ Multiplication is the truncated Cauchy product itself.  For each layout the
 index pairs (i, j) whose sum is a kept multi-index are tabulated once, on
 first use, by one lookup per pair in radix 2 * shape (where a sum of two
 cells never carries), and a product is one gather, multiply and bincount
-over that table.  Each output coefficient is thus the plain sum of its own
-a_i b_j terms, in the same order on any ideal that keeps it, so its
-round-off is relative to those terms only; an FFT convolution instead
-spreads the round-off of the largest coefficients over all of them (it put
-F4's moments off by 2.6e-8 relative at (2.0, 0.3, 1.7, 0.25) and by 4.5e-3
-at (3.0, 0.1, 2.5, 0.15)).  Every univariate function of a jet is one
-Taylor composition, `compose`: Horner's rule in t = x - val over f's
-coefficients f^(m)(val)/m!, as Python floats, costs degree - 1 products.
-
-A jet's `deg` bounds its degree: coefficients above it are exact zeros.  A
-coordinate has 1, sums the larger bound, products the sum (capped), scalar
-operations keep it; a product runs only over the table's pairs with
-|i| <= deg1, |j| <= deg2, in order.  No bit changes: bincount starts cells
-at +0.0, so a partial sum is never -0.0, and each skipped term is +-0.0 for
-finite coefficients (0 * inf is NaN).  A composition over k + 1
-coefficients has k * deg (capped).  `Jet(c, lay)` without `deg` is dense,
-so only such a jet may have `c` written in place.  (Truncated Taylor
-arithmetic: Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13.)
+over that whole table (a jet carries no degree bound, so coefficients that
+are zero by degree are multiplied too).  Each output coefficient is thus the
+plain sum of its own a_i b_j terms, in the same order on any ideal that
+keeps it, so its round-off is relative to those terms only; an FFT
+convolution instead spreads the round-off of the largest coefficients over
+all of them (it put F4's moments off by 2.6e-8 relative at (2.0, 0.3, 1.7,
+0.25) and by 4.5e-3 at (3.0, 0.1, 2.5, 0.15)).  Every univariate function of
+a jet is one Taylor composition, `compose`: Horner's rule in t = x - val
+over f's coefficients f^(m)(val)/m!, as Python floats, costs degree - 1
+products.  (Truncated Taylor arithmetic: Griewank & Walther, Evaluating
+Derivatives, 2nd ed., ch. 13.)
 """
 
 from functools import cache
@@ -41,10 +34,9 @@ import numpy as np
 
 
 class _Layout:
-    """Kept multi-indices of one (shape, degree, below) and its product tables."""
+    """Kept multi-indices of one (shape, degree, below) and its pair table."""
 
-    __slots__ = ("shape", "degree", "n", "index", "pi", "pj", "po", "tot",
-                 "tables")
+    __slots__ = ("shape", "degree", "n", "index", "pi", "pj", "po")
 
     def __init__(self, shape, degree, below=None):
         if degree is None:
@@ -65,16 +57,6 @@ class _Layout:
         self.shape, self.degree, self.n = shape, degree, len(cells)
         self.index = {tuple(int(v) for v in e): k for k, e in enumerate(cells)}
         self.pi, self.pj, self.po = pi, pj, out[pi, pj]
-        self.tot = cells.sum(axis=1)
-        self.tables = {(degree, degree): (pi, pj, self.po)}
-
-    def pairs(self, d1, d2):
-        """The product table restricted to |i| <= d1 and |j| <= d2, in order."""
-        t = self.tables.get((d1, d2))
-        if t is None:
-            keep = (self.tot[self.pi] <= d1) & (self.tot[self.pj] <= d2)
-            t = self.tables[d1, d2] = (self.pi[keep], self.pj[keep], self.po[keep])
-        return t
 
 
 @cache
@@ -86,12 +68,11 @@ def _layout(shape, degree, below=None):
 class Jet:
     """Taylor coefficients of f around a point, truncated per axis and in total."""
 
-    __slots__ = ("c", "lay", "deg")
+    __slots__ = ("c", "lay")
 
-    def __init__(self, coeffs, lay, deg=None):
+    def __init__(self, coeffs, lay):
         self.c = coeffs
         self.lay = lay
-        self.deg = lay.degree if deg is None else deg
 
     @property
     def val(self):
@@ -99,33 +80,32 @@ class Jet:
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.c + other.c, self.lay, max(self.deg, other.deg))
+            return Jet(self.c + other.c, self.lay)
         out = self.c.copy()
         out[0] += other
-        return Jet(out, self.lay, self.deg)
+        return Jet(out, self.lay)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.c - other.c, self.lay, max(self.deg, other.deg))
+            return Jet(self.c - other.c, self.lay)
         out = self.c.copy()
         out[0] -= other
-        return Jet(out, self.lay, self.deg)
+        return Jet(out, self.lay)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.c * other, self.lay, self.deg)
-        lay, d1, d2 = self.lay, self.deg, other.deg
-        pi, pj, po = lay.pairs(d1, d2)
-        return Jet(np.bincount(po, self.c[pi] * other.c[pj], lay.n), lay,
-                   min(d1 + d2, lay.degree))
+            return Jet(self.c * other, self.lay)
+        lay = self.lay
+        return Jet(np.bincount(lay.po, self.c[lay.pi] * other.c[lay.pj], lay.n), lay)
 
     __rmul__ = __mul__
 
     def compose(self, coefs):
-        """f(self) from coefs[m] = f^(m)(val)/m!, m = 0 .. lay.degree, by
-        Horner's rule in t = self - val (t^m starts at total degree m)."""
+        """f(self) from coefs[m] = f^(m)(val)/m!, m = 0 .. lay.degree (t^m
+        starts at total degree m), by Horner's rule in t = self - val:
+        len(coefs) - 2 jet products."""
         t = self - self.val
         f = t * coefs[-1]
         for cm in coefs[-2:0:-1]:

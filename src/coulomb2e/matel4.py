@@ -30,13 +30,14 @@ F4's symmetry group is the Klein group of (a b)(c d) and (a c)(b d) times
 the dilations: F4 is homogeneous of degree -4, so a cell of order n obeys
 d^idx F4(h y) = h^(-4-n) d^idx F4(y).  The `_f4_table` lru (the only
 four-body cache) holds one table per orbit of that group, built at the
-orbit's smallest member with largest argument 1, and `_f4_orbit` serves any
-member through permuted cells times h^(-4-n), h = max(a, b, c, d).  The
-identity-break pair (a,b,b,a), (b,a,a,b) thus reads one table at (1,1,1,1)
-for its cross term whatever a + b.  A served moment differs from a build at
-the requested arguments in the last bits (2.4e-14 relative at worst in the
-tests).  `assemble4`'s array kernel reads each pair's tables in one gather
-of the `_MOMENTS` cells.
+orbit's smallest member with largest argument 1.  One function serves it,
+`_f4_moments`: rows of arguments and a tuple of kept multi-indices in, each
+row's permuted cells times h^(-4-n), h = max(a, b, c, d), out, in one
+gather.  `moment4` passes one row, `assemble4`'s array kernel two per term
+pair.  The identity-break pair (a,b,b,a), (b,a,a,b) thus reads one table at
+(1,1,1,1) for its cross term whatever a + b.  A served moment differs from
+a build at the requested arguments in the last bits (2.4e-14 relative at
+worst in the tests).
 """
 
 from functools import cache, lru_cache
@@ -82,11 +83,6 @@ _MOMENTS = (
 _ORDERS = tuple(max(col) for col in zip(*_MOMENTS))
 _DEGREE = max(sum(idx) for idx in _MOMENTS)
 _SHAPE = tuple(o + 1 for o in _ORDERS)
-# moment4's factor (-1)^|idx| idx! per entry: c * (+-f) == (+-1) * (c * f)
-_SIGNED_FACT = np.array([(-1.0) ** sum(idx) * prod(map(factorial, idx))
-                         for idx in _MOMENTS])
-# -4 - |idx| per entry: the exponent of h in a moment at dilated arguments
-_NEG_ORDER = np.array([-4.0 - sum(idx) for idx in _MOMENTS])
 # the smallest largest argument h whose h^(-4-_DEGREE) is finite
 _H_MIN = 2.0 ** -(1023 // (4 + _DEGREE))
 
@@ -120,7 +116,7 @@ def _f4_inputs(a, b, c, d, lay):
     p, q, s1, s2 = a - b, c - d, a + b, c + d
     w, pq = 2.0 * S * S - 0.5 * (p * p + q * q), p * q
     # u1, u2 = (w +- pq)/2 = (a+d)(b+c), (a+c)(b+d) > 0.  The sign of a sum
-    # is exact and survives `_f4_orbit`'s division by h, so a zero or
+    # is exact and survives `_f4_moments`' division by h, so a zero or
     # negative factor is refused whatever the rounding of w and pq (and NaN
     # fails every test)
     if not (w > abs(pq) and s1 * s2 != 0.0 and (a + d) * (b + c) > 0.0
@@ -130,7 +126,7 @@ def _f4_inputs(a, b, c, d, lay):
     cw, cp = wq.copy(), pqq.copy()
     cw[0], cw[unit] = w, (2.0 * S - p, 2.0 * S + p, 2.0 * S - q, 2.0 * S + q, 4.0 * S)
     cp[0], cp[unit] = pq, (q, -q, p, -p, 0.0)
-    return Jet(cw, lay, 2), Jet(cp, lay, 2), Jet(num / (s1 ** e1 * s2 ** e2), lay)
+    return Jet(cw, lay), Jet(cp, lay), Jet(num / (s1 ** e1 * s2 ** e2), lay)
 
 
 def _f4_jet(a, b, c, d, lay):
@@ -163,22 +159,38 @@ def _f4_klein(a, b, c, d):
     return (_f4_table(*z), l) if z < y else (_f4_table(*y), k)
 
 
-def _f4_orbit(a, b, c, d):
-    """(table, k, h): h = max(a, b, c, d), and `_f4_klein` at (a, b, c, d)/h.
-    h^(-4-|idx|) times the table's cell idx o g is the derivative idx at
-    (a, b, c, d).  ValueError unless h >= _H_MIN (zero or negative included):
-    a table at a smaller scale would overflow on serving."""
-    h = max(a, b, c, d)
-    if not h >= _H_MIN:
-        raise ValueError(f"f4 domain: largest argument {h} below {_H_MIN}")
-    return (*_f4_klein(a / h, b / h, c / h, d / h), h)
-
-
 @cache
-def _orbit_cells(lay):
-    """Cells of idx o g in lay: one row per _KLEIN row g, one column per _MOMENTS idx."""
-    return np.array([[lay.index[tuple(idx[i] for i in g) + idx[4:]]
-                      for idx in _MOMENTS] for g in _KLEIN])
+def _orbit_cells(lay, idxs):
+    """For the multi-indices idxs: the cells of idx o g in lay (one row per
+    _KLEIN row g, one column per idx), (-1)^|idx| idx! and -4 - |idx|.
+    ValueError for an idx the layout does not keep (nor, then, any idx o g)."""
+    try:
+        cells = np.array([[lay.index[tuple(idx[i] for i in g) + idx[4:]]
+                           for idx in idxs] for g in _KLEIN])
+    except KeyError:
+        raise ValueError(f"moment orders {idxs} not all kept by the F4 jet "
+                         f"({lay.n} cells of shape {lay.shape})") from None
+    return (cells,
+            np.array([(-1.0) ** sum(idx) * prod(map(factorial, idx)) for idx in idxs]),
+            np.array([-4.0 - sum(idx) for idx in idxs]))
+
+
+def _f4_moments(X, idxs):
+    """Signed moments (-1)^|idx| d^idx F4 at u = 0, one row per row of X
+    (arguments in F4 order) and one column per idx of idxs.
+
+    Each row x reads the `_f4_klein` table at x/h, h = max(x), at cells
+    idx o g, times (-1)^|idx| idx! (c * (+-f) == (+-1) * (c * f), so the
+    sign is exact) and numpy's h^(-4-|idx|).  ValueError unless every
+    h >= _H_MIN (zero, negative and NaN included): a table at a smaller
+    scale would overflow on serving."""
+    h = X.max(axis=1)
+    if not h.min() >= _H_MIN:
+        raise ValueError(f"f4 domain: a largest argument below {_H_MIN}")
+    tabs, ks = zip(*[_f4_klein(*x) for x in (X / h[:, None]).tolist()])
+    cells, fact, order = _orbit_cells(tabs[0].lay, idxs)
+    g = np.array([tab.c for tab in tabs])[np.arange(len(tabs))[:, None], cells[list(ks)]]
+    return g * fact * h[:, None] ** order
 
 
 def moment4(i, j, k, l, m, a, b, c, d):     # kept: perfbench probes and traces it
@@ -188,12 +200,8 @@ def moment4(i, j, k, l, m, a, b, c, d):     # kept: perfbench probes and traces 
     Raises ValueError for an order the jet does not keep: any cell not at or
     below a `_MOMENTS` entry.
     """
-    F, g, h = _f4_orbit(float(a), float(b), float(c), float(d))
-    idx = (i, j, k, l)
-    n = i + j + k + l + m
-    # numpy's power, as in _pair_ntv: libm's pow differs in the last bit
-    return ((-1.0) ** n * F.deriv(tuple(idx[v] for v in _KLEIN[g]) + (m,))
-            * float(np.power(h, -4.0 - n)))
+    X = np.array([[a, b, c, d]], dtype=float)
+    return float(_f4_moments(X, ((i, j, k, l, m),))[0, 0])
 
 
 def _kinetic(m, e, f, ep, fp, xa):
@@ -212,20 +220,13 @@ def _pair_ntv(U, V, invm):
     its summed exponents in F4 order (A, B, C, D) and r at (A, C, B, D).
     r serves particles 1 and 2 (relabeling 1<->3, 2<->4 maps the basis
     family onto itself and swaps b and c) and the pair 34 (relabeling 1<->2
-    makes v34 the v12 at (A, C, B, D)).  Both tables are read at the pair's
-    arguments over their largest, h, and scaled by h^(-4-|idx|).  The tests'
+    makes v34 the v12 at (A, C, B, D)).  One `_f4_moments` call serves the
+    block's 2P rows, each pair's m row and then its r row.  The tests'
     scalar `overlap4`, `kinetic4` and `coulomb4` write out the same float
     operations in order."""
     X = U + V
-    h = X.max(axis=1)                   # (A, B, C, D) and (A, C, B, D) share h
-    if not h.min() >= _H_MIN:
-        raise ValueError(f"f4 domain: a largest argument below {_H_MIN}")
-    tabs, ks = zip(*[_f4_klein(*k) for w0, w1, w2, w3 in (X / h[:, None]).tolist()
-                     for k in ((w0, w2, w1, w3), (w0, w1, w2, w3))])
-    cells = _orbit_cells(tabs[0].lay)[list(ks)]
-    g = np.array([tab.c for tab in tabs])[np.arange(len(tabs))[:, None], cells] * _SIGNED_FACT
-    g = g.reshape(len(U), 2, -1) * h[:, None, None] ** _NEG_ORDER
-    m, r = g[:, 0], g[:, 1]
+    g = _f4_moments(X[:, [0, 2, 1, 3, 0, 1, 2, 3]].reshape(-1, 4), _MOMENTS)
+    m, r = g[0::2], g[1::2]
     a, b, c, d = U.T          # spec order (r13, r14, r23, r24)
     ap, bp, cp, dp = V.T
     t = np.zeros(len(U))

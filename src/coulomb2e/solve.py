@@ -59,15 +59,11 @@ class CancellationError(ValueError):
 
 @dataclass(frozen=True)
 class MinimizerConfig:
-    f_tol: float = 1e-10
-    x_tol: float = 1e-8
     max_iter: int = 10_000
     restarts: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.f_tol < math.inf and 0 < self.x_tol < math.inf):
-            raise ValueError("tolerances must be finite and > 0")
         for name in ("max_iter", "restarts"):
             if type(v := getattr(self, name)) is not int or v < 1:  # nor bool
                 raise ValueError(f"{name} must be an int >= 1, got {v!r}")
@@ -428,8 +424,7 @@ def minimize_nm(objective, x0, config: MinimizerConfig):
         rng = np.random.default_rng(config.seed)
         starts += [x0 + 0.05 * scale * rng.standard_normal(x0.shape)
                    for _ in range(config.restarts - 1)]
-    runs = [_nelder_mead(guarded, s, config.max_iter, config.x_tol, config.f_tol)
-            for s in starts]
+    runs = [_nelder_mead(guarded, s, config.max_iter, 1e-8, 1e-10) for s in starts]
     best = min(runs, key=lambda r: r[1])     # the first of equal values
     if not np.isfinite(best[1]) or best[1] >= _BIG / 2:
         raise NonConvergenceError("no simplex restart reached a feasible optimum")
@@ -475,14 +470,14 @@ def _search3(spec, x0, config, k=0, unpack=_terms3):
     """Simplex search of the k-th state of a three-body basis from x0.
 
     `unpack` maps a simplex point (an array) to basis terms, by default its
-    (n, 3) view, or to None outside its domain; terms with a pair sum at or
-    below the sector's floor (1e-3 natural, 1e-6 vector) are refused too.  Returns minimize_nm's triple.
+    (n, 3) view; terms with a pair sum at or below the sector's floor (1e-3
+    natural, 1e-6 vector) are refused.  Returns minimize_nm's triple.
     """
     min_sum = 1e-3 if spec.sector == NATURAL else 1e-6
 
     def obj(x):
         terms = unpack(x)
-        if terms is None or not _valid3(terms, min_sum):
+        if not _valid3(terms, min_sum):
             return _BIG
         if spec.sector == NATURAL:
             return scaled_lowest(matel3.natural_matblock(terms, spec), k=k)[0]

@@ -3,10 +3,9 @@
 Each reads the package's own moments (`matel3._g3_cells`, looked up at call
 time, and `matel4.moment4`) and writes out the float operations that the
 block kernels `matel3._elements_ntv` and `matel4._pair_ntv` inline, in the
-same order, so the kernels must match these to the bit.  `moment4` reads the
-table of `matel4._f4_orbit`'s (table, k, h) at cell idx o g and scales it by
-numpy's h^(-4-|idx|), as the four-body kernel does for a whole block.  The
-oracle checks them against quadrature.  Conventions are those of `matel3`
+same order, so the kernels must match these to the bit.  `moment4` is
+`matel4._f4_moments` at one row and one cell, the serve the four-body kernel
+runs for a whole block.  The oracle checks them against quadrature.  Conventions are those of `matel3`
 and `matel4`.
 """
 

@@ -1,7 +1,7 @@
 """Four-body matrix elements: generating function, moments, assembler."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -112,9 +112,9 @@ def _variables(x):
 
 
 def test_f4_quadratic_inputs_match_jet_products():
-    # u1 + u2 and u1 - u2 written in closed form equal, to the bit and with
-    # the same degree bound, 2 S S - (p p + q q)/2 and p q built from jet
-    # variables: on the degree-5 box and on the F4 ideal's cells
+    # u1 + u2 and u1 - u2 written in closed form equal, to the bit,
+    # 2 S S - (p p + q q)/2 and p q built from jet variables: on the
+    # degree-5 box and on the F4 ideal's cells
     rng = np.random.default_rng(20)
     box = matel4._layout(matel4._SHAPE, matel4._DEGREE)
     cells = [box.index[idx] for idx in _ideal().index]
@@ -126,7 +126,6 @@ def test_f4_quadratic_inputs_match_jet_products():
         for lay, at in ((box, slice(None)), (_ideal(), cells)):
             for got, ref in zip(matel4._f4_inputs(*x, lay)[:2], want):
                 assert got.c.tobytes() == ref.c[at].tobytes(), x
-                assert got.deg == ref.deg == 2
 
 
 def test_f4_separable_factor_coefficients():
@@ -240,8 +239,8 @@ def test_assemble4_matches_pairwise_sum(mode):
     # block below, then 100 seeded blocks at ratios in [1, 3] with
     # near-degenerate exponents, then two with infinitely heavy positives,
     # then ten of the seeded blocks dilated by factors in [1e-2, 1e2] (both
-    # sides read each table through `_f4_orbit`'s (table, k, h) and scale
-    # its cells by the same numpy power of h)
+    # sides read each table through `_f4_moments` and scale its cells by the
+    # same numpy power of h)
     rng = np.random.default_rng(2009)
     if mode == "cc-break":
         cases = [(1.7, [matel4.symmetrized_group(T1),
@@ -297,8 +296,8 @@ def _f4_args(seed):
 
 
 def test_f4_tables_match_full_table_products(monkeypatch):
-    # degree-aware products build every F4 table to the bit as full-table
-    # products do, over _f4_args' 2 000 argument sets
+    # jet products build every F4 table to the bit as the plain bincount over
+    # the layout's full pair table does, over _f4_args' 2 000 argument sets
     args = _f4_args(15)
     fast = [matel4._f4_jet(*x, _ideal()).c for x in args]
 
@@ -341,7 +340,7 @@ def test_moments_closed_under_the_orbit_group():
         assert el.f4(*(T1[i] for i in g)) == pytest.approx(el.f4(*T1), rel=1e-15)
     lay = matel4._f4_table(*A4).lay
     cells = [lay.index[idx] for idx in matel4._MOMENTS]
-    rows = matel4._orbit_cells(lay).tolist()
+    rows = matel4._orbit_cells(lay, matel4._MOMENTS)[0].tolist()
     assert rows[0] == cells and all(sorted(r) == sorted(cells) for r in rows)
 
 
@@ -356,24 +355,24 @@ def test_orbit_tables_match_direct_builds():
     # a request at any dilated orbit member lam x o g reads the one table at
     # _key, through permuted cells times h^(-4-|idx|), h = max(lam x); over
     # _f4_args' 2 000 argument sets, each dilated by a seeded lam in
-    # [1e-2, 1e2], every served moment matches a build at the requested
-    # arguments to 1e-13 relative, and the lru holds one table per key
+    # [1e-2, 1e2], every served moment on all 78 kept cells matches a build
+    # at the requested arguments to 1e-13 relative, a key is read in place,
+    # and the lru holds one table per key
     matel4._f4_table.cache_clear()
     rng = np.random.default_rng(23)
-    order = np.array([sum(idx) for idx in matel4._MOMENTS])
+    lay = _ideal()
+    idxs = tuple(lay.index)
+    sign = np.array([(-1.0) ** sum(idx) * prod(map(factorial, idx)) for idx in idxs])
     keys = set()
     for x in _f4_args(18):
         lam = float(10.0 ** rng.uniform(-2.0, 2.0))
-        for y in _orbit(tuple(lam * v for v in x)):
-            tab, k, h = matel4._f4_orbit(*y)
+        ys = _orbit(tuple(lam * v for v in x))
+        for y, got in zip(ys, matel4._f4_moments(np.array(ys), idxs)):
             keys.add(_key(y))
-            assert h == max(y) and tab is matel4._f4_table(*_key(y))
-            if y == _key(y):        # that table itself, read in place
-                assert k == 0 and h == 1.0
-            got = tab.c[matel4._orbit_cells(tab.lay)[k]] * h ** (-4.0 - order)
-            ref = matel4._f4_jet(*y, _ideal())
-            want = ref.c[[ref.lay.index[idx] for idx in matel4._MOMENTS]]
+            want = matel4._f4_jet(*y, lay).c * sign
             assert np.all(abs(got - want) <= 1e-13 * abs(want)), (y, got - want)
+            if y == _key(y):        # that table itself, read in place
+                assert got.tobytes() == (matel4._f4_table(*y).c * sign).tobytes()
     assert matel4._f4_table.cache_info().currsize == len(keys)
 
 

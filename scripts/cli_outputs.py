@@ -7,9 +7,16 @@ the `# wall_time_s=` lines, so two runs of the same code give the same
 files.  Diffing the output directories of two source trees (run once with
 PYTHONPATH set to each tree's src) shows every printed digit a change moves.
 Exits nonzero if any command does.
+
+`--compare OTHER_DIR` runs nothing: it compares the files of `--outdir`
+with OTHER_DIR's and, for each command whose output differs, prints the
+differing lines (OTHER_DIR's with -, `--outdir`'s with +) and the largest
+relative change among the numbers of the paired lines.  Exits 0 when the
+two directories hold the same outputs, 1 otherwise.
 """
 
 import argparse
+import difflib
 import pathlib
 import re
 import subprocess
@@ -37,16 +44,65 @@ COMMANDS = [
 ]
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _file_name(argv):
+    return re.sub(r"[^A-Za-z0-9.]+", "_", " ".join(argv)) + ".out"
+
+
+def _largest_change(old, new):
+    """The largest |new - old| / |old| over the numbers of paired lines
+    with the same count of numbers (inf where one of them is 0 alone)."""
+    worst = 0.0
+    for a, b in zip(old, new):
+        xs, ys = _NUMBER.findall(a), _NUMBER.findall(b)
+        if len(xs) == len(ys):
+            for x, y in zip(map(float, xs), map(float, ys)):
+                if x != y:
+                    worst = max(worst, abs(y - x) / abs(x) if x else float("inf"))
+    return worst
+
+
+def compare(outdir, other):
+    """Print each command's differing lines; True when every output matches."""
+    same = True
+    for argv in COMMANDS:
+        name = _file_name(argv)
+        old, new = (d / name for d in (other, outdir))
+        if not (old.exists() and new.exists()):
+            print(f"{name}: missing in {other if not old.exists() else outdir}")
+            same = False
+            continue
+        a, b = old.read_text().splitlines(), new.read_text().splitlines()
+        if a == b:
+            continue
+        same = False
+        print(f"{name}:")
+        worst = 0.0
+        for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b).get_opcodes():
+            if tag != "equal":
+                print("".join(f"  - {line}\n" for line in a[i1:i2])
+                      + "".join(f"  + {line}\n" for line in b[j1:j2]), end="")
+                worst = max(worst, _largest_change(a[i1:i2], b[j1:j2]))
+        print(f"  largest relative change: {worst:.3g}")
+    return same
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--outdir", default="out")
+    ap.add_argument("--compare", metavar="OTHER_DIR",
+                    help="compare --outdir with OTHER_DIR instead of running")
     args = ap.parse_args()
 
     outdir = pathlib.Path(args.outdir)
+    if args.compare is not None:
+        return 0 if compare(outdir, pathlib.Path(args.compare)) else 1
     outdir.mkdir(parents=True, exist_ok=True)
     failed = False
     for argv in COMMANDS:
-        name = re.sub(r"[^A-Za-z0-9.]+", "_", " ".join(argv)) + ".out"
+        name = _file_name(argv)
         t0 = time.perf_counter()
         run = subprocess.run([sys.executable, "-m", "coulomb2e.cli", *argv],
                              stdout=subprocess.PIPE, text=True)

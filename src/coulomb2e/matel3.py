@@ -23,19 +23,20 @@ weight in x, y, z, as the 1+ sector's |x_vec cross y_vec|^2) is expanded the
 same way, with like monomials merged exactly before any float is formed.
 `_g3_cells` evaluates a fixed tuple of cells and weight columns for whole
 arrays of argument triples (one inverse-power table of s, one matrix
-product); each block assembler calls it once for all its term pairs.
+product).
 
-A block is `model.assemble` over the exchange groups of its terms, without
-building them: `_gather` (an lru keyed by the basis size and the exchange
-sign) holds, for that group pattern, the flat indices into the (n, 3)
-exponent array of every ordered upper-triangle term pair in assemble's
-u-major order, so a block is two gathers, one `_g3_cells` call and
-`model.scatter`.
+An element is a fixed sum of exponent features (1, u_i + v_i, u_i v_j)
+times these moments: a block's kernel is one `_g3_cells` call and one
+`model.contract` with a table that the lru `_ntv_table` or `_un_table`
+builds once per (z, inverse masses).  A block is `model.assemble` over the
+exchange groups of its terms, without building them: `_gather` (an lru
+keyed by the basis size and the exchange sign) holds the flat indices into
+the (n, 3) exponent array of every ordered upper-triangle term pair in
+assemble's u-major order: two gathers, the kernel and `model.scatter`.
 
 Term convention: a 3-tuple (a, b, c) means exp(-a*x - b*y - c*z), i.e. `a` on
 electron 2's distance, `b` on electron 1's, `c` on r12.  Electron exchange is
-the swap (a,b,c) -> (b,a,c).  Element functions also take (P, 3) arrays of
-terms and then return P-vectors.
+the swap (a,b,c) -> (b,a,c).
 """
 
 from functools import lru_cache
@@ -44,7 +45,7 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 
-from .model import MatBlock, UNNATURAL, _layout, scatter
+from .model import MatBlock, UNNATURAL, _layout, coefficients, contract, kinetic, scatter
 
 
 @lru_cache(maxsize=64)   # a solve reuses one set; g3_table brings one per order
@@ -99,46 +100,27 @@ def g3_table(alpha, beta, gamma, omax):     # kept: perfbench probes and traces 
                      tuple(np.ndindex(sh))).reshape(sh)
 
 
-def _split(t):
-    """Exponent columns (a, b, c) of one term (3,) or of stacked terms (P, 3)."""
-    return np.asarray(t, dtype=float).T
-
-
 # the cells the scalar-sector elements read: Coulomb (order 2), overlap and
 # the kinetic and recoil brackets (order 3)
 _NTV_CELLS = tuple(c for c in product(range(4), repeat=3) if 2 <= sum(c) <= 3)
 
 
-# _elements_ntv's cells: overlap, Coulomb, the (particle 1, 2) kinetic bracket terms
-_NTV_TAKE = np.array([_NTV_CELLS.index(tuple(map(int, c))) for c in
-                      "111 101 011 110 300 030 120 210 102 012".split()])
-
-
-def _elements_ntv(u, v, z, invm):
-    """(overlap, kinetic, potential) for the ordered term pairs u, v.
-
-    p^2 of the electron at y (gradient form; at x swap a, b and x, y) is
-    (b b' + c c') G(1,1,1) - (b c' + b' c)/2 (G(3,0,0) - G(1,2,0) - G(1,0,2)),
-    the bracket being the angular average of y^.z^ = (y^2+z^2-x^2)/(2yz); both
-    electrons run as one (P, 2) stack.  A finite-mass center adds im0 times
-    the recoil cross term <px.py>.  The tests' scalar `kinetic3` and
-    `he_cross` write out the same expressions in the same order."""
+@lru_cache(maxsize=64)   # a solve keeps one spec; a mass scan one per ratio
+def _ntv_table(z, invm):
+    """`contract`'s table of the scalar-sector (overlap, kinetic, potential):
+    p^2 of each electron and, at a finite-mass center, im0 <px.py>, with the
+    brackets as in the tests' `kinetic3` and `he_cross`, e.g. y^.z^ yz =
+    x (y^2+z^2-x^2)/2 over the measure."""
     im0, im1, im2 = invm
-    G = _g3_cells(u + v, _NTV_CELLS)
-    g = G[:, _NTV_TAKE]
-    g111, g101, g011, g110 = g[:, :4].T
-    x, xp, c, cp = u[:, 1::-1], v[:, 1::-1], u[:, 2:], v[:, 2:]
-    kin = ((x * xp + c * cp) * g111[:, None]
-           - 0.5 * (x * cp + xp * c) * (g[:, 4:6] - g[:, 6:8] - g[:, 8:]))
-    tt = 0.5 * (im1 + im0) * kin[:, 0] + 0.5 * (im2 + im0) * kin[:, 1]
-    if im0 != 0.0:
-        (a, b, c), (ap, bp, cp) = u.T, v.T
-        (_, g003, _, g012, _, g021, g030, _, g102, _, _, g120, _,
-         g201, g210, g300) = G.T
-        tt = tt + im0 * (ap * b * (0.5 * (g201 + g021 - g003))
-                         + ap * c * (0.5 * (g030 - g210 - g012))
-                         - b * cp * (-0.5 * (g300 - g120 - g102)) - c * cp * g111)
-    return g111, tt, -z * g101 - z * g011 + g110
+    G = {"%d%d%d" % c: k for k, c in enumerate(_NTV_CELLS)}
+    yz, xz, xy = ([(w, G[c]) for w, c in zip((-0.5, 0.5, 0.5), s.split())]
+                  for s in ("300 120 102", "030 210 012", "003 201 021"))
+    t = (kinetic(0.5 * (im1 + im0), 1, 2, G["111"], yz)
+         + kinetic(0.5 * (im2 + im0), 0, 2, G["111"], xz) + [(-im0, (2, 2), G["111"])]
+         + [(im0 * s * w, f, k) for s, f, br in ((1, (1, 0), xy), (-1, (2, 0), xz),
+                                                (-1, (1, 2), yz)) for w, k in br])
+    return coefficients(3, len(_NTV_CELLS), ([(1.0, (), G["111"])], t, [
+        (-z, (), G["101"]), (-z, (), G["011"]), (1.0, (), G["110"])]))
 
 
 def _exchange_groups(terms, epsilon):
@@ -179,9 +161,9 @@ def natural_matblock(terms, spec, symmetrize=True):
     symmetrize=False and supply both orderings as separate terms.  `terms`
     is an (n, 3) array or a list of n (a, b, c) tuples.
     """
-    z, invm = spec.z_central, spec.inv_masses
+    W = _ntv_table(spec.z_central, spec.inv_masses)
     return _block3(terms, spec.epsilon if symmetrize else None,
-                   lambda u, v: _elements_ntv(u, v, z, invm))
+                   lambda u, v: contract(u, v, _g3_cells(u + v, _NTV_CELLS), W))
 
 
 # ---------------------------------------------------------------------------
@@ -317,27 +299,17 @@ _UN_COLS = (
                          {(2, 0, 1): 0.5, (0, 2, 1): 0.5, (0, 0, 3): -0.5})))
 
 
-def _un_pair(u, v, z, invm):
-    """(n, t, v) for ordered pairs of plain (a,b,c) vector terms."""
-    a, b, c = _split(u)
-    ap, bp, cp = _split(v)
-    n, wx, wy, wz, xx, yy, zz, yz, xz, xy = _g3_cells(
-        np.add(u, v, dtype=float), _UN_COLS).T
-    pot = -z * wx - z * wy + wz
-    # p1^2 (particle at y): radial part 2x^2 replaces the |W|^2 weight
-    k1 = (xx - (b + bp) * wy - (c + cp) * wz + (b * bp + c * cp) * n
-          + (b * cp + bp * c) * yz)
-    k2 = (yy - (a + ap) * wx - (c + cp) * wz + (a * ap + c * cp) * n
-          + (a * cp + ap * c) * xz)
-    im0, im1, im2 = invm
-    t = 0.5 * (im1 + im0) * k1 + 0.5 * (im2 + im0) * k2
-    if im0 != 0.0:
-        k3 = (zz - (a + ap) * wx - (b + bp) * wy + (a * ap + b * bp) * n
-              + (a * bp + ap * b) * xy)
-        # internal kinetic energy from the lab-frame sum (translation-invariant
-        # basis): 1/2m1 p1^2 + 1/2m2 p2^2 + 1/2M p3^2 with p3 = -(p1+p2)
-        t = 0.5 * im1 * k1 + 0.5 * im2 * k2 + 0.5 * im0 * k3
-    return n, t, pot
+@lru_cache(maxsize=64)   # a solve keeps one spec; a mass scan one per ratio
+def _un_table(z, invm):
+    """`contract`'s table of the 1+ (overlap, kinetic, potential): p^2 of the
+    particle on the distances i, j (not n = 3 - i - j) reads the radial
+    column 4 + n, the exponent sums times the weight over i and j (columns
+    1 + i, 1 + j) and the bracket column 7 + n; p3 = -(p1+p2) at the center."""
+    t = [e for im, (i, j) in zip(invm, ((0, 1), (1, 2), (0, 2)))
+         for e in [(0.5 * im, (), 7 - i - j)] + [(-0.5 * im, (n,), 1 + n) for n in (i, j)]
+         + kinetic(0.5 * im, i, j, 0, [(1.0, 10 - i - j)])]
+    return coefficients(3, len(_UN_COLS), ([(1.0, (), 0)], t,
+                                           [(-z, (), 1), (-z, (), 2), (1.0, (), 3)]))
 
 
 def unnatural_matblock(terms, spec):
@@ -349,5 +321,5 @@ def unnatural_matblock(terms, spec):
     """
     if spec.sector != UNNATURAL:
         raise ValueError("unnatural_matblock needs an unnatural-sector spec")
-    z, invm = spec.z_central, spec.inv_masses
-    return _block3(terms, +1, lambda u, v: _un_pair(u, v, z, invm))
+    W = _un_table(spec.z_central, spec.inv_masses)
+    return _block3(terms, +1, lambda u, v: contract(u, v, _g3_cells(u + v, _UN_COLS), W))

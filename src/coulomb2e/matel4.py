@@ -28,16 +28,17 @@ the 162-cell degree-5 box).  Moments match 50-digit mpmath to 1.7e-15.
 
 F4's symmetry group is the Klein group of (a b)(c d) and (a c)(b d) times
 the dilations: F4 is homogeneous of degree -4, so a cell of order n obeys
-d^idx F4(h y) = h^(-4-n) d^idx F4(y).  The `_f4_table` lru (the only
-four-body cache) holds one table per orbit of that group, built at the
-orbit's smallest member with largest argument 1.  One function serves it,
-`_f4_moments`: rows of arguments and a tuple of kept multi-indices in, each
-row's permuted cells times h^(-4-n), h = max(a, b, c, d), out, in one
-gather.  `moment4` passes one row, `assemble4`'s array kernel two per term
-pair.  The identity-break pair (a,b,b,a), (b,a,a,b) thus reads one table at
-(1,1,1,1) for its cross term whatever a + b.  A served moment differs from
-a build at the requested arguments in the last bits (2.4e-14 relative at
-worst in the tests).
+d^idx F4(h y) = h^(-4-n) d^idx F4(y).  The `_f4_table` lru holds one table
+per orbit of that group, built at the orbit's smallest member with largest
+argument 1.  One function serves it, `_f4_moments`: rows of arguments and a
+tuple of kept multi-indices in, each row's permuted cells times h^(-4-n),
+h = max(a, b, c, d), out, in one gather.  `moment4` passes one row,
+`assemble4`'s kernel `_pair_ntv` two per term pair.  The identity-break
+pair (a,b,b,a), (b,a,a,b) thus reads one table at (1,1,1,1) for its cross
+term whatever a + b.  A served moment differs from a build at the
+requested arguments in the last bits (2.4e-14 relative at worst in the
+tests).  Its elements are bilinear forms in the terms' exponents over the
+(P, 24) moments: one `model.contract` with the lru table `_ntv4_table`.
 """
 
 from functools import cache, lru_cache
@@ -46,7 +47,7 @@ from math import atanh, comb, factorial, prod
 import numpy as np
 
 from .jets import Jet, _layout
-from .model import MatBlock, assemble
+from .model import MatBlock, assemble, coefficients, contract, kinetic
 
 _R_SWITCH = 0.5
 
@@ -204,37 +205,31 @@ def moment4(i, j, k, l, m, a, b, c, d):     # kept: perfbench probes and traces 
     return float(_f4_moments(X, ((i, j, k, l, m),))[0, 0])
 
 
-def _kinetic(m, e, f, ep, fp, xa):
-    # p^2 (gradient form) of the negative particle whose two distances carry
-    # the exponents e, f: the overlap column and the angular bracket of the
-    # moment columns xa .. xa + 2 (6 for particle 3, 9 for particle 4)
-    x = 0.5 * (m[:, xa] - m[:, xa + 1] - m[:, xa + 2])
-    return (e * ep + f * fp) * m[:, 0] - (e * fp + ep * f) * x
+@lru_cache(maxsize=64)   # a solve keeps one spec; a mass scan one per ratio
+def _ntv4_table(invm):
+    """`contract`'s table of (overlap, kinetic, potential) over the m, then r,
+    `_MOMENTS`: p^2 of particles 3, 4 (exponents a, c; b, d) reads m's overlap
+    and brackets 6 .. 8, 9 .. 11, particles 1, 2 (a, b; c, d) those of r."""
+    t = [e for im, o, x, i, j in zip(invm, (12, 12, 0, 0), (18, 21, 6, 9), (0, 2, 0, 1),
+                                     (1, 3, 2, 3))
+         for e in kinetic(0.5 * im, i, j, o, zip((-0.5, 0.5, 0.5), range(x, x + 3)))]
+    return coefficients(4, 24, ([(1.0, (), 0)], t, [(1.0, (), 1), (1.0, (), 13)]
+                                + [(-1.0, (), k) for k in (2, 3, 4, 5)]))
 
 
 def _pair_ntv(U, V, invm):
     """(overlap, kinetic, potential) over the ordered term pairs U, V.
 
     Terms (a, b, c, d) are on (r13, r14, r23, r24) and F4 wants (r13, r23,
-    r14, r24), hence the b<->c swap.  Each pair reads two F4 tables: m at
-    its summed exponents in F4 order (A, B, C, D) and r at (A, C, B, D).
-    r serves particles 1 and 2 (relabeling 1<->3, 2<->4 maps the basis
-    family onto itself and swaps b and c) and the pair 34 (relabeling 1<->2
-    makes v34 the v12 at (A, C, B, D)).  One `_f4_moments` call serves the
-    block's 2P rows, each pair's m row and then its r row.  The tests'
-    scalar `overlap4`, `kinetic4` and `coulomb4` write out the same float
-    operations in order."""
+    r14, r24), hence the b<->c swap.  Each pair reads F4 at its summed
+    exponents as m, in F4 order (A, B, C, D), and r at (A, C, B, D): r
+    serves particles 1 and 2 (relabeling 1<->3, 2<->4 maps the basis family
+    onto itself and swaps b and c) and the pair 34 (relabeling 1<->2 makes
+    v34 the v12 at (A, C, B, D)).  One `_f4_moments` call serves the block's
+    2P rows, each pair's m row and then its r row."""
     X = U + V
     g = _f4_moments(X[:, [0, 2, 1, 3, 0, 1, 2, 3]].reshape(-1, 4), _MOMENTS)
-    m, r = g[0::2], g[1::2]
-    a, b, c, d = U.T          # spec order (r13, r14, r23, r24)
-    ap, bp, cp, dp = V.T
-    t = np.zeros(len(U))
-    for im, k in zip(invm, ((r, a, b, ap, bp, 6), (r, c, d, cp, dp, 9),
-                            (m, a, c, ap, cp, 6), (m, b, d, bp, dp, 9))):
-        if im != 0.0:
-            t = t + 0.5 * im * _kinetic(*k)
-    return m[:, 0], t, 0.0 + m[:, 1] + r[:, 1] - m[:, 2] - m[:, 3] - m[:, 4] - m[:, 5]
+    return contract(U, V, g.reshape(len(U), -1), _ntv4_table(invm))
 
 
 def assemble4(groups, spec):

@@ -93,6 +93,34 @@ def scatter(cell, ww, mirror, xs):
     return [np.bincount(cell, ww * x, mirror.size)[mirror] for x in xs]
 
 
+def contract(U, V, M, table):
+    """(n, t, v) of the term pairs U, V (P, d) with moments M (P, K): (F ⊗ M) @ W,
+    F the features 1, U_i + V_i, U_i V_j (i-major), over the rows W keeps."""
+    (f, k, W), P = table, len(U)
+    F = np.concatenate((np.ones((P, 1)), U + V,
+                        (U[:, :, None] * V[:, None, :]).reshape(P, -1)), 1)
+    return ((F[:, f] * M[:, k]) @ W).T
+
+
+def coefficients(d, K, elements):
+    """`contract`'s table from a list of (weight, feature, column) per element,
+    the feature () for 1, (i,) for U_i + V_i, (i, j) for U_i V_j: nonzero rows."""
+    W = np.zeros((1 + d + d * d, K, len(elements)))
+    for e, entries in enumerate(elements):
+        for w, f, k in entries:
+            W[0 if not f else 1 + f[0] if len(f) == 1 else 1 + d + d * f[0] + f[1],
+              k, e] += w
+    f, k = np.nonzero(W.any(2))
+    return f, k, W[f, k]
+
+
+def kinetic(w, e, f, overlap, bracket):
+    """Entries of w p^2 (gradient form), exponents e, f on the particle's distances:
+    (u_e v_e + u_f v_f) overlap + (u_e v_f + u_f v_e) (weight, column) bracket."""
+    return ([(w, (e, e), overlap), (w, (f, f), overlap)]
+            + [(w * c, p, k) for c, k in bracket for p in ((e, f), (f, e))])
+
+
 def assemble(groups, pair):
     """Symmetric matrices over symmetrized basis vectors.
 

@@ -114,11 +114,11 @@ def _check_finite(N):
 
 
 def _reduce(block: MatBlock, floor):
-    """Canonical orthogonalization of the overlap: X, X^T T X and X^T V X.
+    """Canonical orthogonalization of the overlap: X, X^T T X, X^T V X, w.
 
-    X spans the overlap eigendirections above floor times the largest
-    overlap eigenvalue, scaled so that X^T N X = 1.  A non-finite overlap
-    raises LinAlgError: dsyevd does not always flag it, and its NaN
+    w holds the overlap's eigenvalues, ascending; X spans its eigendirections
+    above floor times the largest, scaled so that X^T N X = 1.  A non-finite
+    overlap raises LinAlgError: dsyevd does not always flag it, and its NaN
     eigenvalues fall below any floor, so it is checked once a direction
     drops out.
     """
@@ -131,7 +131,7 @@ def _reduce(block: MatBlock, floor):
         keep = w > cut
         X = U[:, keep] / np.sqrt(w[keep])
         _check_finite(N)
-    return X, X.T @ np.asarray(block.t_mat) @ X, X.T @ np.asarray(block.v_mat) @ X
+    return X, X.T @ np.asarray(block.t_mat) @ X, X.T @ np.asarray(block.v_mat) @ X, w
 
 
 def gen_eig(block: MatBlock, floor=1e-12):
@@ -142,7 +142,7 @@ def gen_eig(block: MatBlock, floor=1e-12):
     fewer eigenpairs, and each coefficient column c = X y lies in the kept
     subspace with c^T N c = 1.
     """
-    X, Tt, Vt = _reduce(block, floor)
+    X, Tt, Vt, _ = _reduce(block, floor)
     w, y = _dsyevd(_eigh_lo, Tt + Vt, "d->dd")
     return w, X @ y
 
@@ -303,7 +303,11 @@ def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
     behind eigvalsh without its wrapper.  A failed dsyevd leaves NaN, which
     raises LinAlgError.
     """
-    X, Tt, Vt = _reduce(block, floor)
+    return _lowest_over_scale(*_reduce(block, floor)[:3], k, bounds)
+
+
+def _lowest_over_scale(X, Tt, Vt, k, bounds=(0.05, 50.0)):
+    """`scaled_lowest` on a reduced pencil (`_reduce`'s X, Tt, Vt)."""
     if X.shape[1] <= k:
         return _BIG, 1.0
     with np.errstate(invalid="ignore"):    # the NaN check reports instead
@@ -452,13 +456,14 @@ _UN_COND_CAP = 1e8
 
 
 def _un_lowest(terms, spec, k=0):
+    """`scaled_lowest` of the 1+ block, refused past the condition cap."""
     blk = matel3.unnatural_matblock(terms, spec)
-    wN = _dsyevd(_eigvalsh_lo, np.asarray(blk.n_mat, dtype=float), "d->d")
+    *reduced, wN = _reduce(blk, 1e-12)
     if wN[0] <= 0 or wN[-1] > _UN_COND_CAP * wN[0]:
         _check_finite(blk.n_mat)      # NaN can leave finite eigenvalues
         raise CancellationError(
             "vector-sector overlap too ill-conditioned to trust")
-    return scaled_lowest(blk, k=k)
+    return _lowest_over_scale(*reduced, k)
 
 
 def _terms3(x):

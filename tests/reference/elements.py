@@ -1,18 +1,41 @@
 """Scalar matrix elements, one function per element family.
 
 Each reads the package's own moments (`matel3._g3_cells`, looked up at call
-time, and `matel4.moment4`) and writes out the float operations that the
-block kernels `matel3._elements_ntv` and `matel4._pair_ntv` inline, in the
-same order, so the kernels must match these to the bit.  `moment4` is
-`matel4._f4_moments` at one row and one cell, the serve the four-body kernel
-runs for a whole block.  The oracle checks them against quadrature.  Conventions are those of `matel3`
-and `matel4`.
+time, and `matel4.moment4`) and writes out each element as its own sum of
+exponent products times moments.  The block kernels (`matel3`'s blocks,
+`matel4._pair_ntv`) sum the same products in another order, one
+contraction with a coefficient table (`model.contract`), so the tests bound
+the difference by 1e-14 of the products' absolute sum (`abs_contract`), not
+to the bit.  `moment4` is `matel4._f4_moments` at one row and one cell,
+the serve the four-body kernel runs for a whole block.  The oracle checks
+these functions against quadrature.  Conventions are those of `matel3` and
+`matel4`.
 """
 
 import numpy as np
 
 from coulomb2e import matel3, matel4
-from coulomb2e.model import assemble
+from coulomb2e.model import UNNATURAL, assemble, contract
+
+
+def abs_contract(U, V, M, table):
+    """Sum over a kernel's products |W F M| per pair, with F = (1, U_i + V_i,
+    U_i V_j) built here: the scale of the contraction's round-off."""
+    f, k, W = table
+    P = len(U)
+    F = np.hstack([np.ones((P, 1)), U + V] + [U[:, [i]] * V for i in range(U.shape[1])])
+    return ((abs(F[:, f]) * abs(M[:, k])) @ abs(W)).T
+
+
+def kernel3(u, v, z, invm, sector=None):
+    """The three-body kernel's (overlap, kinetic, potential) and the absolute
+    sums of its products at the ordered term pairs u, v ((P, 3) arrays),
+    natural sector unless `sector` is UNNATURAL: (2, 3, P)."""
+    u, v = (np.array(x, dtype=float, ndmin=2) for x in (u, v))
+    cols, table = ((matel3._UN_COLS, matel3._un_table) if sector == UNNATURAL
+                   else (matel3._NTV_CELLS, matel3._ntv_table))
+    W, M = table(z, tuple(invm)), matel3._g3_cells(u + v, cols)
+    return np.array([contract(u, v, M, W), abs_contract(u, v, M, W)])
 
 
 # ---------------------------------------------------------------------------
@@ -31,6 +54,11 @@ def f3(alpha, beta, gamma):
 def g3(idx, alpha, beta, gamma):
     """One moment G(i,j,k; alpha,beta,gamma); any non-negative order."""
     return float(matel3._g3_cells(np.array([alpha, beta, gamma], float), (tuple(idx),))[0])
+
+
+def _split(t):
+    """Exponent columns (a, b, c) of one term (3,) or of stacked terms (P, 3)."""
+    return np.asarray(t, dtype=float).T
 
 
 def cells_at(u, v, cells):
@@ -60,8 +88,8 @@ def kinetic3(particle, t, tp):
     off-diagonal bracket carries the angular average of the unit-vector dot
     products, e.g. y^.z^ = (y^2+z^2-x^2)/(2yz).
     """
-    a, b, c = matel3._split(t)
-    ap, bp, cp = matel3._split(tp)
+    a, b, c = _split(t)
+    ap, bp, cp = _split(tp)
     G = cells_at(t, tp, matel3._NTV_CELLS)
     if particle == 1:
         return ((b * bp + c * cp) * G[1, 1, 1]
@@ -80,8 +108,8 @@ def he_cross(t, tp):
 
     Zero (to round-off) whenever neither term depends on r12.
     """
-    _, b, c = matel3._split(t)
-    ap, _, cp = matel3._split(tp)
+    _, b, c = _split(t)
+    ap, _, cp = _split(tp)
     G = cells_at(t, tp, matel3._NTV_CELLS)
     xy = 0.5 * (G[2, 0, 1] + G[0, 2, 1] - G[0, 0, 3])
     xz = 0.5 * (G[0, 3, 0] - G[2, 1, 0] - G[0, 1, 2])
@@ -100,6 +128,15 @@ def hughes_eckart_matrix(terms, spec):
 # ---------------------------------------------------------------------------
 # four-body: terms (a, b, c, d) on (r13, r14, r23, r24); the generating
 # function wants (r13, r23, r14, r24), hence the b<->c swap of to_F
+
+
+def kernel4(U, V, invm):
+    """The four-body kernel's (overlap, kinetic, potential) and the absolute
+    sums of its products at the ordered term pairs U, V: (2, 3, P)."""
+    X = U + V
+    g = matel4._f4_moments(X[:, [0, 2, 1, 3, 0, 1, 2, 3]].reshape(-1, 4), matel4._MOMENTS)
+    return np.array([matel4._pair_ntv(U, V, invm),
+                     abs_contract(U, V, g.reshape(len(U), -1), matel4._ntv4_table(invm))])
 
 
 def f4(a, b, c, d, u=0.0):

@@ -14,7 +14,7 @@ from functools import cache
 import numpy as np
 
 from coulomb2e import matel3, matel4
-from coulomb2e.model import hminus_spec
+from coulomb2e.model import UNNATURAL, hminus_spec
 
 from . import elements as el
 
@@ -217,9 +217,8 @@ def manifest():
     w2 = matel3._W2
     ut, uu = (0.5, 0.2, 0.1), (0.4, 0.3, 0.05)
     ua = tuple(x + y for x, y in zip(ut, uu))
-    cases.append(("un_overlap", matel3._un_pair(ut, uu, 1.0, (0.0, 1, 1))[0],
-                  quad3_poly(_unnorm(w2, (1, 1, 1)), *ua), 1e-8))
-    n_un, t_un, v_un = matel3._un_pair(ut, uu, 1.0, (0.0, 1.0, 1.0))
+    n_un, t_un, v_un = el.kernel3(ut, uu, 1.0, (0.0, 1.0, 1.0), UNNATURAL)[0, :, 0]
+    cases.append(("un_overlap", n_un, quad3_poly(_unnorm(w2, (1, 1, 1)), *ua), 1e-8))
     vq = (-quad3_poly(_unnorm(w2, (0, 1, 1)), *ua)
           - quad3_poly(_unnorm(w2, (1, 0, 1)), *ua)
           + quad3_poly(_unnorm(w2, (1, 1, 0)), *ua))

@@ -333,3 +333,28 @@ def test_runs_without_scipy():
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_outputs_compare(tmp_path, capsys):
+    # scripts/cli_outputs.py --compare runs nothing: equal directories exit
+    # 0; a moved number is printed with its line and relative change and
+    # exits 1, and a missing file counts as a difference
+    script = Path(__file__).parents[1] / "scripts" / "cli_outputs.py"
+    spec = importlib.util.spec_from_file_location("cli_outputs", script)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    old, new = tmp_path / "old", tmp_path / "new"
+    for d in (old, new):
+        d.mkdir()
+        for argv in mod.COMMANDS:
+            (d / mod._file_name(argv)).write_text('{\n  "energy": -0.5,\n  "nfev": 40\n}\n')
+    assert mod.compare(new, old) and capsys.readouterr().out == ""
+    name = mod._file_name(mod.COMMANDS[0])
+    (new / name).write_text('{\n  "energy": -0.5,\n  "nfev": 42\n}\n')
+    run = subprocess.run([sys.executable, str(script), "--outdir", str(new), "--compare", str(old)],
+                         capture_output=True, text=True)
+    assert run.returncode == 1 and f"{name}:" in run.stdout
+    assert '-   "nfev": 40' in run.stdout and '+   "nfev": 42' in run.stdout
+    assert "largest relative change: 0.05" in run.stdout
+    (new / name).unlink()
+    assert not mod.compare(new, old) and "missing" in capsys.readouterr().out

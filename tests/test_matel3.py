@@ -6,7 +6,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from coulomb2e import matel3, solve
+from coulomb2e import matel3, matel4, solve
 from coulomb2e.model import hminus_spec, UNNATURAL
 from reference import elements as el, oracle
 
@@ -177,9 +177,10 @@ def test_he_cross_vanishes_diagonal_no_r12():
 @pytest.mark.parametrize("invm", [(0.0, 1.0, 1.0), (1 / 7.3, 1.0, 1.0),
                                   (0.0, 1.2, 0.8)])
 def test_elements_ntv_are_kinetic3_and_he_cross(invm):
-    # the block elements inline kinetic3 (particles 1, 2) and he_cross over
-    # one table of the _NTV_CELLS moments: the same expressions in the same
-    # order, to the bit
+    # the natural kernel's one contraction against kinetic3 (particles 1, 2)
+    # and he_cross written out over the same _NTV_CELLS moments: the two sum
+    # the same products in another order, so they agree to 1e-14 of the
+    # products' absolute sum
     rng = np.random.default_rng(3)
     u, v = (rng.uniform((0.3, 0.1, -0.05), (2.5, 1.5, 0.3), (40, 3)) for _ in "uv")
     z, (im0, im1, im2) = 1.7, invm
@@ -189,8 +190,87 @@ def test_elements_ntv_are_kinetic3_and_he_cross(invm):
         tt = tt + im0 * el.he_cross(u, v)
     G = el.cells_at(u, v, matel3._NTV_CELLS)
     pot = -z * G[1, 0, 1] - z * G[0, 1, 1] + G[1, 1, 0]
-    for g, w in zip(matel3._elements_ntv(u, v, z, invm), (G[1, 1, 1], tt, pot)):
-        assert np.array_equal(g, w)
+    got, scale = el.kernel3(u, v, z, invm)
+    assert np.all(abs(got - (G[1, 1, 1], tt, pot)) <= 1e-14 * scale)
+
+
+# the natural elements in exact arithmetic: G is rational at float exponents
+def _ntv_exact(u, v, z, invm):
+    (a, b, c), (ap, bp, cp) = map(Fraction, u), map(Fraction, v)
+    al, be, ga = a + ap, b + bp, c + cp
+    memo = {}
+
+    def G(*idx):
+        if idx not in memo:
+            memo[idx] = _g_exact(*idx, al + be, be + ga, ga + al)
+        return memo[idx]
+
+    n = G(1, 1, 1)
+    # the angular brackets y^.z^ yz, x^.z^ xz and x^.y^ xy over the measure
+    yz = (G(1, 2, 0) + G(1, 0, 2) - G(3, 0, 0)) / 2
+    xz = (G(2, 1, 0) + G(0, 1, 2) - G(0, 3, 0)) / 2
+    xy = (G(2, 0, 1) + G(0, 2, 1) - G(0, 0, 3)) / 2
+    k1 = (b * bp + c * cp) * n + (b * cp + bp * c) * yz
+    k2 = (a * ap + c * cp) * n + (a * cp + ap * c) * xz
+    cross = ap * b * xy - ap * c * xz - b * cp * yz - c * cp * n      # <px.py>
+    im0, im1, im2 = map(Fraction, invm)
+    z = Fraction(z)
+    return (n, (im1 + im0) / 2 * k1 + (im2 + im0) / 2 * k2 + im0 * cross,
+            -z * G(1, 0, 1) - z * G(0, 1, 1) + G(1, 1, 0))
+
+
+def _natural_pairs():
+    rng = np.random.default_rng(25)
+    terms = [(1.1, 0.6, 0.0), (0.9, 0.45, 0.0),              # c = 0
+             (1.2, 0.7, -0.05), (0.8, 0.5, -0.02),           # small negative c
+             (1.3, 1.3 + 1e-9, 0.2), (0.9, 0.9 - 1e-9, 0.1),  # a ~ b
+             (2.4, 2.4e-4, 0.05), (2.4e-4, 2.4, 0.05),       # anisotropy 1e4
+             (2.4, 2.4e-4, 0.0)]
+    terms += [tuple(map(float, rng.uniform((0.3, 0.1, -0.05), (2.5, 1.5, 0.3))))
+              for _ in range(5)]
+    return [(u, v) for u in terms for v in terms]
+
+
+@pytest.mark.parametrize("invm", [(0.0, 1.0, 1.0), (1 / 7.3, 1.0, 1.0), (0.0, 1.2, 0.8)],
+                         ids=["inf-mass", "recoil", "unequal"])
+def test_natural_kernel_exact(invm):
+    # every element of the natural kernel within 2e-15 relative of exact
+    # rationals, over 196 ordered pairs of terms with c = 0 and small
+    # negative c, a ~ b within 1e-9, anisotropy 1e4 and seeded ones.  Under
+    # recoil the kinetic products of the two cross pairs at anisotropy 1e4
+    # cancel (their absolute sum is 29 and 57 times t; the earlier kernel
+    # read 2.7e-15 relative there too): there the bound is 2e-15 of that sum
+    pairs = _natural_pairs()
+    U, V = (np.array(x) for x in zip(*pairs))
+    got, scale = el.kernel3(U, V, 1.7, invm)
+    cancel = []
+    for p, (u, v) in enumerate(pairs):
+        for e, (x, want) in enumerate(zip(got[:, p], _ntv_exact(u, v, 1.7, invm))):
+            if scale[e, p] > 10 * abs(x):
+                cancel.append((e, u, v))
+                want_scale = Fraction(scale[e, p])
+            else:
+                want_scale = abs(want)
+            assert abs(Fraction(float(x)) - want) <= Fraction(2e-15) * want_scale, (u, v)
+    assert set(cancel) == (set() if invm[0] == 0.0 else {
+        (1, (2.4e-4, 2.4, 0.05), (2.4, 2.4e-4, 0.0)), (1, (2.4e-4, 2.4, 0.05), (2.4, 2.4e-4, 0.05))})
+
+
+def test_coefficient_tables_miss_once_per_spec():
+    # each kernel's table is built at a solve's first block and served from
+    # its lru after: one miss per spec, natural, 1+ and four-body (one per
+    # mass ratio of a scan)
+    tables = (matel3._ntv_table, matel3._un_table, matel4._ntv4_table)
+    for table in tables:
+        assert table.cache_info().maxsize is not None
+        table.cache_clear()
+    config = solve.MinimizerConfig(seed=0, restarts=1, max_iter=200)
+    solve.optimize_ion(hminus_spec(z=1.0), 2, config)
+    solve.optimize_ion(hminus_spec(z=1.0, sector=UNNATURAL), 2, config)
+    solve.scan_mass4([1.0, 2.0], "cc-break",
+                     solve.MinimizerConfig(seed=0, restarts=1, max_iter=20))
+    assert [t.cache_info().misses for t in tables] == [1, 1, 2]
+    assert [t.cache_info().hits for t in tables] >= [199, 199, 39]
 
 
 def test_plan_cache_is_bounded_and_misses_only_fixed_column_sets(monkeypatch):
@@ -365,7 +445,7 @@ def test_un_overlap_vs_quadrature():
     ua = tuple(x + y for x, y in zip(ut, uu))
     w2 = {(i + 1, j + 1, k + 1): c for (i, j, k), c in matel3._W2.items()}
     q = oracle.quad3_poly(w2, *ua)
-    n = matel3._un_pair(ut, uu, 1.0, (0.0, 1.0, 1.0))[0]
+    n = el.kernel3(ut, uu, 1.0, (0.0, 1.0, 1.0), UNNATURAL)[0, 0, 0]
     assert n == pytest.approx(q, rel=1e-8)
 
 
@@ -402,7 +482,7 @@ def test_unnatural_block_exchange_weighting():
     blk = matel3.unnatural_matblock(terms, spec)
     for i, ti in enumerate(terms):
         for j, tj in enumerate(terms):
-            want = sum(np.array(matel3._un_pair(u, v, 1.0, spec.inv_masses))
+            want = sum(el.kernel3(u, v, 1.0, spec.inv_masses, UNNATURAL)[0, :, 0]
                        for u in (ti, _swap(ti)) for v in (tj, _swap(tj)))
             got = [blk.n_mat[i, j], blk.t_mat[i, j], blk.v_mat[i, j]]
             assert got == pytest.approx(want, rel=1e-14)
@@ -463,7 +543,7 @@ def _un_pair_exact(u, v, invm, z=1):
 
 
 def _assert_un_pair_exact(u, v, invm, tol_t=2e-15):
-    got = matel3._un_pair(u, v, 1.0, invm)
+    got = el.kernel3(u, v, 1.0, invm, UNNATURAL)[0, :, 0]
     for x, want, tol in zip(got, _un_pair_exact(u, v, invm),
                             (2e-15, tol_t, 2e-15)):
         assert abs(Fraction(float(x)) - want) <= Fraction(tol) * abs(want)

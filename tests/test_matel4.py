@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 from coulomb2e import matel4, solve
 from coulomb2e.jets import Jet
-from coulomb2e.model import SystemSpec, ps2_spec
+from coulomb2e.model import SystemSpec, assemble, ps2_spec
 from reference import elements as el, oracle
 from reference.jets import variable
 
@@ -234,13 +234,14 @@ def _near(rng, x):
 
 @pytest.mark.parametrize("mode", ["cc-break", "identity-break"])
 def test_assemble4_matches_pairwise_sum(mode):
-    # the array-valued assembler must reproduce, bit for bit, the weighted
-    # per-pair sum in group order of the scalar element functions: the fixed
-    # block below, then 100 seeded blocks at ratios in [1, 3] with
-    # near-degenerate exponents, then two with infinitely heavy positives,
-    # then ten of the seeded blocks dilated by factors in [1e-2, 1e2] (both
-    # sides read each table through `_f4_moments` and scale its cells by the
-    # same numpy power of h)
+    # the array-valued assembler must reproduce the weighted per-pair sum in
+    # group order of the scalar element functions, to 1e-14 of the absolute
+    # sum of the weighted pair contributions (the kernel's one contraction
+    # adds the same products in another order): the fixed block below, then
+    # 100 seeded blocks at ratios in [1, 3] with near-degenerate exponents,
+    # then two with infinitely heavy positives, then ten of the seeded blocks
+    # dilated by factors in [1e-2, 1e2] (both sides read each table through
+    # `_f4_moments` and scale its cells by the same numpy power of h)
     rng = np.random.default_rng(2009)
     if mode == "cc-break":
         cases = [(1.7, [matel4.symmetrized_group(T1),
@@ -271,8 +272,10 @@ def test_assemble4_matches_pairwise_sum(mode):
         spec = heavy if ratio is None else solve._four_spec(mode, ratio)
         blk = matel4.assemble4(groups, spec)
         want = _pairwise_block(groups, spec)
-        for got, ref in zip((blk.n_mat, blk.t_mat, blk.v_mat), want):
-            assert got.tobytes() == ref.tobytes(), (ratio, groups)
+        scale = assemble([[(abs(w), t) for w, t in g] for g in groups],
+                         lambda U, V: el.kernel4(U, V, spec.inv_masses)[1])
+        for got, ref, s in zip((blk.n_mat, blk.t_mat, blk.v_mat), want, scale):
+            assert np.all(abs(got - ref) <= 1e-14 * s), (ratio, groups)
 
 
 def _f4_args(seed):
@@ -296,21 +299,36 @@ def _f4_args(seed):
 
 
 def test_f4_tables_match_full_table_products(monkeypatch):
-    # jet products build every F4 table to the bit as the plain bincount over
-    # the layout's full pair table does, over _f4_args' 2 000 argument sets
-    args = _f4_args(15)
-    fast = [matel4._f4_jet(*x, _ideal()).c for x in args]
+    # jet products build F4 tables to the bit as a schoolbook truncated
+    # product does: for each kept multi-index i, then each kept j (both in
+    # the layout's row-major order), a_i b_j is added to the cell of i + j
+    # if that is kept, from 0.0.  21 argument sets: the first 20 of
+    # _f4_args (near-degenerate, anisotropic, both sides of the switch) and
+    # exact degeneracy
+    args = _f4_args(15)[:20] + [(1.3, 1.3, 0.8, 0.8)]
+    r = [abs(_r_at(*x)) for x in args]
+    assert min(r) == 0.0 and max(r) > matel4._R_SWITCH
+    lay = _ideal()
+    cells = [i for i in np.ndindex(matel4._SHAPE)
+             if sum(i) <= matel4._DEGREE and _below_moments(i)]
+    assert cells == list(lay.index)
+    pos = {c: k for k, c in enumerate(cells)}
+    triples = [(ki, kj, pos[o]) for ki, ci in enumerate(cells) for kj, cj in enumerate(cells)
+               if (o := tuple(p + q for p, q in zip(ci, cj))) in pos]
+    fast = [matel4._f4_jet(*x, lay).c for x in args]
 
-    def full(self, other):
+    def schoolbook(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.c * other, self.lay)
-        lay = self.lay
-        return Jet(np.bincount(lay.po, self.c[lay.pi] * other.c[lay.pj], lay.n), lay)
+            return Jet(np.array([x * other for x in self.c.tolist()]), self.lay)
+        a, b, acc = self.c.tolist(), other.c.tolist(), [0.0] * len(cells)
+        for i, j, o in triples:
+            acc[o] += a[i] * b[j]
+        return Jet(np.array(acc), self.lay)
 
-    monkeypatch.setattr(Jet, "__mul__", full)
-    monkeypatch.setattr(Jet, "__rmul__", full)
+    monkeypatch.setattr(Jet, "__mul__", schoolbook)
+    monkeypatch.setattr(Jet, "__rmul__", schoolbook)
     for x, c in zip(args, fast):
-        assert matel4._f4_jet(*x, _ideal()).c.tobytes() == c.tobytes(), x
+        assert matel4._f4_jet(*x, lay).c.tobytes() == c.tobytes(), x
 
 
 def test_f4_ideal_reads_as_the_box_build():

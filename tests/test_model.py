@@ -160,24 +160,26 @@ def test_assemble_matches_the_per_pair_loop(build, monkeypatch):
 
 def test_gather_matches_the_exchange_groups():
     # the cached gather gives the blocks of model.assemble over the exchange
-    # groups, bit for bit: both signs, unsymmetrized, the vector sector,
-    # infinite and finite masses, n = 1, 2, 3, 8, array and tuple terms
+    # groups with the same kernel, bit for bit: both signs, unsymmetrized,
+    # the vector sector, infinite and finite masses, n = 1, 2, 3, 8, array
+    # and tuple terms
     rng = np.random.default_rng(22)
     for n in (1, 2, 3, 8):
         for _ in range(3):
             x = rng.uniform((0.3, 0.1, -0.05), (2.5, 1.5, 0.3), (n, 3))
             for ratio in (float("inf"), 1.0, 7.3):
-                cases = [(matel3.unnatural_matblock, matel3._un_pair,
+                cases = [(matel3.unnatural_matblock, matel3._UN_COLS, matel3._un_table,
                           hminus_spec(z=1.0, mass_ratio=ratio, sector=UNNATURAL), +1, ())]
+                nat = (matel3.natural_matblock, matel3._NTV_CELLS, matel3._ntv_table)
                 for eps in (+1, -1):
                     s = hminus_spec(z=2.0, mass_ratio=ratio, epsilon=eps)
-                    cases.append((matel3.natural_matblock, matel3._elements_ntv, s, eps, ()))
-                cases.append((matel3.natural_matblock, matel3._elements_ntv,
-                              hminus_spec(z=1.0, mass_ratio=ratio), None, (False,)))
-                for build, pair, s, eps, extra in cases:
-                    want = model.assemble(
-                        matel3._exchange_groups(x.tolist(), eps),
-                        lambda u, v: pair(u, v, s.z_central, s.inv_masses))
+                    cases.append((*nat, s, eps, ()))
+                cases.append((*nat, hminus_spec(z=1.0, mass_ratio=ratio), None, (False,)))
+                for build, cols, table, s, eps, extra in cases:
+                    W = table(s.z_central, s.inv_masses)
+                    want = model.assemble(matel3._exchange_groups(x.tolist(), eps),
+                                          lambda u, v: model.contract(
+                                              u, v, matel3._g3_cells(u + v, cols), W))
                     for terms in (x, [tuple(t) for t in x.tolist()]):
                         got = _mats(build(terms, s, *extra))
                         for g, w in zip(got, want, strict=True):

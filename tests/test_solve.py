@@ -412,37 +412,62 @@ def test_a_surviving_nan_overlap_raises_linalg_error(n, monkeypatch):
 
 
 # He 1^1S, He 2^3S and H-, N = 2, seed 0, one restart of 500 evaluations (the
-# ion-natural benchmark's first pass): energy and meta.scale by repr, as the
-# gufunc-only scale step and the per-pair assembler gave them
+# ion-natural benchmark's first pass): energy and meta.scale by repr as the
+# hand-written pair kernels gave them (the gufunc-only scale step and the
+# per-pair assembler gave the same), kept as the bound of _near_earlier
 ION_NATURAL_TRIPLE = [
     (2.0, +1, "-2.903251970081735", "1.1472800645303336"),
     (2.0, -1, "-2.175121180616898", "0.8466134174580716"),
     (1.0, +1, "-0.5242612513639442", "0.2491886831474205"),
 ]
+# the same solves with one contraction per block kernel, by repr
+_ION_NATURAL_NOW = {
+    (2.0, +1): ("-2.903251970081701", "1.1472800645308565"),
+    (2.0, -1): ("-2.175121180616907", "0.8466134174581209"),
+    (1.0, +1): ("-0.5242612513639443", "0.24918868684382195"),
+}
+
+
+def _near_earlier(res, energy, scale):
+    # the contraction adds the kernels' products in another order: the
+    # energy stays within 1e-13 relative of the earlier repr, and the scale,
+    # the argmin of a flat minimum (a move of order sqrt(1e-14)), within 1e-7
+    assert abs(res.energy - float(energy)) <= 1e-13 * abs(float(energy))
+    assert abs(res.meta["scale"] - float(scale)) <= 1e-7 * float(scale)
 
 
 @pytest.mark.parametrize("z, eps, energy, scale", ION_NATURAL_TRIPLE)
 def test_ion_natural_triple_is_bit_stable(z, eps, energy, scale):
     res = solve.optimize_ion(hminus_spec(z=z, epsilon=eps), 2,
                              MinimizerConfig(seed=0, restarts=1, max_iter=500))
-    assert (repr(res.energy), repr(res.meta["scale"])) == (energy, scale)
+    assert (repr(res.energy), repr(res.meta["scale"])) == _ION_NATURAL_NOW[z, eps]
+    _near_earlier(res, energy, scale)
 
 
 # 1+ H- N = 1 and N = 3, and 1+ Ps- N = 2 (mass ratio 1), seed 0, two
 # restarts of 40 evaluations (the ion-unnatural benchmark's first pass):
-# energy and meta.scale by repr, as the per-evaluation exchange groups gave them
+# energy and meta.scale by repr as the hand-written pair kernels gave them
+# (the per-evaluation exchange groups gave the same), kept as the bound of
+# _near_earlier
 ION_UNNATURAL_TRIPLE = [
     (float("inf"), 1, "-0.12463796799623836", "0.6817864720154923"),
     (float("inf"), 3, "-0.12533415559387107", "0.5282831872478222"),
     (1.0, 2, "-0.06237422670012612", "0.3793482769101034"),
 ]
+# the same solves with one contraction per block kernel, by repr
+_ION_UNNATURAL_NOW = {
+    (float("inf"), 1): ("-0.1246379679962384", "0.6817864720154874"),
+    (float("inf"), 3): ("-0.1253341555938711", "0.5282831872476283"),
+    (1.0, 2): ("-0.06237422670012614", "0.37934827128312365"),
+}
 
 
 @pytest.mark.parametrize("ratio, n, energy, scale", ION_UNNATURAL_TRIPLE)
 def test_ion_unnatural_triple_is_bit_stable(ratio, n, energy, scale):
     spec = hminus_spec(z=1.0, mass_ratio=ratio, sector=UNNATURAL)
     res = solve.optimize_ion(spec, n, MinimizerConfig(seed=0, restarts=2, max_iter=40))
-    assert (repr(res.energy), repr(res.meta["scale"])) == (energy, scale)
+    assert (repr(res.energy), repr(res.meta["scale"])) == _ION_UNNATURAL_NOW[ratio, n]
+    _near_earlier(res, energy, scale)
 
 
 def _quotient(block, c, lam):
@@ -1013,6 +1038,33 @@ def test_un_lowest_rejects_near_duplicate_basis():
         solve._un_lowest([t0, t1], spec)
 
 
+def test_one_overlap_eigendecomposition_per_vector_evaluation(monkeypatch):
+    # the 1+ condition cap reads the eigenvalues of _reduce's one overlap
+    # eigendecomposition: every 1+ evaluation, refused by the cap or not,
+    # decomposes its overlap once
+    blocks, seen = [], []
+    build, dsyevd = matel3.unnatural_matblock, solve._dsyevd
+
+    def spy_build(terms, spec):
+        blocks.append(build(terms, spec))
+        return blocks[-1]
+
+    def spy_dsyevd(gufunc, a, signature):
+        if blocks and a.shape == blocks[-1].n_mat.shape and np.array_equal(a, blocks[-1].n_mat):
+            seen.append(len(blocks))
+        return dsyevd(gufunc, a, signature)
+
+    monkeypatch.setattr(matel3, "unnatural_matblock", spy_build)
+    monkeypatch.setattr(solve, "_dsyevd", spy_dsyevd)
+    spec = hminus_spec(z=1.0, sector=UNNATURAL)
+    x0 = np.ravel(solve._un_seed(spec, 2))
+    info = solve._search3(spec, x0, MinimizerConfig(seed=0, restarts=1, max_iter=100))[2]
+    with pytest.raises(solve.CancellationError):
+        solve._un_lowest([(0.5, 0.22, -0.03), (0.5, 0.22 + 2e-8, -0.03)], spec)
+    assert len(blocks) == info["nfev"] + 1 == 101
+    assert seen == list(range(1, len(blocks) + 1))
+
+
 def test_un_single_term_hminus_does_not_bind():
     spec = hminus_spec(z=1.0, sector=UNNATURAL)
     e, _ = solve._un_lowest([(0.477, 0.213, -0.060)], spec)
@@ -1038,26 +1090,33 @@ def test_scan_mass4_records_report_the_search():
 
 # the molecule4 benchmark's seed-0 passes 0-2 (simplex seed = pass, ratios
 # [1, r] with r from default_rng([0, pass, 4])), with numpy 2.4.6: the
-# energies with one F4 table per dilation x Klein orbit, served at the
-# arguments over their largest, then those of one table per Klein orbit
-# (the earlier tables), which they must stay within 1e-14 relative of
+# energies with one contraction per block, then those of the hand-written
+# pair kernel (the same F4 tables), which they must stay within 1e-13
+# relative of, then those of one table per Klein orbit (the earlier
+# tables), which they must stay within 1e-14 relative of
 _MASS4_PINNED = {
     ("cc-break", 0, 2.9842160587427786): (
+        ("-0.5042331263235788", "-0.5042551752675355"),
         ("-0.5042331263235792", "-0.5042551752675358"),
         ("-0.5042331263235788", "-0.5042551752675357")),
     ("identity-break", 0, 1.9016348825652267): (
+        ("-0.5042296509175104", "-0.5042318399637696"),
         ("-0.5042296509175104", "-0.5042318399637694"),
         ("-0.5042296509175103", "-0.5042318399637695")),
     ("cc-break", 1, 1.4495932749446765): (
+        ("-0.5042331263235788", "-0.5042528375326888"),
         ("-0.5042331263235792", "-0.5042528375326893"),
         ("-0.5042331263235788", "-0.5042528375326891")),
     ("identity-break", 1, 1.8201738521820963): (
+        ("-0.5042296509175104", "-0.5042318399637693"),
         ("-0.5042296509175104", "-0.5042318399637691"),
         ("-0.5042296509175103", "-0.5042318399637695")),
     ("cc-break", 2, 2.5509440505289005): (
+        ("-0.5042331263235788", "-0.5042547199587674"),
         ("-0.5042331263235792", "-0.5042547199587678"),
         ("-0.5042331263235788", "-0.5042547199587676")),
     ("identity-break", 2, 2.3277955399766577): (
+        ("-0.5042296509175104", "-0.5042318399637694"),
         ("-0.5042296509175104", "-0.5042318399637691"),
         ("-0.5042296509175103", "-0.5042318399637695")),
 }
@@ -1068,9 +1127,10 @@ def test_scan_mass4_energies_pinned(mode, seed, ratio):
     rows = solve.scan_mass4([1.0, ratio], mode,
                             MinimizerConfig(seed=seed, restarts=1, max_iter=8))
     got = tuple(repr(float(r["energy"])) for r in rows)
-    pinned, per_argument_set = _MASS4_PINNED[mode, seed, ratio]
+    pinned, pair_kernel, per_argument_set = _MASS4_PINNED[mode, seed, ratio]
     assert got == pinned
-    for e, e0 in zip(map(float, got), map(float, per_argument_set)):
+    for e, e1, e0 in zip(map(float, got), map(float, pair_kernel), map(float, per_argument_set)):
+        assert abs(e - e1) <= 1e-13 * abs(e1)
         assert abs(e - e0) <= 1e-14 * abs(e0)
 
 

@@ -26,6 +26,7 @@ import time
 COMMANDS = [
     ["tables", "--table", "1"],
     ["tables", "--table", "2", "--rows", "c=0"],
+    ["tables", "--table", "2", "--rows", "N=2"],
     ["scan", "charge", "--basis", "chandrasekhar"],
     ["ion", "--sector", "unnatural", "--terms", "3"],
     ["ion", "--sector", "unnatural", "--mass-ratio", "1", "--terms", "2"],

@@ -48,6 +48,19 @@ import numpy as np
 from .model import MatBlock, UNNATURAL, _layout, coefficients, contract, kinetic, scatter
 
 
+class _Columns(tuple):
+    """A fixed column tuple that hashes once: a tuple hashes all its nested
+    items at every lookup, and `_plan`'s lru looks its key up per block."""
+
+    def __new__(cls, cols):
+        self = super().__new__(cls, cols)
+        self.hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self.hash
+
+
 @lru_cache(maxsize=64)   # a solve reuses one set; g3_table brings one per order
 def _plan(cols):
     """(powers, exps, coef): col[..., c] = sum_m coef[m, c] prod_n s_n^-powers[n, m],
@@ -102,7 +115,7 @@ def g3_table(alpha, beta, gamma, omax):     # kept: perfbench probes and traces 
 
 # the cells the scalar-sector elements read: Coulomb (order 2), overlap and
 # the kinetic and recoil brackets (order 3)
-_NTV_CELLS = tuple(c for c in product(range(4), repeat=3) if 2 <= sum(c) <= 3)
+_NTV_CELLS = _Columns(c for c in product(range(4), repeat=3) if 2 <= sum(c) <= 3)
 
 
 @lru_cache(maxsize=64)   # a solve keeps one spec; a mass scan one per ratio
@@ -290,13 +303,13 @@ def _wcol(q):
 # Merged, every monomial coefficient of the first seven is positive
 # (|x_vec cross y_vec|^2 is Heron's (p+q+r)pqr/4 in perimetric coordinates),
 # so those columns are sums of positive terms and cannot cancel.
-_UN_COLS = (
+_UN_COLS = _Columns((
     *(_wcol(q) for q in ({(1, 1, 1): 1}, {(0, 1, 1): 1}, {(1, 0, 1): 1},
                          {(1, 1, 0): 1})),
     (((3, 1, 1), 2),), (((1, 3, 1), 2),), (((1, 1, 3), 2),),
     *(_wcol(q) for q in ({(1, 2, 0): 0.5, (1, 0, 2): 0.5, (3, 0, 0): -0.5},
                          {(2, 1, 0): 0.5, (0, 1, 2): 0.5, (0, 3, 0): -0.5},
-                         {(2, 0, 1): 0.5, (0, 2, 1): 0.5, (0, 0, 3): -0.5})))
+                         {(2, 0, 1): 0.5, (0, 2, 1): 0.5, (0, 0, 3): -0.5}))))
 
 
 @lru_cache(maxsize=64)   # a solve keeps one spec; a mass scan one per ratio

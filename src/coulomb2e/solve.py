@@ -3,13 +3,15 @@ eigensolves, and the stability scans.
 
 Everything here optimizes Rayleigh quotients built from the closed-form
 matrix elements.  Every eigensolve reduces the overlap the same way
-(`_reduce`, canonical orthogonalization with a relative floor), so a printed
-energy, its coefficients and its virial ratio come from one pencil.  For a
-scale-closed family the optimal scale is analytic (single term) or a
-one-dimensional bounded search over the lowest eigenvalue of the reduced
-lam^2 T + lam V (multi-term), so a search needs only the shape.  A
-one-parameter shape goes to `_grid_min`: min-max, the critical charge and
-the mass scans (and the frozen scan); the single correlated term fixes a = 1.
+(`_reduce`, canonical orthogonalization with a relative floor; one or two
+terms on Python floats, `_reduce2`), so a printed energy, its coefficients
+and its virial ratio come from one pencil.  For a scale-closed family the
+optimal scale is analytic (one kept direction: the vertex of
+lam^2 t + lam v) or a one-dimensional bounded search over the lowest
+eigenvalue of the reduced lam^2 T + lam V, so a search needs only the
+shape.  A one-parameter shape goes to `_grid_min`: min-max, the critical
+charge and the mass scans (and the frozen scan); the single correlated term
+fixes a = 1.
 Every three-body simplex runs through `_search3`, whose objective hands the
 simplex point to the block builders as its (n, 3) view; Table I's two-range
 and shell-model searches walk t alone at a = 1 (`_shape_search`).  The N-term
@@ -20,11 +22,12 @@ No scipy runs here: `_fminbound`, `_nelder_mead` and `_brentq` port
 scipy's bounded Brent, Nelder-Mead and brentq step for step, to the bit.
 The simplex runs on Python floats (numpy's per-call cost on 2- to 9-vectors
 outweighed the arithmetic) and leaves ties and NaN to np.argsort's own order.
-The scale step of a one- or two-direction pencil runs on Python floats too,
-one closure per pencil that mirrors dsyevd's arithmetic to the bit
-(`_scale_step`).  `_reduce` masks the overlap eigenvectors only when a
-direction drops.  Eigensolves call numpy's private eigh_lo and eigvalsh_lo
-(`_dsyevd`): numpy < 3.
+The scale step of a two-direction pencil runs on Python floats too, one
+closure per pencil that mirrors dsyevd's arithmetic to the bit (`_step2`),
+so the scale search of a block of one or two terms makes no LAPACK call.  `_reduce` masks the
+overlap eigenvectors only when a direction drops.  From three terms on the
+eigensolves call numpy's private eigh_lo and eigvalsh_lo (`_dsyevd`):
+numpy < 3.
 """
 
 import math
@@ -113,6 +116,63 @@ def _check_finite(N):
         raise np.linalg.LinAlgError("overlap matrix is not finite")
 
 
+def _reduce2(N, T, V, floor):
+    """`_reduce` of a one- or two-term block on Python floats: N, T and V
+    are nested lists (their lower triangles are read), and the kept columns
+    of X, Tt, Vt and w come back as lists.
+
+    A 2 x 2 overlap is diagonalized by one Jacobi rotation (the symmetric
+    Schur step of Golub & Van Loan, Matrix Computations, section 8.5); the
+    floor, the order of w and the non-finite overlap check are `_reduce`'s.
+    A non-finite T or V entry with a direction kept raises LinAlgError
+    (here for two terms, in `_vertex` for one).
+    """
+    if len(N) == 1:
+        (w0,), = N
+        if not w0 > floor * max(w0, 1e-300):      # NaN drops too
+            _check_finite(N)
+            return [], [], [], [w0]
+        x = 1.0 / math.sqrt(w0)
+        return [(x,)], [[T[0][0] * x * x]], [[V[0][0] * x * x]], [w0]
+    (a, _), (b, d) = N
+    t = 0.0                         # tan of the rotation angle, |t| <= 1
+    if b != 0.0:
+        tau = (d - a) / (b + b)
+        t = (1.0 / (tau + math.hypot(1.0, tau)) if tau >= 0.0
+             else -1.0 / (math.hypot(1.0, tau) - tau))
+    c = 1.0 / math.hypot(1.0, t)
+    s = t * c
+    w, U = [a - t * b, d + t * b], [(c, -s), (s, c)]
+    if w[1] < w[0]:
+        w.reverse()
+        U.reverse()
+    cut = floor * max(w[1], 1e-300)     # max keeps a NaN w[1]
+    cols = [(x0 / r, x1 / r) for (x0, x1), wi in zip(U, w) if wi > cut
+            for r in (math.sqrt(wi),)]
+    (t0, _), (t1, t2) = T
+    (v0, _), (v1, v2) = V
+    if cols and not all(map(math.isfinite, (t0, t1, t2, v0, v1, v2))):
+        raise np.linalg.LinAlgError("kinetic or potential matrix is not finite")
+    # x^T M y = p m0 + q m1 + r m2 with (p, q, r) = (x0 y0, x0 y1 + x1 y0, x1 y1)
+    if len(cols) < 2:
+        _check_finite(N)
+        pqr = [(x0 * x0, x0 * x1 + x1 * x0, x1 * x1) for x0, x1 in cols]
+        return (cols, [[p * t0 + q * t1 + r * t2] for p, q, r in pqr],
+                [[p * v0 + q * v1 + r * v2] for p, q, r in pqr], w)
+    (x0, x1), (y0, y1) = cols
+    p0, q0, r0 = x0 * x0, x0 * x1 + x1 * x0, x1 * x1
+    p1, q1, r1 = x0 * y0, x0 * y1 + x1 * y0, x1 * y1
+    p2, q2, r2 = y0 * y0, y0 * y1 + y1 * y0, y1 * y1
+    tb, vb = p1 * t0 + q1 * t1 + r1 * t2, p1 * v0 + q1 * v1 + r1 * v2
+    return (cols, [[p0 * t0 + q0 * t1 + r0 * t2, tb], [tb, p2 * t0 + q2 * t1 + r2 * t2]],
+            [[p0 * v0 + q0 * v1 + r0 * v2, vb], [vb, p2 * v0 + q2 * v1 + r2 * v2]], w)
+
+
+def _floats(block):
+    """The block's N, T and V as nested lists of Python floats."""
+    return [np.asarray(m, dtype=float).tolist() for m in (block.n_mat, block.t_mat, block.v_mat)]
+
+
 def _reduce(block: MatBlock, floor):
     """Canonical orthogonalization of the overlap: X, X^T T X, X^T V X, w.
 
@@ -120,9 +180,16 @@ def _reduce(block: MatBlock, floor):
     above floor times the largest, scaled so that X^T N X = 1.  A non-finite
     overlap raises LinAlgError: dsyevd does not always flag it, and its NaN
     eigenvalues fall below any floor, so it is checked once a direction
-    drops out.
+    drops out.  One or two terms go through `_reduce2` (Python floats, no
+    LAPACK), so a printed coefficient comes from the scale search's pencil;
+    three or more through dsyevd and matmuls.
     """
     N = np.asarray(block.n_mat, dtype=float)
+    if len(N) <= 2:
+        cols, Tt, Vt, w = _reduce2(*_floats(block), floor)
+        m = len(Tt)
+        return (np.array(cols).reshape(m, len(N)).T, np.array(Tt).reshape(m, m),
+                np.array(Vt).reshape(m, m), np.array(w))
     w, U = _dsyevd(_eigh_lo, N, "d->dd")
     cut = floor * max(w[-1], 1e-300)
     if w.min() > cut:              # every direction kept (min propagates NaN)
@@ -132,6 +199,13 @@ def _reduce(block: MatBlock, floor):
         X = U[:, keep] / np.sqrt(w[keep])
         _check_finite(N)
     return X, X.T @ np.asarray(block.t_mat) @ X, X.T @ np.asarray(block.v_mat) @ X, w
+
+
+def _reduced(block, floor):
+    """`_reduce`'s (Tt, Vt, w), for one or two terms as `_reduce2`'s lists."""
+    if len(block.n_mat) <= 2:
+        return _reduce2(*_floats(block), floor)[1:]
+    return _reduce(block, floor)[1:]
 
 
 def gen_eig(block: MatBlock, floor=1e-12):
@@ -170,7 +244,8 @@ def _fminbound(f, a, b, xatol):
     num = 1
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    third = xatol / 3.0
+    tol1 = _SQRT_EPS * abs(xf) + third
     tol2 = 2.0 * tol1
     while abs(xf - xm) > tol2 - 0.5 * (b - a):
         golden = True
@@ -182,7 +257,8 @@ def _fminbound(f, a, b, xatol):
             q = 2.0 * (q - r)
             if q > 0.0:
                 p = -p
-            q = abs(q)
+            else:
+                q = -q          # |q|: a zero's sign moves no comparison
             r = e
             e = rat
             if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
@@ -195,7 +271,7 @@ def _fminbound(f, a, b, xatol):
         if golden:
             e = (a - xf) if xf >= xm else (b - xf)
             rat = _GOLDEN * e
-        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        x = xf + max(rat, tol1) if rat >= 0 else xf - max(-rat, tol1)
         fu = f(x)
         num += 1
         if fu <= fx:
@@ -217,7 +293,7 @@ def _fminbound(f, a, b, xatol):
             elif fu <= ffulc or fulc == xf or fulc == nfc:
                 fulc, ffulc = x, fu
         xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol1 = _SQRT_EPS * abs(xf) + third
         tol2 = 2.0 * tol1
         if num >= _FMIN_MAXFUN:
             break
@@ -241,17 +317,19 @@ def _grid_min(f, grid):
 
 
 def _scale_step(Tt, Vt, k):
-    """lam -> the k-th eigenvalue of lam^2 Tt + lam Vt (see scaled_lowest), one
-    closure per size; the 2 x 2 Python step is finite where it runs (NaN: gufunc)."""
-    lapack = lambda lam: _checked(float(
+    """lam -> the k-th eigenvalue of lam^2 Tt + lam Vt (see scaled_lowest):
+    `_step2` for two directions, else the gufunc (NaN raises LinAlgError)."""
+    if len(Tt) == 2:
+        ((t0, _), (t1, t2)), ((v0, _), (v1, v2)) = Tt, Vt
+        return _step2(*map(float, (t0, t1, t2, v0, v1, v2)), k)
+    return lambda lam: _checked(float(
         _eigvalsh_lo(lam * lam * Tt + lam * Vt, signature="d->d")[k]))
-    if len(Tt) == 1:
-        [[t]], [[v]] = Tt.tolist(), Vt.tolist()
-        return lambda lam: _checked(lam * lam * t + lam * v)
-    if len(Tt) != 2:
-        return lapack
-    ((t0, _), (t1, t2)), ((v0, _), (v1, v2)) = Tt.tolist(), Vt.tolist()
-    eps, low = 2.0 ** -53, k == 0
+
+
+def _step2(t0, t1, t2, v0, v1, v2, k):
+    """lam -> the k-th eigenvalue of the 2 x 2 pencil with lower triangles
+    (t0, t1, t2) and (v0, v1, v2), on Python floats where they are in range."""
+    sqrt, eps, eps2, low = math.sqrt, 2.0 ** -53, 2.0 ** -106, k == 0
 
     def step2(lam):
         # dsyevd (jobz='N') at n = 2 on the lower triangle d1; e, d2: dsytrd
@@ -259,59 +337,99 @@ def _scale_step(Tt, Vt, k):
         # first when |d2| < |d1| (QR); dlasrt sorts.  Only 1e-120 <
         # max|entry| < 1e140 runs here, inside the range that dsyevd (up to
         # 2^485) and dsterf (from 2^-405) run unscaled; NaN and inf fail it.
+        # (Plain branches: a conditional tuple costs a build and an unpack.)
         l2 = lam * lam
         d1, e, d2 = l2 * t0 + lam * v0, l2 * t1 + lam * v1, l2 * t2 + lam * v2
         a1, ae, a2 = abs(d1), abs(e), abs(d2)
         if not (a1 < 1e140 and ae < 1e140 and a2 < 1e140
                 and (a1 > 1e-120 or ae > 1e-120 or a2 > 1e-120)):
-            return lapack(lam)
+            with np.errstate(invalid="ignore"):    # the NaN check reports instead
+                return _checked(float(_eigvalsh_lo(np.array([[d1, e], [e, d2]]),
+                                                   signature="d->d")[k]))
         e2 = e * e
-        if ae > math.sqrt(a1) * math.sqrt(a2) * eps and e2 > eps * eps * abs(d1 * d2):
-            a, c = (d2, d1) if a2 < a1 else (d1, d2)
-            b = math.sqrt(e2)
-            sm, adf, ab = a + c, abs(a - c), abs(b + b)
-            acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
-            hi, lo = (adf, ab) if adf > ab else (ab, adf)   # ab > 0; a tie gives sqrt(2)
+        if ae > sqrt(a1) * sqrt(a2) * eps and e2 > eps2 * abs(d1 * d2):
+            swap = a2 < a1
+            if swap:
+                a, c = d2, d1
+                aa, ac = a2, a1
+            else:
+                a, c = d1, d2
+                aa, ac = a1, a2
+            b = sqrt(e2)
+            sm, adf, ab = a + c, abs(a - c), b + b      # b >= 0: |b + b|
+            if aa > ac:
+                acmx, acmn = a, c
+            else:
+                acmx, acmn = c, a
+            if adf > ab:
+                hi, lo = adf, ab
+            else:
+                hi, lo = ab, adf            # ab > 0; a tie gives sqrt(2)
             q = lo / hi
-            rt = hi * math.sqrt(1.0 + q * q)
+            rt = hi * sqrt(1.0 + q * q)
             rt1 = 0.5 * (sm - rt) if sm < 0.0 else 0.5 * (sm + rt)
             rt2 = -0.5 * rt if sm == 0.0 else (acmx / rt1) * acmn - (b / rt1) * b
-            d1, d2 = (rt2, rt1) if a2 < a1 else (rt1, rt2)
+            if swap:
+                d1, d2 = rt2, rt1
+            else:
+                d1, d2 = rt1, rt2
         return d2 if (d2 < d1) == low else d1     # the k-th of the sorted pair
 
     return step2
 
 
+def _vertex(t, v, bounds):
+    """min of lam^2 t + lam v over lam in bounds: (E, lam), the vertex
+    -v / (2 t) clipped to bounds when t > 0, else the lower edge value."""
+    if not (math.isfinite(t) and math.isfinite(v)):
+        raise np.linalg.LinAlgError("scale pencil is not finite")
+    lo, hi = bounds
+    if t > 0.0:
+        lam = min(max(-v / (2.0 * t), lo), hi)
+        return lam * lam * t + lam * v, lam
+    return min((lam * lam * t + lam * v, lam) for lam in (lo, hi))
+
+
 def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
     """k-th eigenvalue minimized over the overall scale of the basis.
 
-    The overlap is reduced by `_reduce` first, which keeps the search robust
-    when the simplex wanders into near-collinear bases.
+    The overlap is reduced by `_reduce` first (one or two terms in Python
+    floats, `_reduce2`), which keeps the search robust when the simplex
+    wanders into near-collinear bases; (_BIG, 1.0) when fewer than k + 1
+    directions survive the floor.
 
-    The scale search is a local bounded Brent search.  E(lam), the k-th
-    eigenvalue of lam^2 T + lam V, is a minimum of parabolas and need not be
-    convex, so on some blocks it stops in a local minimum above the global
-    one.  The curated starts and the printed energies were tuned with this
-    search, and a global reduction steers the simplex of the N = 2 H- solve
-    into an ill-conditioned basin that ends above the Table II value
-    (ROADMAP item 5).  Each step (`_scale_step`) returns np.linalg.eigvalsh's
-    values to the bit (LAPACK dsyevd, lower triangle).  One direction is the
-    entry itself; two mirror dsyevd's dsterf and dlae2 arithmetic in Python
-    floats inside the step's own closure, which assumes a LAPACK whose dlae2
-    is built without FMA contraction, as `test_scale_step_is_eigvalsh`
-    checks.  Three or more, or a 2 x 2 that dsyevd rescales, call the gufunc
-    behind eigvalsh without its wrapper.  A failed dsyevd leaves NaN, which
-    raises LinAlgError.
+    One kept direction is the parabola lam^2 t + lam v: its vertex, clipped
+    to bounds (`_vertex`).  Two or more go to a local bounded Brent search.
+    E(lam), the k-th eigenvalue of lam^2 T + lam V, is a minimum of
+    parabolas and need not be convex, so on some blocks it stops in a local
+    minimum above the global one.  The curated starts and the printed
+    energies were tuned with this search, and a global reduction steers the
+    simplex of the N = 2 H- solve into an ill-conditioned basin that ends
+    above the Table II value (ROADMAP item 5).  Each step (`_scale_step`)
+    returns np.linalg.eigvalsh's values to the bit (LAPACK dsyevd, lower
+    triangle): two directions mirror dsyevd's dsterf and dlae2 arithmetic in
+    Python floats (`_step2`), which assumes a LAPACK whose dlae2 is built
+    without FMA contraction, as `test_scale_step_is_eigvalsh` checks.  Three
+    or more, or a 2 x 2 that dsyevd rescales, call the gufunc behind
+    eigvalsh without its wrapper.  A failed dsyevd leaves NaN, which raises
+    LinAlgError, as does a non-finite one-direction pencil.
     """
-    return _lowest_over_scale(*_reduce(block, floor)[:3], k, bounds)
+    return _lowest_over_scale(*_reduced(block, floor)[:2], k, bounds)
 
 
-def _lowest_over_scale(X, Tt, Vt, k, bounds=(0.05, 50.0)):
-    """`scaled_lowest` on a reduced pencil (`_reduce`'s X, Tt, Vt)."""
-    if X.shape[1] <= k:
+def _lowest_over_scale(Tt, Vt, k, bounds=(0.05, 50.0)):
+    """`scaled_lowest` on a reduced pencil (`_reduced`'s Tt, Vt)."""
+    m = len(Tt)
+    if m <= k:
         return _BIG, 1.0
-    with np.errstate(invalid="ignore"):    # the NaN check reports instead
-        lam, e, _ = _fminbound(_scale_step(Tt, Vt, k), bounds[0], bounds[1], 1e-12)
+    if m == 1:
+        return _vertex(float(Tt[0][0]), float(Vt[0][0]), bounds)
+    step = _scale_step(Tt, Vt, k)
+    if m == 2:                  # errstate only around _step2's gufunc fallback
+        lam, e, _ = _fminbound(step, bounds[0], bounds[1], 1e-12)
+    else:
+        with np.errstate(invalid="ignore"):    # the NaN check reports instead
+            lam, e, _ = _fminbound(step, bounds[0], bounds[1], 1e-12)
     return e, lam
 
 
@@ -458,12 +576,12 @@ _UN_COND_CAP = 1e8
 def _un_lowest(terms, spec, k=0):
     """`scaled_lowest` of the 1+ block, refused past the condition cap."""
     blk = matel3.unnatural_matblock(terms, spec)
-    *reduced, wN = _reduce(blk, 1e-12)
+    Tt, Vt, wN = _reduced(blk, 1e-12)
     if wN[0] <= 0 or wN[-1] > _UN_COND_CAP * wN[0]:
         _check_finite(blk.n_mat)      # NaN can leave finite eigenvalues
         raise CancellationError(
             "vector-sector overlap too ill-conditioned to trust")
-    return _lowest_over_scale(*reduced, k)
+    return _lowest_over_scale(Tt, Vt, k)
 
 
 def _terms3(x):

@@ -273,6 +273,15 @@ def test_coefficient_tables_miss_once_per_spec():
     assert [t.cache_info().hits for t in tables] >= [199, 199, 39]
 
 
+def test_kernel_column_sets_hash_once_as_their_tuples():
+    # the two kernels' column sets are tuples whose hash is computed once,
+    # equal in value and hash to the plain tuples, so _plan serves either
+    for cols in (matel3._NTV_CELLS, matel3._UN_COLS):
+        plain = tuple(cols)
+        assert cols == plain and hash(cols) == hash(plain) == cols.hash
+        assert matel3._plan(plain) is matel3._plan(cols)
+
+
 def test_plan_cache_is_bounded_and_misses_only_fixed_column_sets(monkeypatch):
     # a whole optimize_ion solve builds the plan of its one column set at
     # its first evaluation and never again

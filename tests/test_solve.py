@@ -130,8 +130,8 @@ def test_scaled_lowest_search_is_local():
     assert e == pytest.approx(-0.4677059591, abs=1e-9)
 
 
-def _scaled_lowest_ref(block, floor=1e-12, bounds=(0.05, 50.0)):
-    Tt, Vt = _pencil(block, floor)
+def _scaled_lowest_ref(block, floor=1e-12, bounds=(0.05, 50.0), pencil=_pencil):
+    Tt, Vt = pencil(block, floor)
     r = minimize_scalar(lambda lam: np.linalg.eigvalsh(lam * lam * Tt + lam * Vt)[0],
                         bounds=bounds, method="bounded", options=dict(xatol=1e-12))
     return float(r.fun), float(r.x)
@@ -158,11 +158,113 @@ def _sample_blocks():
     return out
 
 
+def _float_pencil(block, floor=1e-12):
+    # the pencil of the Python-float reduction (one or two terms)
+    assert len(block.n_mat) <= 2
+    return solve._reduce(block, floor)[1:3]
+
+
 def test_scaled_lowest_matches_scipy_eigvalsh_reference():
     # scipy's bounded Brent over np.linalg.eigvalsh: the same (E, lam) to
-    # the bit
-    for block, kw in _sample_blocks():
-        assert scaled_lowest(block, **kw) == _scaled_lowest_ref(block, **kw)
+    # the bit, on the LAPACK pencil from three terms on and on the
+    # Python-float pencil of two terms
+    sample = [(b, kw) for b, kw in _sample_blocks() if len(b.n_mat) >= 2]
+    assert {len(b.n_mat) for b, _ in sample} == {2, 3, 8}
+    for block, kw in sample:
+        pencil = _float_pencil if len(block.n_mat) == 2 else _pencil
+        assert len(pencil(block, kw.get("floor", 1e-12))[0]) == len(block.n_mat)
+        assert scaled_lowest(block, **kw) == _scaled_lowest_ref(block, **kw, pencil=pencil)
+
+
+def test_one_direction_scale_is_the_clipped_vertex():
+    # one kept direction: lam^2 t + lam v has its minimum at -v / (2 t),
+    # clipped to the bounds; no search runs.  scipy's bounded Brent search
+    # lands within its tolerance of the same point, a few ulp higher at best
+    sample = [(b, kw) for b, kw in _sample_blocks() if len(b.n_mat) == 1]
+    assert len(sample) == 6
+    for block, kw in sample:
+        (t,), (v,) = (m.ravel().tolist() for m in _float_pencil(block, kw.get("floor", 1e-12)))
+        lo, hi = kw.get("bounds", (0.05, 50.0))
+        lam = min(max(-v / (2.0 * t), lo), hi)
+        e = scaled_lowest(block, **kw)
+        assert e == (lam * lam * t + lam * v, lam)
+        e_ref, lam_ref = _scaled_lowest_ref(block, **kw)
+        assert e[0] <= e_ref + 4 * math.ulp(e_ref)
+        assert abs(lam - lam_ref) <= 1e-7 * lam_ref
+    # the clip, and a pencil without a minimum: the lower edge value
+    blk = lambda t, v: MatBlock(np.eye(1), np.array([[t]]), np.array([[v]]))
+    assert scaled_lowest(blk(1.0, -200.0)) == (50.0 * 50.0 - 200.0 * 50.0, 50.0)
+    assert scaled_lowest(blk(1.0, 0.02)) == (0.05 * 0.05 + 0.02 * 0.05, 0.05)
+    assert scaled_lowest(blk(0.0, -1.0)) == (-50.0, 50.0)
+    assert scaled_lowest(blk(-1.0, 100.0)) == (0.05 * 0.05 * -1.0 + 0.05 * 100.0, 0.05)
+    assert scaled_lowest(blk(1.0, -1.0), k=1) == (solve._BIG, 1.0)
+
+
+# c of the a priori bound c eps cond(N) (max |e| + |H| / |N|) on the
+# difference of the two reductions' eigenvalues: the Jacobi or dsyevd
+# eigenpairs of N are backward stable (a few eps |N|), a 2 x 2 congruence
+# adds a few eps |x|^2 |H| with |x|^2 = 1 / w_min, and both sides err;
+# first-order perturbation of the pencil then gives a handful of eps times
+# cond(N) times the size.  c = 64 is set a priori from this estimate, not
+# fitted to the sample.
+_REDUCE_C = 64
+
+
+def _overlaps2(rng):
+    # 2 x 2 overlaps with the corners of the rotation and the floor
+    def rot(th, w0, w1):
+        R = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+        return R @ np.diag([w0, w1]) @ R.T
+
+    out = [np.diag([2.0, 0.5]), np.diag([0.5, 2.0]),          # zero coupling
+           np.array([[1.3, 0.4], [0.4, 1.3]]),                # equal diagonals
+           np.array([[1.3, -0.9], [-0.9, 1.3]]),
+           np.array([[1.3, 1e-300], [1e-300, 0.7]]),          # a 1e-300 coupling
+           np.array([[0.7, 1e-300], [1e-300, 0.7]])]
+    # w0 / w1 on both sides of the 1e-12 and 1e-11 floors, and near-dependent
+    # pairs with cond(N) from 1e8 to 3e11; each ratio sits 1.5x or more off
+    # a floor, where w0's own rounding (eps cond(N) relative) cannot move it
+    for ratio in (3e-13, 3e-12, 1.5e-11, 3e-11, 1e-10, 1e-9, 1e-8):
+        for _ in range(6):
+            out.append(rot(rng.uniform(0.0, math.pi), ratio * 1.7, 1.7))
+    for _ in range(40):
+        A = rng.standard_normal((2, 2))
+        out.append(A @ A.T + 0.05 * np.eye(2))
+    return out
+
+
+def test_float_reduction_matches_the_lapack_pencil():
+    # the Python-float reduction of one- and two-term blocks against dsyevd
+    # plus matmuls (_pencil): the same kept directions, and the eigenvalues
+    # of lam^2 Tt + lam Vt within the a priori bound at three scales
+    rng = np.random.default_rng(26)
+    blocks = [(b, kw.get("floor", 1e-12)) for b, kw in _sample_blocks()
+              if len(b.n_mat) <= 2]
+    for delta in (1e-4, 1e-5, 3e-6):                          # near-dependent terms
+        terms = [(1.07, 0.45, 0.05), (1.07 + delta, 0.45, 0.05 + delta)]
+        blocks.append((matel3.natural_matblock(terms, hminus_spec(z=1.0)), 1e-12))
+    for N in _overlaps2(rng):
+        B = rng.standard_normal((2, 2))
+        T, V = B @ B.T + 0.1 * np.eye(2), -(np.abs(B) + np.abs(B).T)
+        blocks += [(MatBlock(N, T, V), floor) for floor in (1e-12, 1e-11)]
+    conds = []
+    for block, floor in blocks:
+        X, Tt, Vt, w = solve._reduce(block, floor)
+        Tr, Vr = _pencil(block, floor)
+        assert Tt.shape == Tr.shape
+        wr = np.linalg.eigvalsh(block.n_mat)
+        assert np.allclose(w, wr, rtol=0, atol=8 * 2.0 ** -52 * wr[-1])
+        if not len(Tt):
+            continue
+        cond = wr[-1] / wr[len(wr) - len(Tt)]
+        conds.append(cond)
+        for lam in (0.05, 1.0, 50.0):
+            H = lam * lam * np.asarray(block.t_mat) + lam * np.asarray(block.v_mat)
+            e, er = (np.linalg.eigvalsh(lam * lam * a + lam * b) for a, b in
+                     ((Tt, Vt), (Tr, Vr)))
+            size = np.abs(er).max() + np.linalg.norm(H, 2) / wr[-1]
+            assert np.all(np.abs(e - er) <= _REDUCE_C * 2.0 ** -52 * cond * size)
+    assert max(conds) > 1e10 and min(conds) < 10
 
 
 def _bits(x):
@@ -279,13 +381,21 @@ def test_scaled_lowest_raises_on_a_non_finite_entry(n, bad):
 
 
 def test_small_pencils_skip_the_gufunc_and_larger_ones_use_it(monkeypatch):
-    calls = _spy_gufunc(monkeypatch)
-    spec = hminus_spec(z=1.0)
+    # one and two terms: no LAPACK call at all, neither for the overlap
+    # (_dsyevd) nor for the scale steps (_eigvalsh_lo), in scaled_lowest,
+    # the 1+ _un_lowest and _reduce; three terms call both
+    calls, dsyevd = _spy_gufunc(monkeypatch), solve._dsyevd
+    monkeypatch.setattr(solve, "_dsyevd", lambda gufunc, a, signature: (
+        calls.append(("dsyevd", len(a))) or dsyevd(gufunc, a, signature)))
+    spec, un = hminus_spec(z=1.0), hminus_spec(z=1.0, sector=UNNATURAL)
     for n in (1, 2):
-        scaled_lowest(matel3.natural_matblock(solve._NAT_SEEDS[1.0, +1, n, 0], spec))
+        blk = matel3.natural_matblock(solve._NAT_SEEDS[1.0, +1, n, 0], spec)
+        assert solve._reduce(blk, 1e-12)[0].shape == (n, n)
+        scaled_lowest(blk)
+        assert solve._un_lowest(solve._UN_SEEDS[1.0, (0.0, 1.0, 1.0), 2][:n], un)[0] < 0
     assert calls == []
     scaled_lowest(matel3.natural_matblock(solve._NAT_SEEDS[1.0, +1, 3, 0], spec))
-    assert calls and set(calls) == {3}
+    assert calls[0] == ("dsyevd", 3) and set(calls[1:]) == {3}
 
 
 def test_scaled_lowest_raises_when_lapack_fails(monkeypatch):
@@ -420,18 +530,27 @@ ION_NATURAL_TRIPLE = [
     (2.0, -1, "-2.175121180616898", "0.8466134174580716"),
     (1.0, +1, "-0.5242612513639442", "0.2491886831474205"),
 ]
-# the same solves with one contraction per block kernel, by repr
-_ION_NATURAL_NOW = {
+# the same solves with one contraction per block kernel, by repr, kept as a
+# second bound of _near_earlier
+ION_NATURAL_CONTRACTION = {
     (2.0, +1): ("-2.903251970081701", "1.1472800645308565"),
     (2.0, -1): ("-2.175121180616907", "0.8466134174581209"),
     (1.0, +1): ("-0.5242612513639443", "0.24918868684382195"),
 }
+# and with the Python-float reduction of one- and two-term pencils, by repr
+_ION_NATURAL_NOW = {
+    (2.0, +1): ("-2.9032519700817967", "1.1472800475133644"),
+    (2.0, -1): ("-2.175121180616906", "0.8466134300158042"),
+    (1.0, +1): ("-0.5242612513639444", "0.24918868314339815"),
+}
 
 
 def _near_earlier(res, energy, scale):
-    # the contraction adds the kernels' products in another order: the
-    # energy stays within 1e-13 relative of the earlier repr, and the scale,
-    # the argmin of a flat minimum (a move of order sqrt(1e-14)), within 1e-7
+    # the contraction adds the kernels' products in another order, and the
+    # float reduction rounds the overlap's eigenpairs and congruences in
+    # another order: the energy stays within 1e-13 relative of each earlier
+    # repr, and the scale, the argmin of a flat minimum (a move of order
+    # sqrt(1e-14)), within 1e-7
     assert abs(res.energy - float(energy)) <= 1e-13 * abs(float(energy))
     assert abs(res.meta["scale"] - float(scale)) <= 1e-7 * float(scale)
 
@@ -442,6 +561,7 @@ def test_ion_natural_triple_is_bit_stable(z, eps, energy, scale):
                              MinimizerConfig(seed=0, restarts=1, max_iter=500))
     assert (repr(res.energy), repr(res.meta["scale"])) == _ION_NATURAL_NOW[z, eps]
     _near_earlier(res, energy, scale)
+    _near_earlier(res, *ION_NATURAL_CONTRACTION[z, eps])
 
 
 # 1+ H- N = 1 and N = 3, and 1+ Ps- N = 2 (mass ratio 1), seed 0, two
@@ -454,11 +574,19 @@ ION_UNNATURAL_TRIPLE = [
     (float("inf"), 3, "-0.12533415559387107", "0.5282831872478222"),
     (1.0, 2, "-0.06237422670012612", "0.3793482769101034"),
 ]
-# the same solves with one contraction per block kernel, by repr
-_ION_UNNATURAL_NOW = {
+# the same solves with one contraction per block kernel, by repr, kept as a
+# second bound of _near_earlier
+ION_UNNATURAL_CONTRACTION = {
     (float("inf"), 1): ("-0.1246379679962384", "0.6817864720154874"),
     (float("inf"), 3): ("-0.1253341555938711", "0.5282831872476283"),
     (1.0, 2): ("-0.06237422670012614", "0.37934827128312365"),
+}
+# and with the Python-float reduction of one- and two-term pencils (N = 3
+# keeps the LAPACK reduction and its bits), by repr
+_ION_UNNATURAL_NOW = {
+    (float("inf"), 1): ("-0.1246379679962384", "0.6817864720154893"),
+    (float("inf"), 3): ("-0.1253341555938711", "0.5282831872476283"),
+    (1.0, 2): ("-0.062374226700126136", "0.37934827691010276"),
 }
 
 
@@ -468,6 +596,7 @@ def test_ion_unnatural_triple_is_bit_stable(ratio, n, energy, scale):
     res = solve.optimize_ion(spec, n, MinimizerConfig(seed=0, restarts=2, max_iter=40))
     assert (repr(res.energy), repr(res.meta["scale"])) == _ION_UNNATURAL_NOW[ratio, n]
     _near_earlier(res, energy, scale)
+    _near_earlier(res, *ION_UNNATURAL_CONTRACTION[ratio, n])
 
 
 def _quotient(block, c, lam):
@@ -1039,22 +1168,28 @@ def test_un_lowest_rejects_near_duplicate_basis():
 
 
 def test_one_overlap_eigendecomposition_per_vector_evaluation(monkeypatch):
-    # the 1+ condition cap reads the eigenvalues of _reduce's one overlap
-    # eigendecomposition: every 1+ evaluation, refused by the cap or not,
-    # decomposes its overlap once
+    # the 1+ condition cap reads the eigenvalues of the reduction's one
+    # overlap eigendecomposition (for two terms the Python-float one,
+    # _reduce2): every 1+ evaluation, refused by the cap or not, decomposes
+    # its overlap once, and none calls LAPACK's
     blocks, seen = [], []
-    build, dsyevd = matel3.unnatural_matblock, solve._dsyevd
+    build, reduce2, dsyevd = matel3.unnatural_matblock, solve._reduce2, solve._dsyevd
 
     def spy_build(terms, spec):
         blocks.append(build(terms, spec))
         return blocks[-1]
 
-    def spy_dsyevd(gufunc, a, signature):
-        if blocks and a.shape == blocks[-1].n_mat.shape and np.array_equal(a, blocks[-1].n_mat):
+    def spy_reduce2(N, T, V, floor):
+        if blocks and np.array_equal(N, blocks[-1].n_mat):
             seen.append(len(blocks))
+        return reduce2(N, T, V, floor)
+
+    def spy_dsyevd(gufunc, a, signature):
+        seen.append("dsyevd")
         return dsyevd(gufunc, a, signature)
 
     monkeypatch.setattr(matel3, "unnatural_matblock", spy_build)
+    monkeypatch.setattr(solve, "_reduce2", spy_reduce2)
     monkeypatch.setattr(solve, "_dsyevd", spy_dsyevd)
     spec = hminus_spec(z=1.0, sector=UNNATURAL)
     x0 = np.ravel(solve._un_seed(spec, 2))
@@ -1090,32 +1225,40 @@ def test_scan_mass4_records_report_the_search():
 
 # the molecule4 benchmark's seed-0 passes 0-2 (simplex seed = pass, ratios
 # [1, r] with r from default_rng([0, pass, 4])), with numpy 2.4.6: the
-# energies with one contraction per block, then those of the hand-written
+# energies with the Python-float reduction of one- and two-term pencils,
+# then those with one contraction per block (the LAPACK reduction), which
+# they must stay within 1e-13 relative of, then those of the hand-written
 # pair kernel (the same F4 tables), which they must stay within 1e-13
 # relative of, then those of one table per Klein orbit (the earlier
 # tables), which they must stay within 1e-14 relative of
 _MASS4_PINNED = {
     ("cc-break", 0, 2.9842160587427786): (
+        ("-0.5042331263235788", "-0.5042551752675354"),
         ("-0.5042331263235788", "-0.5042551752675355"),
         ("-0.5042331263235792", "-0.5042551752675358"),
         ("-0.5042331263235788", "-0.5042551752675357")),
     ("identity-break", 0, 1.9016348825652267): (
+        ("-0.5042296509175102", "-0.5042318399637696"),
         ("-0.5042296509175104", "-0.5042318399637696"),
         ("-0.5042296509175104", "-0.5042318399637694"),
         ("-0.5042296509175103", "-0.5042318399637695")),
     ("cc-break", 1, 1.4495932749446765): (
         ("-0.5042331263235788", "-0.5042528375326888"),
+        ("-0.5042331263235788", "-0.5042528375326888"),
         ("-0.5042331263235792", "-0.5042528375326893"),
         ("-0.5042331263235788", "-0.5042528375326891")),
     ("identity-break", 1, 1.8201738521820963): (
+        ("-0.5042296509175102", "-0.5042318399637693"),
         ("-0.5042296509175104", "-0.5042318399637693"),
         ("-0.5042296509175104", "-0.5042318399637691"),
         ("-0.5042296509175103", "-0.5042318399637695")),
     ("cc-break", 2, 2.5509440505289005): (
         ("-0.5042331263235788", "-0.5042547199587674"),
+        ("-0.5042331263235788", "-0.5042547199587674"),
         ("-0.5042331263235792", "-0.5042547199587678"),
         ("-0.5042331263235788", "-0.5042547199587676")),
     ("identity-break", 2, 2.3277955399766577): (
+        ("-0.5042296509175102", "-0.5042318399637695"),
         ("-0.5042296509175104", "-0.5042318399637694"),
         ("-0.5042296509175104", "-0.5042318399637691"),
         ("-0.5042296509175103", "-0.5042318399637695")),
@@ -1127,9 +1270,11 @@ def test_scan_mass4_energies_pinned(mode, seed, ratio):
     rows = solve.scan_mass4([1.0, ratio], mode,
                             MinimizerConfig(seed=seed, restarts=1, max_iter=8))
     got = tuple(repr(float(r["energy"])) for r in rows)
-    pinned, pair_kernel, per_argument_set = _MASS4_PINNED[mode, seed, ratio]
+    pinned, contraction, pair_kernel, per_argument_set = _MASS4_PINNED[mode, seed, ratio]
     assert got == pinned
-    for e, e1, e0 in zip(map(float, got), map(float, pair_kernel), map(float, per_argument_set)):
+    for e, e2, e1, e0 in zip(map(float, got), map(float, contraction),
+                             map(float, pair_kernel), map(float, per_argument_set)):
+        assert abs(e - e2) <= 1e-13 * abs(e2)
         assert abs(e - e1) <= 1e-13 * abs(e1)
         assert abs(e - e0) <= 1e-14 * abs(e0)
 

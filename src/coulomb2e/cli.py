@@ -141,8 +141,11 @@ def cmd_molecule(args):
         # the solve runs at unit average inverse mass; energies and ranges
         # scale linearly with the mass unit s that restores the given masses
         s = 2.0 / (1.0 / max(parts) + 1.0 / min(parts))
+        # cc-break solves heavy positives: lighter ones are its charge
+        # conjugate, which relabels r14 <-> r23, i.e. (a, b, c, d) -> (a, c, b, d)
+        conjugate = args.mode == "cc-break" and parts[0] < parts[2]
     else:
-        ratio, s = args.ratio, 1.0
+        ratio, s, conjugate = args.ratio, 1.0, False
     label = f"molecule mode={args.mode} ratio={ratio:g}"
     t0 = time.perf_counter()
     res = solve.molecule_result(args.mode, ratio, _config(args, restarts=1,
@@ -152,10 +155,9 @@ def cmd_molecule(args):
     res.energy *= s
     res.threshold = TwoBodyThreshold(s * thr.mu, s * thr.e_ground, s * thr.e_2p,
                                      thr.label)
-    if args.mode == "ps2":   # params = [beta] is a shape; the range is the scale
-        res.meta["scale"] *= s
-    else:
-        res.params = [s * p for p in res.params]
+    res.meta["scale"] *= s   # the ranges are params times the scale (ps2: the scale)
+    if conjugate:
+        res.params = [res.params[i] for i in (0, 2, 1, 3)]
     return _emit_result(res, label, args, ["energy", "margin", "stable"], wall)
 
 

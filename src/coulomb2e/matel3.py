@@ -28,11 +28,10 @@ product).
 An element is a fixed sum of exponent features (1, u_i + v_i, u_i v_j)
 times these moments: a block's kernel is one `_g3_cells` call and one
 `model.contract` with a table that the lru `_ntv_table` or `_un_table`
-builds once per (z, inverse masses).  A block is `model.assemble` over the
-exchange groups of its terms, without building them: `_gather` (an lru
-keyed by the basis size and the exchange sign) holds the flat indices into
-the (n, 3) exponent array of every ordered upper-triangle term pair in
-assemble's u-major order: two gathers, the kernel and `model.scatter`.
+builds once per (z, inverse masses).  A block is `model.block` over the
+(n, 3) exponent array and the exchange maps `_EXCHANGE[epsilon]`: two
+gathers of the flat indices that the lru `model.gather` holds per (basis
+size, maps), the kernel, and one scatter.
 
 Term convention: a 3-tuple (a, b, c) means exp(-a*x - b*y - c*z), i.e. `a` on
 electron 2's distance, `b` on electron 1's, `c` on r12.  Electron exchange is
@@ -45,7 +44,7 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 
-from .model import MatBlock, UNNATURAL, _layout, coefficients, contract, kinetic, scatter
+from .model import UNNATURAL, block, coefficients, contract, kinetic
 
 
 class _Columns(tuple):
@@ -136,34 +135,18 @@ def _ntv_table(z, invm):
         (-z, (), G["101"]), (-z, (), G["011"]), (1.0, (), G["110"])]))
 
 
-def _exchange_groups(terms, epsilon):
-    """One group per term: t + epsilon * (a<->b), or t alone for epsilon None."""
-    tl = [tuple(t) for t in terms]
-    if epsilon is None:
-        return [[(1.0, t)] for t in tl]
-    return [[(1.0, t), (float(epsilon), (t[1], t[0], t[2]))] for t in tl]
-
-
-@lru_cache(maxsize=64)   # a solve keeps one (n, epsilon); a scan a few
-def _gather(n, epsilon):
-    """`assemble`'s layout of _exchange_groups over n terms, read from the
-    flat (n, 3) exponent array: the flat indices of each pair's terms U and
-    V, (pairs, 3) each, then the pairs' cells, weights and the mirror."""
-    groups = _exchange_groups(np.arange(3 * n).reshape(n, 3).tolist(), epsilon)
-    p, q, cell, ww, mirror = _layout(tuple(tuple(w for w, _ in g) for g in groups))
-    flat = np.array([t for g in groups for _, t in g], dtype=np.intp)
-    return flat[p], flat[q], cell, ww, mirror
+# the column maps of a three-body basis: t + epsilon * (a<->b), or t alone
+_EXCHANGE = {+1: (((0, 1, 2), 1.0), ((1, 0, 2), 1.0)),
+             -1: (((0, 1, 2), 1.0), ((1, 0, 2), -1.0)),
+             None: (((0, 1, 2), 1.0),)}
 
 
 def _block3(terms, epsilon, pair):
-    """The MatBlock of `pair` over _exchange_groups(terms, epsilon), bit for
-    bit as assemble builds it, from two gathers of the (n, 3) terms."""
+    """The MatBlock of `pair` over the (n, 3) terms with _EXCHANGE[epsilon]."""
     x = np.asarray(terms, dtype=float)
     if x.ndim != 2 or x.shape[1] != 3 or len(x) == 0:
         raise ValueError(f"terms must form an (n, 3) array, n >= 1, not {x.shape}")
-    iu, iv, cell, ww, mirror = _gather(len(x), epsilon)
-    x = x.ravel()
-    return MatBlock(*scatter(cell, ww, mirror, pair(x[iu], x[iv])))
+    return block(x, _EXCHANGE[epsilon], pair)
 
 
 def natural_matblock(terms, spec, symmetrize=True):

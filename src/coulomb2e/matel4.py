@@ -39,6 +39,8 @@ term whatever a + b.  A served moment differs from a build at the
 requested arguments in the last bits (2.4e-14 relative at worst in the
 tests).  Its elements are bilinear forms in the terms' exponents over the
 (P, 24) moments: one `model.contract` with the lru table `_ntv4_table`.
+`assemble4` lays a group's members side by side in one row of the exponent
+array, one column map each, for the same `model.block` as three bodies.
 """
 
 from functools import cache, lru_cache
@@ -47,7 +49,7 @@ from math import atanh, comb, factorial, prod
 import numpy as np
 
 from .jets import Jet, _layout
-from .model import MatBlock, assemble, coefficients, contract, kinetic
+from .model import block, coefficients, contract, kinetic
 
 _R_SWITCH = 0.5
 
@@ -235,26 +237,39 @@ def _pair_ntv(U, V, invm):
 def assemble4(groups, spec):
     """N, T, V matrices over symmetrized four-body term groups.
 
-    `groups` is a list of basis vectors, each a list of (weight, term-tuple)
-    pairs carrying whatever identical-particle symmetrization the spec's mass
-    pattern allows.  The basis is translation invariant, so the lab-frame
-    kinetic sum equals the internal kinetic energy.  One `_pair_ntv` call
-    takes all ordered term pairs of the block.
+    `groups` is a list of basis vectors, each a list of (weight, term) pairs
+    carrying whatever identical-particle symmetrization the spec's mass
+    pattern allows; every group has the same weights.  A group's terms are
+    one row of the exponent array and its k-th member the map of columns
+    4k .. 4k + 3, so one `model.block` takes all ordered term pairs.  The
+    basis is translation invariant, so the lab-frame kinetic sum equals the
+    internal kinetic energy.
     """
+    weights = [w for w, _ in groups[0]] if groups else None
+    if not weights or any([w for w, _ in g] != weights for g in groups):
+        raise ValueError("four-body groups must be non-empty with equal weights")
+    if any(len(t) != 4 for g in groups for _, t in g):
+        raise ValueError("four-body terms have four exponents (a, b, c, d)")
+    x = np.array([[v for _, t in g for v in t] for g in groups], dtype=float)
     invm = spec.inv_masses
-    return MatBlock(*assemble(groups, lambda U, V: _pair_ntv(U, V, invm)))
+    return block(x, _member_maps(tuple(weights)), lambda U, V: _pair_ntv(U, V, invm))
+
+
+@lru_cache(maxsize=16)   # a solve keeps one weight pattern
+def _member_maps(weights):
+    """`assemble4`'s column maps of a group with these weights: member k
+    reads the columns 4k .. 4k + 3 of its row."""
+    return tuple((tuple(range(4 * k, 4 * k + 4)), w) for k, w in enumerate(weights))
 
 
 def symmetrized_group(t):
-    """Orbit of one term under both identical-pair exchanges.
-
-    Positive exchange 1<->2 maps (a,b,c,d) -> (c,d,a,b); negative exchange
-    3<->4 maps (a,b,c,d) -> (b,a,d,c).
-    """
-    orbit = {tuple(t)}
-    orbit |= {(x[2], x[3], x[0], x[1]) for x in orbit}
-    orbit |= {(x[1], x[0], x[3], x[2]) for x in orbit}
-    return [(1.0, x) for x in sorted(orbit)]
+    """The four images of one term under both identical-pair exchanges,
+    sorted, each with weight 1: positive exchange 1<->2 maps (a,b,c,d) ->
+    (c,d,a,b), negative exchange 3<->4 maps (a,b,c,d) -> (b,a,d,c).  Images
+    that coincide stay, so the basis vector is continuous in t."""
+    a, b, c, d = t
+    return [(1.0, x) for x in sorted([(a, b, c, d), (c, d, a, b), (b, a, d, c),
+                                      (d, c, b, a)])]
 
 
 # ---------------------------------------------------------------------------

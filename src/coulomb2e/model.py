@@ -4,6 +4,10 @@ Everything internal is in natural units: m = hbar = e^2 = 1, so energies come
 in units of m e^4 / hbar^2 (the hartree, 27.211386 eV) and lengths in Bohr
 radii.  An infinitely massive particle is encoded by inverse mass 0, which
 keeps every formula finite and branch-free.
+
+A basis is an (n, width) exponent array x plus (cols, weight) maps: basis
+vector i is sum weight * term(x[i, cols]), a broken permutation symmetry
+restored by adding the permuted copies.  Every block goes through `block`.
 """
 
 import math
@@ -73,24 +77,37 @@ class MatBlock:
     v_mat: "object"
 
 
-@lru_cache(maxsize=64)   # a four-body solve keeps one weight pattern; a scan a few
-def _layout(weights):
-    """`assemble`'s pair layout for groups of these weights (a tuple per group):
-    the ordered term pairs p, q of the upper triangle in u-major, v-minor
-    order, their cells, their weights w_p w_q and the mirror of the cells."""
-    m = len(weights)
-    gid = np.repeat(np.arange(m), [len(g) for g in weights])
-    w = np.array([x for g in weights for x in g], dtype=float)
+@lru_cache(maxsize=64)   # a solve keeps one basis size and map set; a scan a few
+def gather(n, width, maps):
+    """The pair layout of a basis of n rows of an (n, width) exponent array x
+    with the column maps `maps`, ((cols, weight), ...): basis vector i is
+    sum weight * term(x[i, cols]).  The ordered term pairs of the upper
+    triangle, in u-major, v-minor order, as flat indices into x of their
+    terms U and V, (pairs, len(cols)) each, then their cells i n + j, their
+    weight products and the mirror (entry (j, i) reads cell (i, j), i <= j)."""
+    if not maps or len({len(c) for c, _ in maps}) != 1:
+        raise ValueError("column maps must be non-empty and of one length")
+    cols = np.array([c for c, _ in maps], dtype=np.intp)
+    if cols.min() < 0 or cols.max() >= width:
+        raise ValueError(f"a map column outside [0, {width})")
+    k = len(maps)
+    flat = (np.arange(n)[:, None, None] * width + cols).reshape(n * k, -1)
+    gid = np.repeat(np.arange(n), k)
+    w = np.tile(np.array([weight for _, weight in maps], dtype=float), n)
     p, q = np.nonzero(gid[:, None] <= gid[None, :])
-    mirror = np.arange(m * m).reshape(m, m)
-    mirror = np.minimum(mirror, mirror.T)      # (j, i) reads cell (i, j), i <= j
-    return p, q, gid[p] * m + gid[q], w[p] * w[q], mirror
+    mirror = np.arange(n * n).reshape(n, n)
+    return flat[p], flat[q], gid[p] * n + gid[q], w[p] * w[q], np.minimum(mirror, mirror.T)
 
 
-def scatter(cell, ww, mirror, xs):
-    """One symmetric matrix per pair vector x of xs: entry (i, j) sums ww * x
-    over the pairs of cell i m + j (i <= j) in pair order, mirrored below."""
-    return [np.bincount(cell, ww * x, mirror.size)[mirror] for x in xs]
+def block(x, maps, pair):
+    """The MatBlock over the basis (x, maps) of `gather`: `pair(U, V)` returns
+    one vector of elements per matrix at the stacked term pairs U, V, and
+    entry (i, j) sums weight * element over the pairs of vectors i <= j in
+    gather's order, mirrored below, so the operators must be Hermitian."""
+    iu, iv, cell, ww, mirror = gather(*x.shape, maps)
+    x = x.ravel()
+    return MatBlock(*[np.bincount(cell, ww * e, mirror.size)[mirror]
+                      for e in pair(x[iu], x[iv])])
 
 
 def contract(U, V, M, table):
@@ -119,25 +136,6 @@ def kinetic(w, e, f, overlap, bracket):
     (u_e v_e + u_f v_f) overlap + (u_e v_f + u_f v_e) (weight, column) bracket."""
     return ([(w, (e, e), overlap), (w, (f, f), overlap)]
             + [(w * c, p, k) for c, k in bracket for p in ((e, f), (f, e))])
-
-
-def assemble(groups, pair):
-    """Symmetric matrices over symmetrized basis vectors.
-
-    Each entry of `groups` is one basis vector, a list of (weight, term)
-    pairs.  The ordered term pairs of the upper triangle are stacked into
-    arrays U, V (one row per pair), and `pair(U, V)` returns one vector of
-    elements per matrix.  Entry (i, j) of the k-th matrix is the sum of
-    w_u w_v pair(U, V)[k] over u in group i and v in group j, in group order.
-    The upper triangle is mirrored, so the operators must be Hermitian.
-    Each entry sums its pairs in u-major, v-minor order (`_layout`, cached).
-    The four-body blocks come from here; the three-body blocks gather the
-    same layout straight from their exponent array (`matel3._gather`), and
-    both go through `scatter`.
-    """
-    p, q, cell, ww, mirror = _layout(tuple(tuple(w for w, _ in g) for g in groups))
-    terms = np.array([t for g in groups for _, t in g], dtype=float)
-    return scatter(cell, ww, mirror, pair(terms[p], terms[q]))
 
 
 @dataclass(frozen=True)

@@ -1055,6 +1055,6 @@ def molecule_result(mode, ratio, config: MinimizerConfig) -> VariationalResult:
         energy=rec["energy"], params=rec["params"], coeffs=list(c),
         virial_ratio=vr, threshold=threshold_for(spec), margin=rec["margin"],
         stable=rec["stable"],
-        meta={"mode": mode, "ratio": ratio,
+        meta={"mode": mode, "ratio": ratio, "scale": lam,
               **{key: v for key, v in rec.items()
                  if key in ("nfev", "converged") or key.startswith("refused_")}})

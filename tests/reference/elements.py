@@ -15,7 +15,7 @@ these functions against quadrature.  Conventions are those of `matel3` and
 import numpy as np
 
 from coulomb2e import matel3, matel4
-from coulomb2e.model import UNNATURAL, assemble, contract
+from coulomb2e.model import UNNATURAL, contract
 
 
 def abs_contract(U, V, M, table):
@@ -117,12 +117,36 @@ def he_cross(t, tp):
     return ap * b * xy + ap * c * xz - b * cp * yz - c * cp * G[1, 1, 1]
 
 
+def exchange_groups(terms, epsilon):
+    """natural_matblock's basis as groups: t + epsilon * (a<->b) per term, or
+    t alone for epsilon None."""
+    if epsilon is None:
+        return [[(1.0, tuple(t))] for t in terms]
+    return [[(1.0, tuple(t)), (float(epsilon), (t[1], t[0], t[2]))] for t in terms]
+
+
+def assemble_per_pair(groups, pair):
+    """Symmetric matrices over the basis vectors `groups`, each a list of
+    (weight, term): one Python row per ordered term pair of the upper
+    triangle (u-major, v-minor), `pair(U, V)` one vector of elements per
+    matrix, entry (i, j) summed cell by cell and mirrored below.  The
+    independent reference of `model.block`."""
+    m = len(groups)
+    cell, ws, us, vs = zip(*[(i * m + j, w1 * w2, u, v)
+                             for i in range(m) for j in range(i, m)
+                             for w1, u in groups[i] for w2, v in groups[j]])
+    r, c = np.divmod(np.arange(m * m), m)
+    mirror = (np.minimum(r, c) * m + np.maximum(r, c)).reshape(m, m)
+    return [np.bincount(cell, np.array(ws) * x, m * m)[mirror]
+            for x in pair(np.array(us, dtype=float), np.array(vs, dtype=float))]
+
+
 def hughes_eckart_matrix(terms, spec):
     """Matrix of the px.py recoil operator over natural_matblock's basis, to
     verify (not assume) that it has zero expectation on angle-independent
     wave functions."""
-    return assemble(matel3._exchange_groups(terms, spec.epsilon),
-                    lambda u, v: (he_cross(u, v),))[0]
+    return assemble_per_pair(exchange_groups(terms, spec.epsilon),
+                             lambda u, v: (he_cross(u, v),))[0]
 
 
 # ---------------------------------------------------------------------------

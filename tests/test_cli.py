@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from coulomb2e import cli, solve, tables
+from coulomb2e import cli, matel4, solve, tables
+from coulomb2e.model import SystemSpec
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -251,6 +252,22 @@ def test_sig6_rounding():
     assert cli._sig6(0.123456789) == 0.123457
     assert cli._sig6({"x": [1.23456789e-7, True]}) == {"x": [1.23457e-07, True]}
     assert cli._sig6(float("nan")) is None
+
+
+def test_molecule_lighter_positives_print_their_own_labeling(capsys):
+    # 2,2,4,4 is the charge conjugate of 4,4,2,2, which relabels r14 <-> r23:
+    # its printed ranges times the printed scale, read on the user's own
+    # masses, give the printed energy and that scale back (the heavy-positive
+    # labeling gives -1.345829 there)
+    assert run(["molecule", "--mode", "cc-break", "--masses", "2,2,4,4"]) == cli.EXIT_OK
+    res = json.loads(capsys.readouterr().out.split("# wall_time")[0])["result"]
+    spec = SystemSpec(inv_masses=(0.5, 0.5, 0.25, 0.25), z_central=None,
+                      charges=(1.0, 1.0, -1.0, -1.0))
+    ranges = tuple(res["meta"]["scale"] * p for p in res["params"])
+    block = matel4.assemble4([matel4.symmetrized_group(ranges)], spec)
+    e, lam = solve.scaled_lowest(block, **solve._FOUR)
+    assert e == pytest.approx(res["energy"], rel=1e-5)
+    assert lam == pytest.approx(1.0, abs=1e-4)
 
 
 def test_parse_ratios():

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 from coulomb2e import matel4, solve
 from coulomb2e.jets import Jet
-from coulomb2e.model import SystemSpec, assemble, ps2_spec
+from coulomb2e.model import SystemSpec, ps2_spec
 from reference import elements as el, oracle
 from reference.jets import variable
 
@@ -272,8 +272,8 @@ def test_assemble4_matches_pairwise_sum(mode):
         spec = heavy if ratio is None else solve._four_spec(mode, ratio)
         blk = matel4.assemble4(groups, spec)
         want = _pairwise_block(groups, spec)
-        scale = assemble([[(abs(w), t) for w, t in g] for g in groups],
-                         lambda U, V: el.kernel4(U, V, spec.inv_masses)[1])
+        scale = el.assemble_per_pair([[(abs(w), t) for w, t in g] for g in groups],
+                                     lambda U, V: el.kernel4(U, V, spec.inv_masses)[1])
         for got, ref, s in zip((blk.n_mat, blk.t_mat, blk.v_mat), want, scale):
             assert np.all(abs(got - ref) <= 1e-14 * s), (ratio, groups)
 
@@ -591,10 +591,42 @@ def test_coulomb_34_is_12_relabeled():
 
 
 def test_symmetrized_group_orbits():
-    g_full = matel4.symmetrized_group((0.9, 0.2, 0.3, 0.8))
-    assert len(g_full) == 4
-    # a fully symmetric term has a one-element orbit
-    assert len(matel4.symmetrized_group((0.5, 0.5, 0.5, 0.5))) == 1
+    # always the four images, sorted, coincident ones kept
+    for t in ((0.9, 0.2, 0.3, 0.8), (0.85, 0.15, 0.15, 0.85), (0.5, 0.5, 0.5, 0.5)):
+        a, b, c, d = t
+        g = matel4.symmetrized_group(t)
+        assert [w for w, _ in g] == [1.0] * 4
+        assert [x for _, x in g] == sorted([t, (c, d, a, b), (b, a, d, c), (d, c, b, a)])
+    assert len({x for _, x in matel4.symmetrized_group((0.5, 0.5, 0.5, 0.5))}) == 1
+
+
+def test_cc_break_coefficients_are_continuous_at_a_coincident_orbit_point():
+    # at the cc-break start (a, b, b, a) the four images coincide in pairs;
+    # kept, they make the basis vector continuous in t, so the printed
+    # coefficient there and 1e-9 away agree (dropping the coincident images
+    # would halve the vector at the point and double its coefficient)
+    spec = solve._four_spec("cc-break", 1.0)
+    coef = []
+    for p in ((0.85, 0.15, 0.15, 0.85), (0.85, 0.15, 0.15 + 1e-9, 0.85)):
+        block = matel4.assemble4(solve._four_groups("cc-break", p), spec)
+        _, lam = solve.scaled_lowest(block, **solve._FOUR)
+        coef.append(solve._state_at_scale(block, lam, floor=solve._FOUR["floor"])[0])
+    assert coef[0] == pytest.approx(coef[1], rel=1e-6)
+
+
+_GOOD = [(1.0, (0.9, 0.2, 0.3, 0.8)), (1.0, (0.3, 0.8, 0.9, 0.2))]
+
+
+@pytest.mark.parametrize("groups", [
+    [],                                                      # no basis vector
+    [_GOOD, _GOOD[:1]],                                      # unequal member counts
+    [_GOOD, [(1.0, _GOOD[0][1]), (-1.0, _GOOD[1][1])]],      # unequal weights
+    [[(1.0, (0.9, 0.2, 0.3))]],                              # a term of 3
+    [[(1.0, (0.9, 0.2, 0.3)), (1.0, (0.8, 0.9, 0.2, 0.3, 0.4))]],   # 3 + 5 = 2 x 4
+])
+def test_assemble4_rejects_bad_groups(groups):
+    with pytest.raises(ValueError, match="four-body"):
+        matel4.assemble4(groups, ps2_spec())
 
 
 def test_ho_reduced_vs_assembler():

@@ -7,7 +7,6 @@ from coulomb2e import matel3, matel4, model, solve
 from coulomb2e.model import (MatBlock, SystemSpec, TwoBodyThreshold, NATURAL,
                              UNNATURAL, threshold_for, hminus_spec, ps2_spec)
 from reference import elements
-from reference.elements import hughes_eckart_matrix
 
 
 def test_three_body_spec_shape():
@@ -97,18 +96,6 @@ def test_e_relevant_sector_switch():
     assert thr.e_relevant(UNNATURAL) == -0.125
 
 
-def _assemble_per_pair(groups, pair):
-    # the former assembler: one Python row per ordered pair, cell by cell
-    m = len(groups)
-    cell, ws, us, vs = zip(*[(i * m + j, w1 * w2, u, v)
-                             for i in range(m) for j in range(i, m)
-                             for w1, u in groups[i] for w2, v in groups[j]])
-    r, c = np.divmod(np.arange(m * m), m)
-    mirror = (np.minimum(r, c) * m + np.maximum(r, c)).reshape(m, m)
-    return [np.bincount(cell, np.array(ws) * x, m * m)[mirror]
-            for x in pair(np.array(us, dtype=float), np.array(vs, dtype=float))]
-
-
 def _blocks():
     # (id, builder) over natural (both exchange signs, infinite and finite
     # mass, unsymmetrized), recoil, vector and both four-body blocks
@@ -124,7 +111,8 @@ def _blocks():
         s = hminus_spec(z=1.0, mass_ratio=7.3)
         out.append((f"unsymmetrized-n{n}",
                     lambda t=t, s=s: matel3.natural_matblock(t, s, False)))
-        out.append((f"recoil-n{n}", lambda t=t, s=s: hughes_eckart_matrix(t, s)))
+        out.append((f"recoil-n{n}", lambda t=t, s=s: matel3._block3(
+            t, s.epsilon, lambda u, v: (elements.he_cross(u, v),) * 3).n_mat))
         for ratio in (float("inf"), 1.0):
             s = hminus_spec(z=1.0, mass_ratio=ratio, sector=UNNATURAL)
             out.append((f"vector-n{n}-M{ratio}",
@@ -144,14 +132,16 @@ def _mats(b):
 @pytest.mark.parametrize("build", [b for _, b in _blocks()],
                          ids=[i for i, _ in _blocks()])
 def test_assemble_matches_the_per_pair_loop(build, monkeypatch):
-    # the numpy pair layout sums every entry in the loop's u-major, v-minor
-    # order, so every block is the same to the bit: the three-body gather,
-    # the recoil reference's assemble and the four-body assemble alike
+    # the one gather sums every entry in the loop's u-major, v-minor order,
+    # so every block is the same to the bit: the three-body blocks (and the
+    # recoil kernel through the same gather) against the loop over their
+    # exchange groups, the four-body blocks against the loop over theirs
     got = _mats(build())
     monkeypatch.setattr(matel3, "_block3", lambda terms, eps, pair: MatBlock(
-        *_assemble_per_pair(matel3._exchange_groups(terms, eps), pair)))
-    monkeypatch.setattr(elements, "assemble", _assemble_per_pair)
-    monkeypatch.setattr(matel4, "assemble", _assemble_per_pair)
+        *elements.assemble_per_pair(elements.exchange_groups(terms, eps), pair)))
+    monkeypatch.setattr(matel4, "assemble4", lambda groups, spec: MatBlock(
+        *elements.assemble_per_pair(
+            groups, lambda U, V: matel4._pair_ntv(U, V, spec.inv_masses))))
     want = _mats(build())
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -159,8 +149,8 @@ def test_assemble_matches_the_per_pair_loop(build, monkeypatch):
 
 
 def test_gather_matches_the_exchange_groups():
-    # the cached gather gives the blocks of model.assemble over the exchange
-    # groups with the same kernel, bit for bit: both signs, unsymmetrized,
+    # the cached gather gives the blocks of the per-pair loop over the
+    # exchange groups with the same kernel, bit for bit: both signs, unsymmetrized,
     # the vector sector, infinite and finite masses, n = 1, 2, 3, 8, array
     # and tuple terms
     rng = np.random.default_rng(22)
@@ -177,9 +167,9 @@ def test_gather_matches_the_exchange_groups():
                 cases.append((*nat, hminus_spec(z=1.0, mass_ratio=ratio), None, (False,)))
                 for build, cols, table, s, eps, extra in cases:
                     W = table(s.z_central, s.inv_masses)
-                    want = model.assemble(matel3._exchange_groups(x.tolist(), eps),
-                                          lambda u, v: model.contract(
-                                              u, v, matel3._g3_cells(u + v, cols), W))
+                    want = elements.assemble_per_pair(
+                        elements.exchange_groups(x.tolist(), eps),
+                        lambda u, v: model.contract(u, v, matel3._g3_cells(u + v, cols), W))
                     for terms in (x, [tuple(t) for t in x.tolist()]):
                         got = _mats(build(terms, s, *extra))
                         for g, w in zip(got, want, strict=True):
@@ -197,23 +187,47 @@ def test_block_builders_reject_terms_that_are_not_n_by_3(terms):
 
 
 def test_layout_cache_is_bounded_and_misses_once_per_weight_pattern(monkeypatch):
-    # the three-body gather depends on the basis size and exchange sign
-    # alone: a whole optimize_ion solve builds it at its first block and
-    # never again, then serves every other block from its one entry
-    info = matel3._gather.cache_info
+    # the one gather depends on the basis size, its width and its column
+    # maps alone: a whole optimize_ion or scan_mass4 solve builds it at its
+    # first block and never again, then serves every other block from its
+    # one entry (three-body both sectors, four-body both breaking modes)
+    info = model.gather.cache_info
     assert info().maxsize is not None
-    for sector, build in ((NATURAL, "natural_matblock"),
-                          (UNNATURAL, "unnatural_matblock")):
-        matel3._gather.cache_clear()
-        misses, orig = [], getattr(matel3, build)
+    cfg = solve.MinimizerConfig(seed=0, restarts=1, max_iter=200)
+    runs = [(matel3, "natural_matblock", 200, lambda: solve.optimize_ion(
+                hminus_spec(z=1.0), 2, cfg)),
+            (matel3, "unnatural_matblock", 200, lambda: solve.optimize_ion(
+                hminus_spec(z=1.0, sector=UNNATURAL), 2, cfg))]
+    runs += [(matel4, "assemble4", 100, lambda m=m: solve.scan_mass4([1.0], m, cfg))
+             for m in ("cc-break", "identity-break")]
+    for owner, build, at_least, run in runs:
+        model.gather.cache_clear()
+        misses, orig = [], getattr(owner, build)
 
         def counted(*a, **kw):
             out = orig(*a, **kw)
             misses.append(info().misses)
             return out
 
-        monkeypatch.setattr(matel3, build, counted)
-        solve.optimize_ion(hminus_spec(z=1.0, sector=sector), 2,
-                           solve.MinimizerConfig(seed=0, restarts=1, max_iter=200))
-        assert len(misses) > 200 and set(misses) == {1}
+        matel4._member_maps.cache_clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(owner, build, counted)
+            run()
+        assert len(misses) > at_least and set(misses) == {1}
         assert info().currsize == 1 and info().hits == len(misses) - 1
+        if owner is matel4:     # and one map tuple per group weight pattern
+            assert matel4._member_maps.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("width, maps", [
+    (3, (((0, 1, 3), 1.0),)),                      # a column past the row
+    (3, (((0, 1, 2), 1.0), ((-1, 0, 2), 1.0))),    # a negative column
+    (4, (((0, 1, 2), 1.0), ((1, 0), 1.0))),        # maps of unequal length
+    (3, ()),                                       # no map at all
+])
+def test_gather_rejects_bad_column_maps(width, maps):
+    # a flat gather would silently read a neighbouring term; refuse it
+    with pytest.raises(ValueError, match="map"):
+        model.gather(2, width, maps)
+    with pytest.raises(ValueError, match="map"):
+        model.block(np.ones((2, width)), maps, lambda u, v: (u[:, 0],) * 3)

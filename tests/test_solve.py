@@ -641,10 +641,11 @@ def test_state_sign_is_fixed(monkeypatch):
 def test_four_body_state_uses_the_four_body_floor():
     # a three-group cc-break block whose overlap condition (1.4e11) sits
     # between the 1e-12 and 1e-11 floors: only the four-body floor gives
-    # coefficients of the reported energy
+    # coefficients of the reported energy (the first group's four images
+    # coincide in pairs)
     spec = solve._four_spec("cc-break", 1.7)
     groups = [matel4.symmetrized_group(p) for p in
-              ((0.85, 0.15, 0.15, 0.85), (0.85 + 1e-5, 0.15, 0.15, 0.85 + 1e-5),
+              ((0.85, 0.15, 0.15, 0.85), (0.85 + 6.5e-6, 0.15, 0.15, 0.85 + 6.5e-6),
                (0.6, 0.25, 0.2, 0.7))]
     block = matel4.assemble4(groups, spec)
     e, lam = scaled_lowest(block, **solve._FOUR)

@@ -7,11 +7,12 @@ matrix elements.  Every eigensolve reduces the overlap the same way
 terms on Python floats, `_reduce2`), so a printed energy, its coefficients
 and its virial ratio come from one pencil.  For a scale-closed family the
 optimal scale is analytic (one kept direction: the vertex of
-lam^2 t + lam v) or a one-dimensional bounded search over the lowest
-eigenvalue of the reduced lam^2 T + lam V, so a search needs only the
-shape.  A one-parameter shape goes to `_grid_min`: min-max, the critical
-charge and the mass scans (and the frozen scan); the single correlated term
-fixes a = 1.
+lam^2 t + lam v; two: the stationary point of the virial condition where E
+is certified to have one minimum, `_scale2`) or else a one-dimensional
+bounded search over the lowest eigenvalue of the reduced lam^2 T + lam V,
+so a search needs only the shape.  A one-parameter shape goes to
+`_grid_min`: min-max, the critical charge and the mass scans (and the
+frozen scan); the single correlated term fixes a = 1.
 Every three-body simplex runs through `_search3`, whose objective hands the
 simplex point to the block builders as its (n, 3) view; Table I's two-range
 and shell-model searches walk t alone at a = 1 (`_shape_search`).  The N-term
@@ -24,7 +25,8 @@ The simplex runs on Python floats (numpy's per-call cost on 2- to 9-vectors
 outweighed the arithmetic) and leaves ties and NaN to np.argsort's own order.
 The scale step of a two-direction pencil runs on Python floats too, one
 closure per pencil that mirrors dsyevd's arithmetic to the bit (`_step2`),
-so the scale search of a block of one or two terms makes no LAPACK call.  `_reduce` masks the
+so the scale of a block of one or two terms takes no LAPACK call (one step
+at the closed-form scale, or the search).  `_reduce` masks the
 overlap eigenvectors only when a direction drops.  From three terms on the
 eigensolves call numpy's private eigh_lo and eigvalsh_lo (`_dsyevd`):
 numpy < 3.
@@ -316,12 +318,17 @@ def _grid_min(f, grid):
     return x, fx, fs
 
 
+def _lower2(Tt, Vt):
+    """The lower triangles (t0, t1, t2, v0, v1, v2) of a 2 x 2 pencil as floats."""
+    ((t0, _), (t1, t2)), ((v0, _), (v1, v2)) = Tt, Vt
+    return [float(x) for x in (t0, t1, t2, v0, v1, v2)]
+
+
 def _scale_step(Tt, Vt, k):
     """lam -> the k-th eigenvalue of lam^2 Tt + lam Vt (see scaled_lowest):
     `_step2` for two directions, else the gufunc (NaN raises LinAlgError)."""
     if len(Tt) == 2:
-        ((t0, _), (t1, t2)), ((v0, _), (v1, v2)) = Tt, Vt
-        return _step2(*map(float, (t0, t1, t2, v0, v1, v2)), k)
+        return _step2(*_lower2(Tt, Vt), k)
     return lambda lam: _checked(float(
         _eigvalsh_lo(lam * lam * Tt + lam * Vt, signature="d->d")[k]))
 
@@ -390,6 +397,86 @@ def _vertex(t, v, bounds):
     return min((lam * lam * t + lam * v, lam) for lam in (lo, hi))
 
 
+# phi = j pi / 4, j = 0..8, as (cos phi, sin phi, cos 2 phi, sin 2 phi, phi)
+_SCAN = [(math.cos(x), math.sin(x), math.cos(x + x), math.sin(x + x), x)
+         for x in (j * math.pi / 4.0 for j in range(9))]
+
+
+def _scale2(t0, t1, t2, v0, v1, v2, lo, hi):
+    """The scale in (lo, hi) of the one local minimum of E(lam), the lowest
+    eigenvalue of lam^2 T + lam V (lower triangles (t0, t1, t2), (v0, v1,
+    v2)), or None unless E is certified to have only that one.
+
+    With the eigenvector (cos theta, sin theta) and phi = 2 theta, t(phi) =
+    p + c cos phi + d sin phi and v(phi) = P + a cos phi + b sin phi; at each
+    phi the best scale is -v / (2 t), so the minima of E on (0, inf) are the
+    minima of w = v / sqrt(t) where v < 0 (the virial theorem, 2T = -V).
+    w' has the sign of D(phi) = c0 + a1 cos phi + b1 sin phi + a2 cos 2phi
+    + b2 sin 2phi, whose two or four zeros bound one or two minima.  Two
+    zeros are certified when the first harmonic dominates (D is then
+    monotone on the two arcs where it can vanish), or when the quartic of D
+    in u = tan(phi / 2) has a clearly negative discriminant (4 I^3 - J^2 in
+    its invariants I and J) and a scan of D brackets two sign changes.  Safe-
+    guarded Newton steps polish the rising zero to |dphi| <= 1e-6 (E is
+    quadratic in the error).  Sums are written out, not sum()'s compensated
+    ones.  None also for T not positive definite, v >= 0, lam not strictly
+    inside and a non-finite or overflowing entry sum.
+    """
+    if not math.isfinite(t0 + t1 + t2 + v0 + v1 + v2):
+        return None
+    p, c, d = 0.5 * (t0 + t2), 0.5 * (t0 - t2), t1
+    P, a, b = 0.5 * (v0 + v2), 0.5 * (v0 - v2), v1
+    if not p > math.hypot(c, d):
+        return None
+    c0, a1, b1 = 1.5 * (b * c - a * d), 2.0 * b * p - P * d, P * c - 2.0 * a * p
+    a2, b2 = 0.5 * (b * c + a * d), 0.5 * (b * d - a * c)
+    B = math.hypot(a2, b2)
+    K, r2 = abs(c0) + B, a1 * a1 + b1 * b1
+    if r2 > K * K + 4.0 * B * B:        # |D - first harmonic| <= K: two arcs
+        l = math.atan2(b1, a1) - math.pi    # D(l) <= 0 <= D(l + pi), one zero
+        h = l + math.pi
+    else:
+        q4, q3, q2 = c0 - a1 + a2, 2.0 * b1 - 4.0 * b2, 2.0 * c0 - 6.0 * a2
+        q1, q0 = 2.0 * b1 + 4.0 * b2, c0 + a1 + a2
+        i = 12.0 * q4 * q0 - 3.0 * q3 * q1 + q2 * q2
+        j = (72.0 * q4 * q2 * q0 + 9.0 * q3 * q2 * q1
+             - 27.0 * (q4 * q1 * q1 + q0 * q3 * q3) - 2.0 * q2 * q2 * q2)
+        im = 12.0 * abs(q4 * q0) + 3.0 * abs(q3 * q1) + q2 * q2     # the terms' magnitudes
+        jm = (72.0 * abs(q4 * q2 * q0) + 9.0 * abs(q3 * q2 * q1)
+              + 27.0 * (abs(q4) * q1 * q1 + abs(q0) * q3 * q3) + 2.0 * abs(q2 * q2 * q2))
+        if not 4.0 * i * i * i - j * j < -1e-9 * (4.0 * im * im * im + jm * jm):
+            return None
+        fs = [(c0 + a1 * co + b1 * s + a2 * co2 + b2 * s2, x) for co, s, co2, s2, x in _SCAN]
+        cells = [(f0 < 0.0, x0, x1) for (f0, x0), (f1, x1) in zip(fs, fs[1:])
+                 if (f0 < 0.0) != (f1 < 0.0)]
+        if len(cells) != 2:
+            return None
+        _, l, h = max(cells)            # the cell where D rises through 0
+    x = 0.5 * (l + h)
+    for _ in range(50):
+        co, s = math.cos(x), math.sin(x)
+        co2, s2 = co * co - s * s, 2.0 * co * s
+        f = c0 + a1 * co + b1 * s + a2 * co2 + b2 * s2
+        if f < 0.0:
+            l = x
+        else:
+            h = x
+        df = b1 * co - a1 * s + 2.0 * (b2 * co2 - a2 * s2)
+        dx = f / df if df else math.inf
+        if not l <= x - dx <= h:        # NaN too: bisect
+            x = 0.5 * (l + h)
+            continue
+        x -= dx
+        if abs(dx) <= 1e-6:
+            break
+    else:
+        return None
+    co, s = math.cos(x), math.sin(x)
+    v = P + a * co + b * s
+    lam = -v / (2.0 * (p + c * co + d * s))
+    return lam if v < 0.0 and lo < lam < hi else None
+
+
 def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
     """k-th eigenvalue minimized over the overall scale of the basis.
 
@@ -399,17 +486,21 @@ def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
     directions survive the floor.
 
     One kept direction is the parabola lam^2 t + lam v: its vertex, clipped
-    to bounds (`_vertex`).  Two or more go to a local bounded Brent search.
-    E(lam), the k-th eigenvalue of lam^2 T + lam V, is a minimum of
-    parabolas and need not be convex, so on some blocks it stops in a local
-    minimum above the global one.  The curated starts and the printed
-    energies were tuned with this search, and a global reduction steers the
-    simplex of the N = 2 H- solve into an ill-conditioned basin that ends
-    above the Table II value (ROADMAP item 5).  Each step (`_scale_step`)
-    returns np.linalg.eigvalsh's values to the bit (LAPACK dsyevd, lower
-    triangle): two directions mirror dsyevd's dsterf and dlae2 arithmetic in
-    Python floats (`_step2`), which assumes a LAPACK whose dlae2 is built
-    without FMA contraction, as `test_scale_step_is_eigvalsh` checks.  Three
+    to bounds (`_vertex`).  Two with k = 0 take the closed-form scale of
+    `_scale2` where it certifies that E has one local minimum inside the
+    bounds, and return the one step there.  Every other pencil goes to a
+    local bounded Brent search.  E(lam), the k-th eigenvalue of
+    lam^2 T + lam V, is a minimum of parabolas and need not be convex, so on
+    some blocks the search stops in a local minimum above the global one;
+    `_scale2` declines every such block, so Brent keeps its basin.  The
+    curated starts and the printed energies were tuned with this search,
+    and a global reduction steers the simplex of the N = 2 H- solve into an
+    ill-conditioned basin that ends above the Table II value (ROADMAP item
+    5).  Each step (`_scale_step`) returns np.linalg.eigvalsh's values to
+    the bit (LAPACK dsyevd, lower triangle): two directions mirror dsyevd's
+    dsterf and dlae2 arithmetic in Python floats (`_step2`), which assumes a
+    LAPACK whose dlae2 is built without FMA contraction, as
+    `test_scale_step_is_eigvalsh` checks.  Three
     or more, or a 2 x 2 that dsyevd rescales, call the gufunc behind
     eigvalsh without its wrapper.  A failed dsyevd leaves NaN, which raises
     LinAlgError, as does a non-finite one-direction pencil.
@@ -424,12 +515,17 @@ def _lowest_over_scale(Tt, Vt, k, bounds=(0.05, 50.0)):
         return _BIG, 1.0
     if m == 1:
         return _vertex(float(Tt[0][0]), float(Vt[0][0]), bounds)
-    step = _scale_step(Tt, Vt, k)
     if m == 2:                  # errstate only around _step2's gufunc fallback
+        pencil = _lower2(Tt, Vt)
+        step = _step2(*pencil, k)
+        lam = _scale2(*pencil, *bounds) if k == 0 else None
+        if lam is not None:
+            return step(lam), lam
         lam, e, _ = _fminbound(step, bounds[0], bounds[1], 1e-12)
-    else:
-        with np.errstate(invalid="ignore"):    # the NaN check reports instead
-            lam, e, _ = _fminbound(step, bounds[0], bounds[1], 1e-12)
+        return e, lam
+    step = _scale_step(Tt, Vt, k)
+    with np.errstate(invalid="ignore"):    # the NaN check reports instead
+        lam, e, _ = _fminbound(step, bounds[0], bounds[1], 1e-12)
     return e, lam
 
 

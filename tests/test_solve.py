@@ -164,16 +164,30 @@ def _float_pencil(block, floor=1e-12):
     return solve._reduce(block, floor)[1:3]
 
 
+def _certified(block, floor=1e-12, bounds=(0.05, 50.0)):
+    # the closed-form scale of a block with two kept directions, or None
+    return solve._scale2(*solve._lower2(*_float_pencil(block, floor)), *bounds)
+
+
 def test_scaled_lowest_matches_scipy_eigvalsh_reference():
     # scipy's bounded Brent over np.linalg.eigvalsh: the same (E, lam) to
     # the bit, on the LAPACK pencil from three terms on and on the
-    # Python-float pencil of two terms
+    # Python-float pencil of two terms that _scale2 declines (the certified
+    # ones are checked against scipy and a grid in
+    # test_closed_form_scale_against_brent_and_a_grid)
     sample = [(b, kw) for b, kw in _sample_blocks() if len(b.n_mat) >= 2]
+    sample.append((matel3.natural_matblock(HM_LOCAL_TERMS, hminus_spec(z=1.0)), {}))
     assert {len(b.n_mat) for b, _ in sample} == {2, 3, 8}
+    declined2 = 0
     for block, kw in sample:
         pencil = _float_pencil if len(block.n_mat) == 2 else _pencil
         assert len(pencil(block, kw.get("floor", 1e-12))[0]) == len(block.n_mat)
+        if len(block.n_mat) == 2:
+            if _certified(block, **kw) is not None:
+                continue
+            declined2 += 1
         assert scaled_lowest(block, **kw) == _scaled_lowest_ref(block, **kw, pencil=pencil)
+    assert declined2 >= 1
 
 
 def test_one_direction_scale_is_the_clipped_vertex():
@@ -198,6 +212,119 @@ def test_one_direction_scale_is_the_clipped_vertex():
     assert scaled_lowest(blk(0.0, -1.0)) == (-50.0, 50.0)
     assert scaled_lowest(blk(-1.0, 100.0)) == (0.05 * 0.05 * -1.0 + 0.05 * 100.0, 0.05)
     assert scaled_lowest(blk(1.0, -1.0), k=1) == (solve._BIG, 1.0)
+
+
+def _two_direction_sample():
+    # seeded blocks that keep two directions, with their scaled_lowest
+    # keywords: natural n = 2 (eps = +-1, Z = 1 and 2, infinite and finite
+    # mass), 1+ n = 2 and identity-break at ratios 1 and 1.7
+    rng = np.random.default_rng(29)
+    out = []
+    for eps in (+1, -1):
+        for z in (1.0, 2.0):
+            for mass in (float("inf"), 7.3):
+                spec = hminus_spec(z=z, mass_ratio=mass, epsilon=eps)
+                for _ in range(20):
+                    terms = [tuple(rng.uniform((0.3, 0.1, -0.05), (2.5, 1.5, 0.3)))
+                             for _ in range(2)]
+                    out.append((matel3.natural_matblock(terms, spec), {}))
+    un = hminus_spec(z=1.0, sector=UNNATURAL)
+    for _ in range(20):
+        terms = [tuple(rng.uniform((0.2, 0.1, -0.05), (1.5, 0.8, 0.1))) for _ in range(2)]
+        out.append((matel3.unnatural_matblock(terms, un), {}))
+    four = dict(floor=1e-11, bounds=(0.02, 50.0))
+    for ratio in (1.0, 1.7):
+        for _ in range(15):
+            groups = solve._four_groups("identity-break", rng.uniform((0.5, 0.05), (1.2, 0.4)))
+            out.append((matel4.assemble4(groups, solve._four_spec("identity-break", ratio)),
+                        four))
+    return [(b, kw) for b, kw in out if len(_float_pencil(b, kw.get("floor", 1e-12))[0]) == 2]
+
+
+def _scale2_corners(block):
+    # two minima (HM_LOCAL_TERMS), decoupled pencils with one and with two
+    # minima, V proportional to T (and both to 1) or to 1 alone (D is then
+    # its first harmonic), the optimum 1e-9 inside and 1e-9 outside either
+    # bound, and entries near 1e-120 and 1e140, the edges of _step2's float
+    # range; block is a certified one
+    pencil = lambda T, V: MatBlock(np.eye(2), np.array(T), np.array(V))
+    lam = _certified(block)
+    T, V = _float_pencil(block)
+    return [(matel3.natural_matblock(HM_LOCAL_TERMS, hminus_spec(z=1.0)), {}),
+            (pencil([[1.0, 0.0], [0.0, 0.5]], [[-2.0, 0.0], [0.0, -0.5]]), {}),
+            (pencil([[1.0, 0.0], [0.0, 0.04]], [[-2.0, 0.0], [0.0, -0.38]]), {}),
+            (pencil([[1.3, 0.2], [0.2, 0.7]], [[-2.47, -0.38], [-0.38, -1.33]]), {}),
+            (pencil([[0.8, 0.0], [0.0, 0.8]], [[-1.1, 0.0], [0.0, -1.1]]), {}),
+            (pencil([[1.3, 0.2], [0.2, 0.7]], [[-1.1, 0.0], [0.0, -1.1]]), {}),
+            (block, dict(bounds=(lam - 1e-9, 50.0))), (block, dict(bounds=(0.05, lam + 1e-9))),
+            (block, dict(bounds=(lam + 1e-9, 50.0))), (block, dict(bounds=(0.05, lam - 1e-9))),
+            (pencil(T * 1e-119, V * 1e-119), {}), (pencil(T * 1e139, V * 1e139), {})]
+
+
+def _grid_lows(Tt, Vt, lo, hi, n=20_000):
+    # E on an n-point log grid of [lo, hi] and its local minima, edges included
+    lams = np.geomspace(lo, hi, n)
+    L = lams[:, None, None]
+    e = np.linalg.eigvalsh(L * L * Tt + L * Vt)[:, 0]
+    lows = np.flatnonzero(np.r_[True, e[1:] < e[:-1]] & np.r_[e[:-1] <= e[1:], True])
+    return lams, lows
+
+
+def test_closed_form_scale_against_brent_and_a_grid():
+    # where _scale2 answers, E has one local minimum on a 20 000-point log
+    # grid of the box, and scaled_lowest's (E, lam) lies within 4 ulp of
+    # scipy's bounded Brent and of the grid minimum refined by it (E), and
+    # within 1e-7 relative of Brent's scale; where it declines (every block
+    # whose grid shows two minima), scaled_lowest is scipy's Brent to the bit
+    sample = _two_direction_sample()
+    assert len(sample) >= 200
+    sample += _scale2_corners(sample[0][0])
+    counts = dict(certified=0, declined=0, two_minima=0)
+    for block, kw in sample:
+        floor, (lo, hi) = kw.get("floor", 1e-12), kw.get("bounds", (0.05, 50.0))
+        Tt, Vt = _float_pencil(block, floor)
+        lam = solve._scale2(*solve._lower2(Tt, Vt), lo, hi)
+        got, ref = scaled_lowest(block, **kw), _scaled_lowest_ref(block, **kw, pencil=_float_pencil)
+        lams, lows = _grid_lows(Tt, Vt, lo, hi)
+        counts["two_minima"] += len(lows) > 1
+        if lam is None:
+            counts["declined"] += 1
+            assert got == ref
+            continue
+        counts["certified"] += 1
+        assert len(lows) == 1 and got[1] == lam
+        i = lows[0]
+        grid = minimize_scalar(lambda x: np.linalg.eigvalsh(x * x * Tt + x * Vt)[0],
+                               bounds=(lams[max(i - 1, 0)], lams[min(i + 1, len(lams) - 1)]),
+                               method="bounded", options=dict(xatol=1e-12)).fun
+        for e in (ref[0], grid):
+            assert abs(got[0] - e) <= 4 * math.ulp(e)
+        assert abs(lam - ref[1]) <= 1e-7 * ref[1]
+    assert counts["certified"] >= 150 and counts["two_minima"] >= 2, counts
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_closed_form_scale_declines_a_non_finite_pencil(bad):
+    # a NaN or infinite entry of a reduced two-direction pencil: _scale2
+    # declines and the Brent path runs as before, LinAlgError included (a
+    # block with such an entry raises it in the reduction already)
+    def brent(*mats):
+        lam, e, _ = solve._fminbound(solve._scale_step(*mats, 0), 0.05, 50.0, 1e-12)
+        return e, lam
+
+    raised = 0
+    for i, j in ((0, 0), (1, 0), (1, 1)):
+        for which in (0, 1):
+            mats = [[[1.0, 0.0], [0.2, 0.7]], [[-2.0, 0.0], [-0.3, -1.1]]]
+            mats[which][i][j] = bad
+            assert solve._scale2(*solve._lower2(*mats), 0.05, 50.0) is None
+            with np.errstate(invalid="ignore"):
+                got = _outcome(solve._lowest_over_scale, *mats, 0)
+                assert got == _outcome(brent, *mats)
+            raised += got == np.linalg.LinAlgError
+            with pytest.raises(np.linalg.LinAlgError):
+                scaled_lowest(MatBlock(np.eye(2), *map(np.array, mats)))
+    assert raised >= 1
 
 
 # c of the a priori bound c eps cond(N) (max |e| + |H| / |N|) on the
@@ -537,20 +664,28 @@ ION_NATURAL_CONTRACTION = {
     (2.0, -1): ("-2.175121180616907", "0.8466134174581209"),
     (1.0, +1): ("-0.5242612513639443", "0.24918868684382195"),
 }
-# and with the Python-float reduction of one- and two-term pencils, by repr
-_ION_NATURAL_NOW = {
+# with the Python-float reduction of one- and two-term pencils, by repr, kept
+# as a third bound of _near_earlier
+ION_NATURAL_FLOAT_REDUCTION = {
     (2.0, +1): ("-2.9032519700817967", "1.1472800475133644"),
     (2.0, -1): ("-2.175121180616906", "0.8466134300158042"),
     (1.0, +1): ("-0.5242612513639444", "0.24918868314339815"),
 }
+# and with the closed-form scale of a certified two-direction pencil, by repr
+_ION_NATURAL_NOW = {
+    (2.0, +1): ("-2.903251970081797", "1.1472800509812158"),
+    (2.0, -1): ("-2.175121180616907", "0.8466134160294797"),
+    (1.0, +1): ("-0.5242612513639444", "0.24918868611697073"),
+}
 
 
 def _near_earlier(res, energy, scale):
-    # the contraction adds the kernels' products in another order, and the
+    # the contraction adds the kernels' products in another order, the
     # float reduction rounds the overlap's eigenpairs and congruences in
-    # another order: the energy stays within 1e-13 relative of each earlier
-    # repr, and the scale, the argmin of a flat minimum (a move of order
-    # sqrt(1e-14)), within 1e-7
+    # another order, and the closed-form scale lands on the stationary point
+    # that Brent's search found to its tolerance: the energy stays within
+    # 1e-13 relative of each earlier repr, and the scale, the argmin of a
+    # flat minimum (a move of order sqrt(1e-14)), within 1e-7
     assert abs(res.energy - float(energy)) <= 1e-13 * abs(float(energy))
     assert abs(res.meta["scale"] - float(scale)) <= 1e-7 * float(scale)
 
@@ -562,6 +697,16 @@ def test_ion_natural_triple_is_bit_stable(z, eps, energy, scale):
     assert (repr(res.energy), repr(res.meta["scale"])) == _ION_NATURAL_NOW[z, eps]
     _near_earlier(res, energy, scale)
     _near_earlier(res, *ION_NATURAL_CONTRACTION[z, eps])
+    _near_earlier(res, *ION_NATURAL_FLOAT_REDUCTION[z, eps])
+
+
+@pytest.mark.parametrize("z, eps", [(z, eps) for z, eps, _, _ in ION_NATURAL_TRIPLE])
+def test_ion_natural_triple_virial_ratio_is_one(z, eps):
+    # at the stationary scale of a certified pencil 2<T> = -<V> holds to
+    # round-off; the bounded Brent search left it 3e-9 to 1.5e-8 off
+    res = solve.optimize_ion(hminus_spec(z=z, epsilon=eps), 2,
+                             MinimizerConfig(seed=0, restarts=1, max_iter=500))
+    assert abs(res.virial_ratio - 1.0) <= 1e-12
 
 
 # 1+ H- N = 1 and N = 3, and 1+ Ps- N = 2 (mass ratio 1), seed 0, two
@@ -581,12 +726,20 @@ ION_UNNATURAL_CONTRACTION = {
     (float("inf"), 3): ("-0.1253341555938711", "0.5282831872476283"),
     (1.0, 2): ("-0.06237422670012614", "0.37934827128312365"),
 }
-# and with the Python-float reduction of one- and two-term pencils (N = 3
-# keeps the LAPACK reduction and its bits), by repr
-_ION_UNNATURAL_NOW = {
+# with the Python-float reduction of one- and two-term pencils (N = 3 keeps
+# the LAPACK reduction and its bits), by repr, kept as a third bound of
+# _near_earlier
+ION_UNNATURAL_FLOAT_REDUCTION = {
     (float("inf"), 1): ("-0.1246379679962384", "0.6817864720154893"),
     (float("inf"), 3): ("-0.1253341555938711", "0.5282831872476283"),
     (1.0, 2): ("-0.062374226700126136", "0.37934827691010276"),
+}
+# and with the closed-form scale of a certified two-direction pencil (N = 1
+# and N = 3 keep theirs), by repr
+_ION_UNNATURAL_NOW = {
+    (float("inf"), 1): ("-0.1246379679962384", "0.6817864720154893"),
+    (float("inf"), 3): ("-0.1253341555938711", "0.5282831872476283"),
+    (1.0, 2): ("-0.06237422670012612", "0.3793482765944479"),
 }
 
 
@@ -597,6 +750,7 @@ def test_ion_unnatural_triple_is_bit_stable(ratio, n, energy, scale):
     assert (repr(res.energy), repr(res.meta["scale"])) == _ION_UNNATURAL_NOW[ratio, n]
     _near_earlier(res, energy, scale)
     _near_earlier(res, *ION_UNNATURAL_CONTRACTION[ratio, n])
+    _near_earlier(res, *ION_UNNATURAL_FLOAT_REDUCTION[ratio, n])
 
 
 def _quotient(block, c, lam):
@@ -1226,19 +1380,23 @@ def test_scan_mass4_records_report_the_search():
 
 # the molecule4 benchmark's seed-0 passes 0-2 (simplex seed = pass, ratios
 # [1, r] with r from default_rng([0, pass, 4])), with numpy 2.4.6: the
-# energies with the Python-float reduction of one- and two-term pencils,
-# then those with one contraction per block (the LAPACK reduction), which
-# they must stay within 1e-13 relative of, then those of the hand-written
+# energies with the closed-form scale of a certified two-direction pencil,
+# then those with the Python-float reduction of one- and two-term pencils
+# (Brent's scale), which they must stay within 1e-13 relative of, then those
+# with one contraction per block (the LAPACK reduction), which they must stay
+# within 1e-13 relative of, then those of the hand-written
 # pair kernel (the same F4 tables), which they must stay within 1e-13
 # relative of, then those of one table per Klein orbit (the earlier
 # tables), which they must stay within 1e-14 relative of
 _MASS4_PINNED = {
     ("cc-break", 0, 2.9842160587427786): (
         ("-0.5042331263235788", "-0.5042551752675354"),
+        ("-0.5042331263235788", "-0.5042551752675354"),
         ("-0.5042331263235788", "-0.5042551752675355"),
         ("-0.5042331263235792", "-0.5042551752675358"),
         ("-0.5042331263235788", "-0.5042551752675357")),
     ("identity-break", 0, 1.9016348825652267): (
+        ("-0.5042296509175103", "-0.5042318399637696"),
         ("-0.5042296509175102", "-0.5042318399637696"),
         ("-0.5042296509175104", "-0.5042318399637696"),
         ("-0.5042296509175104", "-0.5042318399637694"),
@@ -1246,9 +1404,11 @@ _MASS4_PINNED = {
     ("cc-break", 1, 1.4495932749446765): (
         ("-0.5042331263235788", "-0.5042528375326888"),
         ("-0.5042331263235788", "-0.5042528375326888"),
+        ("-0.5042331263235788", "-0.5042528375326888"),
         ("-0.5042331263235792", "-0.5042528375326893"),
         ("-0.5042331263235788", "-0.5042528375326891")),
     ("identity-break", 1, 1.8201738521820963): (
+        ("-0.5042296509175103", "-0.5042318399637694"),
         ("-0.5042296509175102", "-0.5042318399637693"),
         ("-0.5042296509175104", "-0.5042318399637693"),
         ("-0.5042296509175104", "-0.5042318399637691"),
@@ -1256,9 +1416,11 @@ _MASS4_PINNED = {
     ("cc-break", 2, 2.5509440505289005): (
         ("-0.5042331263235788", "-0.5042547199587674"),
         ("-0.5042331263235788", "-0.5042547199587674"),
+        ("-0.5042331263235788", "-0.5042547199587674"),
         ("-0.5042331263235792", "-0.5042547199587678"),
         ("-0.5042331263235788", "-0.5042547199587676")),
     ("identity-break", 2, 2.3277955399766577): (
+        ("-0.5042296509175103", "-0.5042318399637694"),
         ("-0.5042296509175102", "-0.5042318399637695"),
         ("-0.5042296509175104", "-0.5042318399637694"),
         ("-0.5042296509175104", "-0.5042318399637691"),
@@ -1271,10 +1433,13 @@ def test_scan_mass4_energies_pinned(mode, seed, ratio):
     rows = solve.scan_mass4([1.0, ratio], mode,
                             MinimizerConfig(seed=seed, restarts=1, max_iter=8))
     got = tuple(repr(float(r["energy"])) for r in rows)
-    pinned, contraction, pair_kernel, per_argument_set = _MASS4_PINNED[mode, seed, ratio]
+    pinned, reduction, contraction, pair_kernel, per_argument_set = _MASS4_PINNED[
+        mode, seed, ratio]
     assert got == pinned
-    for e, e2, e1, e0 in zip(map(float, got), map(float, contraction),
-                             map(float, pair_kernel), map(float, per_argument_set)):
+    for e, e3, e2, e1, e0 in zip(map(float, got), map(float, reduction),
+                                 map(float, contraction), map(float, pair_kernel),
+                                 map(float, per_argument_set)):
+        assert abs(e - e3) <= 1e-13 * abs(e3)
         assert abs(e - e2) <= 1e-13 * abs(e2)
         assert abs(e - e1) <= 1e-13 * abs(e1)
         assert abs(e - e0) <= 1e-14 * abs(e0)

@@ -22,7 +22,10 @@ bases and `scan_mass4` still walk raw ranges, the scale a flat direction
 No scipy runs here: `_fminbound`, `_nelder_mead` and `_brentq` port
 scipy's bounded Brent, Nelder-Mead and brentq step for step, to the bit.
 The simplex runs on Python floats (numpy's per-call cost on 2- to 9-vectors
-outweighed the arithmetic) and leaves ties and NaN to np.argsort's own order.
+outweighed the arithmetic); it re-sorts by one insertion unless a shrink, a
+tie or a NaN needs np.argsort's own order.  Table I's closed forms take
+Python floats too (numpy scalars' bits), and an extreme shape's float
+ZeroDivisionError or OverflowError is a refusal.
 The scale step of a two-direction pencil runs on Python floats too, one
 closure per pencil that mirrors dsyevd's arithmetic to the bit (`_step2`),
 so the scale of a block of one or two terms takes no LAPACK call (one step
@@ -34,6 +37,7 @@ numpy < 3.
 
 import math
 import operator
+from bisect import bisect_left
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -86,9 +90,9 @@ def virial_reduce(n, t, v):
     Valid for any trial family closed under rescaling; requires an attractive
     net potential, otherwise no bound scale exists.
     """
-    if v >= 0:
+    if not v < 0:           # NaN too
         raise ValueError("virial reduction needs V < 0 (attractive regime)")
-    if n <= 0 or t <= 0:
+    if not (n > 0 and t > 0):
         raise ValueError("virial reduction needs N > 0 and T > 0")
     lam = -v / (2.0 * t)
     return -v * v / (4.0 * n * t), lam
@@ -419,11 +423,16 @@ def _scale2(t0, t1, t2, v0, v1, v2, lo, hi):
     its invariants I and J) and a scan of D brackets two sign changes.  Safe-
     guarded Newton steps polish the rising zero to |dphi| <= 1e-6 (E is
     quadratic in the error).  Sums are written out, not sum()'s compensated
-    ones.  None also for T not positive definite, v >= 0, lam not strictly
-    inside and a non-finite or overflowing entry sum.
+    ones.  The entries are first divided by a power of two near the sum of
+    their magnitudes, exactly, so a pencil times 2^k gets the same answer.
+    None also for T not positive definite, v >= 0, lam not strictly inside
+    and a non-finite or overflowing sum of magnitudes.
     """
-    if not math.isfinite(t0 + t1 + t2 + v0 + v1 + v2):
+    m = abs(t0) + abs(t1) + abs(t2) + abs(v0) + abs(v1) + abs(v2)
+    if not math.isfinite(m):
         return None
+    g = math.ldexp(1.0, -math.frexp(m)[1])
+    t0, t1, t2, v0, v1, v2 = t0 * g, t1 * g, t2 * g, v0 * g, v1 * g, v2 * g
     p, c, d = 0.5 * (t0 + t2), 0.5 * (t0 - t2), t1
     P, a, b = 0.5 * (v0 + v2), 0.5 * (v0 - v2), v1
     if not p > math.hypot(c, d):
@@ -542,7 +551,12 @@ def _nelder_mead(f, x0, maxfev, xatol, fatol):
     budget that stops an iteration between evaluations.  Vertices are lists
     of Python floats, each step numpy's expression in the same order (the
     centroid adds rows in turn as np.add.reduce does, never by sum(), which
-    compensates from Python 3.12 on); np.argsort itself orders ties and NaN.
+    compensates from Python 3.12 on).  A step other than a shrink moves only
+    the last vertex: while the other n stay strictly increasing in f and the
+    new value falls strictly between its neighbours (NaN never does), one
+    `bisect` insertion gives np.argsort's order, the only one.  A shrink, a
+    tie (+-0.0 too) or a NaN sorts all n + 1, np.argsort ordering ties and
+    NaN.  |f_0 - f_n| <= fatol, necessary for scipy's f test, goes first.
     """
     n, nfev = len(x0), 0
 
@@ -569,8 +583,10 @@ def _nelder_mead(f, x0, maxfev, xatol, fatol):
     # scipy orders the first simplex twice; an unstable argsort may swap ties
     sim, fsim = ordered(*ordered(sim, fsim))
     while nfev < maxfev and not (
-            all(abs(a - b) <= xatol for s in sim[1:] for a, b in zip(s, sim[0]))
+            abs(fsim[0] - fsim[-1]) <= fatol        # cheap and necessary: first
+            and all(abs(a - b) <= xatol for s in sim[1:] for a, b in zip(s, sim[0]))
             and all(abs(fsim[0] - v) <= fatol for v in fsim[1:])):
+        shrink = False
         with suppress(_Spent):
             xbar = sim[0]
             for s in sim[1:-1]:
@@ -597,10 +613,18 @@ def _nelder_mead(f, x0, maxfev, xatol, fatol):
                 if keep:
                     sim[-1], fsim[-1] = xc, fxc
                 else:                   # shrink toward the best vertex
+                    shrink = True
                     for j in range(1, n + 1):
                         sim[j] = [a + 0.5 * (b - a) for a, b in zip(sim[0], sim[j])]
                         fsim[j] = fc(sim[j])
-        sim, fsim = ordered(sim, fsim)
+        fx = fsim[-1]                   # without a shrink only it moved
+        i = bisect_left(fsim, fx, 0, n)
+        if shrink or not (i == n or fx < fsim[i]) or not all(
+                map(operator.lt, fsim[:n - 1], fsim[1:n])):
+            sim, fsim = ordered(sim, fsim)      # a shrink, a tie or a NaN
+        elif i < n:
+            sim.insert(i, sim.pop())
+            fsim.insert(i, fsim.pop())
     return np.array(sim[0]), np.min(fsim), nfev, nfev < maxfev
 
 
@@ -834,10 +858,16 @@ def chandrasekhar_energy(a, b, z, epsilon=+1):
 
 def _shape_search(ntv, t0, config):
     """Simplex over the shape t = b/a of virial_reduce(*ntv(1, t)) from t0; the
-    closed forms refuse t <= 0 and virial_reduce a shape with V >= 0.
+    closed forms refuse t <= 0, virial_reduce a shape with V >= 0 or NaN, and
+    the objective one whose Python floats under- or overflow in the closed form.
     Returns (energy, (a, b), info) with the physical ranges lam * (1, t)."""
-    (t,), e, info = minimize_nm(lambda p: virial_reduce(*ntv(1.0, p[0]))[0],
-                                [t0], config)
+    def energy(p):
+        try:
+            return virial_reduce(*ntv(1.0, float(p[0])))[0]
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"shape t = {p[0]!r} is out of the float range") from exc
+
+    (t,), e, info = minimize_nm(energy, [t0], config)
     lam = virial_reduce(*ntv(1.0, t))[1]
     return e, (lam, lam * t), info
 

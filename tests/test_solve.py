@@ -327,6 +327,31 @@ def test_closed_form_scale_declines_a_non_finite_pencil(bad):
     assert raised >= 1
 
 
+def test_closed_form_scale_is_blind_to_the_pencil_magnitude(monkeypatch):
+    # the quartic discriminant is of degree 12 in the entries, so _scale2
+    # divides them by a power of two first: a certified pencil times 2^k
+    # gets the same scale to the bit, and the pencils of an H- N = 2 search,
+    # which need the discriminant, stay certified at 1e-30 and 1e30 (they
+    # were declined there, and Brent ran, before that division)
+    seen, scale2 = [], solve._scale2
+    monkeypatch.setattr(solve, "_scale2", lambda *a: seen.append(a) or scale2(*a))
+    solve.optimize_ion(hminus_spec(z=1.0), 2, LIGHT)
+    monkeypatch.undo()
+    hminus = [(a, lam) for a in seen if (lam := scale2(*a)) is not None]
+    assert len(hminus) >= 100
+    sample = [(solve._lower2(*_float_pencil(b, kw.get("floor", 1e-12)))
+               + list(kw.get("bounds", (0.05, 50.0)))) for b, kw in _two_direction_sample()]
+    certified = hminus + [(a, lam) for a in sample if (lam := scale2(*a)) is not None]
+    assert len(certified) >= 250
+    for a, lam in certified:
+        for k in (-300, -100, 100, 300):
+            assert scale2(*[x * 2.0 ** k for x in a[:6]], *a[6:]) == lam
+    for a, lam in hminus:
+        for f in (1e-30, 1e30):
+            got = scale2(*[x * f for x in a[:6]], *a[6:])
+            assert got is not None and abs(got - lam) <= 1e-12 * lam
+
+
 # c of the a priori bound c eps cond(N) (max |e| + |H| / |N|) on the
 # difference of the two reductions' eigenvalues: the Jacobi or dsyevd
 # eigenpairs of N are backward stable (a few eps |N|), a 2 x 2 congruence
@@ -988,24 +1013,29 @@ def _bowl(x):
     (_steps, [1.0, 0.5, -0.4], 21),      # stops before a shrink's 1st vertex
     (_steps, [1.0, 0.5, -0.4], 22),      # stops before its 2nd vertex
     (_steps, np.linspace(-1.0, 1.0, 24), 1500),     # 24 ranges, as N = 8
-    (None, None, 300),                   # optimize_ion's H- N = 2 search
+    (partial(solve.optimize_ion, hminus_spec(z=1.0), 2, LIGHT), None, 300),
     (_nan_half, [0.7, 0.49], 300),       # two NaN vertices at the start
     (_inf_half, [0.9, 0.7], 300),        # inf refusals that tie
     (_signed_zeros, [0.5, 0.4, -0.3], 300),
     (_signed_zeros, [1.0, 0.5, -0.4], 300),
     (_steps, [1.0, 0.5, -0.4, 0.8, 0.3, 0.6, -0.2, 0.9, 0.1], 1500),   # N = 3
     (_bowl, [1e16, 1.0, 1.0], 1000),     # a compensated centroid walks apart
+    (partial(solve.optimize_chandrasekhar, 1.0, LIGHT), None, 300),
+    (partial(solve.optimize_shellmodel, 2.0, LIGHT), None, 300),
+    (_steps, [2.0], 300),                # strict steps, then ties with the best
 ], ids=["rosenbrock", "plateau", "steps", "zero-coordinate", "budget-2",
         "mid-shrink-1", "mid-shrink-2", "steps-24", "hminus-n2", "nan-half",
-        "inf-ties", "signed-zeros-1", "signed-zeros-2", "steps-9", "magnitudes"])
+        "inf-ties", "signed-zeros-1", "signed-zeros-2", "steps-9", "magnitudes",
+        "chandrasekhar-n1", "shellmodel-n1", "steps-1"])
 def test_nelder_mead_is_scipy_nelder_mead(f, x0, maxfev, monkeypatch):
     # the port must walk scipy's simplex exactly: same x, f(x), evaluations
-    # and success flag
-    if f is None:
+    # and success flag; with x0 None, f is a search whose objective and start
+    # minimize_nm would get
+    if x0 is None:
         seen = []
         monkeypatch.setattr(solve, "minimize_nm", lambda obj, x0, config: (
             seen.append((obj, x0)) or (x0, -1.0, {"nfev": 0, "converged": True})))
-        solve.optimize_ion(hminus_spec(z=1.0), 2, LIGHT)
+        f()
         (f, x0), = seen
     x0 = np.asarray(x0, dtype=float)
     f_ref, ref_points = _recorded(f)
@@ -1215,13 +1245,18 @@ def test_optimize_chandrasekhar_hminus():
     assert e == pytest.approx(-0.51330, abs=5e-5)
 
 
-@pytest.mark.parametrize("search, ntv", [
-    (partial(solve.optimize_chandrasekhar, epsilon=+1),
-     partial(matel3.chandrasekhar_ntv, epsilon=+1)),
-    (partial(solve.optimize_chandrasekhar, epsilon=-1),
-     partial(matel3.chandrasekhar_ntv, epsilon=-1)),
-    (solve.optimize_shellmodel, matel3.shellmodel_ntv),
-], ids=["chandrasekhar+1", "chandrasekhar-1", "shellmodel"])
+# each search with the closed form its objective reduces
+_TABLE1_SEARCHES = {
+    "chandrasekhar+1": (partial(solve.optimize_chandrasekhar, epsilon=+1),
+                        partial(matel3.chandrasekhar_ntv, epsilon=+1)),
+    "chandrasekhar-1": (partial(solve.optimize_chandrasekhar, epsilon=-1),
+                        partial(matel3.chandrasekhar_ntv, epsilon=-1)),
+    "shellmodel": (solve.optimize_shellmodel, matel3.shellmodel_ntv),
+}
+
+
+@pytest.mark.parametrize("search, ntv", list(_TABLE1_SEARCHES.values()),
+                         ids=list(_TABLE1_SEARCHES))
 def test_table1_searches_walk_the_shape_to_physical_ranges(monkeypatch, search,
                                                            ntv):
     # the simplex walks t = b/a alone; the ranges come at their optimal
@@ -1240,6 +1275,84 @@ def test_table1_searches_walk_the_shape_to_physical_ranges(monkeypatch, search,
     e2, lam = virial_reduce(*ntv(a, b, z))
     assert lam == pytest.approx(1.0, abs=1e-12)
     assert e2 == pytest.approx(e, rel=1e-12)
+
+
+# Table I's searches with the CLI's config (restarts 2, max_iter 1200):
+# repr of the energy and the two ranges, nfev and converged
+_TABLE1_PINNED = {
+    ("chandrasekhar+1", 1.0, 0): ("-0.5133028854635256", "1.0392299674020158",
+                                  "0.2832214364344005", 90, True),
+    ("chandrasekhar+1", 2.0, 0): ("-2.8756613312347787", "2.183170882324301",
+                                  "1.188530817884438", 120, True),
+    ("chandrasekhar-1", 2.0, 0): ("-2.1606457102018566", "1.9686296115487827",
+                                  "0.32100704311695133", 106, True),
+    ("shellmodel", 2.0, 0): ("-2.1666398752552665", "1.9936349751083249",
+                             "1.5509315319106223", 106, True),
+    ("chandrasekhar+1", 1.0, 1): ("-0.5133028854635256", "1.0392299674020158",
+                                  "0.2832214364344005", 90, True),
+    ("chandrasekhar+1", 2.0, 1): ("-2.8756613312347787", "2.183170882324301",
+                                  "1.188530817884438", 120, True),
+    ("chandrasekhar-1", 2.0, 1): ("-2.1606457102018566", "1.9686296115487827",
+                                  "0.32100704311695133", 106, True),
+    ("shellmodel", 2.0, 1): ("-2.1666398752552665", "1.9936349862876215",
+                             "1.5509314888520798", 106, True),
+}
+
+
+@pytest.mark.parametrize("search, z, seed", sorted(_TABLE1_PINNED))
+def test_table1_searches_are_bit_stable(search, z, seed):
+    e, (a, b), info = _TABLE1_SEARCHES[search][0](
+        z, MinimizerConfig(restarts=2, max_iter=1200, seed=seed))
+    got = (repr(float(e)), repr(float(a)), repr(float(b)), info["nfev"], info["converged"])
+    assert got == _TABLE1_PINNED[search, z, seed]
+
+
+@pytest.mark.parametrize("search", sorted(_TABLE1_SEARCHES))
+def test_table1_objectives_refuse_shapes_beyond_the_float_range(search, monkeypatch):
+    # on Python floats the two-range pair raises ZeroDivisionError at
+    # t = 1e-120 (a^3 b^3 underflows), and both closed forms OverflowError at
+    # t = 1e60; these, and a NaN shape, are ValueError refusals, so from
+    # those starts minimize_nm returns or reports non-convergence, and counts
+    # the refusals; an ordinary shape keeps the numpy-scalar energy to the bit
+    seen = []
+    monkeypatch.setattr(solve, "minimize_nm", lambda obj, x0, config: (
+        seen.append(obj) or (x0, -1.0, {"nfev": 0, "converged": True})))
+    run, ntv = _TABLE1_SEARCHES[search]
+    run(2.0, LIGHT)
+    monkeypatch.undo()
+    (objective,) = seen
+    for t in np.geomspace(1e-3, 1e3, 61)[:-1] * 1.0137:
+        with np.errstate(all="raise"):
+            want = virial_reduce(*ntv(1.0, np.float64(t), 2.0))[0]
+        assert objective(np.array([t])) == want
+    outcomes = []
+
+    def spy(x):
+        try:
+            e = objective(x)
+        except Exception as exc:
+            outcomes.append(type(exc))
+            raise
+        outcomes.append(None)
+        return e
+
+    refused = (1e-120, 1e60, math.nan)
+    if search == "shellmodel":      # no a^3 b^3 denominator: finite at 1e-120
+        assert math.isfinite(objective(np.array([1e-120])))
+        refused = refused[1:]
+    for t in refused:
+        with pytest.raises(ValueError):
+            objective(np.array([t]))
+        outcomes.clear()
+        try:
+            info = minimize_nm(spy, [t], MinimizerConfig(restarts=2, max_iter=300))[2]
+        except NonConvergenceError:
+            info = None
+        assert set(outcomes) <= {ValueError, None} and ValueError in outcomes
+        if info is None:
+            assert None not in outcomes
+        else:
+            assert info["refused_value"] == outcomes.count(ValueError)
 
 
 def test_optimize_minmax_above_chandrasekhar():

@@ -6,7 +6,11 @@ cache carries over from one to the next, and its stdout is written without
 the `# wall_time_s=` lines, so two runs of the same code give the same
 files.  Diffing the output directories of two source trees (run once with
 PYTHONPATH set to each tree's src) shows every printed digit a change moves.
-Exits nonzero if any command does.
+The list covers both reference tables in full, every stability scan (the
+frozen curve, the (a, b) contour, the three critical charges, the mass and
+asymmetry scans, both four-body symmetry-breaking directions) and the
+single solves; no command prints only rows that another prints.  Exits
+nonzero if any command does, a table row off its tolerance included.
 
 `--compare OTHER_DIR` runs nothing: it compares the files of `--outdir`
 with OTHER_DIR's and, for each command whose output differs, prints the
@@ -25,23 +29,29 @@ import time
 
 COMMANDS = [
     ["tables", "--table", "1"],
-    ["tables", "--table", "2", "--rows", "c=0"],
-    ["tables", "--table", "2", "--rows", "N=2"],
-    ["scan", "charge", "--basis", "chandrasekhar"],
+    ["tables", "--table", "2"],
     ["ion", "--sector", "unnatural", "--terms", "3"],
     ["ion", "--sector", "unnatural", "--mass-ratio", "1", "--terms", "2"],
     ["ion", "--terms", "2"],
     ["ion", "--z", "2", "--spin", "triplet", "--terms", "2"],
-    ["scan", "mass3"],
-    ["scan", "asym3"],
     ["molecule", "--mode", "identity-break"],
     ["molecule", "--mode", "identity-break", "--ratio", "2"],
     ["molecule", "--mode", "cc-break", "--ratio", "2"],
     ["molecule", "--mode", "cc-break", "--ratio", "1"],
     ["molecule", "--mode", "ps2"],
-    ["scan", "mass4"],
-    ["scan", "mass4", "--mode", "identity-break"],
     ["molecule", "--mode", "cc-break", "--masses", "4,4,2,2"],
+    ["scan", "frozen", "--z", "1", "--format", "csv"],
+    ["scan", "contour", "--z", "1", "--grid", "41", "--format", "csv"],
+    ["scan", "charge", "--basis", "perturbative", "--format", "csv"],
+    ["scan", "charge", "--basis", "effective", "--format", "csv"],
+    ["scan", "charge", "--basis", "chandrasekhar", "--format", "csv"],
+    ["scan", "mass3", "--ratios", "1,2,10,100,1836", "--format", "csv"],
+    ["scan", "asym3", "--ratios", "1,1.1,1.25,1.5,2", "--format", "csv"],
+    ["scan", "mass4", "--mode", "cc-break", "--ratios", "1,2,10,100",
+     "--format", "csv"],
+    ["scan", "mass4", "--mode", "identity-break"],
+    ["scan", "mass4", "--mode", "identity-break", "--ratios", "1,1.5,2,2.2,3",
+     "--format", "csv"],
 ]
 
 
@@ -110,7 +120,7 @@ def main():
         (outdir / name).write_text("".join(
             line for line in run.stdout.splitlines(keepends=True)
             if not line.startswith("# wall_time_s=")))
-        print(f"{name:56s} exit {run.returncode}  {time.perf_counter() - t0:6.1f}s")
+        print(f"{name:68s} exit {run.returncode}  {time.perf_counter() - t0:6.1f}s")
         failed |= run.returncode != 0
     return int(failed)
 

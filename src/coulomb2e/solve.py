@@ -329,10 +329,8 @@ def _lower2(Tt, Vt):
 
 
 def _scale_step(Tt, Vt, k):
-    """lam -> the k-th eigenvalue of lam^2 Tt + lam Vt (see scaled_lowest):
-    `_step2` for two directions, else the gufunc (NaN raises LinAlgError)."""
-    if len(Tt) == 2:
-        return _step2(*_lower2(Tt, Vt), k)
+    """lam -> the k-th eigenvalue of lam^2 Tt + lam Vt (see scaled_lowest)
+    for three or more directions: the gufunc (NaN raises LinAlgError)."""
     return lambda lam: _checked(float(
         _eigvalsh_lo(lam * lam * Tt + lam * Vt, signature="d->d")[k]))
 
@@ -505,14 +503,14 @@ def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
     curated starts and the printed energies were tuned with this search,
     and a global reduction steers the simplex of the N = 2 H- solve into an
     ill-conditioned basin that ends above the Table II value (ROADMAP item
-    5).  Each step (`_scale_step`) returns np.linalg.eigvalsh's values to
-    the bit (LAPACK dsyevd, lower triangle): two directions mirror dsyevd's
-    dsterf and dlae2 arithmetic in Python floats (`_step2`), which assumes a
-    LAPACK whose dlae2 is built without FMA contraction, as
-    `test_scale_step_is_eigvalsh` checks.  Three
-    or more, or a 2 x 2 that dsyevd rescales, call the gufunc behind
-    eigvalsh without its wrapper.  A failed dsyevd leaves NaN, which raises
-    LinAlgError, as does a non-finite one-direction pencil.
+    5).  Each step returns np.linalg.eigvalsh's values to the bit (LAPACK
+    dsyevd, lower triangle): two directions mirror dsyevd's dsterf and dlae2
+    arithmetic in Python floats (`_step2`), which assumes a LAPACK whose
+    dlae2 is built without FMA contraction, as `test_scale_step_is_eigvalsh`
+    checks.  Three or more (`_scale_step`), or a 2 x 2 that dsyevd rescales,
+    call the gufunc behind eigvalsh without its wrapper.  A failed dsyevd
+    leaves NaN, which raises LinAlgError, as does a non-finite
+    one-direction pencil.
     """
     return _lowest_over_scale(*_reduced(block, floor)[:2], k, bounds)
 
@@ -645,9 +643,12 @@ def minimize_nm(objective, x0, config: MinimizerConfig):
     restart `converged`, and the refusals of all restarts: `refused_domain`
     (any _BIG return, the overlap floor's included), `refused_cancellation`
     (the 1+ condition cap), `refused_linalg`, `refused_value`.
-    NonConvergenceError: no restart got below _BIG / 2.
+    NonConvergenceError: no restart got below _BIG / 2.  ValueError, before
+    any evaluation: an x0 entry that is not finite.
     """
     x0 = np.asarray(x0, dtype=float)
+    if not np.isfinite(x0).all():
+        raise ValueError(f"the simplex start must be finite, got {x0.tolist()}")
     scale = np.maximum(np.abs(x0), 0.1)
     info = dict.fromkeys(["refused_domain"] + [k for _, k in _REFUSALS], 0)
 
@@ -804,8 +805,10 @@ def optimize_ion(spec: SystemSpec, n_terms: int, config: MinimizerConfig,
     """
     if spec.is_four_body:
         raise ValueError("optimize_ion needs a three-body spec")
-    if not 1 <= n_terms <= 8:
-        raise ValueError("n_terms must be in [1, 8]")
+    if type(n_terms) is not int or not 1 <= n_terms <= 8:
+        raise ValueError(f"n_terms must be an int in [1, 8], got {n_terms!r}")
+    if type(k) is not int or not 0 <= k < n_terms:
+        raise ValueError(f"k must be an int in [0, n_terms), got {k!r}")
     thr = threshold_for(spec)
     e_thr = thr.e_relevant(spec.sector)
     natural = spec.sector == NATURAL

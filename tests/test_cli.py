@@ -352,14 +352,21 @@ def test_runs_without_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+_CLI_OUTPUTS = Path(__file__).parents[1] / "scripts" / "cli_outputs.py"
+
+
+def _cli_outputs():
+    spec = importlib.util.spec_from_file_location("cli_outputs", _CLI_OUTPUTS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
 def test_cli_outputs_compare(tmp_path, capsys):
     # scripts/cli_outputs.py --compare runs nothing: equal directories exit
     # 0; a moved number is printed with its line and relative change and
     # exits 1, and a missing file counts as a difference
-    script = Path(__file__).parents[1] / "scripts" / "cli_outputs.py"
-    spec = importlib.util.spec_from_file_location("cli_outputs", script)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
+    script, mod = _CLI_OUTPUTS, _cli_outputs()
     old, new = tmp_path / "old", tmp_path / "new"
     for d in (old, new):
         d.mkdir()
@@ -375,3 +382,25 @@ def test_cli_outputs_compare(tmp_path, capsys):
     assert "largest relative change: 0.05" in run.stdout
     (new / name).unlink()
     assert not mod.compare(new, old) and "missing" in capsys.readouterr().out
+
+
+def test_cli_outputs_covers_every_table_and_scan():
+    # the one output driver parses every command it runs, gives each its own
+    # file, and runs both tables in full and every stability scan (no solve)
+    mod = _cli_outputs()
+    for argv in mod.COMMANDS:
+        cli.build_parser().parse_args(argv)
+    names = [mod._file_name(argv) for argv in mod.COMMANDS]
+    assert len(set(names)) == len(names)
+    csv = ["--format", "csv"]
+    for argv in (["tables", "--table", "1"], ["tables", "--table", "2"],
+                 ["scan", "frozen", "--z", "1", *csv],
+                 ["scan", "contour", "--z", "1", "--grid", "41", *csv],
+                 *(["scan", "charge", "--basis", b, *csv]
+                   for b in ("perturbative", "effective", "chandrasekhar")),
+                 ["scan", "mass3", "--ratios", "1,2,10,100,1836", *csv],
+                 ["scan", "asym3", "--ratios", "1,1.1,1.25,1.5,2", *csv],
+                 ["scan", "mass4", "--mode", "cc-break", "--ratios", "1,2,10,100", *csv],
+                 ["scan", "mass4", "--mode", "identity-break",
+                  "--ratios", "1,1.5,2,2.2,3", *csv]):
+        assert argv in mod.COMMANDS, argv

@@ -309,7 +309,8 @@ def test_closed_form_scale_declines_a_non_finite_pencil(bad):
     # declines and the Brent path runs as before, LinAlgError included (a
     # block with such an entry raises it in the reduction already)
     def brent(*mats):
-        lam, e, _ = solve._fminbound(solve._scale_step(*mats, 0), 0.05, 50.0, 1e-12)
+        lam, e, _ = solve._fminbound(solve._step2(*solve._lower2(*mats), 0),
+                                     0.05, 50.0, 1e-12)
         return e, lam
 
     raised = 0
@@ -448,11 +449,19 @@ def _matrices2(rng, n):
     return m
 
 
+def _step(Tt, Vt, k):
+    # the scale step of a reduced pencil: _step2 for two directions (the
+    # one production takes), the gufunc's _scale_step for any other count
+    if len(Tt) == 2:
+        return solve._step2(*solve._lower2(Tt, Vt), k)
+    return solve._scale_step(Tt, Vt, k)
+
+
 def test_scale_step_is_eigvalsh():
     # each scale step returns np.linalg.eigvalsh's eigenvalues to the bit, k
-    # = 0 and 1: the gufunc behind it from three directions on, and from one
-    # or two the Python step, which mirrors dsyevd's arithmetic and assumes a
-    # LAPACK whose dlae2 is built without FMA contraction
+    # = 0 and 1: the gufunc behind it for one direction and from three on,
+    # and for two the Python step, which mirrors dsyevd's arithmetic and
+    # assumes a LAPACK whose dlae2 is built without FMA contraction
     for block, kw in _sample_blocks():
         Tt, Vt = _pencil(block, kw.get("floor", 1e-12))
         for lam in (0.05, 0.37, 1.0, 2.9, 50.0):
@@ -461,7 +470,7 @@ def test_scale_step_is_eigvalsh():
             assert np.array_equal(_bits(solve._eigvalsh_lo(m, signature="d->d")),
                                   _bits(ref))
             for k in range(min(len(m), 2)):
-                assert _bits(solve._scale_step(Tt, Vt, k)(lam)) == _bits(ref[k])
+                assert _bits(_step(Tt, Vt, k)(lam)) == _bits(ref[k])
     rng = np.random.default_rng(13)
     # the 2 x 2 step on 160 000 matrices m, each as the pencil (m, 0) at
     # lam = 1, all in Python floats (no gufunc call)
@@ -470,7 +479,7 @@ def test_scale_step_is_eigvalsh():
     with pytest.MonkeyPatch.context() as mp:
         calls = _spy_gufunc(mp)
         for k in (0, 1):
-            got = [solve._scale_step(a, zero, k)(1.0) for a in m]
+            got = [solve._step2(*solve._lower2(a, zero), k)(1.0) for a in m]
             assert np.array_equal(_bits(got), _bits(ref[:, k]))
         assert calls == []
     # whole steps of 1- and 2-direction pencils, 100 000 each: lam^2 T + lam V
@@ -481,7 +490,7 @@ def test_scale_step_is_eigvalsh():
         T, V = (_matrices2(rng, 20_000)[:, :n, :n] for _ in "TV")
         ref = solve._eigvalsh_lo(L * L * T[:, None] + L * V[:, None], signature="d->d")
         for k in range(n):
-            steps = (solve._scale_step(t, v, k) for t, v in zip(T, V))
+            steps = (_step(t, v, k) for t, v in zip(T, V))
             got = [[f(lam) for lam in row] for f, row in zip(steps, lams.tolist())]
             assert np.array_equal(_bits(got), _bits(ref[..., k]))
 
@@ -507,7 +516,7 @@ def test_scale_step_leaves_rescaled_or_non_finite_pencils_to_lapack(monkeypatch)
             ref = gufunc(a, signature="d->d")
         for k in (0, 1):
             calls.clear()
-            step = solve._scale_step(a, np.zeros((2, 2)), k)
+            step = solve._step2(*solve._lower2(a, np.zeros((2, 2))), k)
             if np.isnan(ref).any():
                 with pytest.raises(np.linalg.LinAlgError):
                     step(1.0)
@@ -516,7 +525,7 @@ def test_scale_step_leaves_rescaled_or_non_finite_pencils_to_lapack(monkeypatch)
             assert calls == [2]
     calls.clear()
     T = np.array([[2e140, 0.0], [1e139, 3e139]])
-    assert solve._scale_step(T, T, 1)(1.0) == np.linalg.eigvalsh(T + T)[1]
+    assert solve._step2(*solve._lower2(T, T), 1)(1.0) == np.linalg.eigvalsh(T + T)[1]
     assert calls == [2]
 
 
@@ -1216,6 +1225,16 @@ def test_minimize_nm_raises_when_all_rejected():
         minimize_nm(lambda x: solve._BIG, [1.0], LIGHT)
 
 
+@pytest.mark.parametrize("x0", [[np.nan], [np.inf], [1.0, -np.inf]])
+def test_minimize_nm_rejects_a_non_finite_start(x0):
+    # no simplex from a non-finite start can meet its x test: it is refused
+    # before the first evaluation instead of spending the whole budget
+    calls = []
+    with pytest.raises(ValueError, match="finite"):
+        minimize_nm(lambda x: calls.append(x) or 0.0, x0, CFG)
+    assert calls == []
+
+
 @pytest.mark.parametrize("exc, refused", [
     (ValueError, True), (solve.CancellationError, True),
     (np.linalg.LinAlgError, True),
@@ -1238,6 +1257,21 @@ def test_optimize_ion_propagates_bugs(monkeypatch):
     monkeypatch.setattr(matel3, "natural_matblock", broken)
     with pytest.raises(TypeError):
         solve.optimize_ion(hminus_spec(z=2.0), 1, LIGHT)
+
+
+@pytest.mark.parametrize("n_terms, k", [
+    (2, -1), (2, 2), (1, 1), (2, 1.5), (2, True), (2, np.int64(0)),
+    (2.0, 0), (0, 0), (9, 0), (True, 0), (np.int64(2), 0)])
+def test_optimize_ion_rejects_a_bad_k_or_n_terms(n_terms, k, monkeypatch):
+    # a state index outside [0, n_terms) or a basis size outside 1..8, or
+    # either not an int, is refused before any block is built rather than
+    # reinterpreted (k = -1 used to return the highest state)
+    def built(*args, **kwargs):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(matel3, "natural_matblock", built)
+    with pytest.raises(ValueError, match="must be an int"):
+        solve.optimize_ion(hminus_spec(z=2.0), n_terms, LIGHT, k=k)
 
 
 def test_optimize_chandrasekhar_hminus():
@@ -1311,9 +1345,10 @@ def test_table1_searches_are_bit_stable(search, z, seed):
 def test_table1_objectives_refuse_shapes_beyond_the_float_range(search, monkeypatch):
     # on Python floats the two-range pair raises ZeroDivisionError at
     # t = 1e-120 (a^3 b^3 underflows), and both closed forms OverflowError at
-    # t = 1e60; these, and a NaN shape, are ValueError refusals, so from
-    # those starts minimize_nm returns or reports non-convergence, and counts
-    # the refusals; an ordinary shape keeps the numpy-scalar energy to the bit
+    # t = 1e60; these, and a NaN shape, are ValueError refusals, so from the
+    # finite starts minimize_nm returns or reports non-convergence, and counts
+    # the refusals (a NaN start it refuses before any evaluation); an
+    # ordinary shape keeps the numpy-scalar energy to the bit
     seen = []
     monkeypatch.setattr(solve, "minimize_nm", lambda obj, x0, config: (
         seen.append(obj) or (x0, -1.0, {"nfev": 0, "converged": True})))
@@ -1344,6 +1379,11 @@ def test_table1_objectives_refuse_shapes_beyond_the_float_range(search, monkeypa
         with pytest.raises(ValueError):
             objective(np.array([t]))
         outcomes.clear()
+        if math.isnan(t):
+            with pytest.raises(ValueError, match="finite"):
+                minimize_nm(spy, [t], MinimizerConfig(restarts=2, max_iter=300))
+            assert outcomes == []
+            continue
         try:
             info = minimize_nm(spy, [t], MinimizerConfig(restarts=2, max_iter=300))[2]
         except NonConvergenceError:

@@ -26,13 +26,12 @@ outweighed the arithmetic); it re-sorts by one insertion unless a shrink, a
 tie or a NaN needs np.argsort's own order.  Table I's closed forms take
 Python floats too (numpy scalars' bits), and an extreme shape's float
 ZeroDivisionError or OverflowError is a refusal.
-The scale step of a two-direction pencil runs on Python floats too, one
-closure per pencil that mirrors dsyevd's arithmetic to the bit (`_step2`),
-so the scale of a block of one or two terms takes no LAPACK call (one step
-at the closed-form scale, or the search).  `_reduce` masks the
-overlap eigenvectors only when a direction drops.  From three terms on the
-eigensolves call numpy's private eigh_lo and eigvalsh_lo (`_dsyevd`):
-numpy < 3.
+A symmetric 2 x 2 has one eigensolver, a Jacobi rotation on Python floats
+(`_jacobi2`), for the overlap of two terms (`_reduce2`) and for each scale
+step of a two-direction pencil (`_step2`), so a block of one or two terms
+takes no LAPACK call.  `_reduce` masks the overlap eigenvectors only when a
+direction drops.  From three terms on the eigensolves call numpy's private
+eigh_lo and eigvalsh_lo (`_dsyevd`): numpy < 3.
 """
 
 import math
@@ -122,14 +121,25 @@ def _check_finite(N):
         raise np.linalg.LinAlgError("overlap matrix is not finite")
 
 
+def _jacobi2(a, b, d):
+    """The Jacobi rotation of the symmetric 2 x 2 [[a, b], [b, d]] (the
+    symmetric Schur step of Golub & Van Loan, Matrix Computations, section
+    8.5): t = tan theta, |t| <= 1, and the eigenvalues a - t b, d + t b."""
+    t = 0.0
+    if b != 0.0:
+        tau = (d - a) / (b + b)
+        t = (1.0 / (tau + math.hypot(1.0, tau)) if tau >= 0.0
+             else -1.0 / (math.hypot(1.0, tau) - tau))
+    return t, a - t * b, d + t * b
+
+
 def _reduce2(N, T, V, floor):
     """`_reduce` of a one- or two-term block on Python floats: N, T and V
     are nested lists (their lower triangles are read), and the kept columns
     of X, Tt, Vt and w come back as lists.
 
-    A 2 x 2 overlap is diagonalized by one Jacobi rotation (the symmetric
-    Schur step of Golub & Van Loan, Matrix Computations, section 8.5); the
-    floor, the order of w and the non-finite overlap check are `_reduce`'s.
+    A 2 x 2 overlap is diagonalized by one Jacobi rotation (`_jacobi2`);
+    the floor, the order of w and the non-finite overlap check are `_reduce`'s.
     A non-finite T or V entry with a direction kept raises LinAlgError
     (here for two terms, in `_vertex` for one).
     """
@@ -141,14 +151,10 @@ def _reduce2(N, T, V, floor):
         x = 1.0 / math.sqrt(w0)
         return [(x,)], [[T[0][0] * x * x]], [[V[0][0] * x * x]], [w0]
     (a, _), (b, d) = N
-    t = 0.0                         # tan of the rotation angle, |t| <= 1
-    if b != 0.0:
-        tau = (d - a) / (b + b)
-        t = (1.0 / (tau + math.hypot(1.0, tau)) if tau >= 0.0
-             else -1.0 / (math.hypot(1.0, tau) - tau))
+    t, *w = _jacobi2(a, b, d)
     c = 1.0 / math.hypot(1.0, t)
     s = t * c
-    w, U = [a - t * b, d + t * b], [(c, -s), (s, c)]
+    U = [(c, -s), (s, c)]
     if w[1] < w[0]:
         w.reverse()
         U.reverse()
@@ -336,53 +342,17 @@ def _scale_step(Tt, Vt, k):
 
 
 def _step2(t0, t1, t2, v0, v1, v2, k):
-    """lam -> the k-th eigenvalue of the 2 x 2 pencil with lower triangles
-    (t0, t1, t2) and (v0, v1, v2), on Python floats where they are in range."""
-    sqrt, eps, eps2, low = math.sqrt, 2.0 ** -53, 2.0 ** -106, k == 0
+    """lam -> the k-th eigenvalue of the 2 x 2 pencil lam^2 T + lam V with
+    lower triangles (t0, t1, t2) and (v0, v1, v2): `_jacobi2` on Python
+    floats, LinAlgError unless both eigenvalues are finite."""
+    low = k == 0
 
     def step2(lam):
-        # dsyevd (jobz='N') at n = 2 on the lower triangle d1; e, d2: dsytrd
-        # keeps it; dsterf splits (two tests) or runs dlae2 on sqrt(e^2), d2
-        # first when |d2| < |d1| (QR); dlasrt sorts.  Only 1e-120 <
-        # max|entry| < 1e140 runs here, inside the range that dsyevd (up to
-        # 2^485) and dsterf (from 2^-405) run unscaled; NaN and inf fail it.
-        # (Plain branches: a conditional tuple costs a build and an unpack.)
         l2 = lam * lam
-        d1, e, d2 = l2 * t0 + lam * v0, l2 * t1 + lam * v1, l2 * t2 + lam * v2
-        a1, ae, a2 = abs(d1), abs(e), abs(d2)
-        if not (a1 < 1e140 and ae < 1e140 and a2 < 1e140
-                and (a1 > 1e-120 or ae > 1e-120 or a2 > 1e-120)):
-            with np.errstate(invalid="ignore"):    # the NaN check reports instead
-                return _checked(float(_eigvalsh_lo(np.array([[d1, e], [e, d2]]),
-                                                   signature="d->d")[k]))
-        e2 = e * e
-        if ae > sqrt(a1) * sqrt(a2) * eps and e2 > eps2 * abs(d1 * d2):
-            swap = a2 < a1
-            if swap:
-                a, c = d2, d1
-                aa, ac = a2, a1
-            else:
-                a, c = d1, d2
-                aa, ac = a1, a2
-            b = sqrt(e2)
-            sm, adf, ab = a + c, abs(a - c), b + b      # b >= 0: |b + b|
-            if aa > ac:
-                acmx, acmn = a, c
-            else:
-                acmx, acmn = c, a
-            if adf > ab:
-                hi, lo = adf, ab
-            else:
-                hi, lo = ab, adf            # ab > 0; a tie gives sqrt(2)
-            q = lo / hi
-            rt = hi * sqrt(1.0 + q * q)
-            rt1 = 0.5 * (sm - rt) if sm < 0.0 else 0.5 * (sm + rt)
-            rt2 = -0.5 * rt if sm == 0.0 else (acmx / rt1) * acmn - (b / rt1) * b
-            if swap:
-                d1, d2 = rt2, rt1
-            else:
-                d1, d2 = rt1, rt2
-        return d2 if (d2 < d1) == low else d1     # the k-th of the sorted pair
+        _, e0, e1 = _jacobi2(l2 * t0 + lam * v0, l2 * t1 + lam * v1, l2 * t2 + lam * v2)
+        if not (math.isfinite(e0) and math.isfinite(e1)):
+            raise np.linalg.LinAlgError("scale pencil is not finite")
+        return e1 if (e1 < e0) == low else e0
 
     return step2
 
@@ -503,15 +473,15 @@ def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
     curated starts and the printed energies were tuned with this search,
     and a global reduction steers the simplex of the N = 2 H- solve into an
     ill-conditioned basin that ends above the Table II value (ROADMAP item
-    5).  Each step returns np.linalg.eigvalsh's values to the bit (LAPACK
-    dsyevd, lower triangle): two directions mirror dsyevd's dsterf and dlae2
-    arithmetic in Python floats (`_step2`), which assumes a LAPACK whose
-    dlae2 is built without FMA contraction, as `test_scale_step_is_eigvalsh`
-    checks.  Three or more (`_scale_step`), or a 2 x 2 that dsyevd rescales,
-    call the gufunc behind eigvalsh without its wrapper.  A failed dsyevd
-    leaves NaN, which raises LinAlgError, as does a non-finite
-    one-direction pencil.
+    5).  A step of two directions is `_jacobi2`'s rotation on Python floats
+    (`_step2`), as close to the exact eigenvalues as LAPACK's (within 2 eps
+    max|entry|) and the same on every LAPACK build; three or more (`_scale_step`)
+    call the gufunc behind np.linalg.eigvalsh, its values to the bit.  A
+    non-finite step or a failed dsyevd (NaN) raises LinAlgError, a k that is
+    not an int >= 0 ValueError.
     """
+    if type(k) is not int or k < 0:         # bool is no k
+        raise ValueError(f"k must be an int >= 0, got {k!r}")
     return _lowest_over_scale(*_reduced(block, floor)[:2], k, bounds)
 
 
@@ -522,7 +492,7 @@ def _lowest_over_scale(Tt, Vt, k, bounds=(0.05, 50.0)):
         return _BIG, 1.0
     if m == 1:
         return _vertex(float(Tt[0][0]), float(Vt[0][0]), bounds)
-    if m == 2:                  # errstate only around _step2's gufunc fallback
+    if m == 2:
         pencil = _lower2(Tt, Vt)
         step = _step2(*pencil, k)
         lam = _scale2(*pencil, *bounds) if k == 0 else None
@@ -936,8 +906,11 @@ def scan_frozen(z):
     b_grid = np.linspace(0.02, 1.2, 119)
 
     def e_of(b):
-        n, t, v = matel3.chandrasekhar_ntv(z, b, z, +1)
-        return (t + v) / n
+        with suppress(ZeroDivisionError, OverflowError):
+            n, t, v = matel3.chandrasekhar_ntv(z, b, z, +1)
+            if math.isfinite(e := (t + v) / n):
+                return e
+        raise ValueError(f"z = {z!r} takes the closed forms out of the float range")
 
     b0, e0, es = _grid_min(e_of, b_grid)
     return list(zip(b_grid.tolist(), es)), (b0, e0)
@@ -953,8 +926,11 @@ def scan_contour(z, a_range=(0.2, 2.0), b_range=(0.05, 1.2), grid=(61, 61)):
         raise ValueError(f"grid {grid} needs at least one point per axis")
     a_vals = np.linspace(a_range[0], a_range[1], grid[0])
     b_vals = np.linspace(b_range[0], b_range[1], grid[1])
-    E = np.array([[chandrasekhar_energy(a, b, z) for b in b_vals]
-                  for a in a_vals])
+    with np.errstate(all="ignore"):         # a non-finite energy raises below
+        E = np.array([[chandrasekhar_energy(a, b, z) for b in b_vals]
+                      for a in a_vals])
+    if not np.isfinite(E).all():
+        raise ValueError(f"z = {z!r} takes the closed forms out of the float range")
     return a_vals, b_vals, E
 
 

@@ -178,6 +178,9 @@ def test_tables_rows_matching_nothing(capsys):
     ["scan", "frozen", "--z", "nan"],
     ["scan", "contour", "--z", "nan"],
     ["scan", "contour", "--grid", "0"],
+    ["scan", "frozen", "--z", "1e103"],        # beyond the closed forms' floats
+    ["scan", "frozen", "--z", "1e-120"],
+    ["scan", "contour", "--z", "1e200", "--grid", "2", "--format", "csv"],
     ["ion", "--terms", "1", "--seed", "-1"],
     ["molecule", "--mode", "ps2", "--seed", "-1"],
     ["molecule", "--mode", "identity-break", "--seed", "-2"],

@@ -8,6 +8,7 @@ import warnings
 from functools import partial
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -131,9 +132,12 @@ def test_scaled_lowest_search_is_local():
 
 
 def _scaled_lowest_ref(block, floor=1e-12, bounds=(0.05, 50.0), pencil=_pencil):
+    # scipy's bounded Brent over the lowest eigenvalue: the rotation step for
+    # two directions, np.linalg.eigvalsh otherwise
     Tt, Vt = pencil(block, floor)
-    r = minimize_scalar(lambda lam: np.linalg.eigvalsh(lam * lam * Tt + lam * Vt)[0],
-                        bounds=bounds, method="bounded", options=dict(xatol=1e-12))
+    f = (solve._step2(*solve._lower2(Tt, Vt), 0) if len(Tt) == 2
+         else lambda lam: np.linalg.eigvalsh(lam * lam * Tt + lam * Vt)[0])
+    r = minimize_scalar(f, bounds=bounds, method="bounded", options=dict(xatol=1e-12))
     return float(r.fun), float(r.x)
 
 
@@ -170,10 +174,10 @@ def _certified(block, floor=1e-12, bounds=(0.05, 50.0)):
 
 
 def test_scaled_lowest_matches_scipy_eigvalsh_reference():
-    # scipy's bounded Brent over np.linalg.eigvalsh: the same (E, lam) to
-    # the bit, on the LAPACK pencil from three terms on and on the
-    # Python-float pencil of two terms that _scale2 declines (the certified
-    # ones are checked against scipy and a grid in
+    # scipy's bounded Brent: the same (E, lam) to the bit, over
+    # np.linalg.eigvalsh on the LAPACK pencil from three terms on, and over
+    # the rotation step on the Python-float pencil of two terms that _scale2
+    # declines (the certified ones are checked against scipy and a grid in
     # test_closed_form_scale_against_brent_and_a_grid)
     sample = [(b, kw) for b, kw in _sample_blocks() if len(b.n_mat) >= 2]
     sample.append((matel3.natural_matblock(HM_LOCAL_TERMS, hminus_spec(z=1.0)), {}))
@@ -245,8 +249,7 @@ def _scale2_corners(block):
     # two minima (HM_LOCAL_TERMS), decoupled pencils with one and with two
     # minima, V proportional to T (and both to 1) or to 1 alone (D is then
     # its first harmonic), the optimum 1e-9 inside and 1e-9 outside either
-    # bound, and entries near 1e-120 and 1e140, the edges of _step2's float
-    # range; block is a certified one
+    # bound, and entries near 1e-120 and 1e140; block is a certified one
     pencil = lambda T, V: MatBlock(np.eye(2), np.array(T), np.array(V))
     lam = _certified(block)
     T, V = _float_pencil(block)
@@ -273,9 +276,10 @@ def _grid_lows(Tt, Vt, lo, hi, n=20_000):
 def test_closed_form_scale_against_brent_and_a_grid():
     # where _scale2 answers, E has one local minimum on a 20 000-point log
     # grid of the box, and scaled_lowest's (E, lam) lies within 4 ulp of
-    # scipy's bounded Brent and of the grid minimum refined by it (E), and
-    # within 1e-7 relative of Brent's scale; where it declines (every block
-    # whose grid shows two minima), scaled_lowest is scipy's Brent to the bit
+    # scipy's bounded Brent over the rotation step and of the grid minimum
+    # refined by it over np.linalg.eigvalsh (E), and within 1e-7 relative of
+    # Brent's scale; where it declines (every block whose grid shows two
+    # minima), scaled_lowest is scipy's Brent to the bit
     sample = _two_direction_sample()
     assert len(sample) >= 200
     sample += _scale2_corners(sample[0][0])
@@ -449,50 +453,36 @@ def _matrices2(rng, n):
     return m
 
 
-def _step(Tt, Vt, k):
-    # the scale step of a reduced pencil: _step2 for two directions (the
-    # one production takes), the gufunc's _scale_step for any other count
-    if len(Tt) == 2:
-        return solve._step2(*solve._lower2(Tt, Vt), k)
-    return solve._scale_step(Tt, Vt, k)
+_EPS = np.finfo(float).eps
 
 
-def test_scale_step_is_eigvalsh():
-    # each scale step returns np.linalg.eigvalsh's eigenvalues to the bit, k
-    # = 0 and 1: the gufunc behind it for one direction and from three on,
-    # and for two the Python step, which mirrors dsyevd's arithmetic and
-    # assumes a LAPACK whose dlae2 is built without FMA contraction
-    for block, kw in _sample_blocks():
-        Tt, Vt = _pencil(block, kw.get("floor", 1e-12))
-        for lam in (0.05, 0.37, 1.0, 2.9, 50.0):
-            m = lam * lam * Tt + lam * Vt
-            ref = np.linalg.eigvalsh(m)
-            assert np.array_equal(_bits(solve._eigvalsh_lo(m, signature="d->d")),
-                                  _bits(ref))
-            for k in range(min(len(m), 2)):
-                assert _bits(_step(Tt, Vt, k)(lam)) == _bits(ref[k])
-    rng = np.random.default_rng(13)
-    # the 2 x 2 step on 160 000 matrices m, each as the pencil (m, 0) at
-    # lam = 1, all in Python floats (no gufunc call)
-    m = _matrices2(rng, 160_000)
-    ref, zero = solve._eigvalsh_lo(m, signature="d->d"), np.zeros((2, 2))
-    with pytest.MonkeyPatch.context() as mp:
-        calls = _spy_gufunc(mp)
-        for k in (0, 1):
-            got = [solve._step2(*solve._lower2(a, zero), k)(1.0) for a in m]
-            assert np.array_equal(_bits(got), _bits(ref[:, k]))
-        assert calls == []
-    # whole steps of 1- and 2-direction pencils, 100 000 each: lam^2 T + lam V
-    # rounded as numpy rounds it, then the eigenvalue
-    lams = np.exp(rng.uniform(np.log(0.02), np.log(50.0), (20_000, 5)))
-    L = lams[..., None, None]
-    for n in (1, 2):
-        T, V = (_matrices2(rng, 20_000)[:, :n, :n] for _ in "TV")
-        ref = solve._eigvalsh_lo(L * L * T[:, None] + L * V[:, None], signature="d->d")
-        for k in range(n):
-            steps = (_step(t, v, k) for t, v in zip(T, V))
-            got = [[f(lam) for lam in row] for f, row in zip(steps, lams.tolist())]
-            assert np.array_equal(_bits(got), _bits(ref[..., k]))
+def _exact2(m):
+    # both eigenvalues of each 2 x 2 (its lower triangle a, b, d), ascending:
+    # (a + d)/2 -+ sqrt(((a - d)/2)^2 + b^2) in 60-digit mpmath
+    out = []
+    with mpmath.workdps(60):
+        for (a, _), (b, d) in np.asarray(m).reshape(-1, 2, 2).tolist():
+            a, b, d = map(mpmath.mpf, (a, b, d))
+            h, r = (a + d) / 2, mpmath.sqrt(((a - d) / 2) ** 2 + b * b)
+            out.append((h - r, h + r))
+    return out
+
+
+def _step_error(got, m, exact=None):
+    # the largest |got - exact| over each matrix and k = 0, 1, in units of
+    # eps max|entry| of that matrix's lower triangle; got[i][k] is the k-th
+    # eigenvalue of m[i]
+    m = np.asarray(m).reshape(-1, 2, 2)
+    sizes = _EPS * np.abs(np.tril(m)).max(axis=(1, 2))
+    return max(float(abs(mpmath.mpf(g) - x)) / s for gs, xs, s in
+               zip(np.reshape(got, (-1, 2)).tolist(), exact or _exact2(m), sizes)
+               for g, x in zip(gs, xs))
+
+
+def _steps2(m, lam=1.0):
+    # both rotation steps of each matrix of m, as the pencil (m, 0) at lam
+    zero = np.zeros((2, 2))
+    return [[solve._step2(*solve._lower2(a, zero), k)(lam) for k in (0, 1)] for a in m]
 
 
 def _spy_gufunc(monkeypatch):
@@ -503,42 +493,105 @@ def _spy_gufunc(monkeypatch):
     return calls
 
 
-def test_scale_step_leaves_rescaled_or_non_finite_pencils_to_lapack(monkeypatch):
-    # outside 1e-120 .. 1e140 (a margin inside the range that dsyevd and
-    # dsterf run unscaled), or with an entry that is not finite, the Python
-    # step declines and the gufunc runs: its value, or LinAlgError for NaN
-    gufunc, calls = solve._eigvalsh_lo, _spy_gufunc(monkeypatch)
-    for m in ([[1e141, 0.0], [3.0, 2.0]], [[1.0, 0.0], [1e141, 2.0]],
-              [[1e-121, 0.0], [3e-121, 0.0]], [[np.nan, 0.0], [0.5, 2.0]],
-              [[1.0, 0.0], [np.inf, 2.0]]):
-        a = np.array(m)
-        with np.errstate(invalid="ignore"):
-            ref = gufunc(a, signature="d->d")
+def test_scale_step_is_within_2eps_of_the_exact_eigenvalues(monkeypatch):
+    # the two-direction step, one Jacobi rotation on Python floats, lands
+    # within 2 eps max|entry| of the exact eigenvalues, k = 0 and 1, as
+    # LAPACK's gufunc does on the same matrices, and never calls the gufunc
+    # (on 100 000 matrices of other seeds the rotation's largest error was
+    # 1.73 eps, the gufunc's 2.10); from three directions on the step is the
+    # gufunc, np.linalg.eigvalsh's values to the bit
+    rng = np.random.default_rng(13)
+    m = _matrices2(rng, 8_000)
+    exact = _exact2(m)
+    calls = _spy_gufunc(monkeypatch)
+    got = _steps2(m)
+    assert calls == []
+    assert _step_error(got, m, exact) <= 2.0
+    assert _step_error(solve._eigvalsh_lo(m, signature="d->d"), m, exact) <= 2.0
+    for block, kw in _sample_blocks():
+        Tt, Vt = _pencil(block, kw.get("floor", 1e-12))
+        for lam in (0.05, 0.37, 1.0, 2.9, 50.0):
+            if len(Tt) == 2:
+                got = [solve._step2(*solve._lower2(Tt, Vt), k)(lam) for k in (0, 1)]
+                assert _step_error(got, lam * lam * Tt + lam * Vt) <= 2.0
+            elif len(Tt) > 2:
+                ref = np.linalg.eigvalsh(lam * lam * Tt + lam * Vt)
+                for k in (0, 1):
+                    assert _bits(solve._scale_step(Tt, Vt, k)(lam)) == _bits(ref[k])
+    # whole steps, lam^2 T + lam V rounded as numpy rounds it and then the
+    # eigenvalue: 1 000 pencils of two directions and 4 000 of three (the
+    # entries drawn as _matrices2 draws them), five scales each
+    lams = np.exp(rng.uniform(np.log(0.02), np.log(50.0), (4_000, 5)))
+    L = lams[..., None, None]
+    T, V = (_matrices2(rng, 1_000) for _ in "TV")
+    got = [[solve._step2(*solve._lower2(t, v), k)(lam) for lam in row for k in (0, 1)]
+           for t, v, row in zip(T, V, lams.tolist())]
+    M = L[:1_000] * L[:1_000] * T[:, None] + L[:1_000] * V[:, None]
+    assert _step_error(got, M) <= 2.0
+    T, V = (rng.choice([-1.0, 1.0], (4_000, 3, 3))
+            * np.exp(rng.uniform(-8.0, 8.0, (4_000, 3, 3))) for _ in "TV")
+    ref = solve._eigvalsh_lo(L * L * T[:, None] + L * V[:, None], signature="d->d")
+    for k in (0, 1):
+        steps = (solve._scale_step(t, v, k) for t, v in zip(T, V))
+        got = [[f(lam) for lam in row] for f, row in zip(steps, lams.tolist())]
+        assert np.array_equal(_bits(got), _bits(ref[..., k]))
+
+
+def test_scale_step_scales_exactly_and_raises_on_a_non_finite_pencil(monkeypatch):
+    # with no gufunc call: the pencil times 2^j steps to the step times 2^j
+    # to the bit (|j| <= 300; the subnormal corner of _matrices2 is left out,
+    # as its entries would round), entries near 1e-300 and 1e300 step to
+    # finite values within 2 eps max|entry|, and a NaN or infinite entry
+    # raises LinAlgError
+    calls = _spy_gufunc(monkeypatch)
+    rng = np.random.default_rng(32)
+    n = 9 * 150
+    keep = np.arange(n) % 9 != 8
+    T, V = (_matrices2(rng, n)[keep] for _ in "TV")
+    lams = np.exp(rng.uniform(np.log(0.02), np.log(50.0), len(T))).tolist()
+    for t, v, lam in zip(T, V, lams):
+        pencil = solve._lower2(t, v)
         for k in (0, 1):
-            calls.clear()
-            step = solve._step2(*solve._lower2(a, np.zeros((2, 2))), k)
-            if np.isnan(ref).any():
+            e = solve._step2(*pencil, k)(lam)
+            for j in (-300, -100, 100, 300):
+                f = 2.0 ** j
+                assert solve._step2(*[x * f for x in pencil], k)(lam) == e * f
+    m = _matrices2(rng, n)[keep]
+    m /= np.abs(np.tril(m)).max(axis=(1, 2))[:, None, None]
+    for size in (1e-300, 1e300):
+        got = _steps2(m * size)
+        assert np.isfinite(got).all() and _step_error(got, m * size) <= 2.0
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in range(6):
+            pencil = [1.0, 0.2, 0.7, -2.0, -0.3, -1.1]
+            pencil[i] = bad
+            for k in (0, 1):
                 with pytest.raises(np.linalg.LinAlgError):
-                    step(1.0)
-            else:
-                assert _bits(step(1.0)) == _bits(ref[k])
-            assert calls == [2]
-    calls.clear()
-    T = np.array([[2e140, 0.0], [1e139, 3e139]])
-    assert solve._step2(*solve._lower2(T, T), 1)(1.0) == np.linalg.eigvalsh(T + T)[1]
-    assert calls == [2]
+                    solve._step2(*pencil, k)(1.0)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n, bad", [(1, np.nan), (2, np.nan), (2, np.inf),
                                     (2, -np.inf)])
 def test_scaled_lowest_raises_on_a_non_finite_entry(n, bad):
-    # a NaN or infinite element reaches LAPACK (or, 1 x 1, the entry itself)
-    # and comes back NaN, which raises LinAlgError as a failed dsyevd does
+    # a NaN or infinite element raises LinAlgError, as a failed dsyevd does:
+    # in the two-term reduction, and for one term in the vertex
     T = 0.5 * np.eye(n)
     T[n - 1, 0] = T[0, n - 1] = bad
     with np.errstate(invalid="ignore"):
         with pytest.raises(np.linalg.LinAlgError):
             scaled_lowest(MatBlock(np.eye(n), T, -np.eye(n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scaled_lowest_rejects_a_bad_k(n):
+    # k must be an int >= 0 at every size: -1 is not the highest eigenvalue,
+    # and neither 1.0 nor True is 1
+    blk = matel3.natural_matblock(solve._NAT_SEEDS[2.0, +1, n, 0], hminus_spec(z=2.0))
+    for k in (-1, 1.0, True, None, "0"):
+        with pytest.raises(ValueError, match="k must be an int >= 0"):
+            scaled_lowest(blk, k=k)
+    assert scaled_lowest(blk, k=0)[0] < 0
 
 
 def test_small_pencils_skip_the_gufunc_and_larger_ones_use_it(monkeypatch):
@@ -716,8 +769,9 @@ _ION_NATURAL_NOW = {
 def _near_earlier(res, energy, scale):
     # the contraction adds the kernels' products in another order, the
     # float reduction rounds the overlap's eigenpairs and congruences in
-    # another order, and the closed-form scale lands on the stationary point
-    # that Brent's search found to its tolerance: the energy stays within
+    # another order, the closed-form scale lands on the stationary point
+    # that Brent's search found to its tolerance, and the rotation step
+    # rounds the eigenvalue as dsyevd does not: the energy stays within
     # 1e-13 relative of each earlier repr, and the scale, the argmin of a
     # flat minimum (a move of order sqrt(1e-14)), within 1e-7
     assert abs(res.energy - float(energy)) <= 1e-13 * abs(float(energy))
@@ -768,12 +822,19 @@ ION_UNNATURAL_FLOAT_REDUCTION = {
     (float("inf"), 3): ("-0.1253341555938711", "0.5282831872476283"),
     (1.0, 2): ("-0.062374226700126136", "0.37934827691010276"),
 }
-# and with the closed-form scale of a certified two-direction pencil (N = 1
-# and N = 3 keep theirs), by repr
-_ION_UNNATURAL_NOW = {
+# with the closed-form scale of a certified two-direction pencil (N = 1 and
+# N = 3 keep theirs), by repr, kept as a fourth bound of _near_earlier
+ION_UNNATURAL_CLOSED_FORM = {
     (float("inf"), 1): ("-0.1246379679962384", "0.6817864720154893"),
     (float("inf"), 3): ("-0.1253341555938711", "0.5282831872476283"),
     (1.0, 2): ("-0.06237422670012612", "0.3793482765944479"),
+}
+# and with the rotation step of two directions (N = 2 moves by one ulp at
+# the same scale), by repr
+_ION_UNNATURAL_NOW = {
+    (float("inf"), 1): ("-0.1246379679962384", "0.6817864720154893"),
+    (float("inf"), 3): ("-0.1253341555938711", "0.5282831872476283"),
+    (1.0, 2): ("-0.06237422670012613", "0.3793482765944479"),
 }
 
 
@@ -785,6 +846,7 @@ def test_ion_unnatural_triple_is_bit_stable(ratio, n, energy, scale):
     _near_earlier(res, energy, scale)
     _near_earlier(res, *ION_UNNATURAL_CONTRACTION[ratio, n])
     _near_earlier(res, *ION_UNNATURAL_FLOAT_REDUCTION[ratio, n])
+    _near_earlier(res, *ION_UNNATURAL_CLOSED_FORM[ratio, n])
 
 
 def _quotient(block, c, lam):

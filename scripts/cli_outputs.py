@@ -9,7 +9,8 @@ PYTHONPATH set to each tree's src) shows every printed digit a change moves.
 The list covers both reference tables in full, every stability scan (the
 frozen curve, the (a, b) contour, the three critical charges, the mass and
 asymmetry scans, both four-body symmetry-breaking directions) and the
-single solves; no command prints only rows that another prints.  Exits
+single solves, `molecule --masses` on heavy and on light positives included;
+no command prints only rows that another prints.  Exits
 nonzero if any command does, a table row off its tolerance included.
 
 `--compare OTHER_DIR` runs nothing: it compares the files of `--outdir`
@@ -40,6 +41,8 @@ COMMANDS = [
     ["molecule", "--mode", "cc-break", "--ratio", "1"],
     ["molecule", "--mode", "ps2"],
     ["molecule", "--mode", "cc-break", "--masses", "4,4,2,2"],
+    ["molecule", "--mode", "cc-break", "--masses", "2,2,4,4"],
+    ["molecule", "--mode", "identity-break", "--masses", "1,3,1,3"],
     ["scan", "frozen", "--z", "1", "--format", "csv"],
     ["scan", "contour", "--z", "1", "--grid", "41", "--format", "csv"],
     ["scan", "charge", "--basis", "perturbative", "--format", "csv"],

@@ -12,7 +12,7 @@ from .model import (SystemSpec, MatBlock, TwoBodyThreshold, VariationalResult,
                     hminus_spec, ps2_spec)
 from .solve import (MinimizerConfig, NonConvergenceError,
                     optimize_ion, optimize_chandrasekhar, optimize_minmax,
-                    optimize_ps2, molecule_result)
+                    optimize_ps2, molecule_result, molecule_masses)
 
 __all__ = [
     "SystemSpec", "MatBlock", "TwoBodyThreshold",
@@ -20,5 +20,5 @@ __all__ = [
     "threshold_for", "hminus_spec", "ps2_spec",
     "MinimizerConfig", "NonConvergenceError",
     "optimize_ion", "optimize_chandrasekhar", "optimize_minmax", "optimize_ps2",
-    "molecule_result",
+    "molecule_result", "molecule_masses",
 ]

@@ -8,6 +8,7 @@ reported on stdout only, so files from identical flags are identical.
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -18,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__, solve, tables
-from .model import NATURAL, UNNATURAL, TwoBodyThreshold, hminus_spec
+from .model import NATURAL, UNNATURAL, hminus_spec
 from .solve import MinimizerConfig, NonConvergenceError
 
 EXIT_OK = 0
@@ -78,10 +79,7 @@ def _result_payload(res, spec_label, seed):
                        for p in res.params],
             "coeffs": [float(c) for c in res.coeffs],
             "virial_ratio": res.virial_ratio,
-            "threshold": {"mu": res.threshold.mu,
-                          "e_ground": res.threshold.e_ground,
-                          "e_2p": res.threshold.e_2p,
-                          "label": res.threshold.label},
+            "threshold": dataclasses.asdict(res.threshold),
             "margin": res.margin,
             "stable": bool(res.stable),
             "sector": res.sector,
@@ -120,45 +118,15 @@ def cmd_ion(args):
                         time.perf_counter() - t0)
 
 
-# the equal-mass pairs each mode models, as (m1, m2, m3, m4) indices;
-# particles 1, 2 are the positives and 3, 4 the negatives
-_MODE_MASSES = {"ps2": ("m1=m2=m3=m4", ((0, 1), (0, 2), (0, 3))),
-                "cc-break": ("m1=m2 and m3=m4", ((0, 1), (2, 3))),
-                "identity-break": ("m1=m3 and m2=m4", ((0, 2), (1, 3)))}
-
-
 def cmd_molecule(args):
-    if args.masses:
-        parts = [float(v) for v in args.masses.split(",")]
-        if len(parts) != 4 or min(parts) <= 0:
-            print("molecule: --masses needs four positive values", file=sys.stderr)
-            return EXIT_USAGE
-        need, pairs = _MODE_MASSES[args.mode]
-        if any(parts[i] != parts[j] for i, j in pairs):
-            print(f"molecule: --mode {args.mode} needs {need}", file=sys.stderr)
-            return EXIT_USAGE
-        ratio = max(parts) / min(parts)
-        # the solve runs at unit average inverse mass; energies and ranges
-        # scale linearly with the mass unit s that restores the given masses
-        s = 2.0 / (1.0 / max(parts) + 1.0 / min(parts))
-        # cc-break solves heavy positives: lighter ones are its charge
-        # conjugate, which relabels r14 <-> r23, i.e. (a, b, c, d) -> (a, c, b, d)
-        conjugate = args.mode == "cc-break" and parts[0] < parts[2]
-    else:
-        ratio, s, conjugate = args.ratio, 1.0, False
-    label = f"molecule mode={args.mode} ratio={ratio:g}"
+    cfg = _config(args, restarts=1, max_iter=1000)
     t0 = time.perf_counter()
-    res = solve.molecule_result(args.mode, ratio, _config(args, restarts=1,
-                                                          max_iter=1000))
-    wall = time.perf_counter() - t0
-    thr = res.threshold
-    res.energy *= s
-    res.threshold = TwoBodyThreshold(s * thr.mu, s * thr.e_ground, s * thr.e_2p,
-                                     thr.label)
-    res.meta["scale"] *= s   # the ranges are params times the scale (ps2: the scale)
-    if conjugate:
-        res.params = [res.params[i] for i in (0, 2, 1, 3)]
-    return _emit_result(res, label, args, ["energy", "margin", "stable"], wall)
+    if args.masses:
+        ratio, res = solve.molecule_masses(args.mode, _parse_ratios(args.masses), cfg)
+    else:
+        ratio, res = args.ratio, solve.molecule_result(args.mode, args.ratio, cfg)
+    return _emit_result(res, f"molecule mode={args.mode} ratio={ratio:g}", args,
+                        ["energy", "margin", "stable"], time.perf_counter() - t0)
 
 
 def _parse_ratios(text):

@@ -44,7 +44,7 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 
-from .model import UNNATURAL, block, coefficients, contract, kinetic
+from .model import NATURAL, UNNATURAL, block, coefficients, contract, kinetic
 
 
 class _Columns(tuple):
@@ -157,6 +157,8 @@ def natural_matblock(terms, spec, symmetrize=True):
     symmetrize=False and supply both orderings as separate terms.  `terms`
     is an (n, 3) array or a list of n (a, b, c) tuples.
     """
+    if spec.sector != NATURAL or spec.z_central is None:
+        raise ValueError("natural_matblock needs a three-body natural-sector spec")
     W = _ntv_table(spec.z_central, spec.inv_masses)
     return _block3(terms, spec.epsilon if symmetrize else None,
                    lambda u, v: contract(u, v, _g3_cells(u + v, _NTV_CELLS), W))

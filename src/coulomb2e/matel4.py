@@ -245,6 +245,8 @@ def assemble4(groups, spec):
     basis is translation invariant, so the lab-frame kinetic sum equals the
     internal kinetic energy.
     """
+    if not spec.is_four_body:
+        raise ValueError("assemble4 needs a four-body spec")
     weights = [w for w, _ in groups[0]] if groups else None
     if not weights or any([w for w, _ in g] != weights for g in groups):
         raise ValueError("four-body groups must be non-empty with equal weights")

@@ -23,44 +23,41 @@ UNNATURAL = "unnatural"  # vector 1+ sector (threshold is the 2p atom)
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """One Hamiltonian instance: charges, inverse masses, exchange symmetry, sector.
+    """One Hamiltonian instance: inverse masses, exchange symmetry, sector.
 
     Three-body systems carry a central charge ``z_central`` and inverse masses
-    ``[1/M, 1/m1, 1/m2]`` (center first).  Four-body systems have no center;
-    ``charges`` lists the per-particle signed charges and ``inv_masses`` one
-    entry per particle.
+    ``[1/M, 1/m1, 1/m2]`` (center first).  Four-body systems have no center:
+    unit charges and ``inv_masses`` of the positives 1, 2, then the negatives
+    3, 4, in the natural sector with epsilon +1 (their basis groups carry the
+    exchange symmetry).
     """
 
     inv_masses: Tuple[float, ...]
     z_central: Optional[float] = None
     epsilon: int = +1
     sector: str = NATURAL
-    charges: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
-        if not all(0 <= im < math.inf for im in self.inv_masses):
+        im = self.inv_masses
+        if not all(0 <= x < math.inf for x in im):
             raise ValueError("inverse masses must be finite and >= 0")
         if self.epsilon not in (+1, -1):
             raise ValueError("epsilon must be +1 or -1")
         if self.sector not in (NATURAL, UNNATURAL):
             raise ValueError(f"unknown sector {self.sector!r}")
         if self.z_central is None:
-            if self.charges is None or len(self.charges) != 4:
-                raise ValueError("four-body spec needs 4 charges")
-            if len(self.inv_masses) != 4:
+            if len(im) != 4:
                 raise ValueError("four-body spec needs 4 inverse masses")
-            if sorted(self.charges) != [-1, -1, 1, 1]:
-                raise ValueError("need exactly two +1 and two -1 charges")
-            im, q = self.inv_masses, self.charges
-            if any(im[i] + im[j] == 0 for i in range(4) for j in range(4)
-                   if q[i] > 0 > q[j]):
+            if self.epsilon != +1 or self.sector != NATURAL:
+                raise ValueError("four-body spec is natural with epsilon +1")
+            if any(im[i] + im[j] == 0 for i in (0, 1) for j in (2, 3)):
                 raise ValueError("an atom of two infinite masses is unbounded")
         else:
-            if len(self.inv_masses) != 3:
+            if len(im) != 3:
                 raise ValueError("three-body spec needs [1/M, 1/m1, 1/m2]")
             if not 0 < self.z_central < math.inf:
                 raise ValueError("central charge z must be finite and > 0")
-            if any(self.inv_masses[0] + im == 0 for im in self.inv_masses[1:]):
+            if any(im[0] + x == 0 for x in im[1:]):
                 raise ValueError("an atom of two infinite masses is unbounded")
 
     @property
@@ -138,6 +135,11 @@ def kinetic(w, e, f, overlap, bracket):
             + [(w * c, p, k) for c, k in bracket for p in ((e, f), (f, e))])
 
 
+# energy must undercut the threshold by more than this to count as bound;
+# guards against declaring round-off noise a bound state
+STABILITY_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class TwoBodyThreshold:
     mu: float
@@ -147,6 +149,12 @@ class TwoBodyThreshold:
 
     def e_relevant(self, sector: str) -> float:
         return self.e_2p if sector == UNNATURAL else self.e_ground
+
+    def verdict(self, energy, sector=NATURAL):
+        """(margin, stable) of an energy in a sector: how far it lies below the
+        sector's threshold, relative to it, and whether by more than STABILITY_TOL."""
+        e_thr = self.e_relevant(sector)
+        return (e_thr - energy) / abs(e_thr), bool(energy < e_thr - STABILITY_TOL)
 
 
 @dataclass
@@ -160,11 +168,6 @@ class VariationalResult:
     stable: bool
     sector: str = NATURAL
     meta: dict = field(default_factory=dict)
-
-
-# energy must undercut the threshold by more than this to count as bound;
-# guards against declaring round-off noise a bound state
-STABILITY_TOL = 1e-6
 
 
 def threshold_for(spec: SystemSpec) -> TwoBodyThreshold:
@@ -184,15 +187,14 @@ def threshold_for(spec: SystemSpec) -> TwoBodyThreshold:
         label = f"(Z={z:g}) atom + free particle"
         return TwoBodyThreshold(mu=mu, e_ground=e0, e_2p=e0 / 4.0, label=label)
 
-    # four-body: positives p0, p1 pair with negatives (n0, n1) or (n1, n0)
+    # four-body: the positives 1, 2 pair with the negatives (3, 4) or (4, 3)
     im = spec.inv_masses
-    p0, p1, n0, n1 = sorted(range(4), key=lambda i: -spec.charges[i])
 
     def atoms(na, nb):
-        mu_a, mu_b = 1.0 / (im[p0] + im[na]), 1.0 / (im[p1] + im[nb])
-        return -0.5 * mu_a - 0.5 * mu_b, mu_a, f"atoms ({p0+1}{na+1})({p1+1}{nb+1})"
+        mu_a, mu_b = 1.0 / (im[0] + im[na]), 1.0 / (im[1] + im[nb])
+        return -0.5 * mu_a - 0.5 * mu_b, mu_a, f"atoms (1{na+1})(2{nb+1})"
 
-    e0, mu, lab = min(atoms(n0, n1), atoms(n1, n0), key=lambda r: r[0])
+    e0, mu, lab = min(atoms(2, 3), atoms(3, 2), key=lambda r: r[0])
     return TwoBodyThreshold(mu=mu, e_ground=e0, e_2p=e0 / 4.0, label=lab)
 
 
@@ -211,5 +213,4 @@ def hminus_spec(z: float = 1.0, mass_ratio: float = float("inf"),
 
 def ps2_spec() -> SystemSpec:
     """Positronium molecule: (e+, e+, e-, e-), all masses 1."""
-    return SystemSpec(inv_masses=(1.0, 1.0, 1.0, 1.0), z_central=None,
-                      charges=(1.0, 1.0, -1.0, -1.0))
+    return SystemSpec(inv_masses=(1.0, 1.0, 1.0, 1.0))

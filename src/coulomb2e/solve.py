@@ -44,8 +44,8 @@ import numpy as np
 # private to numpy, hence the numpy < 3 cap; check both on each numpy major
 from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo, eigvalsh_lo as _eigvalsh_lo
 
-from .model import (MatBlock, SystemSpec, VariationalResult, NATURAL,
-                    STABILITY_TOL, threshold_for, hminus_spec, ps2_spec)
+from .model import (MatBlock, SystemSpec, TwoBodyThreshold, VariationalResult,
+                    NATURAL, threshold_for, hminus_spec, ps2_spec)
 from . import matel3, matel4
 
 _BIG = 1e6
@@ -721,21 +721,22 @@ _NAT_EXTEND = {
 
 
 def _nat_seed(z, eps, n, k, config):
+    """The natural search's seeds and the info of the search that made them
+    ({} unless they extend the optimized curated basis of `_NAT_EXTEND`)."""
     key = (float(z), eps, n, k)
     if key in _NAT_SEEDS:
-        return _NAT_SEEDS[key]
+        return _NAT_SEEDS[key], {}
     if key in _NAT_EXTEND:
         base_key, extra = _NAT_EXTEND[key]
-        x, _, _ = _search3(hminus_spec(z=z, epsilon=eps),
-                           np.ravel(_nat_seed(*base_key, config)), config,
-                           k=base_key[3])
-        return np.append(x, extra)
+        x, _, info = _search3(hminus_spec(z=z, epsilon=eps),
+                              np.ravel(_NAT_SEEDS[base_key]), config, k=base_key[3])
+        return np.append(x, extra), info
     # generic fallback: hydrogenic scale with a diffuse partner
     base = [(1.05 * z, 0.45 * z, 0.05 * z)]
     for i in range(1, n):
         f = 0.7 ** i
         base.append((1.05 * z * f, 0.45 * z * f, 0.02 * z * f))
-    return base
+    return base, {}
 
 
 # Curated multi-term vector-sector starts (infinite central mass, Z=1);
@@ -780,22 +781,22 @@ def optimize_ion(spec: SystemSpec, n_terms: int, config: MinimizerConfig,
     if type(k) is not int or not 0 <= k < n_terms:
         raise ValueError(f"k must be an int in [0, n_terms), got {k!r}")
     thr = threshold_for(spec)
-    e_thr = thr.e_relevant(spec.sector)
     natural = spec.sector == NATURAL
-    seeds = (_nat_seed(spec.z_central, spec.epsilon, n_terms, k, config)
-             if natural else _un_seed(spec, n_terms))
+    seeds, spent = (_nat_seed(spec.z_central, spec.epsilon, n_terms, k, config)
+                    if natural else (_un_seed(spec, n_terms), {}))
     x, e, info = _search3(spec, np.ravel(seeds), config, k)
+    # the seed extension's evaluations and refusals count; `converged` is this search's
+    info.update({key: info[key] + v for key, v in spent.items() if key != "converged"})
     terms = _terms3(x)
     block = (matel3.natural_matblock if natural
              else matel3.unnatural_matblock)(terms, spec)
     _, lam = scaled_lowest(block, k=k)
     c, vr = _state_at_scale(block, lam, k)
-    margin = (e_thr - e) / abs(e_thr)
+    margin, stable = thr.verdict(e, spec.sector)
     return VariationalResult(
         energy=e, params=terms.tolist(), coeffs=list(c),
-        virial_ratio=vr, threshold=thr, margin=margin,
-        stable=bool(e < e_thr - STABILITY_TOL), sector=spec.sector,
-        meta={"k": k, "n_terms": n_terms, "scale": lam, **info})
+        virial_ratio=vr, threshold=thr, margin=margin, stable=stable,
+        sector=spec.sector, meta={"k": k, "n_terms": n_terms, "scale": lam, **info})
 
 
 def _state_at_scale(block, lam, k=0, floor=1e-12):
@@ -1024,9 +1025,9 @@ def _pair_scan(ratio, spec, symmetrize):
                         np.geomspace(1e-4, 1.0, 41))
     lam = scaled_lowest(block(t))[1]
     thr = threshold_for(spec)
+    margin, stable = thr.verdict(e)
     return {"ratio": ratio, "energy": e, "threshold": thr.e_ground,
-            "margin": (thr.e_ground - e) / abs(thr.e_ground),
-            "stable": bool(e < thr.e_ground - STABILITY_TOL),
+            "margin": margin, "stable": stable,
             "at_edge": bool(t - 1e-4 < 1e-9), "mu": thr.mu, "params": [lam, lam * t]}
 
 
@@ -1071,19 +1072,20 @@ def optimize_ps2():
 _FOUR = dict(floor=1e-11, bounds=(0.02, 50.0))
 
 
+# each mode's mass pattern over the positives 1, 2, then the negatives 3, 4:
+# as printed, and as 0 for the mass M and 1 for m = M / ratio
+_PATTERNS = {"ps2": ("m1=m2=m3=m4", (0, 0, 0, 0)),
+             "cc-break": ("m1=m2 and m3=m4", (0, 0, 1, 1)),
+             "identity-break": ("m1=m3 and m2=m4", (0, 1, 0, 1))}
+
+
 def _four_spec(mode, ratio):
     if not 0 <= ratio < math.inf:
         raise ValueError(f"mass ratio {ratio} must be finite and >= 0")
-    iM = 2.0 / (1.0 + ratio)
-    im = 2.0 * ratio / (1.0 + ratio)
-    if mode == "cc-break":
-        inv = (iM, iM, im, im)       # heavy positives, light negatives
-    elif mode == "identity-break":
-        inv = (iM, im, iM, im)       # heavy/light pair of each sign
-    else:
+    if mode not in ("cc-break", "identity-break"):
         raise ValueError(f"unknown breaking mode {mode!r}")
-    return SystemSpec(inv_masses=inv, z_central=None,
-                      charges=(1.0, 1.0, -1.0, -1.0))
+    inv = (2.0 / (1.0 + ratio), 2.0 * ratio / (1.0 + ratio))   # 1/M + 1/m = 2
+    return SystemSpec(inv_masses=tuple(inv[k] for k in _PATTERNS[mode][1]))
 
 
 def _four_groups(mode, p):
@@ -1127,10 +1129,9 @@ def scan_mass4(ratios, mode, config: MinimizerConfig):
 
         x, e, info = minimize_nm(obj, warm, config)
         warm = list(x)
+        margin, stable = thr.verdict(e)
         out.append({"ratio": ratio, "mode": mode, "energy": e,
-                    "threshold": thr.e_ground,
-                    "margin": (thr.e_ground - e) / abs(thr.e_ground),
-                    "stable": bool(e < thr.e_ground - STABILITY_TOL),
+                    "threshold": thr.e_ground, "margin": margin, "stable": stable,
                     "params": [float(v) for v in x], **info})
     return out
 
@@ -1146,11 +1147,10 @@ def molecule_result(mode, ratio, config: MinimizerConfig) -> VariationalResult:
         n, t, v = matel4.ho_ntv(beta)
         _, lam = virial_reduce(n, t, -v)
         # the analytic scale optimum satisfies the virial theorem exactly
+        margin, stable = thr.verdict(e)
         return VariationalResult(
-            energy=e, params=[beta], coeffs=[1.0], virial_ratio=1.0,
-            threshold=thr, margin=(thr.e_ground - e) / abs(thr.e_ground),
-            stable=bool(e < thr.e_ground - STABILITY_TOL),
-            meta={"mode": mode, "scale": lam})
+            energy=e, params=[beta], coeffs=[1.0], virial_ratio=1.0, threshold=thr,
+            margin=margin, stable=stable, meta={"mode": mode, "scale": lam})
     rec = scan_mass4([ratio], mode, config)[0]
     spec = _four_spec(mode, ratio)
     block = matel4.assemble4(_four_groups(mode, rec["params"]), spec)
@@ -1163,3 +1163,26 @@ def molecule_result(mode, ratio, config: MinimizerConfig) -> VariationalResult:
         meta={"mode": mode, "ratio": ratio, "scale": lam,
               **{key: v for key, v in rec.items()
                  if key in ("nfev", "converged") or key.startswith("refused_")}})
+
+
+def molecule_masses(mode, masses, config: MinimizerConfig):
+    """(ratio, `molecule_result`) at masses (m1, m2, m3, m4) of the mode's
+    pattern, rescaled by the mass unit s that restores them from unit average
+    inverse mass.  cc-break solves heavy positives; lighter ones are its charge
+    conjugate, whose ranges (a, b, c, d) relabel to (a, c, b, d) (r14 <-> r23)."""
+    need, pattern = _PATTERNS.get(mode, (None, ()))   # molecule_result refuses others
+    if len(masses) != 4 or not all(0 < m < math.inf for m in masses):
+        raise ValueError(f"molecule needs m1,m2,m3,m4 finite and > 0, got {masses}")
+    if any(m != masses[pattern.index(k)] for m, k in zip(masses, pattern)):
+        raise ValueError(f"mode {mode} needs {need}")
+    ratio = max(masses) / min(masses)
+    s = 2.0 / (1.0 / max(masses) + 1.0 / min(masses))
+    res = molecule_result(mode, ratio, config)
+    thr = res.threshold
+    res.energy *= s
+    res.threshold = TwoBodyThreshold(s * thr.mu, s * thr.e_ground, s * thr.e_2p,
+                                     thr.label)
+    res.meta["scale"] *= s   # the ranges are params times the scale (ps2: the scale)
+    if mode == "cc-break" and masses[0] < masses[2]:
+        res.params = [res.params[i] for i in (0, 2, 1, 3)]
+    return ratio, res

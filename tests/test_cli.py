@@ -264,8 +264,7 @@ def test_molecule_lighter_positives_print_their_own_labeling(capsys):
     # labeling gives -1.345829 there)
     assert run(["molecule", "--mode", "cc-break", "--masses", "2,2,4,4"]) == cli.EXIT_OK
     res = json.loads(capsys.readouterr().out.split("# wall_time")[0])["result"]
-    spec = SystemSpec(inv_masses=(0.5, 0.5, 0.25, 0.25), z_central=None,
-                      charges=(1.0, 1.0, -1.0, -1.0))
+    spec = SystemSpec(inv_masses=(0.5, 0.5, 0.25, 0.25))
     ranges = tuple(res["meta"]["scale"] * p for p in res["params"])
     block = matel4.assemble4([matel4.symmetrized_group(ranges)], spec)
     e, lam = solve.scaled_lowest(block, **solve._FOUR)
@@ -290,13 +289,21 @@ def test_molecule_masses_must_fit_mode(monkeypatch, capsys):
         return real("ps2", 1.0, config)
 
     monkeypatch.setattr(solve, "molecule_result", spy)
-    for masses, mode in (("1,2,1,2", "cc-break"), ("2,2,1,1", "identity-break"),
-                         ("1,1,2,1", "cc-break"), ("2,2,1,1", "ps2"),
-                         ("1,1,1,1.5", "ps2")):
-        assert run(["molecule", "--masses", masses,
-                    "--mode", mode]) == cli.EXIT_USAGE
+    for masses, mode, need in (
+            ("1,2,1,2", "cc-break", "m1=m2 and m3=m4"),
+            ("1,1,2,1", "cc-break", "m1=m2 and m3=m4"),
+            ("2,2,1,1", "identity-break", "m1=m3 and m2=m4"),
+            ("2,2,1,1", "ps2", "m1=m2=m3=m4"),
+            ("1,1,1,1.5", "ps2", "m1=m2=m3=m4"),
+            ("1,1,0,0", "cc-break", "m1,m2,m3,m4 finite and > 0"),
+            ("-2,1,-2,1", "identity-break", "m1,m2,m3,m4 finite and > 0"),
+            ("inf,inf,1,1", "cc-break", "m1,m2,m3,m4 finite and > 0"),
+            ("1,1,1", "ps2", "m1,m2,m3,m4 finite and > 0"),
+            ("1,1,1,1,1", "ps2", "m1,m2,m3,m4 finite and > 0")):
+        assert run(["molecule", f"--masses={masses}",
+                    "--mode", mode]) == cli.EXIT_USAGE, masses
+        assert f"needs {need}" in capsys.readouterr().err, masses
     assert seen == []
-    assert "m1=m3 and m2=m4" in capsys.readouterr().err
     assert run(["molecule", "--masses", "2,2,1,1", "--mode", "cc-break"]) == 0
     assert run(["molecule", "--masses", "1,3,1,3",
                 "--mode", "identity-break"]) == 0
@@ -389,7 +396,8 @@ def test_cli_outputs_compare(tmp_path, capsys):
 
 def test_cli_outputs_covers_every_table_and_scan():
     # the one output driver parses every command it runs, gives each its own
-    # file, and runs both tables in full and every stability scan (no solve)
+    # file, and runs both tables in full, every stability scan and both
+    # branches of `molecule --masses` (no solve)
     mod = _cli_outputs()
     for argv in mod.COMMANDS:
         cli.build_parser().parse_args(argv)
@@ -405,5 +413,10 @@ def test_cli_outputs_covers_every_table_and_scan():
                  ["scan", "asym3", "--ratios", "1,1.1,1.25,1.5,2", *csv],
                  ["scan", "mass4", "--mode", "cc-break", "--ratios", "1,2,10,100", *csv],
                  ["scan", "mass4", "--mode", "identity-break",
-                  "--ratios", "1,1.5,2,2.2,3", *csv]):
+                  "--ratios", "1,1.5,2,2.2,3", *csv],
+                 # --masses: heavy positives, their charge conjugate, and the
+                 # identity-break pattern
+                 *(["molecule", "--mode", mode, "--masses", m]
+                   for mode, m in (("cc-break", "4,4,2,2"), ("cc-break", "2,2,4,4"),
+                                   ("identity-break", "1,3,1,3")))):
         assert argv in mod.COMMANDS, argv

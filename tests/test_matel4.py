@@ -176,8 +176,7 @@ def test_assembler_reads_exactly_the_tabulated_moments(monkeypatch):
     # and the assembler's gather reads exactly those cells of each table:
     # with every other cell NaN the block is unchanged to the bit, and a NaN
     # in any one of them reaches the block
-    spec = SystemSpec(inv_masses=(1.0, 0.5, 2.0, 0.7), z_central=None,
-                      charges=(1.0, 1.0, -1.0, -1.0))
+    spec = SystemSpec(inv_masses=(1.0, 0.5, 2.0, 0.7))
     groups = [matel4.symmetrized_group(T1)]
     want = matel4.assemble4(groups, spec)
     real = matel4._f4_table
@@ -266,8 +265,7 @@ def test_assemble4_matches_pairwise_sum(mode):
         lam = float(10.0 ** rng.uniform(-2.0, 2.0))
         cases.append((ratio, [[(w, tuple(lam * v for v in t)) for w, t in g]
                               for g in groups]))
-    heavy = SystemSpec(inv_masses=(0.0, 0.0, 1.0, 1.5), z_central=None,
-                       charges=(1.0, 1.0, -1.0, -1.0))
+    heavy = SystemSpec(inv_masses=(0.0, 0.0, 1.0, 1.5))
     for ratio, groups in cases:
         spec = heavy if ratio is None else solve._four_spec(mode, ratio)
         blk = matel4.assemble4(groups, spec)

@@ -38,14 +38,27 @@ def test_three_body_spec_shape():
 
 
 def test_four_body_spec_shape():
+    # a four-body spec is its four inverse masses, positives 1, 2 first
     s = ps2_spec()
     assert s.is_four_body
-    with pytest.raises(ValueError):  # not neutral
-        SystemSpec(inv_masses=(1.0,) * 4, z_central=None,
-                   charges=(1.0, 1.0, 1.0, -1.0))
-    with pytest.raises(ValueError):  # wrong count
-        SystemSpec(inv_masses=(1.0,) * 3, z_central=None,
-                   charges=(1.0, 1.0, -1.0, -1.0))
+    for inv in ((1.0,) * 3, (1.0,) * 5):
+        with pytest.raises(ValueError, match="4 inverse masses"):
+            SystemSpec(inv_masses=inv)
+    # an atom of a positive and a negative of infinite mass is unbounded;
+    # two infinitely heavy particles of one sign are not an atom
+    for inv in ((0.0, 1.0, 0.0, 1.0), (1.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="two infinite masses"):
+            SystemSpec(inv_masses=inv)
+    assert SystemSpec(inv_masses=(0.0, 0.0, 1.0, 1.0)).is_four_body
+    assert SystemSpec(inv_masses=(1.0, 1.0, 0.0, 0.0)).is_four_body
+
+
+@pytest.mark.parametrize("kw", [{"epsilon": -1}, {"sector": UNNATURAL}])
+def test_four_body_spec_refuses_what_its_builders_ignore(kw):
+    # the four-body basis groups carry their own symmetrization and have no
+    # vector sector: an exchange sign or a 1+ sector would be ignored
+    with pytest.raises(ValueError, match="natural with epsilon"):
+        SystemSpec(inv_masses=(1.0,) * 4, **kw)
 
 
 def test_exp_term_validation():
@@ -80,14 +93,33 @@ def test_threshold_asymmetric_keeps_heavier_particle():
 
 
 def test_threshold_four_body_channel_choice():
+    # positives 1, 2 pair with negatives 3, 4 or 4, 3: the lower sum wins
+    # and names its atoms; a tie keeps (13)(24)
     thr = threshold_for(ps2_spec())
     assert thr.e_ground == pytest.approx(-0.5)
+    assert thr.label == "atoms (13)(24)"
     # heavy(+)/light(-) pairing: both split choices must be compared
-    s = SystemSpec(inv_masses=(0.1, 1.9, 0.1, 1.9), z_central=None,
-                   charges=(1.0, 1.0, -1.0, -1.0))
-    thr = threshold_for(s)
-    # best split pairs heavy with heavy: mu = 1/(0.1+0.1) = 5
-    assert thr.e_ground == pytest.approx(-0.5 * 5.0 - 0.5 / (1.9 + 1.9))
+    for inv, label in (((0.1, 1.9, 0.1, 1.9), "atoms (13)(24)"),
+                       ((0.1, 1.9, 1.9, 0.1), "atoms (14)(23)")):
+        thr = threshold_for(SystemSpec(inv_masses=inv))
+        # best split pairs heavy with heavy: mu = 1/(0.1+0.1) = 5
+        assert thr.e_ground == pytest.approx(-0.5 * 5.0 - 0.5 / (1.9 + 1.9))
+        assert thr.mu == pytest.approx(5.0)
+        assert thr.label == label
+
+
+def test_verdict_margin_and_stability():
+    thr = TwoBodyThreshold(mu=1.0, e_ground=-0.5, e_2p=-0.125, label="t")
+    assert thr.verdict(-0.55) == (pytest.approx(0.1), True)
+    assert thr.verdict(-0.45) == (pytest.approx(-0.1), False)
+    # the 1+ sector judges against the 2p atom
+    assert thr.verdict(-0.25, UNNATURAL) == (pytest.approx(1.0), True)
+    assert thr.verdict(-0.25, NATURAL)[1] is False
+    # exactly STABILITY_TOL below the threshold is round-off, not binding
+    for sector, e_thr in ((NATURAL, -0.5), (UNNATURAL, -0.125)):
+        margin, stable = thr.verdict(e_thr - model.STABILITY_TOL, sector)
+        assert stable is False and margin > 0
+        assert thr.verdict(e_thr - 2 * model.STABILITY_TOL, sector)[1] is True
 
 
 def test_e_relevant_sector_switch():
@@ -184,6 +216,21 @@ def test_block_builders_reject_terms_that_are_not_n_by_3(terms):
         matel3.natural_matblock(terms, hminus_spec(z=1.0))
     with pytest.raises(ValueError, match=r"\(n, 3\) array"):
         matel3.unnatural_matblock(terms, hminus_spec(z=1.0, sector=UNNATURAL))
+
+
+@pytest.mark.parametrize("build, spec, match", [
+    (lambda s: matel3.natural_matblock([(1.0, 0.5, 0.1)], s),
+     hminus_spec(z=1.0, sector=UNNATURAL), "three-body natural-sector"),
+    (lambda s: matel3.natural_matblock([(1.0, 0.5, 0.1)], s), ps2_spec(),
+     "three-body natural-sector"),
+    (lambda s: matel4.assemble4([matel4.symmetrized_group((0.9, 0.2, 0.3, 0.8))], s),
+     hminus_spec(z=1.0), "four-body spec")], ids=["natural-1+", "natural-4body",
+                                                   "assemble4-3body"])
+def test_block_builders_refuse_a_spec_they_cannot_read(build, spec, match):
+    # a 1+ spec would get a natural block, a four-body one a failed unpack,
+    # and assemble4 would read a three-body spec's three inverse masses
+    with pytest.raises(ValueError, match=match):
+        build(spec)
 
 
 def test_layout_cache_is_bounded_and_misses_once_per_weight_pattern(monkeypatch):

@@ -1204,6 +1204,30 @@ def test_refusal_counts_add_up_to_nfev(mass_ratio, n_terms, monkeypatch):
     assert (res.meta["refused_cancellation"] > 0) == (mass_ratio == 1.0)
 
 
+@pytest.mark.parametrize("eps, k", [(-1, 0), (+1, 1)], ids=["he-triplet", "he-excited"])
+def test_seed_extension_search_is_counted(eps, k, monkeypatch):
+    # He 2^3S and He* at N = 3 start from an optimized curated N = 2 basis:
+    # that search's evaluations and refusals add to meta, and `converged`
+    # is the final search's
+    infos = []
+
+    def spy(objective, x0, config):
+        out = minimize_nm(objective, x0, config)
+        infos.append(dict(out[2]))
+        return out
+
+    monkeypatch.setattr(solve, "minimize_nm", spy)
+    cfg = MinimizerConfig(seed=0, restarts=1, max_iter=200)
+    res = solve.optimize_ion(hminus_spec(z=2.0, epsilon=eps), 3, cfg, k=k)
+    assert len(infos) == 2
+    for key in ("nfev", "refused_domain", "refused_cancellation", "refused_linalg",
+                "refused_value"):
+        assert res.meta[key] == infos[0][key] + infos[1][key]
+    assert res.meta["converged"] is infos[1]["converged"]
+    if eps == -1:
+        assert res.meta["nfev"] == 400
+
+
 def test_refusals_are_counted_by_class():
     errors = iter([solve.CancellationError("c"), np.linalg.LinAlgError("l"),
                    ValueError("v"), None, None])

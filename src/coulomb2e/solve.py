@@ -29,9 +29,14 @@ ZeroDivisionError or OverflowError is a refusal.
 A symmetric 2 x 2 has one eigensolver, a Jacobi rotation on Python floats
 (`_jacobi2`), for the overlap of two terms (`_reduce2`) and for each scale
 step of a two-direction pencil (`_step2`), so a block of one or two terms
-takes no LAPACK call.  `_reduce` masks the overlap eigenvectors only when a
-direction drops.  From three terms on the eigensolves call numpy's private
-eigh_lo and eigvalsh_lo (`_dsyevd`): numpy < 3.
+takes no LAPACK call.  The lowest eigenvalue of a three-direction pencil is
+Smith's trigonometric formula and one Newton step on Python floats
+(`_step3`), which declines to the gufunc near a degenerate lowest pair and
+where a cube of the entries could over- or underflow.  `_reduce` masks the
+overlap eigenvectors only when a direction drops.  From three terms on the
+overlap goes to numpy's private eigh_lo (`_dsyevd`), and its eigvalsh_lo
+steps the scale from four directions, for k >= 1 and on a declined step
+(`_scale_step`): numpy < 3.
 """
 
 import math
@@ -213,6 +218,11 @@ def _reduce(block: MatBlock, floor):
     return X, X.T @ np.asarray(block.t_mat) @ X, X.T @ np.asarray(block.v_mat) @ X, w
 
 
+def _check_floor(floor):
+    if not 0.0 <= floor < 1.0:          # NaN too
+        raise ValueError(f"floor must lie in [0, 1), got {floor!r}")
+
+
 def _reduced(block, floor):
     """`_reduce`'s (Tt, Vt, w), for one or two terms as `_reduce2`'s lists."""
     if len(block.n_mat) <= 2:
@@ -226,8 +236,9 @@ def gen_eig(block: MatBlock, floor=1e-12):
     The overlap is reduced by `_reduce`: directions below the relative floor
     are projected out, not dropped by term, so a near-collinear basis yields
     fewer eigenpairs, and each coefficient column c = X y lies in the kept
-    subspace with c^T N c = 1.
+    subspace with c^T N c = 1.  A floor outside [0, 1) raises ValueError.
     """
+    _check_floor(floor)
     X, Tt, Vt, _ = _reduce(block, floor)
     w, y = _dsyevd(_eigh_lo, Tt + Vt, "d->dd")
     return w, X @ y
@@ -357,6 +368,56 @@ def _step2(t0, t1, t2, v0, v1, v2, k):
     return step2
 
 
+def _step3(Tt, Vt):
+    """lam -> the lowest eigenvalue of the 3 x 3 pencil lam^2 Tt + lam Vt on
+    Python floats, or the gufunc's (`_scale_step`) where it declines.
+
+    Smith's trigonometric formula (Commun. ACM 4, 168 (1961)) gives x from
+    q = tr A / 3, p^2 = |A - q|_F^2 / 6 and the angle of det((A - q) / p) / 2;
+    one Newton step on det(A - x I) polishes it, h = det C / s with
+    C = A - x I and s the sum of C's principal 2 x 2 minors.  The step
+    declines unless its error estimate, (4 |tr C| h^2 + 6 eps |c00 c11 c22|)
+    / s, is at most 8 eps (|q| + p): the first term is the Newton step's
+    quadratic one (up to 4 times low at a double root), the second bounds
+    the determinant's rounding (6 |c00 c11 c22| bounds its products for
+    C >= 0), and both grow as s shrinks near a degenerate lowest pair.  It
+    declines as well where |A|_F^2 / 3 lies outside 2^+-600 or A is
+    within 2^-340 of q times the identity, where a cube could over- or
+    underflow; elsewhere the arithmetic is homogeneous, so a pencil times
+    2^j steps to the step times 2^j exactly.  Sums are written out, not
+    sum()'s compensated ones.
+    """
+    gufunc = _scale_step(Tt, Vt, 0)
+    (t0, _, _), (t1, t2, _), (t3, t4, t5) = Tt.tolist()
+    (v0, _, _), (v1, v2, _), (v3, v4, v5) = Vt.tolist()
+    sqrt, cos, acos = math.sqrt, math.cos, math.acos
+    third, eps = 2.0 * math.pi / 3.0, 2.0 ** -52
+
+    def step3(lam):
+        l2 = lam * lam
+        a, b, d = l2 * t0 + lam * v0, l2 * t1 + lam * v1, l2 * t2 + lam * v2
+        c, e, f = l2 * t3 + lam * v3, l2 * t4 + lam * v4, l2 * t5 + lam * v5
+        q = (a + d + f) / 3.0
+        a0, d0, f0 = a - q, d - q, f - q
+        p2 = (a0 * a0 + d0 * d0 + f0 * f0 + 2.0 * (b * b + c * c + e * e)) / 6.0
+        if 2.0 ** -600 < q * q + p2 + p2 < 2.0 ** 600 and p2 > 2.0 ** -680:  # NaN fails
+            p = sqrt(p2)
+            r = ((a0 * (d0 * f0 - e * e) - b * (b * f0 - e * c) + c * (b * e - d0 * c))
+                 / (2.0 * p2 * p))
+            x = q + 2.0 * p * cos(acos(-1.0 if r < -1.0 else 1.0 if r > 1.0 else r) / 3.0 + third)
+            c0, c1, c2 = a - x, d - x, f - x
+            c12, ee = c1 * c2, e * e
+            s = c12 - ee + c0 * c2 - c * c + c0 * c1 - b * b
+            if s > 0.0:
+                h = (c0 * (c12 - ee) - b * (b * c2 - e * c) + c * (b * e - c1 * c)) / s
+                if (4.0 * abs(c0 + c1 + c2) * h * h + 6.0 * eps * abs(c0 * c12)
+                        <= 8.0 * eps * s * (abs(q) + p)):
+                    return x + h
+        return gufunc(lam)
+
+    return step3
+
+
 def _vertex(t, v, bounds):
     """min of lam^2 t + lam v over lam in bounds: (E, lam), the vertex
     -v / (2 t) clipped to bounds when t > 0, else the lower edge value."""
@@ -475,13 +536,25 @@ def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
     ill-conditioned basin that ends above the Table II value (ROADMAP item
     5).  A step of two directions is `_jacobi2`'s rotation on Python floats
     (`_step2`), as close to the exact eigenvalues as LAPACK's (within 2 eps
-    max|entry|) and the same on every LAPACK build; three or more (`_scale_step`)
-    call the gufunc behind np.linalg.eigvalsh, its values to the bit.  A
-    non-finite step or a failed dsyevd (NaN) raises LinAlgError, a k that is
-    not an int >= 0 ValueError.
+    max|entry|) and the same on every LAPACK build.  The lowest of three
+    (`_step3`) is Smith's trigonometric formula and one Newton step, also on
+    Python floats: over 100 000 seeded matrices and their corners its
+    largest error where it did not decline was 2.13 eps max|entry|, the
+    gufunc's on the same matrices 8.34; near a degenerate lowest pair and
+    where a cube of the entries could over- or underflow it declines to the
+    gufunc.  So LAPACK steps the scale only from four directions, for k >= 1
+    and on a declined step (`_scale_step`: the gufunc behind
+    np.linalg.eigvalsh, its values to the bit).  A non-finite step or a
+    failed dsyevd (NaN) raises LinAlgError; a k that is not an int >= 0, a
+    floor outside [0, 1) and bounds other than 0 < lo < hi < inf raise
+    ValueError.
     """
     if type(k) is not int or k < 0:         # bool is no k
         raise ValueError(f"k must be an int >= 0, got {k!r}")
+    _check_floor(floor)
+    lo, hi = bounds
+    if not 0.0 < lo < hi < math.inf:        # NaN too
+        raise ValueError(f"bounds must satisfy 0 < lo < hi < inf, got {bounds!r}")
     return _lowest_over_scale(*_reduced(block, floor)[:2], k, bounds)
 
 
@@ -500,7 +573,7 @@ def _lowest_over_scale(Tt, Vt, k, bounds=(0.05, 50.0)):
             return step(lam), lam
         lam, e, _ = _fminbound(step, bounds[0], bounds[1], 1e-12)
         return e, lam
-    step = _scale_step(Tt, Vt, k)
+    step = _step3(Tt, Vt) if m == 3 and k == 0 else _scale_step(Tt, Vt, k)
     with np.errstate(invalid="ignore"):    # the NaN check reports instead
         lam, e, _ = _fminbound(step, bounds[0], bounds[1], 1e-12)
     return e, lam
@@ -834,7 +907,10 @@ def _shape_search(ntv, t0, config):
     """Simplex over the shape t = b/a of virial_reduce(*ntv(1, t)) from t0; the
     closed forms refuse t <= 0, virial_reduce a shape with V >= 0 or NaN, and
     the objective one whose Python floats under- or overflow in the closed form.
-    Returns (energy, (a, b), info) with the physical ranges lam * (1, t)."""
+    Returns (energy, (a, b), info) with the physical ranges lam * (1, t);
+    info's `at_edge` flags a walk that ended below t = 1e-6, against the
+    refused t <= 0, where the energy falls toward its t -> 0 limit (an
+    unbound shape) instead of settling at an interior minimum."""
     def energy(p):
         try:
             return virial_reduce(*ntv(1.0, float(p[0])))[0]
@@ -843,6 +919,7 @@ def _shape_search(ntv, t0, config):
 
     (t,), e, info = minimize_nm(energy, [t0], config)
     lam = virial_reduce(*ntv(1.0, t))[1]
+    info["at_edge"] = bool(t < 1e-6)
     return e, (lam, lam * t), info
 
 

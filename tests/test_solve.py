@@ -133,9 +133,11 @@ def test_scaled_lowest_search_is_local():
 
 def _scaled_lowest_ref(block, floor=1e-12, bounds=(0.05, 50.0), pencil=_pencil):
     # scipy's bounded Brent over the lowest eigenvalue: the rotation step for
-    # two directions, np.linalg.eigvalsh otherwise
+    # two directions, the trigonometric step for three, np.linalg.eigvalsh
+    # otherwise
     Tt, Vt = pencil(block, floor)
     f = (solve._step2(*solve._lower2(Tt, Vt), 0) if len(Tt) == 2
+         else solve._step3(Tt, Vt) if len(Tt) == 3
          else lambda lam: np.linalg.eigvalsh(lam * lam * Tt + lam * Vt)[0])
     r = minimize_scalar(f, bounds=bounds, method="bounded", options=dict(xatol=1e-12))
     return float(r.fun), float(r.x)
@@ -174,10 +176,11 @@ def _certified(block, floor=1e-12, bounds=(0.05, 50.0)):
 
 
 def test_scaled_lowest_matches_scipy_eigvalsh_reference():
-    # scipy's bounded Brent: the same (E, lam) to the bit, over
-    # np.linalg.eigvalsh on the LAPACK pencil from three terms on, and over
-    # the rotation step on the Python-float pencil of two terms that _scale2
-    # declines (the certified ones are checked against scipy and a grid in
+    # scipy's bounded Brent: the same (E, lam) to the bit, over the LAPACK
+    # pencil from three terms on (stepped by the trigonometric step for three
+    # directions, np.linalg.eigvalsh for more), and over the rotation step on
+    # the Python-float pencil of two terms that _scale2 declines (the
+    # certified ones are checked against scipy and a grid in
     # test_closed_form_scale_against_brent_and_a_grid)
     sample = [(b, kw) for b, kw in _sample_blocks() if len(b.n_mat) >= 2]
     sample.append((matel3.natural_matblock(HM_LOCAL_TERMS, hminus_spec(z=1.0)), {}))
@@ -493,13 +496,86 @@ def _spy_gufunc(monkeypatch):
     return calls
 
 
+def _matrices3(rng, n):
+    # n seeded 3 x 3 matrices, not symmetric (the step reads the lower
+    # triangle), entries of either sign over e^-8 .. e^8, every eighth one a
+    # corner: a near-degenerate lowest pair and a near-degenerate upper pair
+    # (Q diag(l) Q^T, the pair split by 1e-16 .. 1e-1 of the spread, or one
+    # time in five not at all), a diagonal, a decoupled direction (its
+    # couplings zero), and entries near 1e300 and near 1e-300
+    m = rng.choice([-1.0, 1.0], (n, 3, 3)) * np.exp(rng.uniform(-8.0, 8.0, (n, 3, 3)))
+    c = np.arange(n) % 8
+    for i in np.flatnonzero((c == 1) | (c == 2)):
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        l0, spread = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0)
+        gap = 0.0 if rng.random() < 0.2 else spread * 10.0 ** rng.uniform(-16.0, -1.0)
+        m[i] = (q * ([l0, l0 + gap, l0 + spread] if c[i] == 1
+                     else [l0 - spread, l0, l0 + gap])) @ q.T
+    m[c == 3] *= np.eye(3)
+    for i in np.flatnonzero(c == 4):
+        j = rng.integers(3)
+        m[i, j, :] *= np.eye(3)[j]
+        m[i, :, j] *= np.eye(3)[j]
+    s = c >= 6
+    m[s] /= np.abs(m[s]).max(axis=(1, 2))[:, None, None]
+    m[c == 6] *= 1e300
+    m[c == 7] *= 1e-300
+    return m
+
+
+def _exact3(m):
+    # the lowest eigenvalue of each 3 x 3 (its lower triangle) in 60-digit
+    # mpmath by the trigonometric formula, q + 2 p cos(acos(r) / 3 + 2 pi / 3),
+    # which at that precision stays within 1e-29 p of it even at a double
+    # root (acos amplifies the 1e-60 error of r to its square root)
+    out = []
+    with mpmath.workdps(60):
+        for (a, _, _), (b, d, _), (c, e, f) in np.asarray(m).reshape(-1, 3, 3).tolist():
+            a, b, c, d, e, f = map(mpmath.mpf, (a, b, c, d, e, f))
+            q = (a + d + f) / 3
+            a0, d0, f0 = a - q, d - q, f - q
+            p = mpmath.sqrt((a0 * a0 + d0 * d0 + f0 * f0 + 2 * (b * b + c * c + e * e)) / 6)
+            r = ((a0 * (d0 * f0 - e * e) - b * (b * f0 - e * c) + c * (b * e - d0 * c))
+                 / (2 * p ** 3))
+            out.append(q + 2 * p * mpmath.cos(mpmath.acos(min(max(r, -1), 1)) / 3
+                                              + 2 * mpmath.pi / 3))
+    return out
+
+
+def _low_error(got, m, exact=None):
+    # the largest |got - exact| of the lowest eigenvalues, in units of
+    # eps max|entry| of each matrix's lower triangle
+    m = np.asarray(m).reshape(-1, 3, 3)
+    sizes = _EPS * np.abs(np.tril(m)).max(axis=(1, 2))
+    return max(float(abs(mpmath.mpf(g) - x)) / s
+               for g, x, s in zip(np.ravel(got).tolist(), exact or _exact3(m), sizes))
+
+
+def _steps3(m, lam=1.0):
+    # the three-direction step of each matrix of m, as the pencil (m, 0) at lam
+    zero = np.zeros((3, 3))
+    return [solve._step3(a, zero)(lam) for a in m]
+
+
+# the bound, in eps max|entry|, that numpy's gufunc meets on the lowest
+# eigenvalue of the 3 x 3s of the test below (its largest error there is
+# 8.60, on the 1e300 corner; 9.28 on 100 000 of _matrices3 of other seeds)
+_BOUND3 = 10.0
+
+
 def test_scale_step_is_within_2eps_of_the_exact_eigenvalues(monkeypatch):
     # the two-direction step, one Jacobi rotation on Python floats, lands
     # within 2 eps max|entry| of the exact eigenvalues, k = 0 and 1, as
     # LAPACK's gufunc does on the same matrices, and never calls the gufunc
     # (on 100 000 matrices of other seeds the rotation's largest error was
-    # 1.73 eps, the gufunc's 2.10); from three directions on the step is the
-    # gufunc, np.linalg.eigvalsh's values to the bit
+    # 1.73 eps, the gufunc's 2.10).  The three-direction step of the lowest
+    # eigenvalue (Smith's formula and one Newton step, or the gufunc where it
+    # declines) lands within _BOUND3 eps max|entry| of it, as the gufunc does
+    # on the same matrices.  Where the step did not decline its largest
+    # error was 1.08 eps on the 3 000 of _matrices3 and 1.50 on the whole
+    # steps of 400 pencils below, the gufunc's on the same matrices 6.83 and
+    # 7.99.  For k >= 1 and from four directions on the step is the gufunc,
+    # np.linalg.eigvalsh's values to the bit
     rng = np.random.default_rng(13)
     m = _matrices2(rng, 8_000)
     exact = _exact2(m)
@@ -508,6 +584,16 @@ def test_scale_step_is_within_2eps_of_the_exact_eigenvalues(monkeypatch):
     assert calls == []
     assert _step_error(got, m, exact) <= 2.0
     assert _step_error(solve._eigvalsh_lo(m, signature="d->d"), m, exact) <= 2.0
+    m3 = _matrices3(np.random.default_rng(34), 3_000)
+    exact3 = _exact3(m3)
+    with mpmath.workdps(60):        # the reference against mpmath's own eigensolver
+        for a, x in zip(m3[:24], exact3):
+            ref = min(mpmath.eigsy(mpmath.matrix(np.tril(a) + np.tril(a, -1).T),
+                                   eigvals_only=True))
+            assert abs(ref - x) <= mpmath.mpf(1e-25) * np.abs(a).max()
+    got = _steps3(m3)
+    assert np.isfinite(got).all() and _low_error(got, m3, exact3) <= _BOUND3
+    assert _low_error(solve._eigvalsh_lo(m3, signature="d->d")[:, 0], m3, exact3) <= _BOUND3
     for block, kw in _sample_blocks():
         Tt, Vt = _pencil(block, kw.get("floor", 1e-12))
         for lam in (0.05, 0.37, 1.0, 2.9, 50.0):
@@ -518,9 +604,14 @@ def test_scale_step_is_within_2eps_of_the_exact_eigenvalues(monkeypatch):
                 ref = np.linalg.eigvalsh(lam * lam * Tt + lam * Vt)
                 for k in (0, 1):
                     assert _bits(solve._scale_step(Tt, Vt, k)(lam)) == _bits(ref[k])
+                if len(Tt) == 3:
+                    got = solve._step3(Tt, Vt)(lam)
+                    assert _low_error([got], lam * lam * Tt + lam * Vt) <= _BOUND3
     # whole steps, lam^2 T + lam V rounded as numpy rounds it and then the
-    # eigenvalue: 1 000 pencils of two directions and 4 000 of three (the
-    # entries drawn as _matrices2 draws them), five scales each
+    # eigenvalue: 1 000 pencils of two directions, 4 000 of three (the
+    # entries drawn as _matrices2 draws them) and 1 000 of four, five scales
+    # each; the three-direction step of the lowest eigenvalue on 400 pencils
+    # of _matrices3
     lams = np.exp(rng.uniform(np.log(0.02), np.log(50.0), (4_000, 5)))
     L = lams[..., None, None]
     T, V = (_matrices2(rng, 1_000) for _ in "TV")
@@ -528,13 +619,24 @@ def test_scale_step_is_within_2eps_of_the_exact_eigenvalues(monkeypatch):
            for t, v, row in zip(T, V, lams.tolist())]
     M = L[:1_000] * L[:1_000] * T[:, None] + L[:1_000] * V[:, None]
     assert _step_error(got, M) <= 2.0
-    T, V = (rng.choice([-1.0, 1.0], (4_000, 3, 3))
-            * np.exp(rng.uniform(-8.0, 8.0, (4_000, 3, 3))) for _ in "TV")
-    ref = solve._eigvalsh_lo(L * L * T[:, None] + L * V[:, None], signature="d->d")
-    for k in (0, 1):
-        steps = (solve._scale_step(t, v, k) for t, v in zip(T, V))
-        got = [[f(lam) for lam in row] for f, row in zip(steps, lams.tolist())]
-        assert np.array_equal(_bits(got), _bits(ref[..., k]))
+    samples = [(lams, *(rng.choice([-1.0, 1.0], (4_000, 3, 3))
+                         * np.exp(rng.uniform(-8.0, 8.0, (4_000, 3, 3))) for _ in "TV"))]
+    rng = np.random.default_rng(36)
+    samples.append((np.exp(rng.uniform(np.log(0.02), np.log(50.0), (1_000, 5))),
+                    *(rng.choice([-1.0, 1.0], (1_000, 4, 4))
+                      * np.exp(rng.uniform(-8.0, 8.0, (1_000, 4, 4))) for _ in "TV")))
+    for lams, T, V in samples:
+        L = lams[..., None, None]
+        ref = solve._eigvalsh_lo(L * L * T[:, None] + L * V[:, None], signature="d->d")
+        for k in (0, 1):
+            steps = (solve._scale_step(t, v, k) for t, v in zip(T, V))
+            got = [[f(lam) for lam in row] for f, row in zip(steps, lams.tolist())]
+            assert np.array_equal(_bits(got), _bits(ref[..., k]))
+    T, V = (_matrices3(rng, 400) for _ in "TV")
+    M = L[:400] * L[:400] * T[:, None] + L[:400] * V[:, None]
+    got = [[solve._step3(t, v)(lam) for lam in row] for t, v, row in zip(T, V, lams.tolist())]
+    assert _low_error(got, M) <= _BOUND3
+    assert _low_error(solve._eigvalsh_lo(M, signature="d->d")[..., 0], M) <= _BOUND3
 
 
 def test_scale_step_scales_exactly_and_raises_on_a_non_finite_pencil(monkeypatch):
@@ -571,6 +673,43 @@ def test_scale_step_scales_exactly_and_raises_on_a_non_finite_pencil(monkeypatch
     assert calls == []
 
 
+def test_three_direction_step_declines_to_the_gufunc_and_scales_exactly(monkeypatch):
+    # a declined step is the gufunc's value to the bit (the near-degenerate
+    # lowest pairs and the 1e+-300 corners of _matrices3 decline); where the
+    # step does not decline, the pencil times 2^j steps to the step times 2^j
+    # to the bit (|j| <= 200, which keeps |A|_F^2 / 3 inside 2^+-600); a
+    # NaN or infinite entry raises LinAlgError
+    calls = _spy_gufunc(monkeypatch)
+    rng = np.random.default_rng(35)
+    zero = np.zeros((3, 3))
+    pencils = [(m, zero, 1.0) for m in _matrices3(rng, 800)]
+    T, V = (_matrices3(rng, 800) for _ in "TV")
+    pencils += zip(T, V, np.exp(rng.uniform(np.log(0.02), np.log(50.0), 800)).tolist())
+    declined = scaled = 0
+    for i, (t, v, lam) in enumerate(pencils):
+        before = len(calls)
+        with np.errstate(divide="ignore"):      # dsyevd on the 1e-300 corners
+            e = solve._step3(t, v)(lam)
+            if len(calls) > before:
+                declined += 1
+                assert _bits(e) == _bits(solve._scale_step(t, v, 0)(lam))
+                continue
+        for j in (-200, -50, 50, 200) if i % 8 < 6 else ():
+            f = 2.0 ** j
+            assert solve._step3(t * f, v * f)(lam) == e * f
+            scaled += 1
+        assert len(calls) == before
+    assert declined >= 100 and scaled >= 4 * 1_000, (declined, scaled)
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)):
+            for which in (0, 1):
+                mats = [np.eye(3) + 0.2, -np.eye(3) - 0.1]
+                mats[which][i, j] = bad
+                with np.errstate(all="ignore"):
+                    with pytest.raises(np.linalg.LinAlgError):
+                        solve._step3(*mats)(1.0)
+
+
 @pytest.mark.parametrize("n, bad", [(1, np.nan), (2, np.nan), (2, np.inf),
                                     (2, -np.inf)])
 def test_scaled_lowest_raises_on_a_non_finite_entry(n, bad):
@@ -594,10 +733,36 @@ def test_scaled_lowest_rejects_a_bad_k(n):
     assert scaled_lowest(blk, k=0)[0] < 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scaled_lowest_and_gen_eig_reject_a_bad_box_or_floor(n):
+    # 0 < lo < hi < inf and 0 <= floor < 1 at every size: an inverted box
+    # returned a scale outside it, a NaN edge a number, an infinite one a
+    # LinAlgError (a refusal to minimize_nm), and floor = 1 (1e6, 1.0)
+    blk = matel3.natural_matblock(solve._NAT_SEEDS[2.0, +1, n, 0], hminus_spec(z=2.0))
+    for bounds in ((1.0, 0.5), (0.5, 0.5), (np.nan, 1.0), (0.05, np.nan),
+                   (0.05, np.inf), (0.0, 1.0), (-1.0, 1.0)):
+        with pytest.raises(ValueError, match="bounds must satisfy"):
+            scaled_lowest(blk, bounds=bounds)
+    for floor in (1.0, 2.0, -1e-12, np.nan, np.inf):
+        with pytest.raises(ValueError, match="floor must lie in"):
+            scaled_lowest(blk, floor=floor)
+        with pytest.raises(ValueError, match="floor must lie in"):
+            gen_eig(blk, floor)
+    e, lam = scaled_lowest(blk, floor=0.0, bounds=(0.5, 1.0))
+    assert e < 0 and 0.5 <= lam <= 1.0
+    assert len(gen_eig(blk, 0.0)[0]) == n
+
+
+# an H- basis of four terms that keeps four overlap directions
+_FOUR_TERMS = solve._NAT_SEEDS[1.0, +1, 3, 0] + [(0.4, 0.2, 0.01)]
+
+
 def test_small_pencils_skip_the_gufunc_and_larger_ones_use_it(monkeypatch):
     # one and two terms: no LAPACK call at all, neither for the overlap
     # (_dsyevd) nor for the scale steps (_eigvalsh_lo), in scaled_lowest,
-    # the 1+ _un_lowest and _reduce; three terms call both
+    # the 1+ _un_lowest and _reduce; three terms call dsyevd for the overlap
+    # and the gufunc only on a declined step (a pencil whose lowest pair is
+    # degenerate at every scale declines every step); four terms call both
     calls, dsyevd = _spy_gufunc(monkeypatch), solve._dsyevd
     monkeypatch.setattr(solve, "_dsyevd", lambda gufunc, a, signature: (
         calls.append(("dsyevd", len(a))) or dsyevd(gufunc, a, signature)))
@@ -609,19 +774,29 @@ def test_small_pencils_skip_the_gufunc_and_larger_ones_use_it(monkeypatch):
         assert solve._un_lowest(solve._UN_SEEDS[1.0, (0.0, 1.0, 1.0), 2][:n], un)[0] < 0
     assert calls == []
     scaled_lowest(matel3.natural_matblock(solve._NAT_SEEDS[1.0, +1, 3, 0], spec))
-    assert calls[0] == ("dsyevd", 3) and set(calls[1:]) == {3}
+    assert solve._un_lowest(solve._UN_SEEDS[1.0, (0.0, 1.0, 1.0), 3], un)[0] < 0
+    assert calls == [("dsyevd", 3)] * 2
+    q = np.linalg.qr(np.random.default_rng(37).standard_normal((3, 3)))[0]
+    degenerate = MatBlock(np.eye(3), (q * [1.0, 1.0, 2.0]) @ q.T, -q @ q.T)
+    calls.clear()
+    scaled_lowest(degenerate)
+    assert calls[0] == ("dsyevd", 3) and calls[1:] == [3] * (len(calls) - 1)
+    assert len(calls) > 10          # Brent's evaluations
+    calls.clear()
+    scaled_lowest(matel3.natural_matblock(_FOUR_TERMS, spec))
+    assert calls[0] == ("dsyevd", 4) and set(calls[1:]) == {4}
 
 
 def test_scaled_lowest_raises_when_lapack_fails(monkeypatch):
     # a failed dsyevd leaves NaN eigenvalues and raises numpy's invalid-value
     # flag; the step must turn that into LinAlgError, which minimize_nm
     # counts as a refusal, and no RuntimeWarning may escape.  np.sqrt(-1)
-    # raises the same flag through the same ufunc machinery.  A three-term
-    # block keeps three directions, so its steps call the gufunc.
+    # raises the same flag through the same ufunc machinery.  A four-term
+    # block keeps four directions, so its steps call the gufunc.
     monkeypatch.setattr(solve, "_eigvalsh_lo",
                         lambda a, signature: np.sqrt(np.full(len(a), -1.0)))
-    blk = matel3.natural_matblock(solve._NAT_SEEDS[1.0, +1, 3, 0], hminus_spec(z=1.0))
-    assert solve._reduce(blk, 1e-12)[0].shape[1] == 3
+    blk = matel3.natural_matblock(_FOUR_TERMS, hminus_spec(z=1.0))
+    assert solve._reduce(blk, 1e-12)[0].shape[1] == 4
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(np.linalg.LinAlgError):
@@ -829,11 +1004,18 @@ ION_UNNATURAL_CLOSED_FORM = {
     (float("inf"), 3): ("-0.1253341555938711", "0.5282831872476283"),
     (1.0, 2): ("-0.06237422670012612", "0.3793482765944479"),
 }
-# and with the rotation step of two directions (N = 2 moves by one ulp at
-# the same scale), by repr
-_ION_UNNATURAL_NOW = {
+# with the rotation step of two directions (N = 2 moves by one ulp at the
+# same scale), by repr, kept as a fifth bound of _near_earlier
+ION_UNNATURAL_ROTATION = {
     (float("inf"), 1): ("-0.1246379679962384", "0.6817864720154893"),
     (float("inf"), 3): ("-0.1253341555938711", "0.5282831872476283"),
+    (1.0, 2): ("-0.06237422670012613", "0.3793482765944479"),
+}
+# and with the trigonometric step of three directions (N = 3 keeps its
+# energy; Brent's argmin of the flat minimum moves by 3e-8), by repr
+_ION_UNNATURAL_NOW = {
+    (float("inf"), 1): ("-0.1246379679962384", "0.6817864720154893"),
+    (float("inf"), 3): ("-0.1253341555938711", "0.5282831715756061"),
     (1.0, 2): ("-0.06237422670012613", "0.3793482765944479"),
 }
 
@@ -847,6 +1029,7 @@ def test_ion_unnatural_triple_is_bit_stable(ratio, n, energy, scale):
     _near_earlier(res, *ION_UNNATURAL_CONTRACTION[ratio, n])
     _near_earlier(res, *ION_UNNATURAL_FLOAT_REDUCTION[ratio, n])
     _near_earlier(res, *ION_UNNATURAL_CLOSED_FORM[ratio, n])
+    _near_earlier(res, *ION_UNNATURAL_ROTATION[ratio, n])
 
 
 def _quotient(block, c, lam):
@@ -1479,6 +1662,16 @@ def test_table1_objectives_refuse_shapes_beyond_the_float_range(search, monkeypa
             assert None not in outcomes
         else:
             assert info["refused_value"] == outcomes.count(ValueError)
+
+
+@pytest.mark.parametrize("z, edge", [(1.0, True), (2.0, False)])
+def test_shape_search_flags_a_walk_that_ends_at_the_edge(z, edge):
+    # H-'s (1s)(2s) shell model does not bind: its walk ends at t = 1.4e-8
+    # on -0.5 with 142 of 311 evaluations refused at t <= 0, and info says
+    # so; He's ends at t = 0.78, an interior minimum
+    e, (a, b), info = solve.optimize_shellmodel(z, MinimizerConfig(restarts=3, max_iter=4000))
+    assert info["at_edge"] is edge and bool(b / a < 1e-6) is edge
+    assert info["converged"] and bool(e >= -0.5) is edge
 
 
 def test_optimize_minmax_above_chandrasekhar():

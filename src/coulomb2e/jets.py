@@ -20,11 +20,13 @@ plain sum of its own a_i b_j terms, in the same order on any ideal that
 keeps it, so its round-off is relative to those terms only; an FFT
 convolution instead spreads the round-off of the largest coefficients over
 all of them (it put F4's moments off by 2.6e-8 relative at (2.0, 0.3, 1.7,
-0.25) and by 4.5e-3 at (3.0, 0.1, 2.5, 0.15)).  Every univariate function of
-a jet is one Taylor composition, `compose`: Horner's rule in t = x - val
-over f's coefficients f^(m)(val)/m!, as Python floats, costs degree - 1
-products.  (Truncated Taylor arithmetic: Griewank & Walther, Evaluating
-Derivatives, 2nd ed., ch. 13.)
+0.25) and by 4.5e-3 at (3.0, 0.1, 2.5, 0.15)).  `matrix` scatters the table
+into the matrix of b -> a * b, whose product with b sums each cell over the
+same terms (and exact zeros) in BLAS's order, so the bits may differ between
+ideals.  Every univariate function of a jet is one Taylor composition,
+`compose`: Horner's rule in t = x - val over f's coefficients f^(m)(val)/m!,
+as Python floats, costs t's matrix and degree - 1 matrix-vector products.
+(Truncated Taylor arithmetic: Griewank & Walther, Evaluating Derivatives.)
 """
 
 from functools import cache
@@ -36,7 +38,7 @@ import numpy as np
 class _Layout:
     """Kept multi-indices of one (shape, degree, below) and its pair table."""
 
-    __slots__ = ("shape", "degree", "n", "index", "pi", "pj", "po")
+    __slots__ = ("shape", "degree", "n", "index", "pi", "pj", "po", "flat")
 
     def __init__(self, shape, degree, below=None):
         if degree is None:
@@ -57,6 +59,7 @@ class _Layout:
         self.shape, self.degree, self.n = shape, degree, len(cells)
         self.index = {tuple(int(v) for v in e): k for k, e in enumerate(cells)}
         self.pi, self.pj, self.po = pi, pj, out[pi, pj]
+        self.flat = self.po * self.n + pj           # cell (po, pj) of matrix()
 
 
 @cache
@@ -102,15 +105,22 @@ class Jet:
 
     __rmul__ = __mul__
 
+    def matrix(self):
+        """The (n, n) matrix of b -> self * b on coefficient vectors."""
+        n = self.lay.n
+        return np.bincount(self.lay.flat, self.c[self.lay.pi], n * n).reshape(n, n)
+
     def compose(self, coefs):
         """f(self) from coefs[m] = f^(m)(val)/m!, m = 0 .. lay.degree (t^m
-        starts at total degree m), by Horner's rule in t = self - val:
-        len(coefs) - 2 jet products."""
+        starts at total degree m), by Horner's rule in t = self - val: one
+        matrix of t and len(coefs) - 2 matrix-vector products."""
         t = self - self.val
-        f = t * coefs[-1]
+        M, f = t.matrix(), t.c * coefs[-1]
         for cm in coefs[-2:0:-1]:
-            f = (f + cm) * t
-        return f + coefs[0]
+            f[0] += cm
+            f = M.dot(f)
+        f[0] += coefs[0]
+        return Jet(f, self.lay)
 
     def recip(self):
         """1/self; needs val != 0."""

@@ -236,3 +236,35 @@ def test_ideal_products_match_box_products():
                 for d in (d1, d2))
         got = Jet(a.c[cells], ideal) * Jet(b.c[cells], ideal)
         assert got.c.tobytes() == (a * b).c[cells].tobytes()
+
+
+def _term_sums(a, b):
+    # per cell, the sum of |a_i b_j| over its own terms of the pair table
+    lay = a.lay
+    return np.bincount(lay.po, abs(a.c[lay.pi] * b.c[lay.pj]), lay.n)
+
+
+@pytest.mark.parametrize("lay", [_layout((3, 3, 3, 3, 4), 5),
+                                 _layout((3, 3, 3, 3, 4), 5, matel4._MOMENTS),
+                                 _layout((3, 4, 6), 5, ((2, 0, 3), (1, 3, 1)))])
+def test_matrix_products_match_jet_products(lay):
+    # a.matrix() @ b.c is a * b, each cell within 4 eps of the sum of |a_i
+    # b_j| over its terms (BLAS sums a row in its own order); and compose,
+    # whose Horner steps are products by t's matrix, is the term-by-term
+    # Horner of jet products within 8 eps of the same Horner over |t| and
+    # |coefs|, also for a base of value 0
+    rng = np.random.default_rng(7)
+    eps = np.finfo(float).eps
+    for _ in range(20):
+        a, b = (Jet(rng.standard_normal(lay.n), lay) for _ in range(2))
+        assert np.all(abs(a.matrix() @ b.c - (a * b).c) <= 4 * eps * _term_sums(a, b))
+        for x0 in (float(a.c[0]), 0.0):
+            a.c[0] = x0
+            coefs = rng.standard_normal(lay.degree + 1).tolist()
+            t = a - x0
+            f, mag, abs_t = t * coefs[-1], Jet(abs(t.c * coefs[-1]), lay), Jet(abs(t.c), lay)
+            for cm in coefs[-2:0:-1]:
+                f, mag = (f + cm) * t, (mag + abs(cm)) * abs_t
+            got = a.compose(coefs).c
+            assert got[0] == f.c[0] + coefs[0]
+            assert np.all(abs(got - f.c)[1:] <= 8 * eps * mag.c[1:])

@@ -28,10 +28,10 @@ product).
 An element is a fixed sum of exponent features (1, u_i + v_i, u_i v_j)
 times these moments: a block's kernel is one `_g3_cells` call and one
 `model.contract` with a table that the lru `_ntv_table` or `_un_table`
-builds once per (z, inverse masses).  A block is `model.block` over the
-(n, 3) exponent array and the exchange maps `_EXCHANGE[epsilon]`: two
-gathers of the flat indices that the lru `model.gather` holds per (basis
-size, maps), the kernel, and one scatter.
+builds once per (z, inverse masses).  `kernel3` looks that table, `_plan`
+and `model.gather`'s flat indices up once per (basis size, spec, maps
+`_EXCHANGE[epsilon]`): a block, built or searched, is two gathers, the
+kernel, and one scatter.
 
 Term convention: a 3-tuple (a, b, c) means exp(-a*x - b*y - c*z), i.e. `a` on
 electron 2's distance, `b` on electron 1's, `c` on r12.  Electron exchange is
@@ -44,7 +44,7 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 
-from .model import NATURAL, UNNATURAL, block, coefficients, contract, kinetic
+from .model import NATURAL, UNNATURAL, MatBlock, coefficients, contract, kernel, kinetic
 
 
 class _Columns(tuple):
@@ -92,13 +92,14 @@ def _plan(cols):
 _NEXT, _ROWS = np.array([1, 2, 0]), np.arange(3)[:, None]
 
 
-def _g3_cells(e, cols):
+def _g3_cells(e, cols, plan=None):
     """Each column of the tuple `cols` (a cell or a weight polynomial, as in
-    _plan) at the triples e[..., :] = (alpha, beta, gamma): (..., len(cols))."""
+    _plan) at the triples e[..., :] = (alpha, beta, gamma): (..., len(cols));
+    `plan` is `_plan(cols)` where the caller holds it."""
     s = e + e.take(_NEXT, -1)
-    if (s <= 0).any():
+    if np.count_nonzero(s <= 0):
         raise ValueError("f3 domain: every pair sum must be positive")
-    powers, exps, coef = _plan(cols)
+    powers, exps, coef = plan or _plan(cols)
     inv = (s[..., None] ** exps)[..., _ROWS, powers]    # (..., 3, monomials)
     return (inv[..., 0, :] * inv[..., 1, :] * inv[..., 2, :]) @ coef
 
@@ -141,12 +142,23 @@ _EXCHANGE = {+1: (((0, 1, 2), 1.0), ((1, 0, 2), 1.0)),
              None: (((0, 1, 2), 1.0),)}
 
 
-def _block3(terms, epsilon, pair):
-    """The MatBlock of `pair` over the (n, 3) terms with _EXCHANGE[epsilon]."""
+def kernel3(n, spec, symmetrize=True):
+    """`model.kernel` of n terms of a three-body spec over the maps _EXCHANGE[eps]
+    (natural: spec.epsilon, or None unless `symmetrize`; 1+: +1), with the
+    sector's table and `_plan`'s powers and coefficients looked up once."""
+    cols, table, eps = ((_NTV_CELLS, _ntv_table, spec.epsilon if symmetrize else None)
+                        if spec.sector == NATURAL else (_UN_COLS, _un_table, +1))
+    maps, W, plan = _EXCHANGE[eps], table(spec.z_central, spec.inv_masses), _plan(cols)
+    ones = np.ones((n * (n + 1) // 2 * len(maps) ** 2, 1))   # gather's pair count
+    return kernel(n, 3, maps, lambda u, v: contract(u, v, _g3_cells(u + v, cols, plan), W, ones))
+
+
+def _block3(terms, spec, symmetrize=True):
+    """The MatBlock of `kernel3` over the (n, 3) terms."""
     x = np.asarray(terms, dtype=float)
     if x.ndim != 2 or x.shape[1] != 3 or len(x) == 0:
         raise ValueError(f"terms must form an (n, 3) array, n >= 1, not {x.shape}")
-    return block(x, _EXCHANGE[epsilon], pair)
+    return MatBlock(*kernel3(len(x), spec, symmetrize)(x.ravel()))
 
 
 def natural_matblock(terms, spec, symmetrize=True):
@@ -159,9 +171,7 @@ def natural_matblock(terms, spec, symmetrize=True):
     """
     if spec.sector != NATURAL or spec.z_central is None:
         raise ValueError("natural_matblock needs a three-body natural-sector spec")
-    W = _ntv_table(spec.z_central, spec.inv_masses)
-    return _block3(terms, spec.epsilon if symmetrize else None,
-                   lambda u, v: contract(u, v, _g3_cells(u + v, _NTV_CELLS), W))
+    return _block3(terms, spec, symmetrize)
 
 
 # ---------------------------------------------------------------------------
@@ -319,5 +329,4 @@ def unnatural_matblock(terms, spec):
     """
     if spec.sector != UNNATURAL:
         raise ValueError("unnatural_matblock needs an unnatural-sector spec")
-    W = _un_table(spec.z_central, spec.inv_masses)
-    return _block3(terms, +1, lambda u, v: contract(u, v, _g3_cells(u + v, _UN_COLS), W))
+    return _block3(terms, spec)

@@ -7,7 +7,8 @@ keeps every formula finite and branch-free.
 
 A basis is an (n, width) exponent array x plus (cols, weight) maps: basis
 vector i is sum weight * term(x[i, cols]), a broken permutation symmetry
-restored by adding the permuted copies.  Every block goes through `block`.
+restored by adding the permuted copies.  Every block goes through `kernel`,
+which resolves the layout of an (n, width, maps) basis once.
 """
 
 import math
@@ -80,8 +81,9 @@ def gather(n, width, maps):
     with the column maps `maps`, ((cols, weight), ...): basis vector i is
     sum weight * term(x[i, cols]).  The ordered term pairs of the upper
     triangle, in u-major, v-minor order, as flat indices into x of their
-    terms U and V, (pairs, len(cols)) each, then their cells i n + j, their
-    weight products and the mirror (entry (j, i) reads cell (i, j), i <= j)."""
+    terms U and V, (pairs, len(cols)) each, then their cells m n^2 + i n + j
+    in matrix m of three (all pairs of m = 0 first), their weight products
+    and the mirror (entry (m, j, i) reads cell (m, i, j), i <= j)."""
     if not maps or len({len(c) for c, _ in maps}) != 1:
         raise ValueError("column maps must be non-empty and of one length")
     cols = np.array([c for c, _ in maps], dtype=np.intp)
@@ -92,26 +94,30 @@ def gather(n, width, maps):
     gid = np.repeat(np.arange(n), k)
     w = np.tile(np.array([weight for _, weight in maps], dtype=float), n)
     p, q = np.nonzero(gid[:, None] <= gid[None, :])
-    mirror = np.arange(n * n).reshape(n, n)
-    return flat[p], flat[q], gid[p] * n + gid[q], w[p] * w[q], np.minimum(mirror, mirror.T)
+    mirror = np.arange(3 * n * n).reshape(3, n, n)
+    return (flat[p], flat[q], (gid[p] * n + gid[q] + n * n * np.arange(3)[:, None]).ravel(),
+            w[p] * w[q], np.minimum(mirror, mirror.transpose(0, 2, 1)))
+
+
+def kernel(n, width, maps, pair):
+    """x, the flat exponents of `gather`'s basis (n, width, maps), -> its
+    stacked N, T, V (3, n, n): entry (i, j) sums weight * `pair(U, V)`, one
+    vector per matrix at the stacked term pairs U, V, over the pairs of vectors
+    i <= j in gather's order (one bincount), mirrored below: Hermitian operators."""
+    iu, iv, cell, ww, mirror = gather(n, width, maps)
+    return lambda x: np.bincount(cell, (ww * pair(x[iu], x[iv])).ravel(), mirror.size)[mirror]
 
 
 def block(x, maps, pair):
-    """The MatBlock over the basis (x, maps) of `gather`: `pair(U, V)` returns
-    one vector of elements per matrix at the stacked term pairs U, V, and
-    entry (i, j) sums weight * element over the pairs of vectors i <= j in
-    gather's order, mirrored below, so the operators must be Hermitian."""
-    iu, iv, cell, ww, mirror = gather(*x.shape, maps)
-    x = x.ravel()
-    return MatBlock(*[np.bincount(cell, ww * e, mirror.size)[mirror]
-                      for e in pair(x[iu], x[iv])])
+    """The MatBlock over the (n, width) exponents x with the maps: `kernel`'s."""
+    return MatBlock(*kernel(*x.shape, maps, pair)(x.ravel()))
 
 
-def contract(U, V, M, table):
-    """(n, t, v) of the term pairs U, V (P, d) with moments M (P, K): (F ⊗ M) @ W,
-    F the features 1, U_i + V_i, U_i V_j (i-major), over the rows W keeps."""
+def contract(U, V, M, table, ones=None):
+    """(n, t, v) of the term pairs U, V (P, d) with moments M (P, K): (F ⊗ M) @ W over
+    the rows W keeps, F the features 1 (`ones`, (P, 1), if held), U_i + V_i, U_i V_j (i-major)."""
     (f, k, W), P = table, len(U)
-    F = np.concatenate((np.ones((P, 1)), U + V,
+    F = np.concatenate((np.ones((P, 1)) if ones is None else ones, U + V,
                         (U[:, :, None] * V[:, None, :]).reshape(P, -1)), 1)
     return ((F[:, f] * M[:, k]) @ W).T
 

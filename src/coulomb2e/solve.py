@@ -13,8 +13,9 @@ bounded search over the lowest eigenvalue of the reduced lam^2 T + lam V,
 so a search needs only the shape.  A one-parameter shape goes to
 `_grid_min`: min-max, the critical charge and the mass scans (and the
 frozen scan); the single correlated term fixes a = 1.
-Every three-body simplex runs through `_search3`, whose objective hands the
-simplex point to the block builders as its (n, 3) view; Table I's two-range
+Every three-body simplex runs through `_search3`, which resolves the
+sector's kernel (`matel3.kernel3`) before its first step, so an evaluation
+runs the kernel, the reduction and the scale step; Table I's two-range
 and shell-model searches walk t alone at a = 1 (`_shape_search`).  The N-term
 bases and `scan_mass4` still walk raw ranges, the scale a flat direction
 (ROADMAP item 4).
@@ -65,7 +66,7 @@ class CancellationError(ValueError):
 
     The 1+ matrix elements are accurate to round-off, but a nearly
     dependent basis amplifies their last bits into fake binding of order
-    1e-5, exactly the scale of the physics; `_un_lowest` refuses such a
+    1e-5, exactly the scale of the physics; `_search3` refuses such a
     basis (`_UN_COND_CAP`) rather than return its energy.
     """
 
@@ -186,8 +187,8 @@ def _reduce2(N, T, V, floor):
 
 
 def _floats(block):
-    """The block's N, T and V as nested lists of Python floats."""
-    return [np.asarray(m, dtype=float).tolist() for m in (block.n_mat, block.t_mat, block.v_mat)]
+    """The block's N, T and V as float arrays."""
+    return [np.asarray(m, dtype=float) for m in (block.n_mat, block.t_mat, block.v_mat)]
 
 
 def _reduce(block: MatBlock, floor):
@@ -201,9 +202,9 @@ def _reduce(block: MatBlock, floor):
     LAPACK), so a printed coefficient comes from the scale search's pencil;
     three or more through dsyevd and matmuls.
     """
-    N = np.asarray(block.n_mat, dtype=float)
+    N, T, V = _floats(block)
     if len(N) <= 2:
-        cols, Tt, Vt, w = _reduce2(*_floats(block), floor)
+        cols, Tt, Vt, w = _reduce2(N.tolist(), T.tolist(), V.tolist(), floor)
         m = len(Tt)
         return (np.array(cols).reshape(m, len(N)).T, np.array(Tt).reshape(m, m),
                 np.array(Vt).reshape(m, m), np.array(w))
@@ -215,7 +216,7 @@ def _reduce(block: MatBlock, floor):
         keep = w > cut
         X = U[:, keep] / np.sqrt(w[keep])
         _check_finite(N)
-    return X, X.T @ np.asarray(block.t_mat) @ X, X.T @ np.asarray(block.v_mat) @ X, w
+    return X, X.T @ T @ X, X.T @ V @ X, w
 
 
 def _check_floor(floor):
@@ -223,11 +224,12 @@ def _check_floor(floor):
         raise ValueError(f"floor must lie in [0, 1), got {floor!r}")
 
 
-def _reduced(block, floor):
-    """`_reduce`'s (Tt, Vt, w), for one or two terms as `_reduce2`'s lists."""
-    if len(block.n_mat) <= 2:
-        return _reduce2(*_floats(block), floor)[1:]
-    return _reduce(block, floor)[1:]
+def _reduced(N, T, V, floor):
+    """`_reduce`'s (Tt, Vt, w) of the float matrices N, T, V, for one or two
+    terms as `_reduce2`'s lists."""
+    if len(N) <= 2:
+        return _reduce2(N.tolist(), T.tolist(), V.tolist(), floor)[1:]
+    return _reduce(MatBlock(N, T, V), floor)[1:]
 
 
 def gen_eig(block: MatBlock, floor=1e-12):
@@ -521,7 +523,9 @@ def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
     The overlap is reduced by `_reduce` first (one or two terms in Python
     floats, `_reduce2`), which keeps the search robust when the simplex
     wanders into near-collinear bases; (_BIG, 1.0) when fewer than k + 1
-    directions survive the floor.
+    directions survive the floor.  A three-body search's objective
+    (`_search3`) runs this reduction and scale step on the matrices of
+    `matel3.kernel3`, which builds the sector's block, to the same bits.
 
     One kept direction is the parabola lam^2 t + lam v: its vertex, clipped
     to bounds (`_vertex`).  Two with k = 0 take the closed-form scale of
@@ -555,7 +559,7 @@ def scaled_lowest(block: MatBlock, k=0, floor=1e-12, bounds=(0.05, 50.0)):
     lo, hi = bounds
     if not 0.0 < lo < hi < math.inf:        # NaN too
         raise ValueError(f"bounds must satisfy 0 < lo < hi < inf, got {bounds!r}")
-    return _lowest_over_scale(*_reduced(block, floor)[:2], k, bounds)
+    return _lowest_over_scale(*_reduced(*_floats(block), floor)[:2], k, bounds)
 
 
 def _lowest_over_scale(Tt, Vt, k, bounds=(0.05, 50.0)):
@@ -737,38 +741,30 @@ def _valid3(terms, min_sum):
 _UN_COND_CAP = 1e8
 
 
-def _un_lowest(terms, spec, k=0):
-    """`scaled_lowest` of the 1+ block, refused past the condition cap."""
-    blk = matel3.unnatural_matblock(terms, spec)
-    Tt, Vt, wN = _reduced(blk, 1e-12)
-    if wN[0] <= 0 or wN[-1] > _UN_COND_CAP * wN[0]:
-        _check_finite(blk.n_mat)      # NaN can leave finite eigenvalues
-        raise CancellationError(
-            "vector-sector overlap too ill-conditioned to trust")
-    return _lowest_over_scale(Tt, Vt, k)
-
-
-def _terms3(x):
-    """The (n, 3) terms of a flat simplex point: a view, no copy."""
-    return x.reshape(-1, 3)
-
-
-def _search3(spec, x0, config, k=0, unpack=_terms3):
+def _search3(spec, x0, config, k=0, unpack=lambda x: x.reshape(-1, 3)):
     """Simplex search of the k-th state of a three-body basis from x0.
 
     `unpack` maps a simplex point (an array) to basis terms, by default its
     (n, 3) view; terms with a pair sum at or below the sector's floor (1e-3
-    natural, 1e-6 vector) are refused.  Returns minimize_nm's triple.
+    natural, 1e-6 vector) are refused.  The sector's kernel is resolved
+    once, so an evaluation is `matel3.kernel3`'s block, its reduction, the
+    1+ overlap-condition cap (`_UN_COND_CAP`) and the scale step: the bits
+    of `scaled_lowest` of the sector's block.  Returns minimize_nm's triple.
     """
-    min_sum = 1e-3 if spec.sector == NATURAL else 1e-6
+    natural = spec.sector == NATURAL
+    min_sum = 1e-3 if natural else 1e-6
+    kernel = matel3.kernel3(len(unpack(np.asarray(x0, dtype=float))), spec)
 
     def obj(x):
         terms = unpack(x)
         if not _valid3(terms, min_sum):
             return _BIG
-        if spec.sector == NATURAL:
-            return scaled_lowest(matel3.natural_matblock(terms, spec), k=k)[0]
-        return _un_lowest(terms, spec, k=k)[0]
+        N, T, V = kernel(np.ravel(terms))
+        Tt, Vt, w = _reduced(N, T, V, 1e-12)
+        if not natural and (w[0] <= 0 or w[-1] > _UN_COND_CAP * w[0]):
+            _check_finite(N)      # NaN can leave finite eigenvalues
+            raise CancellationError("vector-sector overlap too ill-conditioned to trust")
+        return _lowest_over_scale(Tt, Vt, k)[0]
 
     return minimize_nm(obj, x0, config)
 
@@ -860,9 +856,8 @@ def optimize_ion(spec: SystemSpec, n_terms: int, config: MinimizerConfig,
     x, e, info = _search3(spec, np.ravel(seeds), config, k)
     # the seed extension's evaluations and refusals count; `converged` is this search's
     info.update({key: info[key] + v for key, v in spent.items() if key != "converged"})
-    terms = _terms3(x)
-    block = (matel3.natural_matblock if natural
-             else matel3.unnatural_matblock)(terms, spec)
+    terms = x.reshape(-1, 3)
+    block = (matel3.natural_matblock if natural else matel3.unnatural_matblock)(terms, spec)
     _, lam = scaled_lowest(block, k=k)
     c, vr = _state_at_scale(block, lam, k)
     margin, stable = thr.verdict(e, spec.sector)

@@ -75,13 +75,14 @@ def test_g3_order_contract():
 
 
 def _cols_read(monkeypatch):
-    # every column (cell or weight polynomial) the block assemblers ask for
+    # every column (cell or weight polynomial) the block assemblers ask for:
+    # the kernels call _g3_cells with the plan they hold, the references without
     seen = set()
     orig = matel3._g3_cells
 
-    def spy(e, cols):
+    def spy(e, cols, plan=None):
         seen.update(cols)
-        return orig(e, cols)
+        return orig(e, cols, plan)
 
     monkeypatch.setattr(matel3, "_g3_cells", spy)
     terms = [(0.9, 0.4, 0.08), (0.7, 0.5, 0.03)]
@@ -257,20 +258,24 @@ def test_natural_kernel_exact(invm):
 
 
 def test_coefficient_tables_miss_once_per_spec():
-    # each kernel's table is built at a solve's first block and served from
-    # its lru after: one miss per spec, natural, 1+ and four-body (one per
-    # mass ratio of a scan)
+    # each kernel's table is built once per spec and served from its lru
+    # after: one miss per spec, natural, 1+ and four-body (one per mass
+    # ratio of a scan).  A three-body search looks its table up once, before
+    # its first evaluation, and the result's block once more; four-body
+    # solves assemble (and look up) at every evaluation
     tables = (matel3._ntv_table, matel3._un_table, matel4._ntv4_table)
     for table in tables:
         assert table.cache_info().maxsize is not None
         table.cache_clear()
     config = solve.MinimizerConfig(seed=0, restarts=1, max_iter=200)
-    solve.optimize_ion(hminus_spec(z=1.0), 2, config)
-    solve.optimize_ion(hminus_spec(z=1.0, sector=UNNATURAL), 2, config)
-    solve.scan_mass4([1.0, 2.0], "cc-break",
-                     solve.MinimizerConfig(seed=0, restarts=1, max_iter=20))
+    nfev = [solve.optimize_ion(hminus_spec(z=1.0, sector=sector), 2, config).meta["nfev"]
+            for sector in ("natural", UNNATURAL)]
+    recs = solve.scan_mass4([1.0, 2.0], "cc-break",
+                            solve.MinimizerConfig(seed=0, restarts=1, max_iter=20))
+    blocks4 = sum(r["nfev"] - r["refused_domain"] for r in recs)
+    assert nfev == [200, 200] and blocks4 >= 39
     assert [t.cache_info().misses for t in tables] == [1, 1, 2]
-    assert [t.cache_info().hits for t in tables] >= [199, 199, 39]
+    assert [t.cache_info().hits for t in tables] == [1, 1, blocks4 - 2]
 
 
 def test_kernel_column_sets_hash_once_as_their_tuples():
@@ -283,23 +288,27 @@ def test_kernel_column_sets_hash_once_as_their_tuples():
 
 
 def test_plan_cache_is_bounded_and_misses_only_fixed_column_sets(monkeypatch):
-    # a whole optimize_ion solve builds the plan of its one column set at
-    # its first evaluation and never again
+    # a whole optimize_ion solve builds the plan of its one column set when
+    # its search resolves the kernel and never again: each evaluation's
+    # moments read the plan the kernel holds, and the result's block looks
+    # it up once more
     assert matel3._plan.cache_info().maxsize is not None
-    for sector, build in (("natural", "natural_matblock"),
-                          ("unnatural", "unnatural_matblock")):
+    orig = matel3._g3_cells
+    for sector in ("natural", "unnatural"):
         matel3._plan.cache_clear()
-        misses, orig = [], getattr(matel3, build)
+        plans = []
 
-        def counted(*a, **kw):
-            out = orig(*a, **kw)
-            misses.append(matel3._plan.cache_info().misses)
-            return out
+        def counted(e, cols, plan=None):
+            plans.append(plan)
+            return orig(e, cols, plan)
 
-        monkeypatch.setattr(matel3, build, counted)
-        solve.optimize_ion(hminus_spec(z=1.0, sector=sector), 2,
-                           solve.MinimizerConfig(seed=0, restarts=1, max_iter=200))
-        assert len(misses) > 200 and set(misses) == {1}
+        monkeypatch.setattr(matel3, "_g3_cells", counted)
+        res = solve.optimize_ion(hminus_spec(z=1.0, sector=sector), 2,
+                                 solve.MinimizerConfig(seed=0, restarts=1, max_iter=200))
+        info = matel3._plan.cache_info()
+        assert res.meta["nfev"] == 200 and len(plans) > 200
+        assert (info.misses, info.hits) == (1, 1)
+        assert all(p is plans[0] for p in plans) and plans[0] is not None
 
 
 def test_chandrasekhar_closed_form_vs_assembled():

@@ -143,8 +143,9 @@ def _blocks():
         s = hminus_spec(z=1.0, mass_ratio=7.3)
         out.append((f"unsymmetrized-n{n}",
                     lambda t=t, s=s: matel3.natural_matblock(t, s, False)))
-        out.append((f"recoil-n{n}", lambda t=t, s=s: matel3._block3(
-            t, s.epsilon, lambda u, v: (elements.he_cross(u, v),) * 3).n_mat))
+        out.append((f"recoil-n{n}", lambda t=t, s=s: model.block(
+            np.array(t), matel3._EXCHANGE[s.epsilon],
+            lambda u, v: (elements.he_cross(u, v),) * 3).n_mat))
         for ratio in (float("inf"), 1.0):
             s = hminus_spec(z=1.0, mass_ratio=ratio, sector=UNNATURAL)
             out.append((f"vector-n{n}-M{ratio}",
@@ -161,16 +162,27 @@ def _mats(b):
     return (b.n_mat, b.t_mat, b.v_mat) if isinstance(b, MatBlock) else (b,)
 
 
+def _per_pair_kernel(n, width, maps, pair):
+    # model.kernel as the per-pair loop over the basis vectors' term groups
+    def run(x):
+        rows = np.asarray(x).reshape(n, width)
+        return np.array(elements.assemble_per_pair(
+            [[(w, tuple(row[list(c)])) for c, w in maps] for row in rows], pair))
+    return run
+
+
 @pytest.mark.parametrize("build", [b for _, b in _blocks()],
                          ids=[i for i, _ in _blocks()])
 def test_assemble_matches_the_per_pair_loop(build, monkeypatch):
-    # the one gather sums every entry in the loop's u-major, v-minor order,
-    # so every block is the same to the bit: the three-body blocks (and the
-    # recoil kernel through the same gather) against the loop over their
-    # exchange groups, the four-body blocks against the loop over theirs
+    # the one gather and its one bincount sum every entry in the loop's
+    # u-major, v-minor order, so every block is the same to the bit: the
+    # three-body blocks (and the recoil kernel through the same gather)
+    # against the per-pair loop with the same kernel (matel3.kernel3 and
+    # model.block both build on model.kernel), the four-body blocks against
+    # the loop over their groups
     got = _mats(build())
-    monkeypatch.setattr(matel3, "_block3", lambda terms, eps, pair: MatBlock(
-        *elements.assemble_per_pair(elements.exchange_groups(terms, eps), pair)))
+    monkeypatch.setattr(matel3, "kernel", _per_pair_kernel)
+    monkeypatch.setattr(model, "kernel", _per_pair_kernel)
     monkeypatch.setattr(matel4, "assemble4", lambda groups, spec: MatBlock(
         *elements.assemble_per_pair(
             groups, lambda U, V: matel4._pair_ntv(U, V, spec.inv_masses))))
@@ -236,15 +248,15 @@ def test_block_builders_refuse_a_spec_they_cannot_read(build, spec, match):
 def test_layout_cache_is_bounded_and_misses_once_per_weight_pattern(monkeypatch):
     # the one gather depends on the basis size, its width and its column
     # maps alone: a whole optimize_ion or scan_mass4 solve builds it at its
-    # first block and never again, then serves every other block from its
-    # one entry (three-body both sectors, four-body both breaking modes)
+    # first block and never again (three-body both sectors, four-body both
+    # breaking modes).  A three-body solve looks it up once per kernel
+    # (`matel3.kernel3`): for its search's 200 evaluations, then for the
+    # result's block; a four-body solve at every block, from the one entry
     info = model.gather.cache_info
     assert info().maxsize is not None
     cfg = solve.MinimizerConfig(seed=0, restarts=1, max_iter=200)
-    runs = [(matel3, "natural_matblock", 200, lambda: solve.optimize_ion(
-                hminus_spec(z=1.0), 2, cfg)),
-            (matel3, "unnatural_matblock", 200, lambda: solve.optimize_ion(
-                hminus_spec(z=1.0, sector=UNNATURAL), 2, cfg))]
+    runs = [(matel3, "kernel3", 1, lambda s=s: solve.optimize_ion(hminus_spec(
+                z=1.0, sector=s), 2, cfg).meta["nfev"] == 200) for s in (NATURAL, UNNATURAL)]
     runs += [(matel4, "assemble4", 100, lambda m=m: solve.scan_mass4([1.0], m, cfg))
              for m in ("cc-break", "identity-break")]
     for owner, build, at_least, run in runs:
@@ -259,7 +271,7 @@ def test_layout_cache_is_bounded_and_misses_once_per_weight_pattern(monkeypatch)
         matel4._member_maps.cache_clear()
         with monkeypatch.context() as mp:
             mp.setattr(owner, build, counted)
-            run()
+            assert run()
         assert len(misses) > at_least and set(misses) == {1}
         assert info().currsize == 1 and info().hits == len(misses) - 1
         if owner is matel4:     # and one map tuple per group weight pattern
